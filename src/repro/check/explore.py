@@ -87,13 +87,18 @@ point the run prunes instead of starving it forever.
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
+from collections import Counter
 
 from repro.common.errors import ReproError
 from repro.common.params import LAZY
 from repro.htm.conflict import PROCEED
 from repro.faults import FaultInjector, make_plan
-from repro.harness.parallel import CaseSpec, WorkerPool, run_campaign
+from repro.harness.parallel import (
+    CaseSpec,
+    WorkerPool,
+    batched_gc,
+    run_campaign,
+)
 from repro.mem.layout import SharedArena
 from repro.runtime.core import Runtime
 from repro.sim.engine import Machine
@@ -435,17 +440,19 @@ class StepRecorder:
 
 
 # ----------------------------------------------------------------------
-# Checkpointed exploration: a worker-local prefix-tree snapshot cache
+# Checkpointed exploration: fork-point checkpoints handed to children
 # ----------------------------------------------------------------------
 #
 # A node run is a pure function of its choice prefix, and every child
-# shares all but the last choice with its parent — so the stateless
+# shares all but its last choice with its parent — so the stateless
 # "replay from cycle 0" discipline re-executes the same prefix over and
-# over.  Each worker therefore keeps a bounded LRU cache of mid-run
-# machine snapshots (:mod:`repro.sim.snapshot`), keyed by the choice
-# prefix that produced them: a node forks from the deepest cached
-# ancestor instead of replaying from the start, and deposits fresh
-# checkpoints along its own continuation for its descendants.
+# over.  Instead, a node captures a mid-run machine snapshot
+# (:mod:`repro.sim.snapshot`) at each of its branch steps in
+# ``[len(P), max_depth)`` — where :class:`ControlledPolicy` calls its
+# ``branch_hook``, by the rule :func:`_make_children` applies — and
+# deposits it with one use per child that step actually produced.  A
+# child with prefix ``P`` forks at its branch step ``len(P) - 1``; the
+# entry is dropped when its last child has restored it.
 #
 # Soundness rests on three facts:
 #
@@ -456,21 +463,28 @@ class StepRecorder:
 #   prefix extends the checkpoint's choices.  The recorded candidate
 #   lists, footprints, deliveries, histories and cycle books are equally
 #   choice-determined, so the observers restore from the same entry.
-# * **Fork points stop strictly before the branch step.**  A child's
+# * **The fork point is the branch step, never past it.**  A child's
 #   *new* sleep entries activate at the branch step ``len(prefix) - 1``
 #   (see :func:`_make_children`), and the recorder's removal rule may
-#   fire at exactly that step — so restoring at or past it could skip a
-#   wake-up and prune a schedule the stateless run explores.  Probing
-#   only depths ``s <= len(prefix) - 1`` keeps every sleep-set decision
-#   inside the live (resumed) portion of the run.  Inherited entries
-#   survive all earlier steps by construction: the parent executed the
-#   identical steps with the entry live and did not remove it, and the
-#   removal rule is deterministic in (footprint, deliveries, entry).
+#   fire at exactly that step — so restoring past it could skip a
+#   wake-up and prune a schedule the stateless run explores.  Forking at
+#   ``s = len(prefix) - 1`` runs the branch step itself live, keeping
+#   every sleep-set decision of this node inside the resumed portion.
+#   Inherited entries survive all earlier steps by construction: the
+#   parent executed the identical steps with the entry live and did not
+#   remove it, and the removal rule is deterministic in (footprint,
+#   deliveries, entry).
 # * **The policy is never restored.**  ``restore_policy=False`` keeps
 #   the child's own :class:`ControlledPolicy` — forced map, sleep set,
 #   ``sleep_from`` — and only the recorded ``choices``/``candidates``
 #   (identical to what a faithful replay of the prefix would have
 #   recorded) are preloaded from the checkpoint.
+#
+# Entries no child consumes (a child the pool ran on another worker, a
+# frontier cut by ``max_schedules``) must not pile up: a checkpoint from
+# generation ``g`` serves only generation ``g + 1``, so a worker entering
+# a new generation drops everything older, and the serial
+# :func:`explore` empties the cache when it returns.
 #
 # The cache is verified differentially: ``--no-checkpoint`` keeps the
 # stateless path, and the conformance gate asserts verdict-for-verdict
@@ -479,79 +493,68 @@ class StepRecorder:
 # node (counted in ``fallbacks``) — checkpointing is an accelerator,
 # never a semantic dependency.
 
-#: Deposit a checkpoint every this many scheduling steps.
-CHECKPOINT_INTERVAL = 8
-
-#: Never deposit past this step: children branch near their prefix, so
-#: deep checkpoints are rarely re-entered, and both capture cost and
-#: ghost-replay cost grow with the journal.
-CHECKPOINT_MAX_STEP = 512
-
-#: Per-worker byte budget for cached checkpoints (LRU-evicted).
-CHECKPOINT_BUDGET = 48 * 1024 * 1024
-
 
 class _Checkpoint:
-    """One cached mid-run state: the machine snapshot plus the observer
+    """One fork-point state: the machine snapshot plus the observer
     state (recorder, history, profiler, tracer) that goes with it."""
 
     __slots__ = ("snapshot", "recorder", "history", "profiler", "tracer",
-                 "nbytes")
+                 "uses", "generation")
 
 
 class CheckpointCache:
-    """Bounded-LRU map from ``(base, choices)`` to :class:`_Checkpoint`.
+    """Fork-point checkpoints awaiting their children.
 
-    ``base`` pins everything else a run depends on — ``(program,
-    config, fault, seed, recording)`` — so a lookup can only ever hit a
-    state its own schedule would reach.  Budgeting is by approximate
-    bytes, evicting least-recently-used entries first.
+    Keys are ``(base, choices)``: ``base`` pins everything else a run
+    depends on — ``(program, config, fault, seed, recording)`` — so a
+    lookup can only ever hit a state its own schedule would reach.
+    Every lookup consumes one use; :meth:`begin_generation` drops what
+    the previous wave left behind.
     """
 
-    def __init__(self, budget=CHECKPOINT_BUDGET,
-                 interval=CHECKPOINT_INTERVAL,
-                 max_step=CHECKPOINT_MAX_STEP):
-        self.budget = budget
-        self.interval = interval
-        self.max_step = max_step
-        self._entries = OrderedDict()
-        self._bytes = 0
+    def __init__(self):
+        self._entries = {}
+        self.generation = None
         self.stats = {"hits": 0, "misses": 0, "deposits": 0,
-                      "evictions": 0, "fallbacks": 0, "bytes": 0}
+                      "fallbacks": 0}
 
     def lookup(self, base, prefix):
-        """The deepest cached ancestor strictly before the branch step
-        (``s <= len(prefix) - 1``; see the fork-point note above), as
-        ``(entry, s)`` — ``(None, 0)`` on a miss."""
-        limit = len(prefix) - 1
-        depth = (limit // self.interval) * self.interval if limit > 0 else 0
-        while depth > 0:
-            key = (base, tuple(prefix[:depth]))
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats["hits"] += 1
-                return entry, depth
-            depth -= self.interval
-        self.stats["misses"] += 1
-        return None, 0
+        """Consume one use of the checkpoint ``prefix`` forks from.
+
+        The fork point is step ``len(prefix) - 1`` (see the note
+        above); returns the entry, or None on a miss."""
+        key = (base, tuple(prefix[:-1]))
+        entry = self._entries.get(key) if prefix else None
+        if entry is None:
+            self.stats["misses"] += 1
+            return None
+        entry.uses -= 1
+        if entry.uses <= 0:
+            del self._entries[key]
+        self.stats["hits"] += 1
+        return entry
 
     def deposit(self, key, entry):
-        if key in self._entries or entry.nbytes > self.budget:
-            return
         self._entries[key] = entry
-        self._bytes += entry.nbytes
         self.stats["deposits"] += 1
-        while self._bytes > self.budget:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes
-            self.stats["evictions"] += 1
-        self.stats["bytes"] = self._bytes
+
+    def begin_generation(self, generation):
+        """Drop the entries no node of ``generation`` can fork from.
+
+        Only checkpoints deposited in ``generation - 1`` have children
+        left to run."""
+        if generation == self.generation:
+            return
+        self.generation = generation
+        for key in [key for key, entry in self._entries.items()
+                    if entry.generation != generation - 1]:
+            del self._entries[key]
+
+    def __len__(self):
+        return len(self._entries)
 
     def clear(self):
         self._entries.clear()
-        self._bytes = 0
-        self.stats["bytes"] = 0
 
 
 #: The worker-local cache (one per process; explore workers persist
@@ -587,7 +590,7 @@ class _NodeContext:
 
         Shared-able containers are **rebound, never cleared**: cached
         checkpoints hold references to the previous node's lists (see
-        :func:`_deposit_hook`), and the restore's ``setup_fn`` replays
+        :func:`_capture_hook`), and the restore's ``setup_fn`` replays
         program bring-up with the observers attached — anything they
         record before the checkpoint state lands must go into fresh
         books, not cached ones.
@@ -622,11 +625,6 @@ class _NodeContext:
 
 #: Restore-target contexts, one per (program, config) per worker.
 _CONTEXTS = {}
-
-
-def checkpoint_cache_stats():
-    """This process's cumulative checkpoint-cache counters."""
-    return dict(_CHECKPOINTS.stats)
 
 
 def _checkpoint_supported(program_name, config_name, fault):
@@ -676,19 +674,19 @@ def _restore_node(program_name, config_name, policy, entry, seed):
 
 
 def _restore_recorder_state(recorder, policy, sleep_entries, sleep_from,
-                            rec_state, start):
+                            rec_state):
     """Point the pooled :class:`StepRecorder` at this node and load the
     checkpoint's recorded prefix.  ``sleep_before`` is synthesized as
-    ``start`` copies of the node's initial entries — exact, because no
-    entry of *this* node can be removed before the branch step (the
-    fork-point constraint above)."""
+    one copy of the node's initial entries per recorded step — exact,
+    because no entry of *this* node can be removed before the branch
+    step (the fork-point constraint above)."""
     footprints, deliveries, n, cpu_reads, cpu_writes = rec_state
     recorder.policy = policy
     recorder.sleep_from = sleep_from
     recorder._sleep = dict(sleep_entries)
     recorder.footprints = list(footprints[:n])
     recorder.deliveries = list(deliveries[:n])
-    recorder.sleep_before = [dict(recorder._sleep) for _ in range(start)]
+    recorder.sleep_before = [dict(recorder._sleep) for _ in range(n)]
     for cpu, units in cpu_reads.items():
         recorder._cpu_reads[cpu] = set(units)
     for cpu, units in cpu_writes.items():
@@ -749,30 +747,18 @@ def _restore_tracer_state(tracer, trace_state):
     tracer.sink = sink
 
 
-def _deposit_hook(base, policy, recorder, history_recorder, profiler,
-                  tracer):
-    """The engine ``checkpoint_hook`` that deposits along this node's
-    continuation.  Fires at step boundaries (after ``step_hook``), so
-    every observer is quiescent: the recorder's accumulators are empty
-    and the profiler's books are settled."""
-    cache = _CHECKPOINTS
+def _capture_hook(machine, lo, hi, recorder, history_recorder, profiler,
+                  tracer, captured):
+    """The ``branch_hook`` capturing this node's checkpoints at branch
+    steps in ``[lo, hi)`` into ``captured`` (step -> entry).  It fires
+    at a step boundary, so every observer is quiescent: the recorder's
+    accumulators are empty and the profiler's books are settled."""
 
-    def hook(machine, n_steps):
-        if n_steps == 0 or n_steps % cache.interval:
-            return
-        if n_steps > cache.max_step:
-            machine.checkpoint_hook = None
-            return
-        key = (base, tuple(policy.choices))
-        if key in cache._entries:
-            return
-        try:
-            snapshot = machine.snapshot()
-        except SnapshotError:
-            machine.checkpoint_hook = None
+    def hook(step):
+        if step < lo or (hi is not None and step >= hi):
             return
         entry = _Checkpoint()
-        entry.snapshot = snapshot
+        entry.snapshot = machine.snapshot()
         entry.recorder = None
         if recorder is not None:
             # The per-step lists are append-only with immutable entries
@@ -791,12 +777,7 @@ def _deposit_hook(base, policy, recorder, history_recorder, profiler,
             books.snapshot_state() for books in profiler._cpu)
         # Bounded copy: the tail ring holds at most TRACE_RING events.
         entry.tracer = (list(tracer.sink._events), tracer.sink.dropped)
-        entry.nbytes = (
-            snapshot.approx_bytes()
-            + 96 * (entry.history[1] + entry.history[3])
-            + 64 * len(entry.tracer[0])
-            + (64 * entry.recorder[2] if entry.recorder else 0))
-        cache.deposit(key, entry)
+        captured[step] = entry
 
     return hook
 
@@ -885,7 +866,8 @@ class NodeOutcome:
     #: (child_prefix, encoded_sleep) pairs, in enumeration order.
     children: tuple = ()
     #: Checkpoint-cache counter deltas for this node (None when the
-    #: node ran stateless); ``bytes`` is the worker's absolute gauge.
+    #: node ran stateless); ``peak_live`` is the worker's live-entry
+    #: gauge after the node's deposits.
     cache: dict = None
 
 
@@ -900,11 +882,13 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
     obs)`` where ``obs`` is the ``(tracer, profiler)`` pair every node
     carries (trace-on-failure ring + cycle-conservation books).
 
-    ``checkpoint_ctx`` (``{"base", "prefix", "deposit"}``) switches the
-    node to the checkpoint cache: fork from the deepest cached ancestor
-    of ``prefix`` when one exists, and (when ``deposit``) leave
-    checkpoints along this run's continuation.  Verdicts are identical
-    either way — the cache only changes where execution starts.
+    ``checkpoint_ctx`` (``{"base", "prefix", "max_depth",
+    "captured"}``) switches the node to the checkpoint cache: fork at
+    ``prefix``'s branch step when that checkpoint is cached, and capture
+    this run's own branch steps into ``captured`` (see
+    :func:`_capture_hook`) for :func:`run_node` to deposit.  Verdicts
+    are identical either way — the cache only changes where execution
+    starts.
     """
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
@@ -913,10 +897,9 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
         forced=forced, sleep=sleep_entries, sleep_from=sleep_from,
         window=EXPLORE_WINDOW)
     entry = None
-    start = 0
     ctx = None
     if checkpoint_ctx is not None:
-        entry, start = _CHECKPOINTS.lookup(
+        entry = _CHECKPOINTS.lookup(
             checkpoint_ctx["base"], checkpoint_ctx["prefix"])
     if entry is not None:
         try:
@@ -924,7 +907,7 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
                 program_name, config_name, policy, entry, seed)
         except SnapshotError:
             _CHECKPOINTS.stats["fallbacks"] += 1
-            entry, start, ctx = None, 0, None
+            entry, ctx = None, None
             policy.choices.clear()
             policy.candidates.clear()
             policy.divergences.clear()
@@ -939,7 +922,7 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
         if record and _should_prune(True, fault, config):
             recorder = ctx.recorder
             _restore_recorder_state(recorder, policy, sleep_entries,
-                                    sleep_from, entry.recorder, start)
+                                    sleep_from, entry.recorder)
             machine.step_hook = recorder._close_step
         history_recorder = ctx.history
         profiler = ctx.profiler
@@ -965,11 +948,12 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
         history_recorder = HistoryRecorder(machine)
         profiler = CycleProfiler(machine)
         tracer = Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
-    if checkpoint_ctx is not None and checkpoint_ctx["deposit"]:
-        machine.checkpoint_interval = _CHECKPOINTS.interval
-        machine.checkpoint_hook = _deposit_hook(
-            checkpoint_ctx["base"], policy, recorder, history_recorder,
-            profiler, tracer)
+    # max_depth 0 marks the last bounded generation: no child will run.
+    if checkpoint_ctx is not None and checkpoint_ctx["max_depth"] != 0:
+        policy.branch_hook = _capture_hook(
+            machine, len(checkpoint_ctx["prefix"]),
+            checkpoint_ctx["max_depth"], recorder, history_recorder,
+            profiler, tracer, checkpoint_ctx["captured"])
     error = None
     pruned_at = None
     try:
@@ -981,7 +965,7 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
     except ReproError as exc:
         error = exc
     finally:
-        machine.checkpoint_hook = None
+        policy.branch_hook = None
         if ctx is None:
             tracer.detach()
             profiler.detach()
@@ -1105,7 +1089,7 @@ def _make_children(prefix, policy, recorder, max_depth, n_cpus):
 
 def run_node(program_name, config_name, prefix=(), sleep=(), fault=None,
              seed=1, max_depth=None, prune=True, max_cycles=None,
-             checkpoint=False):
+             checkpoint=False, generation=0):
     """Run one exploration node: replay ``prefix``, complete the run
     deterministically, judge it, and derive the child prefixes.
 
@@ -1113,20 +1097,22 @@ def run_node(program_name, config_name, prefix=(), sleep=(), fault=None,
     shards across workers.  ``sleep`` is the encoded sleep-set seed for
     this subtree; ``max_depth`` bounds the step index at which new
     branches may be taken.  ``checkpoint`` enables the worker-local
-    snapshot cache where :func:`_checkpoint_supported` allows; the
-    node's verdict and children are identical with it on or off.
+    snapshot cache where :func:`_checkpoint_supported` allows, and
+    ``generation`` (the node's wave) bounds how long its checkpoints
+    wait for their children; the node's verdict and children are
+    identical with it on or off.
     """
     prefix = tuple(prefix)
     ctx = None
     before = None
     if checkpoint and _checkpoint_supported(program_name, config_name,
                                             fault):
+        _CHECKPOINTS.begin_generation(generation)
         ctx = {
             "base": (program_name, config_name, fault, seed, bool(prune)),
             "prefix": prefix,
-            # The last bounded generation's children never run, so its
-            # nodes skip deposits entirely.
-            "deposit": max_depth != 0,
+            "max_depth": max_depth,
+            "captured": {},
         }
         before = dict(_CHECKPOINTS.stats)
     program, machine, policy, history, error, pruned_at, recorder, obs = (
@@ -1141,10 +1127,19 @@ def run_node(program_name, config_name, prefix=(), sleep=(), fault=None,
     children = _make_children(prefix, policy, recorder, max_depth,
                               machine.config.n_cpus)
     cache = None
-    if before is not None:
+    if ctx is not None:
+        # Hand each capture to the children its step produced (a run
+        # that died mid-step produced none at its last step).
+        uses = Counter(len(child) - 1 for child, _ in children)
+        for step, entry in ctx["captured"].items():
+            if uses[step]:
+                entry.uses = uses[step]
+                entry.generation = generation
+                _CHECKPOINTS.deposit(
+                    (ctx["base"], tuple(policy.choices[:step])), entry)
         cache = {key: _CHECKPOINTS.stats[key] - before[key]
                  for key in before}
-        cache["bytes"] = _CHECKPOINTS.stats["bytes"]
+        cache["peak_live"] = len(_CHECKPOINTS)
     return NodeOutcome(prefix=prefix, pruned=pruned_at is not None,
                        verdict=verdict, children=tuple(children),
                        cache=cache)
@@ -1175,12 +1170,12 @@ def replay(program_name, config_name, deviations, fault=None, seed=1,
 
 def node_spec(program_name, config_name, prefix, sleep, fault, seed,
               max_depth, prune, max_cycles=None, checkpoint=False,
-              affinity=None):
+              affinity=None, generation=0):
     """The picklable :class:`CaseSpec` for one exploration node.
 
     ``affinity`` routes the node toward the worker that ran its parent
-    (whose checkpoint cache holds the ancestors it can fork from); it
-    is a placement hint only and never affects the node's result.
+    (whose checkpoint cache holds the checkpoint it forks from); it is
+    a placement hint only and never affects the node's result.
     """
     name = (f"{program_name}:{config_name}:"
             f"prefix={','.join(map(str, prefix)) or '-'}")
@@ -1189,7 +1184,7 @@ def node_spec(program_name, config_name, prefix, sleep, fault, seed,
     kwargs = (("prefix", tuple(prefix)), ("sleep", tuple(sleep)),
               ("fault", fault), ("seed", seed), ("max_depth", max_depth),
               ("prune", prune), ("max_cycles", max_cycles),
-              ("checkpoint", checkpoint))
+              ("checkpoint", checkpoint), ("generation", generation))
     return CaseSpec(runner="repro.check.explore:run_node", name=name,
                     args=(program_name, config_name), kwargs=kwargs,
                     affinity=affinity)
@@ -1238,8 +1233,8 @@ class ExploreReport:
     #: Whether the snapshot cache was requested for this campaign.
     checkpoint: bool = False
     #: Aggregated checkpoint-cache counters (hits/misses/deposits/
-    #: evictions/fallbacks summed across nodes; ``bytes`` is the peak
-    #: per-worker gauge).  None when checkpointing was off everywhere.
+    #: fallbacks summed across nodes; ``peak_live`` is the most entries
+    #: any worker held at once).  None when checkpointing was off.
     checkpoint_stats: dict = None
 
     @property
@@ -1288,11 +1283,15 @@ def explore(program_name, config_name, fault=None, seed=1,
     marks the report ``truncated``.
 
     ``checkpoint`` (default on; gated per node by
-    :func:`_checkpoint_supported`) lets each worker fork nodes from
-    cached ancestor snapshots instead of replaying from cycle 0, and
-    routes children to the worker holding their ancestor's checkpoints
-    via spec affinity.  Every verdict is identical with it on or off —
-    ``--no-checkpoint`` is the differential control.
+    :func:`_checkpoint_supported`) lets each child fork from the
+    snapshot its parent captured at the branch step instead of
+    replaying from cycle 0, and routes children to the worker holding
+    that checkpoint via spec affinity.  Every verdict is identical with
+    it on or off — ``--no-checkpoint`` is the differential control.
+    The in-process cache is empty again when this returns.
+
+    The frontier loop runs under :func:`batched_gc`; the previous GC
+    thresholds are back in place however the campaign ends.
     """
     if config_name not in CONFIGS:
         raise ValueError(f"unknown config {config_name!r}; "
@@ -1314,8 +1313,7 @@ def explore(program_name, config_name, fault=None, seed=1,
         return out
     if effective_checkpoint:
         out.checkpoint_stats = {"hits": 0, "misses": 0, "deposits": 0,
-                                "evictions": 0, "fallbacks": 0,
-                                "bytes": 0}
+                                "fallbacks": 0, "peak_live": 0}
 
     own_pool = None
     if jobs > 1 and pool is None:
@@ -1323,67 +1321,72 @@ def explore(program_name, config_name, fault=None, seed=1,
     frontier = [((), (), None)]
     generation = 0
     try:
-        while frontier:
-            if (preemption_bound is not None
-                    and generation > preemption_bound):
-                break
-            if max_schedules is not None:
-                room = max_schedules - (out.explored + out.pruned)
-                if room <= 0:
-                    out.truncated = True
+        with batched_gc():
+            while frontier:
+                if (preemption_bound is not None
+                        and generation > preemption_bound):
                     break
-                if len(frontier) > room:
-                    frontier = frontier[:room]
-                    out.truncated = True
-            # The last bounded generation's children can never run:
-            # suppress them at the source (a livelocked run has tens of
-            # thousands of steps, and materializing one child prefix per
-            # step is quadratic in memory for no benefit).
-            last = (preemption_bound is not None
-                    and generation == preemption_bound)
-            depth = 0 if last else max_depth
-            specs = [
-                node_spec(program_name, config_name, prefix, sleep,
-                          fault, seed, depth, effective_prune,
-                          max_cycles=max_cycles,
-                          checkpoint=effective_checkpoint,
-                          affinity=affinity)
-                for prefix, sleep, affinity in frontier
-            ]
-            if pool is not None:
-                outcomes = pool.map(specs, timeout=timeout,
-                                    failure_result=node_failure)
-                assigned = pool.last_assignments
-            else:
-                outcomes = run_campaign(specs, jobs=1, timeout=timeout,
+                if max_schedules is not None:
+                    room = max_schedules - (out.explored + out.pruned)
+                    if room <= 0:
+                        out.truncated = True
+                        break
+                    if len(frontier) > room:
+                        frontier = frontier[:room]
+                        out.truncated = True
+                # The last bounded generation's children can never
+                # run: suppress them at the source (a livelocked run
+                # has tens of thousands of steps, and materializing one
+                # child prefix per step is quadratic in memory for no
+                # benefit).
+                last = (preemption_bound is not None
+                        and generation == preemption_bound)
+                depth = 0 if last else max_depth
+                specs = [
+                    node_spec(program_name, config_name, prefix, sleep,
+                              fault, seed, depth, effective_prune,
+                              max_cycles=max_cycles,
+                              checkpoint=effective_checkpoint,
+                              affinity=affinity, generation=generation)
+                    for prefix, sleep, affinity in frontier
+                ]
+                if pool is not None:
+                    outcomes = pool.map(specs, timeout=timeout,
                                         failure_result=node_failure)
-                assigned = None
-            next_frontier = []
-            for position, outcome in enumerate(outcomes):
-                if outcome.pruned:
-                    out.pruned += 1
+                    assigned = pool.last_assignments
                 else:
-                    out.explored += 1
-                    out.verdicts.append(outcome.verdict)
-                    if report is not None:
-                        report(outcome.verdict)
-                # Children fork from checkpoints this node deposited, so
-                # route them to the worker that ran it.
-                worker = assigned[position] if assigned is not None else None
-                next_frontier.extend(
-                    (child_prefix, child_sleep, worker)
-                    for child_prefix, child_sleep in outcome.children)
-                if outcome.cache and out.checkpoint_stats is not None:
-                    for key, value in outcome.cache.items():
-                        if key == "bytes":
-                            out.checkpoint_stats[key] = max(
-                                out.checkpoint_stats[key], value)
-                        else:
-                            out.checkpoint_stats[key] += value
-            out.generations.append(len(outcomes))
-            frontier = next_frontier
-            generation += 1
+                    outcomes = run_campaign(
+                        specs, jobs=1, timeout=timeout,
+                        failure_result=node_failure)
+                    assigned = None
+                next_frontier = []
+                for position, outcome in enumerate(outcomes):
+                    if outcome.pruned:
+                        out.pruned += 1
+                    else:
+                        out.explored += 1
+                        out.verdicts.append(outcome.verdict)
+                        if report is not None:
+                            report(outcome.verdict)
+                    # Children fork from checkpoints this node deposited,
+                    # so route them to the worker that ran it.
+                    worker = (assigned[position] if assigned is not None
+                              else None)
+                    next_frontier.extend(
+                        (child_prefix, child_sleep, worker)
+                        for child_prefix, child_sleep in outcome.children)
+                    if outcome.cache and out.checkpoint_stats is not None:
+                        for key, value in outcome.cache.items():
+                            if key == "peak_live":
+                                out.checkpoint_stats[key] = max(
+                                    out.checkpoint_stats[key], value)
+                            else:
+                                out.checkpoint_stats[key] += value
+                out.generations.append(len(outcomes))
+                frontier = next_frontier
+                generation += 1
     finally:
+        _CHECKPOINTS.clear()
         if own_pool is not None:
             own_pool.close()
     return out

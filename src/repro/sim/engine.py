@@ -96,14 +96,6 @@ class Machine:
         #: restored from a mid-run snapshot resumes the count here so
         #: ``engine.steps`` matches the straight-line run bit-for-bit.
         self._steps_base = 0
-        #: Called as ``checkpoint_hook(self, n_steps)`` after every
-        #: journaled step where ``n_steps`` is a multiple of
-        #: ``checkpoint_interval``; the explorer deposits prefix
-        #: checkpoints through it.  Only probed when the journal is
-        #: enabled.  Gating on the interval here keeps the per-step cost
-        #: of a sparse hook at one modulo instead of a Python call.
-        self.checkpoint_hook = None
-        self.checkpoint_interval = 1
         self._capacity_retries = [0] * config.n_cpus
         #: Heap-backed ready queue: (resume_at, cpu_id) entries, kept for
         #: the deterministic policy so picking the next CPU is O(log n)
@@ -270,11 +262,6 @@ class Machine:
                     journal = self._journal
                     if journal is not None:
                         journal.close_step(self, cpu)
-                        chook = self.checkpoint_hook
-                        if chook is not None:
-                            n_steps = len(journal.entries)
-                            if n_steps % self.checkpoint_interval == 0:
-                                chook(self, n_steps)
                     if not (use_heap and cpu.state == RUNNABLE
                             and cpu.frames):
                         break

@@ -169,6 +169,13 @@ class ControlledPolicy(SchedulePolicy):
     program or fault plan differs from the run that recorded the
     prefix), the divergence is recorded in :attr:`divergences` and the
     default pick is used for that step.
+
+    ``branch_hook``, when set, is called as ``branch_hook(step)`` at
+    every unforced step with an in-window alternative to the pick that
+    is not asleep — the steps the explorer branches at.  It runs after
+    the pick is decided but before the step is recorded or executed, so
+    the machine and this policy are still at the step boundary: the
+    explorer captures its fork-point checkpoints there.
     """
 
     name = "controlled"
@@ -186,12 +193,12 @@ class ControlledPolicy(SchedulePolicy):
         #: (step, wanted_cpu_id) pairs where a forced choice was
         #: unavailable; empty on a faithful replay.
         self.divergences = []
+        self.branch_hook = None
 
     def choose(self, runnable):
         step = len(self.choices)
         candidates = window_candidates(runnable, self.window)
         ids = tuple(cpu.cpu_id for cpu in candidates)
-        self.candidates.append(ids)
         chosen = None
         want = self.forced.get(step)
         if want is not None:
@@ -210,9 +217,17 @@ class ControlledPolicy(SchedulePolicy):
                 if chosen is None:
                     # choices stays one short of candidates: the pruned
                     # step was observed but never executed.
+                    self.candidates.append(ids)
                     raise SchedulePruned(step, ids)
             else:
                 chosen = candidates[0]
+        hook = self.branch_hook
+        if hook is not None and want is None:
+            for cpu_id in ids:
+                if cpu_id != chosen.cpu_id and cpu_id not in self.sleep:
+                    hook(step)
+                    break
+        self.candidates.append(ids)
         self.choices.append(chosen.cpu_id)
         return chosen
 
@@ -227,7 +242,7 @@ class ControlledPolicy(SchedulePolicy):
         # recording lists are append-only for the policy's lifetime, so
         # they are shared by reference with a length bound — capture
         # stays O(1) however long the run (the checkpoint cache captures
-        # every few steps).
+        # at every branch step).
         return (self.choices, len(self.choices),
                 self.candidates, len(self.candidates),
                 self.divergences, len(self.divergences),

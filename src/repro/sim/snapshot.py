@@ -236,40 +236,13 @@ class MachineSnapshot:
         """Engine steps completed at capture time."""
         return self.journal_len
 
-    def approx_bytes(self):
-        """Rough footprint estimate for cache budgeting.
-
-        Deliberately cheap and deterministic: containers are costed by
-        element count, not ``sys.getsizeof`` recursion.  Journal entries
-        dominate real checkpoints, so the estimate tracks the true
-        footprint well enough to make an LRU byte budget meaningful.
-        """
-        total = 512
-        total += 160 * self.journal_len
-        total += 64 * len(self.memory)
-        total += 80 * len(self.stats)
-        total += 384 * self.n_cpus
-        total += 64 * _shallow_size(self.memmodel)
-        total += 64 * _shallow_size(self.htm)
-        total += 48 * _shallow_size(self.policy)
-        return total
-
-
-def _shallow_size(obj):
-    """Top-level element count of a snapshot structure.  Shallow on
-    purpose: budgeting runs on the hot deposit path, and the journal
-    term above already scales with everything that grows per step."""
-    if isinstance(obj, (tuple, list, dict, set, frozenset)):
-        return 1 + len(obj)
-    return 1
-
 
 def capture(machine):
     """Capture ``machine`` at a step boundary.
 
-    Must be called between engine steps (e.g. from
-    ``machine.checkpoint_hook``) of a run started after
-    :meth:`Machine.enable_journal`.
+    Must be called between engine steps (e.g. from a scheduling
+    policy's ``choose``, before it returns the step's pick) of a run
+    started after :meth:`Machine.enable_journal`.
     """
     journal = machine._journal
     if journal is None:
@@ -283,7 +256,7 @@ def capture(machine):
     # Zero-copy view: the journal is append-only and its entries are
     # immutable tuples, so sharing the live list plus a length bound is
     # exact — and keeps capture O(1) in the journal instead of O(steps)
-    # (checkpoint deposits fire every few steps on the explore path).
+    # (the explorer captures at every branch step).
     snap.journal = journal.entries
     snap.journal_len = len(journal.entries)
     snap.cpus = [
@@ -373,7 +346,6 @@ def reset_machine(machine):
     machine._live_programs = 0
     machine._ready = []
     machine.step_hook = None
-    machine.checkpoint_hook = None
     machine.fault_hooks = None
     machine._capacity_retries = [0] * machine.config.n_cpus
     machine._steps_base = 0
@@ -425,7 +397,7 @@ def _ghost_replay(machine, snapshot):
                 if not cpu.frames:
                     raise SnapshotError(
                         f"ghost replay: cpu {cpu_id} has no frame to "
-                        f"feed at step {len(cpu.frames)}")
+                        f"feed at step {index}")
                 frame = cpu.frames[-1]
                 try:
                     if tag == "s":

@@ -64,6 +64,24 @@ class TestExploreErrors:
         assert "deviations" in capsys.readouterr().err
 
 
+class TestExploreVerbose:
+    def test_verbose_prints_checkpoint_stats(self, capsys):
+        code = main(["explore", "--programs", "litmus-sb",
+                     "--preemption-bound", "1", "--verbose"])
+        assert code == 0
+        lines = [line.strip() for line in capsys.readouterr().out
+                 .splitlines() if line.strip().startswith("checkpoint:")]
+        assert len(lines) == 1
+        stats = dict(field.split("=")
+                     for field in lines[0][len("checkpoint: "):]
+                     .split(", "))
+        assert sorted(stats) == ["deposits", "fallbacks", "hits",
+                                 "misses", "peak_live"]
+        assert int(stats["deposits"]) > 0
+        assert int(stats["hits"]) == int(stats["deposits"])
+        assert int(stats["fallbacks"]) == 0
+
+
 class TestConformErrors:
     def test_bad_program_name(self):
         message = _exit_message(["conform", "--programs", "no-such-prog"])

@@ -1,20 +1,27 @@
-"""The explorer's prefix checkpoint cache (repro.check.explore).
+"""The explorer's fork-point checkpoint cache (repro.check.explore).
 
 Checkpointing is a pure optimisation: every node must produce the exact
 verdict it would have produced when replayed from cycle 0.  These tests
 enforce that differentially — same campaign with the cache on and off,
-byte-identical reports — and under adversarial cache pressure (a budget
-that can hold roughly one checkpoint, so every deposit evicts).
+byte-identical reports — and with forced misses (a cache that drops
+every other deposit, so half the children replay from cycle 0).  They
+also pin the cache's lifetime rules: every deposit is consumed by its
+children, nothing outlives the campaign, and the campaign's GC scope
+is undone however it ends.
 
 The snapshot layer itself (capture → restore → resume, bit-for-bit) is
 pinned in tests/test_snapshot.py; this file is about the *cache policy*
 staying invisible to exploration semantics.
 """
 
+import gc
+
 import pytest
 
 import repro.check.explore as explore_mod
-from repro.check.explore import CheckpointCache, explore
+from repro.check.explore import CheckpointCache, _Checkpoint, explore
+from repro.harness.parallel import GC_GEN0_THRESHOLD
+from repro.spec.conform import LITMUS_DEPTHS
 
 CONFIG = "lazy-wb-assoc"
 PROGRAMS = ("litmus-sb", "litmus-mp", "litmus-inc")
@@ -32,9 +39,9 @@ def _fingerprint(report):
     )
 
 
-def _fresh_cache(**kwargs):
+def _fresh_cache(cache=None):
     """Install a fresh worker-local cache; returns it for inspection."""
-    cache = CheckpointCache(**kwargs)
+    cache = cache if cache is not None else CheckpointCache()
     explore_mod._CHECKPOINTS = cache
     explore_mod._CONTEXTS.clear()
     return cache
@@ -73,18 +80,141 @@ def test_checkpoint_cache_actually_used():
     assert cache.stats["hits"] == stats["hits"]
 
 
-def test_eviction_pressure_keeps_verdicts_identical():
-    """A budget that fits roughly one checkpoint forces an eviction on
-    nearly every deposit; verdicts must not notice."""
+class _DroppingCache(CheckpointCache):
+    """Discards every other deposit, so half the children miss."""
+
+    def __init__(self):
+        super().__init__()
+        self.dropped = 0
+
+    def deposit(self, key, entry):
+        if (self.stats["deposits"] + self.dropped) % 2:
+            self.dropped += 1
+            return
+        super().deposit(key, entry)
+
+
+def test_forced_misses_keep_verdicts_identical():
+    """Children whose checkpoint is gone replay from cycle 0; verdicts
+    must not notice."""
     stateless = explore("litmus-sb", CONFIG, preemption_bound=2,
                         checkpoint=False)
-    _fresh_cache(budget=8 * 1024)
-    squeezed = explore("litmus-sb", CONFIG, preemption_bound=2,
-                       checkpoint=True)
-    assert _fingerprint(squeezed) == _fingerprint(stateless)
-    stats = squeezed.checkpoint_stats
-    assert stats["evictions"] > 0
+    cache = _fresh_cache(_DroppingCache())
+    forced = explore("litmus-sb", CONFIG, preemption_bound=2,
+                     checkpoint=True)
+    assert _fingerprint(forced) == _fingerprint(stateless)
+    stats = forced.checkpoint_stats
+    assert cache.dropped > 0
+    # The root always misses; every dropped deposit's child misses too.
+    assert stats["misses"] > 1
+    assert stats["hits"] > 0
     assert stats["fallbacks"] == 0
+
+
+class _SpyCache(CheckpointCache):
+    """Records how many entries were still live when explore() emptied
+    the cache on its way out."""
+
+    def __init__(self):
+        super().__init__()
+        self.live_at_clear = []
+
+    def clear(self):
+        self.live_at_clear.append(len(self))
+        super().clear()
+
+
+@pytest.mark.parametrize("program", ("litmus-sb", "litmus-mp"))
+def test_serial_drain_consumes_every_deposit(program):
+    """Each deposit is restored by its children and freed with the
+    last one: a serial drain ends with nothing left to clear."""
+    cache = _fresh_cache(_SpyCache())
+    report = explore(program, CONFIG, preemption_bound=None,
+                     max_depth=LITMUS_DEPTHS[program], checkpoint=True)
+    stats = report.checkpoint_stats
+    assert not report.truncated
+    assert stats["deposits"] > 0
+    # Two CPUs: every branch step has exactly one child.
+    assert stats["hits"] == stats["deposits"]
+    assert stats["fallbacks"] == 0
+    assert 0 < stats["peak_live"] < stats["deposits"]
+    assert cache.live_at_clear == [0]
+    assert len(explore_mod._CHECKPOINTS) == 0
+
+
+def test_truncated_campaign_leaves_cache_empty():
+    cache = _fresh_cache(_SpyCache())
+    report = explore("litmus-sb", CONFIG, preemption_bound=2,
+                     max_schedules=20, checkpoint=True)
+    assert report.truncated
+    # The cut frontier's checkpoints were never consumed ...
+    assert cache.live_at_clear[-1] > 0
+    # ... and explore() freed them anyway.
+    assert len(cache) == 0
+
+
+def _entry(generation, uses=1):
+    entry = _Checkpoint()
+    entry.generation = generation
+    entry.uses = uses
+    return entry
+
+
+def test_cache_lookup_consumes_and_generations_expire():
+    cache = CheckpointCache()
+    base = ("p", "c", None, 1, True)
+    cache.begin_generation(0)
+    cache.deposit((base, (0,)), _entry(0, uses=2))
+    cache.deposit((base, (1,)), _entry(0))
+    # The fork point of prefix (0, 1) is the entry at choices (0,).
+    assert cache.lookup(base, (0, 1)) is not None
+    assert cache.lookup(base, (0, 0)) is not None
+    assert cache.lookup(base, (0, 1)) is None   # both uses spent
+    assert cache.lookup(base, ()) is None       # the root never forks
+    assert cache.stats == {"hits": 2, "misses": 2, "deposits": 2,
+                           "fallbacks": 0}
+    # A child routed elsewhere never consumes (1,): the wave after its
+    # children's wave drops it, but keeps the previous wave's entries.
+    cache.begin_generation(1)
+    cache.deposit((base, (1, 0)), _entry(1))
+    assert len(cache) == 2
+    cache.begin_generation(2)
+    assert len(cache) == 1
+    assert cache.lookup(base, (1, 0, 1)) is not None
+    assert len(cache) == 0
+
+
+def test_gc_thresholds_restored_after_explore():
+    saved = gc.get_threshold()
+    seen = []
+    try:
+        gc.set_threshold(777, 11, 12)
+        explore("litmus-sb", CONFIG, preemption_bound=1,
+                report=lambda verdict: seen.append(gc.get_threshold()))
+        assert seen and all(t == (GC_GEN0_THRESHOLD, 11, 12)
+                            for t in seen)
+        assert gc.get_threshold() == (777, 11, 12)
+    finally:
+        gc.set_threshold(*saved)
+
+
+def test_gc_thresholds_restored_when_report_raises():
+    class Stop(Exception):
+        pass
+
+    def report(verdict):
+        raise Stop()
+
+    saved = gc.get_threshold()
+    try:
+        gc.set_threshold(777, 11, 12)
+        with pytest.raises(Stop):
+            explore("litmus-sb", CONFIG, preemption_bound=1,
+                    report=report)
+        assert gc.get_threshold() == (777, 11, 12)
+        assert len(explore_mod._CHECKPOINTS) == 0
+    finally:
+        gc.set_threshold(*saved)
 
 
 def test_checkpoint_matches_stateless_parallel():

@@ -18,10 +18,43 @@ from repro.sim.schedule import (
     ControlledPolicy,
     DeterministicPolicy,
     RandomPolicy,
+    SchedulePolicy,
 )
 from repro.sim.snapshot import SnapshotError, capture, reset_machine
 
 CONFIG = "lazy-wb-assoc"
+
+
+class _CapturingPolicy(SchedulePolicy):
+    """Delegates every pick to ``inner`` and captures the machine just
+    before step ``at`` — the seam the explorer captures its fork-point
+    checkpoints through (inside ``choose``, ahead of the pick).  It
+    never serves from the ready heap, so every step reaches
+    ``choose``; the deterministic pick is the same either way."""
+
+    def __init__(self, inner, machine, at, captured):
+        self.inner = inner
+        self.machine = machine
+        self.at = at
+        self.captured = captured
+        self.steps = 0
+
+    def choose(self, runnable):
+        if self.steps == self.at:
+            self.captured.append(self.machine.snapshot())
+        self.steps += 1
+        return self.inner.choose(runnable)
+
+    def snapshot_state(self):
+        return self.inner.snapshot_state()
+
+    def restore_state(self, saved):
+        self.inner.restore_state(saved)
+
+
+def _capture_at(machine, snapshot_at, captured):
+    machine.policy = _CapturingPolicy(
+        machine.policy, machine, snapshot_at, captured)
 
 
 def _policy(spec):
@@ -37,8 +70,8 @@ def _run(program_name, config, policy, snapshot_at=None,
          machine=None):
     """One full run; returns (machine, observables, snapshot or None).
 
-    ``snapshot_at`` captures via the engine's checkpoint hook at that
-    step count, exactly as the explore layer deposits checkpoints.
+    ``snapshot_at`` captures at that step count through the policy's
+    ``choose``, the seam the explore layer captures checkpoints at.
     ``machine`` restores the given (machine, snapshot) pair first and
     resumes instead of running from cycle 0.
     """
@@ -54,10 +87,7 @@ def _run(program_name, config, policy, snapshot_at=None,
         program = make_program(program_name, seed=1)
         program.setup(machine, runtime, arena)
         if snapshot_at is not None:
-            def hook(m, n_steps):
-                if n_steps == snapshot_at and not captured:
-                    captured.append(m.snapshot())
-            machine.checkpoint_hook = hook
+            _capture_at(machine, snapshot_at, captured)
     machine.run(max_cycles=program.max_cycles)
     observables = (
         machine.now,
@@ -199,10 +229,7 @@ if HAVE_HYPOTHESIS:
             program = setup_fn(machine)
             captured = []
             if snapshot_at is not None:
-                def hook(m, n_steps):
-                    if n_steps == snapshot_at and not captured:
-                        captured.append(m.snapshot())
-                machine.checkpoint_hook = hook
+                _capture_at(machine, snapshot_at, captured)
             machine.run(max_cycles=program.max_cycles)
             return (
                 (machine.now, machine.stats.snapshot_state(),
@@ -242,3 +269,23 @@ def test_reset_machine_clears_control_plane():
     assert all(not cpu.frames for cpu in machine.cpus)
     assert machine.stats.snapshot_state() == {}
     assert machine.memory.snapshot() == {}
+
+
+def test_ghost_replay_names_the_journal_index():
+    """A journal that feeds a CPU with no frame left is rejected, and
+    the error names the offending journal entry."""
+    config = build_config(CONFIG, make_program("litmus-sb", seed=1))
+    machine, _, _ = _run("litmus-sb", config, DeterministicPolicy())
+    snapshot = machine.snapshot()
+    n_entries = snapshot.journal_len
+    assert all(not cpu.frames for cpu in machine.cpus)
+    # Every program has finished: one more send to cpu 0 has no frame.
+    _cpu, now, sync, _push, _feed, post = snapshot.journal[-1]
+    snapshot.journal = list(snapshot.journal) + [
+        (0, now, sync, None, ("s", None), post)]
+    snapshot.journal_len = n_entries + 1
+    fresh = Machine(config, policy=DeterministicPolicy())
+    with pytest.raises(SnapshotError,
+                       match=rf"cpu 0 has no frame to feed at step "
+                             rf"{n_entries}$"):
+        fresh.restore(snapshot, _setup_fn("litmus-sb"))
