@@ -622,25 +622,16 @@ def build_parser():
 
     p = sub.add_parser(
         "bench",
-        help="perf-regression bench: golden-cycle matrix + detector "
-             "speedup (writes BENCH_sim.json)")
+        help="perf-regression bench: golden-cycle matrix + flagship "
+             "cycle accounting (writes BENCH_sim.json)")
     p.add_argument("--smoke", action="store_true",
                    help="reduced matrix for CI (4-CPU column + flagship)")
     p.add_argument("--out", default="BENCH_sim.json",
                    help="result JSON path (default BENCH_sim.json)")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="flagship repetitions, best-of (default 3)")
-    p.add_argument("--min-speedup", type=float, default=0.0,
-                   help="fail unless the flagship speedup reaches this")
-    p.add_argument("--min-dispatch-ratio", type=float, default=0.0,
-                   help="fail any matrix cell whose table-dispatch "
-                        "steps/s falls below this multiple of its "
-                        "in-run naive_interp baseline")
     p.add_argument("--update-golden", action="store_true",
                    help="rewrite the golden cycle counts from this run")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the golden-cycle matrix "
-                        "(the flagship speedup always runs serially)")
+                   help="worker processes for the golden-cycle matrix")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(

@@ -89,20 +89,6 @@ class SystemConfig:
     #: conventional HTM systems the paper compares against.
     flatten: bool = False
 
-    #: Use the naive O(n_cpus × levels) full-scan conflict detectors
-    #: instead of the reverse-index ones.  Functionally identical
-    #: (bit-for-bit: same violation streams, cycle counts, memory
-    #: images) — kept as the differential-testing reference and the
-    #: bench harness's baseline (docs/performance.md).
-    naive_detection: bool = False
-
-    #: Use the naive isinstance-chain op interpreter (fresh ExecOutcome
-    #: per instruction) instead of the per-op-type dispatch table with
-    #: interned outcomes.  Functionally identical bit-for-bit — kept as
-    #: the differential-testing reference and the bench harness's in-run
-    #: wall-clock baseline (docs/performance.md).
-    naive_interp: bool = False
-
     #: Model the cost of the lazy read-/write-set merge at closed-nested
     #: commits (cycles charged per merged line when the merge is forced).
     merge_cycles_per_line: int = 1

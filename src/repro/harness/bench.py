@@ -3,32 +3,32 @@
 Two jobs in one harness (docs/performance.md):
 
 1. **Cycle-equality regression.**  Every cell of a fixed workload matrix
-   (kernels × lazy/eager detection × 2–16 CPUs) is simulated and its
-   cycle count compared for *exact* equality against the golden values
-   in ``bench_golden.json``.  The simulator is deterministic, so any
-   drift — however small — means an optimization changed observable
-   behaviour, which is a bug here, never a re-tuning.
+   (kernels × lazy/eager detection × 2–16 CPUs) and the flagship cell —
+   the detection-stress kernel (:mod:`repro.workloads.detstress`) on the
+   16-CPU eager machine — is simulated once and its cycle count compared
+   for *exact* equality against the golden values in
+   ``bench_golden.json``.  The simulator is deterministic, so any drift —
+   however small — means an optimization changed observable behaviour,
+   which is a bug here, never a re-tuning.
 
-2. **Speedup measurement.**  The flagship cell runs the
-   detection-stress kernel (:mod:`repro.workloads.detstress`) on the
-   16-CPU eager machine twice: once with the indexed detectors and once
-   with ``naive_detection=True`` (the original full-scan reference
-   implementations).  Both must produce bit-for-bit identical cycles
-   and steps; the harness reports the steps/sec ratio.
+2. **Cycle accounting.**  The flagship is re-run under the cycle
+   profiler, whose books must close and whose cycle count must equal the
+   unprofiled run's (the zero-perturbation guard).
 
 Wall-clock is measured per phase (setup / run / verify) and steps/sec is
 computed over the *run* phase only, from the engine's ``engine.steps``
-stat.  Results are written to ``BENCH_sim.json``.
+stat.  Results are written to ``BENCH_sim.json``.  They are reported,
+never gated: host-throughput regressions are the repo benchmark's job
+(``bench/run.py``), which compares whole runs of two commits.
 
 ``--smoke`` runs a reduced matrix (the 4-CPU column plus the flagship)
 for CI; golden values are shared with the full matrix.  Regenerate the
 goldens with ``--update-golden`` after an *intentional* behaviour change
-(and say why in the commit).
+(and say why in the commit); a run with any error writes nothing.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
@@ -54,10 +54,9 @@ FLAGSHIP_ID = "detstress-eager-x16"
 FLAGSHIP_CPUS = 16
 
 
-def _flagship_config(naive):
-    return functional_config(
-        n_cpus=FLAGSHIP_CPUS, detection="eager", max_nesting=8,
-        naive_detection=naive)
+def _flagship_config():
+    return functional_config(n_cpus=FLAGSHIP_CPUS,
+                             **DetectionStressKernel.config_overrides)
 
 
 def matrix_cells(smoke=False):
@@ -108,16 +107,6 @@ def run_cell(factory, config, max_cycles=2_000_000_000):
     }
 
 
-def _best_cell(factory, config, repeat=2):
-    """Best-of-``repeat`` :func:`run_cell` by run-phase wall time."""
-    best = None
-    for _ in range(max(1, repeat)):
-        result = run_cell(factory, config)
-        if best is None or result["phases"]["run_s"] < best["phases"]["run_s"]:
-            best = result
-    return best
-
-
 def run_cell_by_id(cell_id):
     """Run one matrix cell named by its id (the parallel path's runner).
 
@@ -125,35 +114,11 @@ def run_cell_by_id(cell_id):
     process reconstructs the cell from the name alone — and the
     per-phase wall-clock numbers stay honest because :func:`run_cell`
     times each phase inside the worker that runs it.
-
-    Each cell runs twice: once with the table-dispatched interpreter and
-    once with ``naive_interp=True`` (the retained reference chain).  Both
-    must produce bit-for-bit identical cycles and steps, and the in-run
-    steps/sec ratio (``dispatch_ratio``) is recorded — comparing against
-    a baseline measured in the same process keeps the floor check
-    load-tolerant, unlike absolute steps/sec thresholds.
     """
     for candidate, factory, config_factory in matrix_cells(smoke=False):
         if candidate == cell_id:
-            result = _best_cell(factory, config_factory())
+            result = run_cell(factory, config_factory())
             result["id"] = cell_id
-            naive = _best_cell(
-                factory,
-                dataclasses.replace(config_factory(), naive_interp=True))
-            if (naive["cycles"], naive["steps"]) != (
-                    result["cycles"], result["steps"]):
-                result["error"] = (
-                    "naive interpreter diverges: "
-                    f"{naive['cycles']}/{naive['steps']} cycles/steps != "
-                    f"{result['cycles']}/{result['steps']} — the dispatch "
-                    "table and the reference chain are observably "
-                    "different")
-            result["naive_steps_per_s"] = naive["steps_per_s"]
-            if result["steps_per_s"] and naive["steps_per_s"]:
-                result["dispatch_ratio"] = round(
-                    result["steps_per_s"] / naive["steps_per_s"], 3)
-            else:
-                result["dispatch_ratio"] = None
             return result
     raise ValueError(f"unknown bench cell {cell_id!r}")
 
@@ -163,46 +128,16 @@ def _cell_failure(spec, message):
             "steps_per_s": None, "error": message}
 
 
-def run_flagship(repeat=3):
-    """Run the flagship cell under both detector implementations.
-
-    Each variant runs ``repeat`` times; the fastest run-phase wall time
-    wins (best-of-N smooths scheduler noise).  Cycles and steps must be
-    bit-for-bit identical across every run of both variants.
-    """
-    variants = {}
-    signature = None
-    for label, naive in (("indexed", False), ("naive", True)):
-        best = None
-        for _ in range(max(1, repeat)):
-            result = run_cell(
-                lambda: DetectionStressKernel(n_threads=FLAGSHIP_CPUS),
-                _flagship_config(naive))
-            sig = (result["cycles"], result["steps"])
-            if signature is None:
-                signature = sig
-            elif sig != signature:
-                raise BenchMismatch(
-                    f"{FLAGSHIP_ID} ({label}): cycles/steps {sig} diverge "
-                    f"from {signature} — the detector implementations are "
-                    "observably different")
-            if best is None or result["phases"]["run_s"] < best["phases"]["run_s"]:
-                best = result
-        variants[label] = best
-    speedup = (variants["indexed"]["steps_per_s"]
-               / variants["naive"]["steps_per_s"])
-    return {
-        "id": FLAGSHIP_ID,
-        "cycles": signature[0],
-        "steps": signature[1],
-        "indexed": variants["indexed"],
-        "naive": variants["naive"],
-        "speedup": round(speedup, 2),
-    }
+def run_flagship():
+    """Run the flagship cell once, unprofiled."""
+    result = run_cell(lambda: DetectionStressKernel(n_threads=FLAGSHIP_CPUS),
+                      _flagship_config())
+    result["id"] = FLAGSHIP_ID
+    return result
 
 
 def run_flagship_accounting(expected_cycles=None):
-    """Profile the indexed flagship run and close the cycle books.
+    """Profile the flagship run and close the cycle books.
 
     Doubles as the zero-perturbation guard: the profiler shadows
     ``cpu.execute`` and wraps the HTM seams, and the machine it profiles
@@ -213,7 +148,7 @@ def run_flagship_accounting(expected_cycles=None):
     from repro.obs.profiler import CycleProfiler
 
     workload = DetectionStressKernel(n_threads=FLAGSHIP_CPUS)
-    machine = Machine(_flagship_config(naive=False))
+    machine = Machine(_flagship_config())
     runtime = Runtime(machine)
     arena = SharedArena(machine)
     workload.setup(machine, runtime, arena)
@@ -236,10 +171,6 @@ def run_flagship_accounting(expected_cycles=None):
     return account, errors
 
 
-class BenchMismatch(AssertionError):
-    """A bench invariant (golden equality or detector parity) failed."""
-
-
 def load_golden():
     if not os.path.exists(GOLDEN_PATH):
         return {}
@@ -247,25 +178,20 @@ def load_golden():
         return json.load(fh)
 
 
-def run_bench(smoke=False, repeat=3, update_golden=False,
-              min_speedup=0.0, min_dispatch_ratio=0.0, report=print, jobs=1):
+def run_bench(smoke=False, update_golden=False, report=print, jobs=1):
     """Run the matrix + flagship; returns (results dict, list of errors).
 
-    ``jobs`` fans the golden-cycle matrix out across worker processes;
-    cycle counts are simulated, so parallelism cannot perturb them, and
-    the per-cell phase timings are taken inside each worker.  The
-    flagship speedup measurement always runs serially — it compares
-    wall-clock throughput, which co-running cells would distort.
+    ``jobs`` fans the cells out across worker processes; cycle counts
+    are simulated, so parallelism cannot perturb them, and the per-cell
+    phase timings are taken inside each worker.  A cell that raises is
+    recorded as a failed cell, not a crashed bench.
 
-    ``min_dispatch_ratio`` is the wall-clock regression floor: every
-    cell's table-dispatch steps/sec divided by its in-run
-    ``naive_interp`` baseline must stay at or above it.  Because both
-    runs share the worker (and its machine load), the ratio is stable
-    where an absolute steps/sec threshold would flake in CI.
+    ``update_golden`` rewrites ``bench_golden.json`` from this run's
+    cycle counts — but only when the run has no errors, so a failed cell
+    can never leave a ``null`` golden behind.
     """
     golden = {} if update_golden else load_golden()
     errors = []
-    cells = []
 
     def finish_cell(result):
         cell_id = result["id"]
@@ -275,7 +201,6 @@ def run_bench(smoke=False, repeat=3, update_golden=False,
             result["ok"] = False
             errors.append(f"{cell_id}: {result['error']}")
             report(f"  {cell_id:<22} run FAILED: {result['error']}")
-            cells.append(result)
             return
         result["ok"] = expected is None or result["cycles"] == expected
         if expected is None and not update_golden:
@@ -283,50 +208,19 @@ def run_bench(smoke=False, repeat=3, update_golden=False,
         elif not result["ok"]:
             errors.append(
                 f"{cell_id}: {result['cycles']} cycles != golden {expected}")
-        ratio = result.get("dispatch_ratio")
-        if min_dispatch_ratio and ratio is not None \
-                and ratio < min_dispatch_ratio:
-            result["ok"] = False
-            errors.append(
-                f"{cell_id}: dispatch ratio {ratio}x below the required "
-                f"{min_dispatch_ratio}x (table {result['steps_per_s']:,} "
-                f"vs naive {result['naive_steps_per_s']:,} steps/s)")
-        cells.append(result)
-        ratio_text = f"  x{ratio} vs naive" if ratio is not None else ""
         report(f"  {cell_id:<22} {result['cycles']:>9} cycles  "
-               f"{result['steps_per_s'] or 0:>8,} steps/s"
-               f"{ratio_text}  "
+               f"{result['steps_per_s'] or 0:>8,} steps/s  "
                f"{'ok' if result['ok'] else 'MISMATCH'}")
 
     specs = [CaseSpec(runner="repro.harness.bench:run_cell_by_id",
                       name=cell_id, args=(cell_id,))
              for cell_id, _, _ in matrix_cells(smoke=smoke)]
-    run_campaign(specs, jobs=jobs, report=finish_cell,
-                 failure_result=_cell_failure)
+    specs.append(CaseSpec(runner="repro.harness.bench:run_flagship",
+                          name=FLAGSHIP_ID))
+    *cells, flagship = run_campaign(specs, jobs=jobs, report=finish_cell,
+                                    failure_result=_cell_failure)
 
-    report(f"  {FLAGSHIP_ID}: indexed vs naive detectors "
-           f"(best of {repeat})...")
-    try:
-        flagship = run_flagship(repeat=repeat)
-    except BenchMismatch as exc:
-        errors.append(str(exc))
-        flagship = None
-    else:
-        expected = golden.get(FLAGSHIP_ID)
-        flagship["golden_cycles"] = expected
-        if expected is None and not update_golden:
-            errors.append(f"{FLAGSHIP_ID}: no golden cycle count on record")
-        elif expected is not None and flagship["cycles"] != expected:
-            errors.append(f"{FLAGSHIP_ID}: {flagship['cycles']} cycles != "
-                          f"golden {expected}")
-        report(f"  {FLAGSHIP_ID:<22} {flagship['cycles']:>9} cycles  "
-               f"indexed {flagship['indexed']['steps_per_s']:,} steps/s  "
-               f"naive {flagship['naive']['steps_per_s']:,} steps/s  "
-               f"speedup {flagship['speedup']}x")
-        if min_speedup and flagship["speedup"] < min_speedup:
-            errors.append(
-                f"{FLAGSHIP_ID}: speedup {flagship['speedup']}x below the "
-                f"required {min_speedup}x")
+    if flagship["cycles"] is not None:
         report(f"  {FLAGSHIP_ID}: cycle accounting (profiled re-run)...")
         account, account_errors = run_flagship_accounting(
             expected_cycles=flagship["cycles"])
@@ -340,17 +234,16 @@ def run_bench(smoke=False, repeat=3, update_golden=False,
 
     results = {
         "smoke": smoke,
-        "repeat": repeat,
         "cells": cells,
         "flagship": flagship,
         "ok": not errors,
     }
-    if update_golden:
+    if update_golden and errors:
+        report(f"  golden cycle counts NOT written: {len(errors)} error(s)")
+    elif update_golden:
         refreshed = dict(load_golden())
-        for cell in cells:
+        for cell in [*cells, flagship]:
             refreshed[cell["id"]] = cell["cycles"]
-        if flagship is not None:
-            refreshed[FLAGSHIP_ID] = flagship["cycles"]
         with open(GOLDEN_PATH, "w") as fh:
             json.dump(refreshed, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -360,12 +253,9 @@ def run_bench(smoke=False, repeat=3, update_golden=False,
 
 def cmd_bench(args):
     """Entry point for ``python -m repro bench``."""
-    print("bench: cycle-equality matrix + detector speedup")
+    print("bench: golden-cycle matrix + flagship cycle accounting")
     results, errors = run_bench(
-        smoke=args.smoke, repeat=args.repeat,
-        update_golden=args.update_golden, min_speedup=args.min_speedup,
-        min_dispatch_ratio=args.min_dispatch_ratio,
-        jobs=args.jobs)
+        smoke=args.smoke, update_golden=args.update_golden, jobs=args.jobs)
     with open(args.out, "w") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")

@@ -11,8 +11,6 @@ from repro.htm.conflict import (
     STALL,
     EagerDetector,
     LazyDetector,
-    NaiveEagerDetector,
-    NaiveLazyDetector,
     Violation,
     make_detector,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "LazyDetector",
     "LevelInfo",
     "MultiTrackingScheme",
-    "NaiveEagerDetector",
-    "NaiveLazyDetector",
     "PROCEED",
     "RwSets",
     "SELF_ABORT",

@@ -20,20 +20,17 @@ engine's job (it models the hardware jump to ``xvhcode``).
 Both detectors probe the machine-wide reverse
 :class:`~repro.htm.rwset.ConflictIndex` — ``unit -> per-CPU level
 masks`` — so an access costs O(actual owners of that unit), not
-O(n_cpus × nesting levels).  The original full-scan implementations are
-kept verbatim as :class:`NaiveLazyDetector` / :class:`NaiveEagerDetector`:
-they are the differential-testing reference (``tests/
-test_differential_detectors.py``) and the baseline the bench harness
-measures speedups against (``config.naive_detection`` selects them).
-Both pairs must produce bit-for-bit identical violation streams, cycle
-counts, and final memory images.
+O(n_cpus × nesting levels).  The original full-scan implementations
+live in the test suite (``tests/reference.py``) as the differential
+reference: both must produce bit-for-bit identical violation streams,
+cycle counts, and final memory images.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.common.params import REQUESTER_WINS
+from repro.common.params import LAZY, REQUESTER_WINS
 
 
 #: Actions an eager check can demand of the requesting CPU.
@@ -61,12 +58,11 @@ class Violation:
 
 
 class DetectorBase:
-    def __init__(self, config, states, stats, index=None):
+    def __init__(self, config, states, stats, index):
         self._config = config
         self._states = states   # list of per-CPU TxState
         self._stats = stats
-        self._index = index     # machine-wide ConflictIndex (may be None
-        #                         for the naive detectors)
+        self._index = index     # machine-wide ConflictIndex
         self._sink = None
         self._n_posted = stats.counter("conflicts.posted")
 
@@ -102,45 +98,18 @@ class DetectorBase:
         non-transactional store in a strongly-atomic machine)."""
 
 
-class LazyDetectorBase(DetectorBase):
-    """Shared post-ordering contract for the lazy detectors.
+class LazyDetector(DetectorBase):
+    """Commit-time detection through the reverse index.
 
     Violations are posted victim-major (ascending CPU id), and within a
     victim unit-major (ascending unit address), so a re-invoked handler
     sees each conflicting address in ``xvaddr`` (§4.6) in a fixed order.
-    Both implementations must honour it bit-for-bit.
-    """
-
-
-class NaiveLazyDetector(LazyDetectorBase):
-    """Commit-time detection scanning every other CPU's read-sets.
-
-    The O(n_cpus × written units) reference implementation: correct,
-    slow, and the oracle the indexed detector is diffed against.
-    """
-
-    def on_commit(self, cpu_id, written_units):
-        if not written_units:
-            return
-        for victim_id, victim in enumerate(self._states):
-            if victim_id == cpu_id:
-                continue
-            # One violation record per conflicting unit, so a re-invoked
-            # handler sees each conflicting address in xvaddr (§4.6).
-            for unit in sorted(written_units):
-                mask = victim.rwsets.levels_reading(unit)
-                if mask:
-                    self._post(victim_id, mask, unit, cpu_id)
-
-
-class LazyDetector(LazyDetectorBase):
-    """Commit-time detection through the reverse index.
 
     Probes only the units' actual readers.  Posting a violation never
     mutates any read-set (delivery just latches the victim's violation
     registers), so collecting all victims first and posting afterwards
-    is observably identical to the naive interleaved scan — as long as
-    the victim-major, unit-minor order is reproduced exactly.
+    is observably identical to a full scan that posts as it goes — as
+    long as that post order is reproduced exactly.
     """
 
     def on_commit(self, cpu_id, written_units):
@@ -157,20 +126,25 @@ class LazyDetector(LazyDetectorBase):
                 self._post(victim_id, mask, unit, cpu_id)
 
 
-class EagerDetectorBase(DetectorBase):
-    """Access-time detection: shared resolution policy.
+class EagerDetector(DetectorBase):
+    """Access-time detection through the reverse index.
 
-    Subclasses differ only in how they find the victims of an access;
-    resolution (who wins, who stalls, who self-aborts) is common.  The
-    victim list handed to :meth:`_resolve` must be in ascending CPU-id
-    order — resolution can return early, so the order is observable.
+    The overwhelmingly common case — nobody else tracks the unit — is a
+    single dictionary miss instead of a sweep over every CPU's sets.
+    The index's tables are probed directly (they are public attributes)
+    because even one bound-method call per access is measurable here.
+    The victim list handed to :meth:`_resolve` must be in ascending
+    CPU-id order — resolution can return early, so the order is
+    observable.
     """
 
-    def __init__(self, config, states, stats, index=None):
+    def __init__(self, config, states, stats, index):
         super().__init__(config, states, stats, index)
         self._stall_counts = {}
         self._n_stalls = stats.counter("conflicts.stalls")
         self._n_self_aborts = stats.counter("conflicts.self_aborts")
+        self._idx_readers = index.readers
+        self._idx_writers = index.writers
 
     def snapshot_state(self):
         return dict(self._stall_counts)
@@ -222,61 +196,6 @@ class EagerDetectorBase(DetectorBase):
         self._n_stalls.add()
         return STALL
 
-
-class NaiveEagerDetector(EagerDetectorBase):
-    """Access-time detection scanning every other CPU's read/write-sets.
-
-    O(n_cpus × nesting levels) per transactional access — the reference
-    implementation the indexed detector is diffed and benched against.
-    """
-
-    def on_load(self, cpu_id, unit):
-        victims = []
-        for victim_id, victim in enumerate(self._states):
-            if victim_id == cpu_id:
-                continue
-            mask = victim.rwsets.levels_writing(unit)
-            if mask:
-                victims.append((victim_id, mask))
-        if not victims:
-            if self._stall_counts:
-                self._stall_counts.pop(cpu_id, None)
-            return PROCEED
-        return self._resolve(cpu_id, unit, victims)
-
-    def on_store(self, cpu_id, unit):
-        victims = []
-        for victim_id, victim in enumerate(self._states):
-            if victim_id == cpu_id:
-                continue
-            mask = victim.rwsets.levels_touching(unit)
-            if mask:
-                victims.append((victim_id, mask))
-        if not victims:
-            if self._stall_counts:
-                self._stall_counts.pop(cpu_id, None)
-            return PROCEED
-        return self._resolve(cpu_id, unit, victims)
-
-    def on_commit(self, cpu_id, written_units):
-        # All conflicts were resolved at access time.  Nothing to do.
-        return None
-
-
-class EagerDetector(EagerDetectorBase):
-    """Access-time detection through the reverse index.
-
-    The overwhelmingly common case — nobody else tracks the unit — is a
-    single dictionary miss instead of a sweep over every CPU's sets.
-    The index's tables are probed directly (they are public attributes)
-    because even one bound-method call per access is measurable here.
-    """
-
-    def __init__(self, config, states, stats, index=None):
-        super().__init__(config, states, stats, index)
-        self._idx_readers = index.readers
-        self._idx_writers = index.writers
-
     def on_load(self, cpu_id, unit):
         writers = self._idx_writers.get(unit)
         # Fast path: nobody (or only the requester itself) writes the
@@ -319,19 +238,7 @@ class EagerDetector(EagerDetectorBase):
         return None
 
 
-def make_detector(config, states, stats, index=None):
-    """Build the detector selected by ``config.detection``.
-
-    The indexed detectors need the machine-wide reverse index; without
-    one (bare construction in unit tests), or when
-    ``config.naive_detection`` asks for the reference path, the naive
-    full-scan detectors are used instead.
-    """
-    from repro.common.params import LAZY
-
-    naive = index is None or getattr(config, "naive_detection", False)
-    if config.detection == LAZY:
-        cls = NaiveLazyDetector if naive else LazyDetector
-    else:
-        cls = NaiveEagerDetector if naive else EagerDetector
+def make_detector(config, states, stats, index):
+    """Build the detector selected by ``config.detection``."""
+    cls = LazyDetector if config.detection == LAZY else EagerDetector
     return cls(config, states, stats, index)

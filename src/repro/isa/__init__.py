@@ -13,8 +13,6 @@ from repro.isa.context import (
     Cpu,
     ExecOutcome,
     latency_outcome,
-    register_op_handler,
-    unregister_op_handler,
 )
 from repro.isa.dispatch import (
     HandlerOutcome,
@@ -37,7 +35,5 @@ __all__ = [
     "default_violation_dispatcher",
     "latency_outcome",
     "lowest_level_in_mask",
-    "register_op_handler",
     "tcb",
-    "unregister_op_handler",
 ]

@@ -19,11 +19,9 @@ cheap:
 * **Dispatch table.**  Each op type maps to a bound handler method in a
   per-CPU dict built once in ``__init__`` from the
   :data:`repro.sim.ops.ALL_OPS` vocabulary; executing an op is one dict
-  lookup on ``type(op)`` instead of a ~20-way ``isinstance`` chain.
-  Extension ops register through :func:`register_op_handler`; subclasses
-  of built-in ops (and any op registered after a Cpu was built) resolve
-  lazily through :meth:`Cpu._resolve_handler`, which falls back to the
-  retained reference chain (:meth:`Cpu._execute_chain`).
+  lookup on ``type(op)`` instead of a ~20-way ``isinstance`` chain.  The
+  lookup is by *exact* type: anything else, including a subclass of a
+  core op, raises :class:`~repro.common.errors.SimulationError`.
 
 * **Outcome interning.**  Ops whose result carries no value return shared
   immutable :class:`ExecOutcome` instances (the STALL singleton, the
@@ -31,10 +29,9 @@ cheap:
   allocating a fresh object per instruction.  Only value-carrying
   outcomes (loads, commits, ...) still allocate.
 
-The pre-table interpreter survives as :meth:`Cpu._execute_chain` — it is
-the differential-testing reference and the bench harness's in-run naive
-baseline (``config.naive_interp``), exactly like ``naive_detection`` for
-the conflict detectors.
+The table is the only interpreter.  The pre-table ``isinstance`` chain
+lives on in the test suite (``tests/reference.py``) as the differential
+reference it is checked against.
 """
 
 from __future__ import annotations
@@ -131,37 +128,6 @@ _IMLOAD_CACHE = {}
 _ALU_CACHE = {}
 
 
-# ---------------------------------------------------------------------------
-# Extension-op registration seam
-# ---------------------------------------------------------------------------
-
-#: Exact op type -> ``handler(cpu, op, now) -> ExecOutcome``.
-_EXTENSION_HANDLERS = {}
-
-
-def register_op_handler(op_cls, handler):
-    """Register an executor for an extension :class:`~repro.sim.ops.Op`.
-
-    ``handler(cpu, op, now)`` must return an :class:`ExecOutcome`.
-    Registration is by *exact* type.  Cpus built afterwards bind the
-    handler into their dispatch table up front; Cpus that already exist
-    pick it up lazily on the first executed instance.  Both interpreter
-    paths (table and reference chain) honour the registry, so extension
-    ops stay covered by the differential suite.
-    """
-    if not (isinstance(op_cls, type) and issubclass(op_cls, O.Op)):
-        raise IsaError(f"register_op_handler: {op_cls!r} is not an Op type")
-    if not callable(handler):
-        raise IsaError(f"register_op_handler: {handler!r} is not callable")
-    _EXTENSION_HANDLERS[op_cls] = handler
-
-
-def unregister_op_handler(op_cls):
-    """Remove an extension handler (no-op if absent).  Existing Cpus keep
-    their lazily-bound entry; new Cpus will reject the op again."""
-    _EXTENSION_HANDLERS.pop(op_cls, None)
-
-
 class Cpu:
     """One hardware thread of the simulated CMP."""
 
@@ -218,24 +184,11 @@ class Cpu:
         # shadow e.g. ``htm.validate``) working.
         self._htm = machine.htm
         self._mem = machine.memmodel
-        self._dispatch = self._build_dispatch()
+        self._dispatch = {op_cls: MethodType(func, self)
+                          for op_cls, func in _CORE_HANDLERS.items()}
         #: The public executor, held in a slot so instruments (the cycle
         #: profiler) can shadow it per-CPU and restore it exactly.
-        #: ``naive_interp`` selects the retained reference chain — the
-        #: bench harness's in-run baseline.
-        if getattr(machine.config, "naive_interp", False):
-            self.execute = self._execute_chain_step
-        else:
-            self.execute = self._execute_step
-
-    def _build_dispatch(self):
-        """Bind one handler per op type (core vocabulary + extensions)."""
-        table = {}
-        for op_cls, func in _CORE_HANDLERS.items():
-            table[op_cls] = MethodType(func, self)
-        for op_cls, func in _EXTENSION_HANDLERS.items():
-            table[op_cls] = MethodType(func, self)
-        return table
+        self.execute = self._execute_step
 
     # ------------------------------------------------------------------
     # Program-facing op constructors (the "assembler")
@@ -345,7 +298,8 @@ class Cpu:
         """
         handler = self._dispatch.get(op.__class__)
         if handler is None:
-            handler = self._resolve_handler(op)
+            raise SimulationError(
+                f"cpu {self.cpu_id}: not an operation: {op!r}")
         outcome = handler(op, now)
         if not outcome.stall:
             count = op.cycles if isinstance(op, O.Alu) else 1
@@ -355,42 +309,6 @@ class Cpu:
                 # handler-management overhead, Section 7).
                 self.handler_icount += count
         return outcome
-
-    def _execute_chain_step(self, op, now):
-        """The ``naive_interp`` executor: reference chain + identical
-        instruction accounting (bit-for-bit the pre-table interpreter)."""
-        outcome = self._execute_chain(op, now)
-        if not outcome.stall:
-            count = op.cycles if isinstance(op, O.Alu) else 1
-            self.icount += count
-            if self.dispatch_depth:
-                self.handler_icount += count
-        return outcome
-
-    def _execute(self, op, now):
-        """Table-dispatch ``op`` without instruction accounting (the
-        differential suite compares this against ``_execute_chain``)."""
-        handler = self._dispatch.get(op.__class__)
-        if handler is None:
-            handler = self._resolve_handler(op)
-        return handler(op, now)
-
-    def _resolve_handler(self, op):
-        """Dispatch-table miss: late-registered extension ops bind here;
-        subclasses of built-in ops keep their ``isinstance`` semantics by
-        falling back to the reference chain (which also raises the
-        canonical error for non-operations)."""
-        op_cls = op.__class__
-        func = _EXTENSION_HANDLERS.get(op_cls)
-        if func is not None:
-            handler = MethodType(func, self)
-        else:
-            handler = self._execute_chain
-            if not isinstance(op, O.Op):
-                # Don't memoize garbage types; just let the chain raise.
-                return handler
-        self._dispatch[op_cls] = handler
-        return handler
 
     # --- per-op handlers (one dict lookup away from execute) ----------
 
@@ -523,145 +441,6 @@ class Cpu:
         self._htm.release_serial(self.cpu_id)
         return _UNIT
 
-    # --- the retained reference interpreter ---------------------------
-
-    def _execute_chain(self, op, now):
-        """The pre-table ``isinstance`` chain, kept verbatim (plus the
-        extension-registry tail) as the differential-testing reference
-        and the ``naive_interp`` baseline.  Allocates a fresh
-        :class:`ExecOutcome` per op, exactly like the original."""
-        machine = self.machine
-        htm = machine.htm
-        mem = machine.memmodel
-
-        if isinstance(op, O.Load):
-            action, value = htm.load(self.cpu_id, op.addr)
-            if action == STALL:
-                return ExecOutcome(stall=True)
-            if action == SELF_ABORT:
-                self._self_abort(op.addr)
-                return ExecOutcome(stall=True)
-            latency = mem.access(self.cpu_id, op.addr, False, now)
-            return ExecOutcome(latency=latency, value=value)
-
-        if isinstance(op, O.Store):
-            action = htm.store(self.cpu_id, op.addr, op.value)
-            if action == STALL:
-                return ExecOutcome(stall=True)
-            if action == SELF_ABORT:
-                self._self_abort(op.addr)
-                return ExecOutcome(stall=True)
-            latency = mem.access(self.cpu_id, op.addr, True, now)
-            return ExecOutcome(latency=latency)
-
-        if isinstance(op, O.ImLoad):
-            value = htm.im_load(self.cpu_id, op.addr)
-            latency = mem.access(self.cpu_id, op.addr, False, now)
-            return ExecOutcome(latency=latency, value=value)
-
-        if isinstance(op, O.ImStore):
-            htm.im_store(self.cpu_id, op.addr, op.value)
-            latency = mem.access(self.cpu_id, op.addr, True, now)
-            return ExecOutcome(latency=latency)
-
-        if isinstance(op, O.ImStoreId):
-            htm.im_store_id(self.cpu_id, op.addr, op.value)
-            latency = mem.access(self.cpu_id, op.addr, True, now)
-            return ExecOutcome(latency=latency)
-
-        if isinstance(op, O.Release):
-            released = htm.release(self.cpu_id, op.addr)
-            return ExecOutcome(value=released)
-
-        if isinstance(op, O.Alu):
-            return ExecOutcome(latency=max(1, op.cycles))
-
-        if isinstance(op, O.XBegin):
-            level = htm.begin(self.cpu_id, op.open, now)
-            return ExecOutcome(value=level)
-
-        if isinstance(op, O.XValidate):
-            publishing = self.commit_publishes()
-            if not htm.validate(self.cpu_id):
-                return ExecOutcome(stall=True)
-            latency = 1
-            if publishing and machine.config.detection == "lazy":
-                latency = mem.arbitrate_commit(now)
-            return ExecOutcome(latency=latency)
-
-        if isinstance(op, O.XCommit):
-            committed_level = self.depth()
-            result = htm.commit(self.cpu_id)
-            if result.kind != "flattened":
-                self.isa.retire_level(
-                    committed_level, merged=result.kind == "closed")
-            if result.kind in ("outer", "open"):
-                latency = mem.commit_broadcast(
-                    self.cpu_id, result.written_words, now)
-                if machine.config.double_buffering:
-                    self.stats.add("htm.hidden_commit_cycles", latency - 1)
-                    latency = 1
-            else:
-                latency = 1
-            self.stats.add("htm.commit_cycles", latency)
-            return ExecOutcome(latency=latency, value=result.kind)
-
-        if isinstance(op, O.XAbort):
-            if self.depth() < 1:
-                raise IsaError("xabort outside a transaction")
-            self.isa.xabort_code = op.code
-            self.isa.viol_reporting = False
-            self.pending_abort = True
-            return ExecOutcome()
-
-        if isinstance(op, O.XRwSetClear):
-            target = op.level if op.level is not None else self.depth()
-            work = self.do_rollback(target)
-            latency = 1 + work * machine.config.undo_cycles_per_entry
-            self.stats.add("htm.rollback_cycles", latency)
-            return ExecOutcome(latency=latency)
-
-        if isinstance(op, O.XRegRestore):
-            return ExecOutcome()
-
-        if isinstance(op, O.XVRet):
-            self.isa.viol_reporting = True
-            return ExecOutcome()
-
-        if isinstance(op, O.XEnViolRep):
-            self.isa.viol_reporting = True
-            return ExecOutcome()
-
-        if isinstance(op, O.XVClear):
-            self.isa.clear_current(op.mask)
-            return ExecOutcome()
-
-        if isinstance(op, O.YieldCpu):
-            if self.wake_tokens > 0:
-                self.wake_tokens -= 1
-                return ExecOutcome()
-            return ExecOutcome(deschedule=True)
-
-        if isinstance(op, O.Wake):
-            machine.wake(op.cpu_id)
-            return ExecOutcome()
-
-        if isinstance(op, O.Fence):
-            return ExecOutcome()
-
-        if isinstance(op, O.SerialAcquire):
-            return ExecOutcome(value=htm.try_acquire_serial(self.cpu_id))
-
-        if isinstance(op, O.SerialRelease):
-            htm.release_serial(self.cpu_id)
-            return ExecOutcome()
-
-        func = _EXTENSION_HANDLERS.get(op.__class__)
-        if func is not None:
-            return func(self, op, now)
-
-        raise SimulationError(f"cpu {self.cpu_id}: not an operation: {op!r}")
-
     # ------------------------------------------------------------------
 
     def do_rollback(self, target_level):
@@ -727,7 +506,7 @@ _CORE_HANDLERS = {
 }
 
 # A new op added to the vocabulary without a handler must fail at import
-# time, not as a mid-simulation chain fallback.
+# time, not as a mid-simulation dispatch miss.
 _MISSING_HANDLERS = set(O.ALL_OPS) - set(_CORE_HANDLERS)
 if _MISSING_HANDLERS:   # pragma: no cover - import-time safety net
     raise ImportError(

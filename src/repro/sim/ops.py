@@ -232,8 +232,7 @@ MEMORY_OPS = (Load, Store, ImLoad, ImStore, ImStoreId)
 
 #: The complete core operation vocabulary, in definition order.  The
 #: interpreter (:mod:`repro.isa.context`) builds its per-CPU dispatch
-#: table from this tuple at import time; extension ops ride on top of it
-#: via :func:`repro.isa.context.register_op_handler`.
+#: table from this tuple at import time and executes nothing else.
 ALL_OPS = (
     Load,
     Store,

@@ -2,15 +2,15 @@
 
 Every simulated step of this workload is designed to hit the conflict
 detector as hard as possible, so the run isolates the asymptotic gap
-between the naive full-scan detectors (O(n_cpus × nesting levels) per
-access) and the reverse-index detectors (O(actual owners), usually a
-single dictionary miss):
+between a full-scan detector (O(n_cpus × nesting levels) per access, the
+test suite's ``tests/reference.py``) and the reverse-index detectors
+(O(actual owners), usually a single dictionary miss):
 
 * **Deep nesting** — each round opens ``depth + 1`` nested transactions
-  (depth 8 with the bench's ``max_nesting=8`` config), so a naive eager
-  scan iterates every victim's full level stack on every access.
+  (depth 8 with the bench's ``max_nesting=8`` config), so a full-scan
+  eager check iterates every victim's full level stack on every access.
 * **Store-dominated bursts** — the innermost transaction issues a long
-  run of stores; a naive eager store scans each victim's read-sets *and*
+  run of stores; a full-scan eager store checks each victim's read-sets *and*
   write-sets (``levels_touching``), twice the work of a load.
 * **Small private footprints** — each thread's burst lands on its own
   few cache lines, so the indexed detectors answer almost every access
@@ -20,9 +20,8 @@ single dictionary miss):
   keeps the conflict-resolution path honest (real stalls/violations
   happen) and gives :meth:`verify` an end-to-end invariant.
 
-Both detector implementations must produce bit-for-bit identical cycle
-counts on it; the bench harness runs it twice (indexed, then
-``config.naive_detection=True``) and reports the steps/sec ratio.
+The bench harness pins its cycle count exactly (``detstress-eager-x16``)
+and re-runs it under the cycle profiler to close the cycle books.
 """
 
 from __future__ import annotations

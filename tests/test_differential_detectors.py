@@ -3,9 +3,10 @@
 The reverse-index conflict detectors (:mod:`repro.htm.conflict`) are an
 optimization with a hard contract: *no observable difference* from the
 original O(n_cpus × levels) scanning implementations, which are kept as
-``NaiveLazyDetector``/``NaiveEagerDetector`` exactly for this test.  Each
-case here runs one adversarial check program twice — once per detector
-implementation (``config.naive_detection`` flips it) — and asserts that
+``NaiveLazyDetector``/``NaiveEagerDetector`` in ``tests/reference.py``
+exactly for this test.  Each case here runs one adversarial check
+program twice — once per detector implementation (``naive`` swaps the
+reference into the machine before it runs) — and asserts that
 
 * the violation streams are identical (victim, level mask, address, and
   source CPU, in posting order),
@@ -30,6 +31,12 @@ from repro.runtime.core import Runtime
 from repro.sim.engine import Machine
 from repro.sim.schedule import make_policy
 
+from tests.reference import (
+    NaiveEagerDetector,
+    NaiveLazyDetector,
+    install_naive_detector,
+)
+
 #: Config cells that exercise both detector families (the timing configs
 #: are cycle-heavy and add no detector coverage beyond these).
 CONFIG_NAMES = ("lazy-wb-assoc", "eager-wb", "eager-undo")
@@ -42,11 +49,12 @@ def run_observed(program_name, config_name, policy_name, seed, naive):
     program = make_program(program_name, seed=seed)
     overrides = dict(CONFIGS[config_name])
     config = functional_config(
-        n_cpus=max(4, program.min_cpus()), naive_detection=naive,
-        **overrides)
+        n_cpus=max(4, program.min_cpus()), **overrides)
     if not program.supports(config):
         return None
     machine = Machine(config, policy=make_policy(policy_name, seed=seed))
+    if naive:
+        install_naive_detector(machine)
     violations = []
     deliver = machine.htm.detector._sink
 
@@ -102,21 +110,20 @@ def test_naive_and_indexed_detectors_are_observably_identical(
         pytest.skip(f"{program_name} does not support {config_name}")
 
 
-def test_naive_detection_flag_selects_the_reference_classes():
-    from repro.htm.conflict import (
-        EagerDetector,
-        LazyDetector,
-        NaiveEagerDetector,
-        NaiveLazyDetector,
-    )
+def test_install_naive_detector_swaps_in_the_reference_classes():
+    from repro.htm.conflict import EagerDetector, LazyDetector
 
-    def detector_for(**overrides):
+    def detectors_for(**overrides):
         machine = Machine(functional_config(n_cpus=2, **overrides))
-        return machine.htm.detector
+        indexed = machine.htm.detector
+        sink = indexed._sink
+        install_naive_detector(machine)
+        assert machine.htm.detector._sink is sink
+        return indexed, machine.htm.detector
 
-    assert isinstance(detector_for(), LazyDetector)
-    assert isinstance(detector_for(naive_detection=True), NaiveLazyDetector)
-    assert isinstance(detector_for(detection="eager"), EagerDetector)
-    assert isinstance(
-        detector_for(detection="eager", naive_detection=True),
-        NaiveEagerDetector)
+    indexed, naive = detectors_for()
+    assert type(indexed) is LazyDetector
+    assert type(naive) is NaiveLazyDetector
+    indexed, naive = detectors_for(detection="eager")
+    assert type(indexed) is EagerDetector
+    assert type(naive) is NaiveEagerDetector

@@ -1,14 +1,13 @@
 """Differential suite: the table-dispatched interpreter vs the chain.
 
-The tentpole interpreter overhaul replaced the per-op ``isinstance``
-chain with a ``type(op) -> bound handler`` dispatch table, interned the
-hot :class:`ExecOutcome` shapes, and interned single-field program ops.
-The original chain is retained verbatim (``Cpu._execute_chain``, also
-the ``naive_interp`` bench baseline), which makes the equivalence
-directly testable: for every op kind — core vocabulary, registered
-extension ops, subclasses, stall and self-abort paths — both executors
-must produce identical outcome fields and identical side effects, or
-raise the identical error.
+The interpreter executes ops through a ``type(op) -> bound handler``
+dispatch table, interns the hot :class:`ExecOutcome` shapes, and
+interns single-field program ops.  The original per-op ``isinstance``
+chain is kept verbatim in ``tests/reference.py``, which makes the
+equivalence directly testable: for every op kind — core vocabulary,
+stall and self-abort paths — both executors must produce identical
+outcome fields, identical side effects and identical instruction
+counts, or raise the identical error.
 """
 
 import dataclasses
@@ -17,19 +16,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import IsaError
+from repro.common.errors import SimulationError
 from repro.common.params import functional_config, paper_config
 from repro.htm.conflict import SELF_ABORT, STALL
 from repro.isa import context as ctx
-from repro.isa.context import (
-    ExecOutcome,
-    latency_outcome,
-    register_op_handler,
-    unregister_op_handler,
-)
+from repro.isa.context import latency_outcome
 from repro.runtime.core import Runtime
 from repro.sim import ops as O
 from repro.sim.engine import Machine
+
+from tests.reference import install_chain
 
 WORD = 0x1000
 OTHER = 0x2000
@@ -42,8 +38,11 @@ def outcome_fields(outcome):
             outcome.deschedule)
 
 
-def fresh_cpu(**over):
+def fresh_cpu(path="table", **over):
+    """CPU 0 of a fresh 2-CPU machine executing through ``path``."""
     machine = Machine(functional_config(n_cpus=2, **over))
+    if path == "chain":
+        install_chain(machine)
     return machine.cpus[0]
 
 
@@ -53,6 +52,7 @@ def observable_state(cpu):
         cpu.machine.htm.depth(cpu.cpu_id),
         cpu.isa.viol_reporting,
         cpu.isa.xabort_code,
+        cpu.icount,
         cpu.pending_abort,
         cpu.wake_tokens,
         cpu.machine.cpus[1].wake_tokens,
@@ -66,12 +66,11 @@ def run_both(setup_ops, op, **config_over):
     own identically-prepared machine; return both observations."""
     observations = []
     for path in ("table", "chain"):
-        cpu = fresh_cpu(**config_over)
-        execute = cpu._execute if path == "table" else cpu._execute_chain
+        cpu = fresh_cpu(path, **config_over)
         for setup_op in setup_ops:
-            execute(setup_op, 0)
+            cpu.execute(setup_op, 0)
         try:
-            outcome = execute(op, 1)
+            outcome = cpu.execute(op, 1)
         except Exception as error:  # noqa: BLE001 - equal-raise comparison
             observations.append(
                 ("raise", type(error), str(error), observable_state(cpu)))
@@ -140,7 +139,7 @@ def test_stall_path_matches():
     for kind in ("load", "store"):
         observations = []
         for path in ("table", "chain"):
-            cpu = fresh_cpu()
+            cpu = fresh_cpu(path)
             if kind == "load":
                 cpu.machine.htm.load = lambda cpu_id, addr: (STALL, None)
                 op = O.Load(WORD)
@@ -148,8 +147,7 @@ def test_stall_path_matches():
                 cpu.machine.htm.store = \
                     lambda cpu_id, addr, value: STALL
                 op = O.Store(WORD, 1)
-            execute = cpu._execute if path == "table" else cpu._execute_chain
-            outcome = execute(op, 0)
+            outcome = cpu.execute(op, 0)
             observations.append(outcome_fields(outcome))
             assert outcome.stall
         assert observations[0] == observations[1]
@@ -159,11 +157,10 @@ def test_self_abort_path_matches():
     """A detector SELF_ABORT posts the same self-violation both ways."""
     observations = []
     for path in ("table", "chain"):
-        cpu = fresh_cpu(detection="eager")
-        execute = cpu._execute if path == "table" else cpu._execute_chain
-        execute(O.XBegin(), 0)
+        cpu = fresh_cpu(path, detection="eager")
+        cpu.execute(O.XBegin(), 0)
         cpu.machine.htm.load = lambda cpu_id, addr: (SELF_ABORT, None)
-        outcome = execute(O.Load(WORD), 1)
+        outcome = cpu.execute(O.Load(WORD), 1)
         observations.append(
             (outcome_fields(outcome), cpu.isa.has_deliverable(),
              cpu.isa.xvcurrent))
@@ -171,74 +168,18 @@ def test_self_abort_path_matches():
     assert observations[0] == observations[1]
 
 
-# ---------------------------------------------------------------------------
-# Extension-op registration seam
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class ProbeOp(O.Op):
-    """An extension op used only by this suite."""
-
-    ticks: int = 2
-
-
-def _probe_handler(cpu, op, now):
-    return ExecOutcome(latency=op.ticks, value=("probe", cpu.cpu_id, now))
-
-
-@pytest.fixture
-def probe_registered():
-    register_op_handler(ProbeOp, _probe_handler)
-    try:
-        yield
-    finally:
-        unregister_op_handler(ProbeOp)
-
-
-def test_extension_op_matches_chain(probe_registered):
-    table, chain = run_both([], ProbeOp(ticks=5))
-    assert table == chain
-    assert table[0] == "ok"
-    assert table[1] == (5, ("probe", 0, 1), False, False)
-
-
-def test_extension_op_binds_lazily_on_existing_cpus():
-    cpu = fresh_cpu()  # built before registration
-    register_op_handler(ProbeOp, _probe_handler)
-    try:
-        outcome = cpu._execute(ProbeOp(ticks=3), 0)
-        assert outcome_fields(outcome) == (3, ("probe", 0, 0), False, False)
-    finally:
-        unregister_op_handler(ProbeOp)
-    # Existing CPUs keep the memoized binding; new CPUs reject the op
-    # again, exactly like the chain.
-    table, chain = run_both([], ProbeOp())
-    assert table == chain
-    assert table[0] == "raise"
-
-
-def test_core_op_subclass_keeps_isinstance_semantics():
-    """An unregistered subclass of a core op falls back to the chain's
-    isinstance dispatch (and its Alu cycles count as instructions)."""
+def test_core_op_subclass_is_rejected():
+    """The table dispatches on exact type: a subclass of a core op is
+    not an operation, and the failed step counts no instructions."""
 
     @dataclasses.dataclass(frozen=True, slots=True)
     class WideAlu(O.Alu):
         pass
 
-    table, chain = run_both([], WideAlu(7))
-    assert table == chain
-    assert table[1] == (7, None, False, False)
     cpu = fresh_cpu()
-    before = cpu.icount
-    cpu._execute_step(WideAlu(7), 0)
-    assert cpu.icount - before == 7
-
-
-def test_register_rejects_garbage():
-    with pytest.raises(IsaError):
-        register_op_handler(int, _probe_handler)
-    with pytest.raises(IsaError):
-        register_op_handler(ProbeOp, "not callable")
+    with pytest.raises(SimulationError, match="not an operation: .*WideAlu"):
+        cpu.execute(WideAlu(7), 0)
+    assert cpu.icount == 0
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +190,8 @@ def test_interned_outcomes_are_shared_and_frozen():
     assert latency_outcome(1) is ctx._UNIT
     assert latency_outcome(17) is latency_outcome(17)
     cpu = fresh_cpu()
-    stall_a = cpu._execute(O.Alu(1), 0)
-    stall_b = cpu._execute(O.Fence(), 0)
+    stall_a = cpu.execute(O.Alu(1), 0)
+    stall_b = cpu.execute(O.Fence(), 0)
     assert stall_a is stall_b is ctx._UNIT
     with pytest.raises(AttributeError):
         ctx._UNIT.value = "corrupt"
@@ -271,11 +212,13 @@ def test_op_constructors_intern_single_field_ops():
 
 
 # ---------------------------------------------------------------------------
-# Whole-program equivalence (the naive_interp seam end to end)
+# Whole-program equivalence (every CPU on the chain, end to end)
 # ---------------------------------------------------------------------------
 
-def _contended_machine(config):
+def _contended_machine(config, chain=False):
     machine = Machine(config)
+    if chain:
+        install_chain(machine)
     runtime = Runtime(machine)
 
     def body(t):
@@ -298,8 +241,7 @@ def _contended_machine(config):
 def test_full_runs_are_bit_for_bit_identical(detection):
     config = paper_config(n_cpus=2, detection=detection)
     table = _contended_machine(config)
-    chain = _contended_machine(
-        dataclasses.replace(config, naive_interp=True))
+    chain = _contended_machine(config, chain=True)
     assert table.results() == chain.results()
     assert table.stats.as_dict() == chain.stats.as_dict()
 
@@ -357,9 +299,10 @@ def _stream_program(tokens):
 )
 def test_random_streams_match(tokens, detection):
     outcomes = []
-    for naive in (False, True):
-        machine = Machine(paper_config(
-            n_cpus=1, detection=detection, naive_interp=naive))
+    for chain in (False, True):
+        machine = Machine(paper_config(n_cpus=1, detection=detection))
+        if chain:
+            install_chain(machine)
         machine.add_thread(_stream_program(tokens))
         machine.run()
         outcomes.append(

@@ -84,7 +84,7 @@ def test_detached_injector_restores_golden_flagship_cycles():
     from repro.workloads import DetectionStressKernel
 
     golden = load_golden()[FLAGSHIP_ID]
-    machine = Machine(_flagship_config(naive=False))
+    machine = Machine(_flagship_config())
     injector = FaultInjector(make_plan("spurious-violation", seed=7),
                              machine)
     injector.detach()

@@ -99,5 +99,34 @@ def test_exact_cycle_pin_flagship_detstress():
     assert FLAGSHIP_ID in golden
     result = run_cell(
         lambda: DetectionStressKernel(n_threads=FLAGSHIP_CPUS),
-        _flagship_config(naive=False))
+        _flagship_config())
     assert result["cycles"] == golden[FLAGSHIP_ID]
+
+
+def test_update_golden_writes_nothing_after_a_failed_cell(
+        tmp_path, monkeypatch):
+    """A crashed cell must never become a ``null`` golden: with any
+    error on the run, ``--update-golden`` leaves the file untouched and
+    reports the error."""
+    from repro.harness import bench
+
+    golden_path = tmp_path / "bench_golden.json"
+    with open(bench.GOLDEN_PATH, "rb") as fh:
+        golden_path.write_bytes(fh.read())
+    before = golden_path.read_bytes()
+    monkeypatch.setattr(bench, "GOLDEN_PATH", str(golden_path))
+    real_runner = bench.run_cell_by_id
+
+    def runner(cell_id):
+        if cell_id == "swim-eager-x4":
+            raise RuntimeError("injected cell crash")
+        return real_runner(cell_id)
+
+    monkeypatch.setattr(bench, "run_cell_by_id", runner)
+    lines = []
+    results, errors = bench.run_bench(
+        smoke=True, update_golden=True, report=lines.append)
+    assert golden_path.read_bytes() == before
+    assert errors == ["swim-eager-x4: RuntimeError: injected cell crash"]
+    assert not results["ok"]
+    assert any("NOT written" in line for line in lines)

@@ -200,9 +200,9 @@ class TestBenchParallel:
         from repro.harness.bench import run_bench
 
         serial, serial_errors = run_bench(
-            smoke=True, repeat=1, report=lambda line: None)
+            smoke=True, report=lambda line: None)
         parallel, parallel_errors = run_bench(
-            smoke=True, repeat=1, report=lambda line: None, jobs=2)
+            smoke=True, report=lambda line: None, jobs=2)
         assert serial_errors == parallel_errors == []
         assert ([c["id"] for c in parallel["cells"]]
                 == [c["id"] for c in serial["cells"]])
