@@ -109,6 +109,7 @@ from repro.sim.schedule import (
 )
 from repro.sim.snapshot import SnapshotError
 
+from repro.obs.observer import Observer
 from repro.obs.profiler import CycleProfiler
 from repro.obs.sinks import RingSink
 from repro.sim.trace import Tracer
@@ -191,15 +192,18 @@ def _decode_sleep(encoded):
             for cpu, active_from, reads, writes in encoded}
 
 
-class StepRecorder:
+class StepRecorder(Observer):
     """Per-step footprint/delivery recorder and live sleep-set updater.
 
-    Attaches to the same :class:`~repro.htm.system.HtmSystem` seams the
-    :class:`~repro.check.history.HistoryRecorder` wraps (plus
-    ``Machine.wake`` and the violation sink) and closes one footprint
-    per scheduling step via the engine's ``step_hook``.  While running,
-    any step dependent on a sleep entry — or delivering to it — wakes
-    that entry (``policy.sleep``), keeping the pruning sound.
+    An :class:`~repro.obs.observer.Observer` of the HTM's access, token,
+    commit, undo and serial-mode events plus the machine's ``wake`` and
+    ``queued`` events; each ``step`` event closes one footprint.  While
+    running, any step dependent on a sleep entry — or delivering to it —
+    wakes that entry (``policy.sleep``), keeping the pruning sound.
+    Unlike the other observers it does not attach itself: the caller
+    brackets the run with ``machine.observe(recorder)`` and
+    ``machine.unobserve(recorder)``, so one pooled recorder can serve
+    many restored nodes.
     """
 
     def __init__(self, machine, policy, sleep_entries=None,
@@ -225,16 +229,14 @@ class StepRecorder:
         #: rollback, cleared only when the CPU leaves transactional mode.
         self._cpu_reads = {cpu.cpu_id: set() for cpu in machine.cpus}
         self._cpu_writes = {cpu.cpu_id: set() for cpu in machine.cpus}
-        self._saved = {}
-        self._attach()
 
     # ------------------------------------------------------------------
 
     def _unit(self, cpu_id, addr):
         return self.machine.htm.states[cpu_id].rwsets.unit_of(addr)
 
-    def _close_step(self, cpu):
-        """Engine ``step_hook``: seal the step that just executed."""
+    def on_step(self, cpu):
+        """Seal the step that just executed."""
         self.sleep_before.append(dict(self._sleep))
         footprint = Footprint(
             frozenset(self._acc_reads), frozenset(self._acc_writes),
@@ -263,180 +265,100 @@ class StepRecorder:
 
     # ------------------------------------------------------------------
 
-    def _attach(self):
-        machine = self.machine
-        htm = machine.htm
-        if machine.step_hook is not None:
-            raise RuntimeError("machine already has a step_hook")
-        machine.step_hook = self._close_step
+    def on_load(self, cpu_id, addr, unit, level, action):
+        if action == PROCEED:
+            self._acc_reads.add(unit)
+            if level:
+                self._cpu_reads[cpu_id].add(unit)
+        else:
+            self._acc_global = True
 
-        self._saved["load"] = htm.load
+    def on_store(self, cpu_id, addr, unit, level, action):
+        if action != PROCEED:
+            self._acc_global = True
+        elif level:
+            self._acc_writes.add(unit)
+            self._cpu_writes[cpu_id].add(unit)
+        else:
+            # Non-transactional store: a one-word commit under strong
+            # atomicity — a publishing (global) action.
+            self._acc_global = True
 
-        def load(cpu_id, addr, _orig=htm.load):
-            action, value = _orig(cpu_id, addr)
-            if action == PROCEED:
-                unit = self._unit(cpu_id, addr)
-                self._acc_reads.add(unit)
-                if htm.states[cpu_id].levels:
-                    self._cpu_reads[cpu_id].add(unit)
-            else:
-                self._acc_global = True
-            return action, value
+    def on_im_load(self, cpu_id, addr, value):
+        self._acc_reads.add(self._unit(cpu_id, addr))
 
-        htm.load = load
+    def on_im_store(self, cpu_id, addr, value):
+        self._acc_writes.add(self._unit(cpu_id, addr))
 
-        self._saved["store"] = htm.store
+    def on_im_store_id(self, cpu_id, addr, value):
+        self._acc_writes.add(self._unit(cpu_id, addr))
 
-        def store(cpu_id, addr, value, _orig=htm.store):
-            action = _orig(cpu_id, addr, value)
-            if action != PROCEED:
-                self._acc_global = True
-            elif htm.states[cpu_id].levels:
-                unit = self._unit(cpu_id, addr)
-                self._acc_writes.add(unit)
-                self._cpu_writes[cpu_id].add(unit)
-            else:
-                # Non-transactional store: a one-word commit under
-                # strong atomicity — a publishing (global) action.
-                self._acc_global = True
-            return action
+    def on_release(self, cpu_id, addr, released):
+        # Dropping a read-set entry changes future conflict detection
+        # on the unit: record it as an access.
+        self._acc_writes.add(self._unit(cpu_id, addr))
 
-        htm.store = store
+    # `begin` stays local: it touches only the CPU's own state plus the
+    # diagnostic txid counter (never consulted by lazy arbitration — the
+    # only mode that prunes).
 
-        self._saved["im_load"] = htm.im_load
+    def _touch_token(self):
+        self._acc_reads.add(TOKEN)
+        self._acc_writes.add(TOKEN)
 
-        def im_load(cpu_id, addr, _orig=htm.im_load):
-            self._acc_reads.add(self._unit(cpu_id, addr))
-            return _orig(cpu_id, addr)
+    def on_validate(self, cpu_id, ok):
+        self._touch_token()
 
-        htm.im_load = im_load
+    def on_devalidate(self, cpu_id, level):
+        self._touch_token()
 
-        self._saved["im_store"] = htm.im_store
-
-        def im_store(cpu_id, addr, value, _orig=htm.im_store):
-            self._acc_writes.add(self._unit(cpu_id, addr))
-            return _orig(cpu_id, addr, value)
-
-        htm.im_store = im_store
-
-        self._saved["im_store_id"] = htm.im_store_id
-
-        def im_store_id(cpu_id, addr, value, _orig=htm.im_store_id):
-            self._acc_writes.add(self._unit(cpu_id, addr))
-            return _orig(cpu_id, addr, value)
-
-        htm.im_store_id = im_store_id
-
-        self._saved["release"] = htm.release
-
-        def release(cpu_id, addr, _orig=htm.release):
-            # Dropping a read-set entry changes future conflict
-            # detection on the unit: record it as an access.
-            self._acc_writes.add(self._unit(cpu_id, addr))
-            return _orig(cpu_id, addr)
-
-        htm.release = release
-
-        # `begin` stays local: it touches only the CPU's own state plus
-        # the diagnostic txid counter (never consulted by lazy
-        # arbitration — the only mode that prunes).
-        #
+    def on_commit(self, cpu_id, result, level, began_at, reads, writes):
         # The commit path is unit-scoped rather than global: a commit
         # publishes its accumulated write-set (dependent with any access
         # to those units) and serializes on TOKEN against every other
         # commit-path action.  Victims it violates are covered by the
-        # write-set overlap plus the delivery marks from the sink wrap.
-        self._saved["commit"] = htm.commit
+        # write-set overlap plus the ``queued`` delivery marks.
+        self._touch_token()
+        self._acc_writes.update(self._cpu_writes[cpu_id])
+        if not self.machine.htm.states[cpu_id].levels:
+            self._cpu_reads[cpu_id].clear()
+            self._cpu_writes[cpu_id].clear()
 
-        def commit(cpu_id, _orig=htm.commit):
-            self._acc_reads.add(TOKEN)
-            self._acc_writes.add(TOKEN)
-            self._acc_writes.update(self._cpu_writes[cpu_id])
-            result = _orig(cpu_id)
-            if not htm.states[cpu_id].levels:
-                self._cpu_reads[cpu_id].clear()
-                self._cpu_writes[cpu_id].clear()
-            return result
-
-        htm.commit = commit
-
-        for name in ("validate", "devalidate"):
-            self._saved[name] = getattr(htm, name)
-
-            def token_wrapper(*args, _orig=getattr(htm, name), **kwargs):
-                self._acc_reads.add(TOKEN)
-                self._acc_writes.add(TOKEN)
-                return _orig(*args, **kwargs)
-
-            setattr(htm, name, token_wrapper)
-
+    def _undo(self, cpu_id, clear):
         # A rollback retracts the transaction's index entries: dependent
         # with commits probing those units (and with the commit path via
         # TOKEN), independent of accesses to unrelated units.  The
         # accumulated sets are conservative supersets of what the
         # rollback actually discards.
-        for name in ("rollback_to", "abandon_all"):
-            self._saved[name] = getattr(htm, name)
+        self._touch_token()
+        self._acc_writes.update(self._cpu_reads[cpu_id])
+        self._acc_writes.update(self._cpu_writes[cpu_id])
+        if clear or not self.machine.htm.states[cpu_id].levels:
+            self._cpu_reads[cpu_id].clear()
+            self._cpu_writes[cpu_id].clear()
 
-            def undo_wrapper(cpu_id, *args,
-                             _orig=getattr(htm, name),
-                             _clear=(name == "abandon_all"), **kwargs):
-                self._acc_reads.add(TOKEN)
-                self._acc_writes.add(TOKEN)
-                self._acc_writes.update(self._cpu_reads[cpu_id])
-                self._acc_writes.update(self._cpu_writes[cpu_id])
-                result = _orig(cpu_id, *args, **kwargs)
-                if _clear or not htm.states[cpu_id].levels:
-                    self._cpu_reads[cpu_id].clear()
-                    self._cpu_writes[cpu_id].clear()
-                return result
+    def on_rollback_to(self, cpu_id, target_level, now, work):
+        self._undo(cpu_id, clear=False)
 
-            setattr(htm, name, undo_wrapper)
+    def on_abandon_all(self, cpu_id, work):
+        self._undo(cpu_id, clear=True)
 
-        for name in ("try_acquire_serial", "release_serial"):
-            self._saved[name] = getattr(htm, name)
+    def on_try_acquire_serial(self, cpu_id, acquired):
+        self._acc_global = True
 
-            def serial_wrapper(*args, _orig=getattr(htm, name), **kwargs):
-                self._acc_global = True
-                return _orig(*args, **kwargs)
+    def on_release_serial(self, cpu_id):
+        self._acc_global = True
 
-            setattr(htm, name, serial_wrapper)
+    def on_wake(self, cpu_id):
+        self._acc_global = True
+        self._acc_delivered.add(cpu_id)
 
-        self._saved["wake"] = machine.wake
-
-        def wake(cpu_id, _orig=machine.wake):
-            self._acc_global = True
-            self._acc_delivered.add(cpu_id)
-            return _orig(cpu_id)
-
-        machine.wake = wake
-
+    def on_queued(self, violation):
         # A violation post is a targeted delivery, not a global action:
         # its cause is already visible as a unit overlap with the
         # poster's footprint, and the delivery mark both wakes any sleep
         # entry for the victim and invalidates its pending-op estimate.
-        self._saved["sink"] = htm.detector._sink
-
-        def sink(violation, _orig=htm.detector._sink):
-            self._acc_delivered.add(violation.victim)
-            return _orig(violation)
-
-        htm.attach_violation_sink(sink)
-
-    def detach(self):
-        if not self._saved:
-            return
-        machine = self.machine
-        htm = machine.htm
-        machine.step_hook = None
-        for name in ("load", "store", "im_load", "im_store",
-                     "im_store_id", "release", "validate", "devalidate",
-                     "commit", "rollback_to", "abandon_all",
-                     "try_acquire_serial", "release_serial"):
-            setattr(htm, name, self._saved[name])
-        machine.wake = self._saved["wake"]
-        htm.attach_violation_sink(self._saved["sink"])
-        self._saved = {}
+        self._acc_delivered.add(violation.victim)
 
 
 # ----------------------------------------------------------------------
@@ -562,9 +484,12 @@ class CheckpointCache:
 _CHECKPOINTS = CheckpointCache()
 
 class _NodeContext:
-    """One worker's reusable restore target: a machine with the explore
-    observer stack permanently attached (same attach order as the
-    stateless path: recorder, history, profiler, tracer).
+    """One worker's reusable restore target: a machine with the history
+    recorder, profiler and tracer permanently attached, plus a pooled
+    :class:`StepRecorder` subscribed only while pruning nodes run.  It
+    stays subscribed from one pruning node to the next: re-subscribing
+    rebuilds a tuple per recorded event, which costs more per node than
+    the idle subscription (no event fires while a checkpoint restores).
 
     Constructing the observers costs more than a short resumed run, so
     hit-path nodes share one context per (program, config) and
@@ -597,7 +522,6 @@ class _NodeContext:
         """
         machine = self.machine
         machine.policy = policy
-        machine.step_hook = None
         recorder = self.recorder
         recorder.policy = policy
         recorder.sleep_from = 0
@@ -923,7 +847,9 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
             recorder = ctx.recorder
             _restore_recorder_state(recorder, policy, sleep_entries,
                                     sleep_from, entry.recorder)
-            machine.step_hook = recorder._close_step
+            machine.observe(recorder)
+        else:
+            machine.unobserve(ctx.recorder)
         history_recorder = ctx.history
         profiler = ctx.profiler
         tracer = ctx.tracer
@@ -941,6 +867,7 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
             recorder = StepRecorder(machine, policy,
                                     sleep_entries=sleep_entries,
                                     sleep_from=sleep_from)
+            machine.observe(recorder)
         if fault is not None:
             injector = FaultInjector(make_plan(fault, seed), machine)
         runtime = Runtime(machine)
@@ -973,9 +900,7 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
             if injector is not None:
                 injector.detach()
             if recorder is not None:
-                recorder.detach()
-        else:
-            machine.step_hook = None
+                machine.unobserve(recorder)
     return (program, machine, policy, history_recorder.history, error,
             pruned_at, recorder, (tracer, profiler))
 

@@ -204,16 +204,13 @@ def run_case(program_name, config_name, policy_name, seed,
     machine = Machine(config, policy=policy)
     injector = None
     if fault is not None:
-        # Attach before the recorder so the recorder's commit wrap sits
-        # outermost and observes fault-perturbed commits like real ones.
         injector = FaultInjector(make_plan(fault, seed), machine)
     runtime = Runtime(machine)
     arena = SharedArena(machine)
     recorder = HistoryRecorder(machine)
     # Observability rides along on every case: the profiler's books are
     # checked by the conservation oracle, and the last-K trace ring is
-    # attached to the result if the case fails.  Both attach last (so
-    # they sit topmost on the shared seams) and detach first.
+    # attached to the result if the case fails.
     profiler = CycleProfiler(machine)
     tracer = Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
     error = None

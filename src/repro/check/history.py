@@ -6,12 +6,11 @@ granularity) and a global commit sequence number.  The serializability
 oracle (:mod:`repro.check.oracles`) checks the precedence graph over such
 a history; this module is only concerned with building it faithfully.
 
-:class:`HistoryRecorder` attaches to a live
-:class:`~repro.sim.engine.Machine` by wrapping the same well-defined
-seams :class:`~repro.sim.trace.Tracer` uses (``HtmSystem.begin / load /
-store / commit / rollback_to / abandon_all`` and the engine's
-dispatcher-outcome application).  Recording rules, matching the paper's
-semantics:
+:class:`HistoryRecorder` is an :class:`~repro.obs.observer.Observer`
+of a live :class:`~repro.sim.engine.Machine`: it subscribes to the
+HTM's ``begin / load / store / release / commit / rollback_to /
+abandon_all`` events and the engine's dispatcher ``outcome``.
+Recording rules, matching the paper's semantics:
 
 * Every hardware nesting level gets a frame.  A **closed-nested** commit
   merges the child's read/write sets (and read-time intervals) into its
@@ -39,6 +38,7 @@ import dataclasses
 
 from repro.htm.conflict import PROCEED
 from repro.isa.dispatch import HandlerOutcome
+from repro.obs.observer import Observer
 
 
 @dataclasses.dataclass
@@ -131,7 +131,7 @@ class History:
         return len(self.committed)
 
 
-class HistoryRecorder:
+class HistoryRecorder(Observer):
     """Builds a :class:`History` from a live machine.
 
     Attach before the workload's ``setup`` populates memory-writing
@@ -146,8 +146,7 @@ class HistoryRecorder:
         #: ``htm.states[cpu].levels``.
         self._frames = [[] for _ in machine.cpus]
         self._seq = 0
-        self._saved = {}
-        self._attach()
+        machine.observe(self)
 
     # ------------------------------------------------------------------
 
@@ -180,139 +179,70 @@ class HistoryRecorder:
 
     # ------------------------------------------------------------------
 
-    def _attach(self):
-        machine = self.machine
-        htm = machine.htm
+    def on_begin(self, cpu_id, open_, now, level):
+        self._push_frame(cpu_id, level, open_)
 
-        self._saved["begin"] = htm.begin
-
-        def begin(cpu_id, open_, now, _orig=htm.begin):
-            state = htm.states[cpu_id]
-            pre_depth = state.depth()
-            level = _orig(cpu_id, open_, now)
-            if state.depth() == pre_depth + 1:
-                # A real new level (not subsumed by flattening).
-                self._push_frame(cpu_id, level, open_)
-            return level
-
-        htm.begin = begin
-
-        self._saved["load"] = htm.load
-
-        def load(cpu_id, addr, _orig=htm.load):
-            action, value = _orig(cpu_id, addr)
-            if action == PROCEED:
-                unit = htm.states[cpu_id].rwsets.unit_of(addr)
-                frames = self._frames[cpu_id]
-                if frames:
-                    frames[-1].note_read(unit, self._next_seq())
-                elif self.record_nontx:
-                    self._singleton(cpu_id, unit, is_write=False)
-            return action, value
-
-        htm.load = load
-
-        self._saved["store"] = htm.store
-
-        def store(cpu_id, addr, value, _orig=htm.store):
-            action = _orig(cpu_id, addr, value)
-            if action == PROCEED:
-                unit = htm.states[cpu_id].rwsets.unit_of(addr)
-                frames = self._frames[cpu_id]
-                if frames:
-                    self._next_seq()
-                    frames[-1].writes.add(unit)
-                elif self.record_nontx:
-                    self._singleton(cpu_id, unit, is_write=True)
-            return action
-
-        htm.store = store
-
-        self._saved["release"] = htm.release
-
-        def release(cpu_id, addr, _orig=htm.release):
-            released = _orig(cpu_id, addr)
+    def on_load(self, cpu_id, addr, unit, level, action):
+        if action == PROCEED:
             frames = self._frames[cpu_id]
-            if released and frames:
-                frames[-1].released = True
-            return released
+            if frames:
+                frames[-1].note_read(unit, self._next_seq())
+            elif self.record_nontx:
+                self._singleton(cpu_id, unit, is_write=False)
 
-        htm.release = release
-
-        self._saved["commit"] = htm.commit
-
-        def commit(cpu_id, _orig=htm.commit):
-            result = _orig(cpu_id)
-            if result.kind == "flattened":
-                return result
+    def on_store(self, cpu_id, addr, unit, level, action):
+        if action == PROCEED:
             frames = self._frames[cpu_id]
-            frame = frames.pop()
-            if result.kind == "closed":
-                frames[-1].absorb(frame)
-            else:
-                frame.status = "committed"
-                frame.kind = result.kind
-                frame.commit_seq = self._next_seq()
-                frame.commit_cycle = machine.now
-                self.history.committed.append(frame)
-            return result
+            if frames:
+                self._next_seq()
+                frames[-1].writes.add(unit)
+            elif self.record_nontx:
+                self._singleton(cpu_id, unit, is_write=True)
 
-        htm.commit = commit
+    def on_release(self, cpu_id, addr, released):
+        frames = self._frames[cpu_id]
+        if released and frames:
+            frames[-1].released = True
 
-        self._saved["rollback_to"] = htm.rollback_to
+    def on_commit(self, cpu_id, result, level, began_at, reads, writes):
+        if result.kind == "flattened":
+            return
+        frames = self._frames[cpu_id]
+        frame = frames.pop()
+        if result.kind == "closed":
+            frames[-1].absorb(frame)
+        else:
+            frame.status = "committed"
+            frame.kind = result.kind
+            frame.commit_seq = self._next_seq()
+            frame.commit_cycle = self.machine.now
+            self.history.committed.append(frame)
 
-        def rollback_to(cpu_id, target_level, now=0, _orig=htm.rollback_to):
-            work = _orig(cpu_id, target_level, now)
-            frames = self._frames[cpu_id]
-            while len(frames) >= target_level:
-                self._abort_frame(frames.pop())
-            # The hardware restarted the target as a fresh transaction.
-            state = htm.states[cpu_id]
-            self._push_frame(cpu_id, target_level,
-                             state.levels[-1].open)
-            return work
+    def on_rollback_to(self, cpu_id, target_level, now, work):
+        frames = self._frames[cpu_id]
+        while len(frames) >= target_level:
+            self._abort_frame(frames.pop())
+        # The hardware restarted the target as a fresh transaction.
+        state = self.machine.htm.states[cpu_id]
+        self._push_frame(cpu_id, target_level, state.levels[-1].open)
 
-        htm.rollback_to = rollback_to
+    def on_abandon_all(self, cpu_id, work):
+        frames = self._frames[cpu_id]
+        while frames:
+            self._abort_frame(frames.pop())
 
-        self._saved["abandon_all"] = htm.abandon_all
-
-        def abandon_all(cpu_id, _orig=htm.abandon_all):
-            work = _orig(cpu_id)
-            frames = self._frames[cpu_id]
-            while frames:
-                self._abort_frame(frames.pop())
-            return work
-
-        htm.abandon_all = abandon_all
-
-        self._saved["apply_outcome"] = machine._apply_outcome
-
-        def apply_outcome(cpu, outcome, _orig=machine._apply_outcome):
-            if (isinstance(outcome, HandlerOutcome)
-                    and outcome.kind == "resume"):
-                # The software chose to keep running despite a conflict:
-                # every live frame of this CPU loses its serializability
-                # promise (the condsync scheduler's RESUME, §5).
-                for frame in self._frames[cpu.cpu_id]:
-                    frame.resumed = True
-            return _orig(cpu, outcome)
-
-        machine._apply_outcome = apply_outcome
+    def on_outcome(self, cpu, outcome):
+        if (isinstance(outcome, HandlerOutcome)
+                and outcome.kind == "resume"):
+            # The software chose to keep running despite a conflict:
+            # every live frame of this CPU loses its serializability
+            # promise (the condsync scheduler's RESUME, §5).
+            for frame in self._frames[cpu.cpu_id]:
+                frame.resumed = True
 
     def detach(self):
-        """Restore the machine's unrecorded seams."""
-        if not self._saved:
-            return
-        htm = self.machine.htm
-        htm.begin = self._saved["begin"]
-        htm.load = self._saved["load"]
-        htm.store = self._saved["store"]
-        htm.release = self._saved["release"]
-        htm.commit = self._saved["commit"]
-        htm.rollback_to = self._saved["rollback_to"]
-        htm.abandon_all = self._saved["abandon_all"]
-        self.machine._apply_outcome = self._saved["apply_outcome"]
-        self._saved = {}
+        """Unsubscribe; exact and idempotent."""
+        self.machine.unobserve(self)
 
     def __enter__(self):
         return self

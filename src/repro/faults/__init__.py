@@ -6,9 +6,9 @@ Split in two halves:
   decision stream (*what* fires, and every random choice).  Replayable
   from ``(fault, seed)``.
 * :mod:`repro.faults.injector` — :class:`FaultInjector`: wires a plan
-  into a live :class:`~repro.sim.engine.Machine` by wrapping the same
-  instance-attribute seams the tracer uses; ``detach()`` restores the
-  unpatched machine exactly.
+  into a live :class:`~repro.sim.engine.Machine` by shadowing a few of
+  its methods with instance attributes; ``detach()`` deletes the
+  shadows, restoring the unpatched machine exactly.
 
 See ``docs/faults.md`` for the taxonomy and the chaos-matrix workflow
 (``python -m repro chaos``).

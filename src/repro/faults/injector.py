@@ -1,15 +1,18 @@
 """The fault injector: attach a :class:`FaultPlan` to a live machine.
 
-A :class:`FaultInjector` uses the same wrap-the-seams technique as
-:class:`repro.sim.trace.Tracer`: it replaces a handful of bound instance
-attributes (``Machine._step``, ``HtmSystem.validate``, the violation
-sink, ...) with wrappers, saves the originals, and ``detach()`` restores
-them.  There are no ``if fault:`` branches in any hot path and zero
-overhead when no injector is attached — the only permanent cost is a
-``getattr(machine, "fault_hooks", None)`` probe on the two *cold* library
-paths (txio syscalls, the allocator) that have no engine seam to wrap.
+Observers (:mod:`repro.obs.observer`) only watch the machine; an
+injector must change what it does, so it is the one component that
+still wraps machine methods.  It shadows a handful of them with
+instance attributes (``Machine._step``, ``HtmSystem.validate``,
+``Machine._deliver`` — the violation queueing step — ...) and
+``detach()`` deletes the shadows, leaving the class methods in force.
+There are no ``if fault:`` branches in any hot path and zero overhead
+when no injector is attached — the only permanent cost is a
+``getattr(machine, "fault_hooks", None)`` probe on the two *cold*
+library paths (txio syscalls, the allocator) that have no engine method
+to wrap.
 
-Which seams are wrapped depends on the plan's kind — see
+Which methods are wrapped depends on the plan's kind — see
 :mod:`repro.faults.plan` for the taxonomy.  Every injection calls
 ``Machine._fault_event`` (so an attached Tracer records a ``fault``
 event) and is logged in ``plan.fired``.
@@ -36,6 +39,9 @@ class FaultInjector:
         self.plan = plan
         self.machine = machine
         self._saved = {}
+        #: (owner, attr, prior instance value or None) per shadowed
+        #: method, in wrap order.
+        self._shadows = []
         #: Delayed-violation buffer: (due_step, violation) pairs.
         self._buffer = []
         self._steps = 0
@@ -90,26 +96,18 @@ class FaultInjector:
                 cpu.isa.requeue_enabled = False
 
     def detach(self):
-        """Restore every wrapped seam; flush any still-delayed deliveries
+        """Remove every shadow; flush any still-delayed deliveries
         (a buffered violation must not simply vanish)."""
         if not self._saved:
             return
         machine = self.machine
         self._flush_delayed()
-        if "step" in self._saved:
-            machine._step = self._saved["step"]
-        if "validate" in self._saved:
-            machine.htm.validate = self._saved["validate"]
-        if "sink" in self._saved:
-            machine.htm.detector._sink = self._saved["sink"]
-        if "park" in self._saved:
-            machine._park = self._saved["park"]
-        if "push" in self._saved:
-            machine._push_dispatcher = self._saved["push"]
-        if "im_store" in self._saved:
-            machine.htm.im_store = self._saved["im_store"]
-        if "commit" in self._saved:
-            machine.htm.commit = self._saved["commit"]
+        for owner, attr, prior in reversed(self._shadows):
+            if prior is None:
+                delattr(owner, attr)
+            else:
+                setattr(owner, attr, prior)
+        self._shadows = []
         if "hooks" in self._saved:
             machine.fault_hooks = None
         if "requeue" in self._saved:
@@ -125,27 +123,32 @@ class FaultInjector:
         return False
 
     # ------------------------------------------------------------------
-    # Shared seam helpers
+    # Shared wrapping helpers
     # ------------------------------------------------------------------
+
+    def _shadow(self, owner, attr, wrapper):
+        """Shadow ``owner.attr`` with ``wrapper`` until :meth:`detach`;
+        the key ``attr`` in ``_saved`` keeps the wrapped callable."""
+        self._saved[attr] = getattr(owner, attr)
+        self._shadows.append((owner, attr, vars(owner).get(attr)))
+        setattr(owner, attr, wrapper)
 
     def _wrap_step(self, pre):
         machine = self.machine
-        self._saved["step"] = machine._step
 
         def step(cpu, _orig=machine._step):
             pre(cpu)
             _orig(cpu)
 
-        machine._step = step
+        self._shadow(machine, "_step", step)
 
     def _wrap_validate(self, impl):
         htm = self.machine.htm
-        self._saved["validate"] = htm.validate
 
         def validate(cpu_id, _orig=htm.validate):
             return impl(cpu_id, _orig)
 
-        htm.validate = validate
+        self._shadow(htm, "validate", validate)
 
     # ------------------------------------------------------------------
     # spurious-violation
@@ -196,9 +199,7 @@ class FaultInjector:
         machine = self.machine
         htm = machine.htm
 
-        self._saved["sink"] = htm.detector._sink
-
-        def sink(violation, _orig=htm.detector._sink):
+        def deliver(violation, _orig=machine._deliver):
             victim = machine.cpus[violation.victim]
             # Only a runnable victim can tolerate a hold-back; WAITING
             # and DONE victims need the post now (delivery is the wake).
@@ -222,7 +223,7 @@ class FaultInjector:
                 return
             _orig(violation)
 
-        htm.detector._sink = sink
+        self._shadow(machine, "_deliver", deliver)
 
         self._wrap_step(pre=self._delayed_tick)
 
@@ -235,15 +236,13 @@ class FaultInjector:
             # this, letting a stale transaction commit.
             self._wrap_validate(self._validate_delayed_barrier)
 
-        self._saved["park"] = machine._park
-
         def park(cpu, _orig=machine._park):
             _orig(cpu)
             # Flush after parking: deliver() sees WAITING and wakes, so
             # a delayed violation can never strand a sleeper.
             self._flush_for(cpu.cpu_id)
 
-        machine._park = park
+        self._shadow(machine, "_park", park)
 
     def _delayed_tick(self, _cpu):
         self._steps += 1
@@ -253,7 +252,7 @@ class FaultInjector:
                 self._buffer = [
                     (when, v) for when, v in self._buffer
                     if when > self._steps]
-                deliver = self._saved["sink"]
+                deliver = self._saved["_deliver"]
                 for violation in due:
                     deliver(violation)
 
@@ -268,7 +267,7 @@ class FaultInjector:
             return False
         self._buffer = [
             (when, v) for when, v in self._buffer if v.victim != cpu_id]
-        deliver = self._saved["sink"]
+        deliver = self._saved["_deliver"]
         for violation in due:
             deliver(violation)
         return True
@@ -276,7 +275,7 @@ class FaultInjector:
     def _flush_delayed(self):
         if not self._buffer:
             return
-        deliver = self._saved.get("sink")
+        deliver = self._saved.get("_deliver")
         if deliver is None:
             return
         for _, violation in self._buffer:
@@ -284,7 +283,7 @@ class FaultInjector:
         self._buffer = []
 
     # ------------------------------------------------------------------
-    # token-loss / validated-abort (xvalidate seam)
+    # token-loss / validated-abort (xvalidate wrapper)
     # ------------------------------------------------------------------
 
     def _validate_token_loss(self, cpu_id, orig):
@@ -335,14 +334,13 @@ class FaultInjector:
 
     def _attach_reentry(self):
         machine = self.machine
-        self._saved["push"] = machine._push_dispatcher
 
         def push(cpu, kind, _orig=machine._push_dispatcher):
             _orig(cpu, kind)
             if kind == "violation":
                 self._after_violation_dispatch(cpu)
 
-        machine._push_dispatcher = push
+        self._shadow(machine, "_push_dispatcher", push)
 
     def _after_violation_dispatch(self, cpu):
         if self.plan.broken:
@@ -457,7 +455,6 @@ class FaultInjector:
 
     def _attach_alloc_broken(self):
         htm = self.machine.htm
-        self._saved["im_store"] = htm.im_store
 
         def im_store(cpu_id, addr, value, _orig=htm.im_store):
             if cpu_id in self._suppress_im_store:
@@ -465,9 +462,7 @@ class FaultInjector:
                 return  # the arming store is lost under pressure
             _orig(cpu_id, addr, value)
 
-        htm.im_store = im_store
-
-        self._saved["commit"] = htm.commit
+        self._shadow(htm, "im_store", im_store)
 
         def commit(cpu_id, _orig=htm.commit):
             result = _orig(cpu_id)
@@ -479,7 +474,7 @@ class FaultInjector:
                     self._post(cpu_id, depth, 0)
             return result
 
-        htm.commit = commit
+        self._shadow(htm, "commit", commit)
 
 
 def attach_fault(machine, fault, seed, **plan_kwargs):

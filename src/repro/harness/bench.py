@@ -140,9 +140,9 @@ def run_flagship_accounting(expected_cycles=None):
     """Profile the flagship run and close the cycle books.
 
     Doubles as the zero-perturbation guard: the profiler shadows
-    ``cpu.execute`` and wraps the HTM seams, and the machine it profiles
-    must still produce *exactly* the unprofiled flagship cycle count —
-    any drift means the instrument changed observable behaviour.
+    ``cpu.execute`` and subscribes to the HTM events, and the machine it
+    profiles must still produce *exactly* the unprofiled flagship cycle
+    count — any drift means the instrument changed observable behaviour.
     Returns ``(CycleAccount, list of errors)``.
     """
     from repro.obs.profiler import CycleProfiler

@@ -5,7 +5,9 @@ profile — "transactions with a few hundred instructions are common"
 (§6.2), 2-3 nesting levels (§6.3.3).  This collector records, for every
 commit, the transaction's kind, nesting level, read-/write-set sizes (in
 tracking units) and duration in cycles, so workloads can be checked
-against those assumptions.
+against those assumptions.  It is a subscriber to the machine's
+``commit`` event (:mod:`repro.obs.observer`), which carries the
+committed level's set sizes and start cycle.
 
 Usage::
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.harness.report import format_table
-from repro.obs.seams import SeamStack
+from repro.obs.observer import Observer
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,51 +49,28 @@ class TxSummary:
     max_level: int
 
 
-class TxStatsCollector:
+class TxStatsCollector(Observer):
     """Records a :class:`TxRecord` per commit until detached."""
 
     def __init__(self, machine):
         self.machine = machine
         self.records = []
-        htm = machine.htm
-        self._active = True
-        self._seams = SeamStack()
+        machine.observe(self)
 
-        def make_commit(call_next):
-            def commit(cpu_id):
-                state = htm.states[cpu_id]
-                if (self._active and state.in_tx()
-                        and not state.flatten_extra):
-                    level = state.depth()
-                    info = state.current()
-                    reads = len(state.rwsets.reads_at(level))
-                    writes = len(state.rwsets.writes_at(level))
-                    began = info.began_at
-                    result = call_next(cpu_id)
-                    if result.kind in ("outer", "closed", "open"):
-                        self.records.append(TxRecord(
-                            cpu=cpu_id,
-                            kind=result.kind,
-                            level=level,
-                            read_units=reads,
-                            write_units=writes,
-                            duration=machine.now - began,
-                        ))
-                    return result
-                return call_next(cpu_id)
-            return commit
-
-        self._seams.wrap(htm, "commit", make_commit)
+    def on_commit(self, cpu_id, result, level, began_at, reads, writes):
+        if result.kind != "flattened":
+            self.records.append(TxRecord(
+                cpu=cpu_id,
+                kind=result.kind,
+                level=level,
+                read_units=reads,
+                write_units=writes,
+                duration=self.machine.now - began_at,
+            ))
 
     def detach(self):
-        """Exact removal: the collector's wrapper is spliced out of the
-        commit seam wherever it sits, so stacked instruments (tracer,
-        profiler, collector) detach in any order without severing each
-        other."""
-        if not self._active:
-            return
-        self._active = False
-        self._seams.restore()
+        """Unsubscribe; exact and idempotent."""
+        self.machine.unobserve(self)
 
     def __enter__(self):
         return self

@@ -5,6 +5,8 @@ version manager, and the nesting-scheme capacity model; machine-wide it
 owns the commit token and the conflict detector.  It implements the
 *functional* semantics of every Table 2 instruction; cycle costs are
 charged by the ISA layer using the work counts returned from here.
+Each instruction also emits its observer event when it completes
+(:mod:`repro.obs.observer`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.htm.conflict import PROCEED, make_detector
 from repro.htm.nesting import NestingSchemeBase, make_nesting_scheme
 from repro.htm.rwset import ConflictIndex, RwSets
 from repro.htm.versioning import make_version_manager
+from repro.obs.observer import HTM_EVENTS, clear_subscribers
 
 #: Transaction status values held in ``xstatus`` (paper Table 1).
 ACTIVE = "active"
@@ -161,6 +164,9 @@ class HtmSystem:
         #: still letting non-conflicting commits — and the commit handlers
         #: running between xvalidate and xcommit — proceed in parallel.
         self.validated = {}
+        # Observer subscriber tuples (``_on_<event>``), rebuilt by
+        # Machine.observe/unobserve; empty until something subscribes.
+        clear_subscribers(self, HTM_EVENTS)
 
     def attach_violation_sink(self, sink):
         self.detector.attach_sink(sink)
@@ -191,6 +197,8 @@ class HtmSystem:
         if level == 1:
             state.timestamp = now
         state.stats.add("begins_open" if open_ else "begins")
+        for fn in self._on_begin:
+            fn(cpu_id, open_, now, level)
         return level
 
     # ------------------------------------------------------------------
@@ -205,12 +213,16 @@ class HtmSystem:
         if self._access_checks:
             action = self.detector.on_load(cpu_id, unit)
             if action != PROCEED:
+                for fn in self._on_load:
+                    fn(cpu_id, addr, unit, level, action)
                 return action, None
         if level >= 1:
             state._add_read(level, unit)
             state._note_access(level, addr, NestingSchemeBase.READ)
         value = state._tx_load(level, addr)
         state.n_loads += 1
+        for fn in self._on_load:
+            fn(cpu_id, addr, unit, level, PROCEED)
         return PROCEED, value
 
     def store(self, cpu_id, addr, value):
@@ -221,6 +233,8 @@ class HtmSystem:
         if self._access_checks:
             action = self.detector.on_store(cpu_id, unit)
             if action != PROCEED:
+                for fn in self._on_store:
+                    fn(cpu_id, addr, unit, level, action)
                 return action
         if level >= 1:
             state._add_write(level, unit)
@@ -234,26 +248,36 @@ class HtmSystem:
             if self.config.detection == LAZY:
                 self.detector.on_commit(cpu_id, {unit})
         state.n_stores += 1
+        for fn in self._on_store:
+            fn(cpu_id, addr, unit, level, PROCEED)
         return PROCEED
 
     def im_load(self, cpu_id, addr):
-        return self.states[cpu_id].versions.im_load(addr)
+        value = self.states[cpu_id].versions.im_load(addr)
+        for fn in self._on_im_load:
+            fn(cpu_id, addr, value)
+        return value
 
     def im_store(self, cpu_id, addr, value):
         state = self.states[cpu_id]
         state.versions.im_store(state.depth(), addr, value)
+        for fn in self._on_im_store:
+            fn(cpu_id, addr, value)
 
     def im_store_id(self, cpu_id, addr, value):
         self.states[cpu_id].versions.im_store_id(addr, value)
+        for fn in self._on_im_store_id:
+            fn(cpu_id, addr, value)
 
     def release(self, cpu_id, addr):
         """Early release from the current read-set (paper §4.7)."""
         state = self.states[cpu_id]
-        if not state.in_tx():
-            return False
-        released = state.rwsets.release(state.depth(), addr)
+        released = (state.in_tx()
+                    and state.rwsets.release(state.depth(), addr))
         if released:
             state.stats.add("releases")
+        for fn in self._on_release:
+            fn(cpu_id, addr, released)
         return released
 
     # ------------------------------------------------------------------
@@ -267,6 +291,12 @@ class HtmSystem:
 
     def validate(self, cpu_id):
         """``xvalidate``.  Returns True on success, False to stall."""
+        ok = self._arbitrate(cpu_id)
+        for fn in self._on_validate:
+            fn(cpu_id, ok)
+        return ok
+
+    def _arbitrate(self, cpu_id):
         state = self.states[cpu_id]
         if state.flatten_extra:
             # Flattened inner transaction: its validate is a no-op; only
@@ -314,28 +344,35 @@ class HtmSystem:
         current level was not validated.
         """
         state = self.states[cpu_id]
-        if not state.in_tx():
-            return 0
-        info = state.current()
-        if info.status != VALIDATED:
-            return 0
-        level = state.depth()
-        info.status = ACTIVE
-        self.validated.pop((cpu_id, level), None)
-        state.stats.add("devalidates")
+        level = 0
+        if state.in_tx() and state.current().status == VALIDATED:
+            level = state.depth()
+            state.current().status = ACTIVE
+            self.validated.pop((cpu_id, level), None)
+            state.stats.add("devalidates")
+        for fn in self._on_devalidate:
+            fn(cpu_id, level)
         return level
 
     def commit(self, cpu_id):
         """``xcommit``.  Returns a :class:`CommitResult`."""
         state = self.states[cpu_id]
+        subscribers = self._on_commit
         if state.flatten_extra:
             state.flatten_extra -= 1
             state.stats.add("commits_flattened")
-            return CommitResult(kind="flattened")
+            result = CommitResult(kind="flattened")
+            for fn in subscribers:
+                fn(cpu_id, result, 0, 0, 0, 0)
+            return result
         info = state.current()
         level = state.depth()
         if info.status not in (ACTIVE, VALIDATED):
             raise IsaError(f"cpu {cpu_id}: commit in status {info.status}")
+        if subscribers:
+            committed = (level, info.began_at,
+                         len(state.rwsets.reads_at(level)),
+                         len(state.rwsets.writes_at(level)))
         if not info.open and level > 1:
             merge = state.rwsets.merge_into_parent(level)
             state.versions.commit_closed(level)
@@ -343,7 +380,10 @@ class HtmSystem:
             state.levels.pop()
             state.stats.add("commits_closed")
             info.status = COMMITTED
-            return CommitResult(kind="closed", merge_work=merge)
+            result = CommitResult(kind="closed", merge_work=merge)
+            for fn in subscribers:
+                fn(cpu_id, result, *committed)
+            return result
         # Outermost or open-nested commit: publish to shared memory.
         written_units = set(state.rwsets.writes_at(level))
         written_words = state.versions.commit_to_memory(level)
@@ -360,11 +400,14 @@ class HtmSystem:
         self.detector.on_commit(cpu_id, written_units)
         kind = "open" if info.open else "outer"
         state.stats.add(f"commits_{kind}")
-        return CommitResult(
+        result = CommitResult(
             kind=kind,
             written_words=written_words,
             ended_outermost=not state.in_tx(),
         )
+        for fn in subscribers:
+            fn(cpu_id, result, *committed)
+        return result
 
     # ------------------------------------------------------------------
     # Rollback
@@ -406,23 +449,26 @@ class HtmSystem:
         state.rwsets.open_level(target_level)
         state.versions.begin_level(target_level)
         state.stats.add("restarts")
+        for fn in self._on_rollback_to:
+            fn(cpu_id, target_level, now, work)
         return work
 
     def abandon_all(self, cpu_id):
         """Discard every active level without restarting (thread exit or
         ``retry`` parking).  Returns undo work units."""
         state = self.states[cpu_id]
-        if not state.in_tx():
-            return 0
         work = 0
-        for level in range(state.depth(), 0, -1):
-            self.validated.pop((cpu_id, level), None)
-            work += state.versions.rollback(level)
-            state.rwsets.discard(level)
-        state.nesting.clear_all()
-        state.levels.clear()
-        state.flatten_extra = 0
-        state.stats.add("abandons")
+        if state.in_tx():
+            for level in range(state.depth(), 0, -1):
+                self.validated.pop((cpu_id, level), None)
+                work += state.versions.rollback(level)
+                state.rwsets.discard(level)
+            state.nesting.clear_all()
+            state.levels.clear()
+            state.flatten_extra = 0
+            state.stats.add("abandons")
+        for fn in self._on_abandon_all:
+            fn(cpu_id, work)
         return work
 
     def flush_stats(self):
@@ -466,12 +512,16 @@ class HtmSystem:
         """Acquire machine-wide serialization once all other validated
         transactions have drained; False if not yet available."""
         if self.serial_owner is not None:
-            return self.serial_owner == cpu_id
-        if any(owner != cpu_id for owner, _ in self.validated):
-            return False
-        self.serial_owner = cpu_id
-        self.states[cpu_id].stats.add("serial_acquires")
-        return True
+            acquired = self.serial_owner == cpu_id
+        elif any(owner != cpu_id for owner, _ in self.validated):
+            acquired = False
+        else:
+            self.serial_owner = cpu_id
+            self.states[cpu_id].stats.add("serial_acquires")
+            acquired = True
+        for fn in self._on_try_acquire_serial:
+            fn(cpu_id, acquired)
+        return acquired
 
     def release_serial(self, cpu_id):
         if self.serial_owner != cpu_id:
@@ -479,6 +529,8 @@ class HtmSystem:
                 f"cpu {cpu_id} releasing serial mode owned by "
                 f"{self.serial_owner}")
         self.serial_owner = None
+        for fn in self._on_release_serial:
+            fn(cpu_id)
 
     # ------------------------------------------------------------------
     # Introspection

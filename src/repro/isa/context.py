@@ -180,8 +180,8 @@ class Cpu:
         # --- interpreter hot path -----------------------------------------
         # The HTM and memory-model *objects* are fixed for the machine's
         # lifetime, so handlers bind them once; their methods are still
-        # resolved per call, which keeps the instrument/fault seams (that
-        # shadow e.g. ``htm.validate``) working.
+        # resolved per call, which keeps the fault injector's shadows
+        # (e.g. of ``htm.validate``) working.
         self._htm = machine.htm
         self._mem = machine.memmodel
         self._dispatch = {op_cls: MethodType(func, self)

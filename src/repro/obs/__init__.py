@@ -4,8 +4,8 @@ The production-shape layer over the simulator's instruments
 (docs/observability.md): pluggable sinks for the
 :class:`~repro.sim.trace.Tracer`, a cycle-accounting profiler whose
 buckets must conserve ``cycles × cpus`` exactly, a labeled metrics
-registry over the stats tree, and the exact seam-stacking helper every
-instrument detaches through.
+registry over the stats tree, and the observer contract
+(:mod:`repro.obs.observer`) every instrument subscribes through.
 """
 
 from repro.obs.metrics import (
@@ -15,8 +15,8 @@ from repro.obs.metrics import (
     snapshot_delta,
     txstats_metrics,
 )
+from repro.obs.observer import Observer
 from repro.obs.profiler import BUCKETS, CycleAccount, CycleProfiler
-from repro.obs.seams import SeamStack
 from repro.obs.sinks import (
     ChromeTraceSink,
     JsonlSink,
@@ -32,8 +32,8 @@ __all__ = [
     "CycleProfiler",
     "JsonlSink",
     "MetricsRegistry",
+    "Observer",
     "RingSink",
-    "SeamStack",
     "TeeSink",
     "account_metrics",
     "load_jsonl",

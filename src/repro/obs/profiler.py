@@ -23,8 +23,9 @@ Buckets (per CPU):
 
 Every cycle is charged as it happens by shadowing ``cpu.execute`` (a
 per-CPU executor slot, so an unprofiled machine pays nothing), and
-speculative work is tracked through the HTM's ``begin`` / ``commit`` /
-``rollback_to`` / ``abandon_all`` seams: a begin marks the speculative
+speculative work is tracked by subscribing to the HTM's ``begin`` /
+``commit`` / ``rollback_to`` / ``abandon_all`` events
+(:mod:`repro.obs.observer`): a begin marks the speculative
 accumulator, an outer/open commit retires the span above its mark into
 ``committed``, a rollback moves it into ``wasted``.  Idle is measured
 directly from the gaps between a CPU's busy intervals — *not* computed
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.obs.seams import SeamStack
+from repro.obs.observer import Observer
 from repro.sim import ops as O
 
 #: Transaction-management op classes; their cycles are ``overhead``.
@@ -165,72 +166,19 @@ class CycleAccount:
         }
 
 
-class CycleProfiler:
-    """Attaches the accounting seams to a machine until detached."""
+class CycleProfiler(Observer):
+    """Books every cycle of a machine until detached.
+
+    Each CPU's ``execute`` slot is shadowed to charge cycles; the HTM
+    events move speculative work between buckets."""
 
     def __init__(self, machine):
         self.machine = machine
         self._cpu = [_CpuAccount() for _ in machine.cpus]
-        self._active = True
         self._account = None
-        self._seams = SeamStack()
-        self._saved_execute = []
-        self._attach()
-
-    # ------------------------------------------------------------------
-
-    def _attach(self):
-        machine = self.machine
-        htm = machine.htm
-
-        for cpu in machine.cpus:
-            self._saved_execute.append(self._wrap_execute(cpu))
-
-        def make_begin(call_next):
-            def begin(cpu_id, open_, now):
-                state = htm.states[cpu_id]
-                pre = state.depth()
-                level = call_next(cpu_id, open_, now)
-                if self._active and state.depth() == pre + 1:
-                    books = self._cpu[cpu_id]
-                    books.marks.append(books.spec)
-                    books.depth += 1
-                return level
-            return begin
-
-        self._seams.wrap(htm, "begin", make_begin)
-
-        def make_commit(call_next):
-            def commit(cpu_id):
-                result = call_next(cpu_id)
-                if self._active:
-                    self._on_commit(cpu_id, result.kind)
-                return result
-            return commit
-
-        self._seams.wrap(htm, "commit", make_commit)
-
-        def make_rollback(call_next):
-            def rollback_to(cpu_id, level, now=0):
-                if self._active:
-                    self._on_rollback(cpu_id, level)
-                return call_next(cpu_id, level, now)
-            return rollback_to
-
-        self._seams.wrap(htm, "rollback_to", make_rollback)
-
-        def make_abandon(call_next):
-            def abandon_all(cpu_id):
-                if self._active:
-                    books = self._cpu[cpu_id]
-                    books.wasted += books.spec
-                    books.spec = 0
-                    books.marks.clear()
-                    books.depth = 0
-                return call_next(cpu_id)
-            return abandon_all
-
-        self._seams.wrap(htm, "abandon_all", make_abandon)
+        self._saved_execute = [self._wrap_execute(cpu)
+                               for cpu in machine.cpus]
+        machine.observe(self)
 
     def _wrap_execute(self, cpu):
         books = self._cpu[cpu.cpu_id]
@@ -272,8 +220,14 @@ class CycleProfiler:
 
     # ------------------------------------------------------------------
 
-    def _on_commit(self, cpu_id, kind):
+    def on_begin(self, cpu_id, open_, now, level):
         books = self._cpu[cpu_id]
+        books.marks.append(books.spec)
+        books.depth += 1
+
+    def on_commit(self, cpu_id, result, level, began_at, reads, writes):
+        books = self._cpu[cpu_id]
+        kind = result.kind
         if kind == "outer":
             books.committed += books.spec
             books.spec = 0
@@ -290,25 +244,28 @@ class CycleProfiler:
             books.depth = max(0, books.depth - 1)
         # "flattened" commits end no real level: nothing moves.
 
-    def _on_rollback(self, cpu_id, level):
+    def on_rollback_to(self, cpu_id, target_level, now, work):
         books = self._cpu[cpu_id]
-        if not 1 <= level <= len(books.marks):
+        if not 1 <= target_level <= len(books.marks):
             return
-        mark = books.marks[level - 1]
+        mark = books.marks[target_level - 1]
         books.wasted += books.spec - mark
         books.spec = mark
-        del books.marks[level:]
-        books.depth = level
+        del books.marks[target_level:]
+        books.depth = target_level
+
+    def on_abandon_all(self, cpu_id, work):
+        books = self._cpu[cpu_id]
+        books.wasted += books.spec
+        books.spec = 0
+        books.marks.clear()
+        books.depth = 0
 
     # ------------------------------------------------------------------
 
     def detach(self):
-        """Restore the machine's unprofiled seams (exact, like the
-        tracer's) and freeze the books."""
-        if not self._active:
-            return
-        self._active = False
-        self._seams.restore()
+        """Unsubscribe and restore each CPU's executor; idempotent."""
+        self.machine.unobserve(self)
         for cpu, prev, wrapper in self._saved_execute:
             # Restoring the saved executor removes the shadow and brings
             # back the zero-overhead dispatch path (or whatever shadow an

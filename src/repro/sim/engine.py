@@ -21,6 +21,9 @@ architecture:
   Python frames of the transaction body down to its ``atomic`` wrapper —
   the model of discarding the speculative register state and jumping to
   the restart PC.
+
+Instruments subscribe through :meth:`Machine.observe`: the machine and
+its HTM emit the architectural events of :mod:`repro.obs.observer`.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ from repro.isa.state import IsaState
 from repro.memsys.hierarchy import make_memory_model
 from repro.memsys.memory import MemoryImage
 from repro.common.stats import Stats
+from repro.obs.observer import (
+    MACHINE_EVENTS,
+    clear_subscribers,
+    subscriptions,
+)
 from repro.sim.ops import Op
 from repro.sim.schedule import DeterministicPolicy
 
@@ -70,7 +78,7 @@ class Machine:
         self.htm = HtmSystem(config, self.memory, self.stats)
         self.codereg = CodeRegistry()
         self.cpus = [Cpu(cpu_id, self) for cpu_id in range(config.n_cpus)]
-        self.htm.attach_violation_sink(self._on_violation)
+        self.htm.attach_violation_sink(self._post)
         self.now = 0
         #: Cold-path fault hooks (repro.faults.FaultInjector when one is
         #: attached, else None).  Library code that wants an injectable
@@ -79,15 +87,9 @@ class Machine:
         #: the probe is a single getattr on the cold path and the hot
         #: paths are untouched.
         self.fault_hooks = None
-        #: Choice-point observation seam: when not None, called as
-        #: ``step_hook(cpu)`` after every completed scheduling step, in
-        #: 1:1 correspondence with the policy's ``choose`` calls (heap
-        #:-served deterministic runs make no ``choose`` calls and the
-        #: hook then simply fires per step).  The model checker's
-        #: recorder (repro.check.explore) uses it to close each step's
-        #: read/write footprint; a None hook costs one attribute probe
-        #: per step and leaves simulated cycle counts untouched.
-        self.step_hook = None
+        #: Attached observers (repro.obs.observer), in attach order.
+        self._observers = []
+        clear_subscribers(self, MACHINE_EVENTS)
         #: Step journal (repro.sim.snapshot.StepJournal) when snapshot
         #: checkpointing is enabled.  None keeps every hot path at a
         #: single attribute probe.
@@ -167,16 +169,54 @@ class Machine:
         return cpu
 
     # ------------------------------------------------------------------
+    # Observers
+    # ------------------------------------------------------------------
+
+    def observe(self, observer):
+        """Subscribe ``observer`` (a :class:`repro.obs.observer.Observer`)
+        to the machine's and the HTM's events; idempotent."""
+        if observer in self._observers:
+            return
+        self._observers.append(observer)
+        for attr, name, on_htm in subscriptions(type(observer)):
+            target = self.htm if on_htm else self
+            setattr(target, attr,
+                    getattr(target, attr) + (getattr(observer, name),))
+
+    def unobserve(self, observer):
+        """Unsubscribe ``observer``; exact in any order, idempotent."""
+        if observer not in self._observers:
+            return
+        self._observers.remove(observer)
+        for attr, name, on_htm in subscriptions(type(observer)):
+            target = self.htm if on_htm else self
+            fns = getattr(target, attr)
+            i = fns.index(getattr(observer, name))
+            setattr(target, attr, fns[:i] + fns[i + 1:])
+
+    # ------------------------------------------------------------------
     # Violation plumbing
     # ------------------------------------------------------------------
 
-    def _on_violation(self, violation):
+    def _post(self, violation):
+        """The detector's violation sink: announce the post, then queue
+        it at the victim (through ``_deliver``, which a fault injector
+        may hold back)."""
+        for fn in self._on_violation:
+            fn(violation)
+        self._deliver(violation)
+
+    def _deliver(self, violation):
         self.cpus[violation.victim].deliver(violation)
+        for fn in self._on_queued:
+            fn(violation)
 
     def wake(self, cpu_id):
         """Wake ``cpu_id`` (IPI); a wakeup of a runnable thread banks a
         token so a subsequent ``YieldCpu`` does not sleep (no lost
         wakeups)."""
+        for fn in self._on_wake:
+            fn(cpu_id)
         cpu = self.cpus[cpu_id]
         if cpu.state == WAITING:
             cpu.state = RUNNABLE
@@ -220,9 +260,9 @@ class Machine:
 
     def _run_loop(self, use_heap, max_cycles, max_steps):
         # Loop-invariant lookups hoisted out of the per-step path; the
-        # seam-wrapped callables (self._step, self.step_hook, the policy)
-        # stay attribute probes so instruments and fault injectors that
-        # rebind them mid-run keep working.
+        # per-step callables (self._step, which a fault injector may
+        # shadow, and the step subscribers) stay attribute probes so
+        # anything attached mid-run takes effect.
         cpus = self.cpus
         heappush = heapq.heappush
         choose = self.policy.choose
@@ -256,9 +296,8 @@ class Machine:
                         raise SimulationError(
                             f"simulation exceeded {max_steps} steps")
                     self._step(cpu)
-                    hook = self.step_hook
-                    if hook is not None:
-                        hook(cpu)
+                    for fn in self._on_step:
+                        fn(cpu)
                     journal = self._journal
                     if journal is not None:
                         journal.close_step(self, cpu)
@@ -403,15 +442,16 @@ class Machine:
     def _park(self, cpu):
         """Deschedule ``cpu`` until a wake (the YieldCpu sleep side).
 
-        A seam: the tracer wraps this to emit ``park`` events and the
-        fault injector wraps it to flush delayed violations before the
-        CPU goes to sleep (a parked CPU must not miss its wake)."""
+        The fault injector wraps this to flush delayed violations once
+        the CPU is parked (a parked CPU must not miss its wake)."""
+        for fn in self._on_park:
+            fn(cpu)
         cpu.state = WAITING
 
     def _fault_event(self, kind, cpu_id, detail):
-        """Notification seam: a fault injector just fired ``kind`` on
-        ``cpu_id``.  A no-op on the bare machine; the tracer wraps it to
-        record ``fault`` trace events."""
+        """A fault injector just fired ``kind`` on ``cpu_id``."""
+        for fn in self._on_fault:
+            fn(kind, cpu_id, detail)
 
     def _rollback_escaped(self, cpu, rollback):
         """A rollback escaped the frame ``_step`` just resumed.  From a
@@ -475,6 +515,8 @@ class Machine:
                 f"(depth {self.htm.depth(cpu.cpu_id)})")
 
     def _apply_outcome(self, cpu, outcome):
+        for fn in self._on_outcome:
+            fn(cpu, outcome)
         if not isinstance(outcome, HandlerOutcome):
             cpu.failure = SimulationError(
                 f"cpu {cpu.cpu_id}: dispatcher returned {outcome!r}, "
@@ -523,6 +565,8 @@ class Machine:
             # pop_next (its queue drifts), so the record carries them.
             self._journal.stage_push(
                 kind, code_id, isa.xvcurrent, isa.xvaddr, isa.xvpc)
+        for fn in self._on_dispatch:
+            fn(cpu, kind)
 
     def _handle_capacity_abort(self, cpu, overflow):
         self._capacity_retries[cpu.cpu_id] += 1

@@ -345,7 +345,6 @@ def reset_machine(machine):
     machine.now = 0
     machine._live_programs = 0
     machine._ready = []
-    machine.step_hook = None
     machine.fault_hooks = None
     machine._capacity_retries = [0] * machine.config.n_cpus
     machine._steps_base = 0

@@ -25,13 +25,11 @@ never silently swallowed.  Pass ``sink=`` to stream instead: a
 :class:`~repro.obs.sinks.ChromeTraceSink` for a Perfetto-loadable
 timeline, or a :class:`~repro.obs.sinks.TeeSink` of several.
 
-Tracing is implemented by wrapping a handful of well-defined seams
-(HtmSystem.begin / commit / rollback_to, the violation sink,
-Machine.wake, Machine._push_dispatcher, Machine._park,
-Machine._fault_event) through a :class:`~repro.obs.seams.SeamStack`, so
-``detach`` is *exact*: instruments stacked on the same seams in any
-order detach in any order without severing each other.  Overhead is
-zero when no tracer is attached.
+A tracer is a plain :class:`~repro.obs.observer.Observer`: it
+subscribes to the machine's begin / commit / rollback / violation /
+dispatch / wake / park / fault events, so ``detach`` is exact in any
+order with any other observer, and a machine with no tracer attached
+pays nothing beyond its empty subscriber tuples.
 
 ``fault`` events record injections by an attached
 :class:`repro.faults.FaultInjector`; on a machine without one the kind
@@ -42,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.obs.seams import SeamStack
+from repro.obs.observer import Observer
 from repro.obs.sinks import RingSink
 
 
@@ -67,7 +65,7 @@ ALL_KINDS = frozenset(
      "wake", "park", "fault"})
 
 
-class Tracer:
+class Tracer(Observer):
     """Records machine events until detached."""
 
     def __init__(self, machine, kinds=None, limit=100_000, sink=None):
@@ -79,10 +77,7 @@ class Tracer:
         self.limit = limit
         self.sink = sink if sink is not None else RingSink(limit,
                                                            mode="head")
-        self._active = True
-        self._attached = True
-        self._seams = SeamStack()
-        self._attach()
+        machine.observe(self)
 
     @property
     def events(self):
@@ -97,114 +92,47 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def _emit(self, kind, cpu, **detail):
-        if not self._active or kind not in self.kinds:
-            return
-        self.sink.emit(TraceEvent(
-            cycle=self.machine.now, kind=kind, cpu=cpu, detail=detail))
+        if kind in self.kinds:
+            self.sink.emit(TraceEvent(
+                cycle=self.machine.now, kind=kind, cpu=cpu, detail=detail))
 
-    def _attach(self):
-        machine = self.machine
-        htm = machine.htm
-        seams = self._seams
+    def on_begin(self, cpu_id, open_, now, level):
+        self._emit("begin", cpu_id, level=level, open=bool(open_))
 
-        def make_begin(call_next):
-            def begin(cpu_id, open_, now):
-                state = htm.states[cpu_id]
-                pre = state.depth()
-                level = call_next(cpu_id, open_, now)
-                if state.depth() == pre + 1:
-                    # A real level started (flattened begins subsume).
-                    self._emit("begin", cpu_id, level=level,
-                               open=bool(open_))
-                return level
-            return begin
+    def on_commit(self, cpu_id, result, level, began_at, reads, writes):
+        if result.kind in ("outer", "open"):
+            self._emit("commit", cpu_id, what=result.kind,
+                       words=len(result.written_words))
+        else:
+            self._emit("commit", cpu_id, what=result.kind)
 
-        seams.wrap(htm, "begin", make_begin)
+    def on_rollback_to(self, cpu_id, target_level, now, work):
+        self._emit("rollback", cpu_id, level=target_level)
 
-        def make_commit(call_next):
-            def commit(cpu_id):
-                result = call_next(cpu_id)
-                if result.kind in ("outer", "open"):
-                    self._emit("commit", cpu_id, what=result.kind,
-                               words=len(result.written_words))
-                else:
-                    self._emit("commit", cpu_id, what=result.kind)
-                return result
-            return commit
+    def on_violation(self, violation):
+        self._emit("violation", violation.victim, mask=violation.mask,
+                   addr=violation.addr, source=violation.source)
 
-        seams.wrap(htm, "commit", make_commit)
+    def on_dispatch(self, cpu, kind):
+        if kind == "violation":
+            self._emit("delivery", cpu.cpu_id, mask=cpu.isa.xvcurrent,
+                       addr=cpu.isa.xvaddr)
+        self._emit("dispatch", cpu.cpu_id, what=kind,
+                   depth=cpu.dispatch_depth)
 
-        def make_rollback(call_next):
-            def rollback_to(cpu_id, level, now=0):
-                self._emit("rollback", cpu_id, level=level)
-                return call_next(cpu_id, level, now)
-            return rollback_to
+    def on_wake(self, cpu_id):
+        self._emit("wake", cpu_id, state=self.machine.cpus[cpu_id].state)
 
-        seams.wrap(htm, "rollback_to", make_rollback)
+    def on_park(self, cpu):
+        self._emit("park", cpu.cpu_id,
+                   depth=self.machine.htm.depth(cpu.cpu_id))
 
-        def make_sink(call_next):
-            def sink(violation):
-                self._emit("violation", violation.victim,
-                           mask=violation.mask, addr=violation.addr,
-                           source=violation.source)
-                call_next(violation)
-            return sink
-
-        seams.wrap(htm.detector, "_sink", make_sink)
-
-        def make_push(call_next):
-            def push(cpu, kind):
-                call_next(cpu, kind)
-                if kind == "violation":
-                    self._emit("delivery", cpu.cpu_id,
-                               mask=cpu.isa.xvcurrent, addr=cpu.isa.xvaddr)
-                self._emit("dispatch", cpu.cpu_id, what=kind,
-                           depth=cpu.dispatch_depth)
-            return push
-
-        seams.wrap(machine, "_push_dispatcher", make_push)
-
-        def make_wake(call_next):
-            def wake(cpu_id):
-                self._emit("wake", cpu_id,
-                           state=machine.cpus[cpu_id].state)
-                call_next(cpu_id)
-            return wake
-
-        seams.wrap(machine, "wake", make_wake)
-
-        def make_park(call_next):
-            def park(cpu):
-                self._emit("park", cpu.cpu_id,
-                           depth=machine.htm.depth(cpu.cpu_id))
-                call_next(cpu)
-            return park
-
-        seams.wrap(machine, "_park", make_park)
-
-        def make_fault(call_next):
-            def fault(kind, cpu_id, detail):
-                self._emit("fault", cpu_id, what=kind, **detail)
-                call_next(kind, cpu_id, detail)
-            return fault
-
-        seams.wrap(machine, "_fault_event", make_fault)
+    def on_fault(self, kind, cpu_id, detail):
+        self._emit("fault", cpu_id, what=kind, **detail)
 
     def detach(self):
-        """Remove the tracer's seam wrappers — exactly.
-
-        Wrappers are spliced out of each seam's stack wherever they sit,
-        so a tracer can detach before or after any other instrument
-        stacked on the same seams.  If a foreign wrapper (one that
-        captured its downstream directly) pins a tracer wrapper in
-        place, the wrapper stays as a gated passthrough and simply stops
-        emitting.
-        """
-        if not self._attached:
-            return
-        self._attached = False
-        self._active = False
-        self._seams.restore()
+        """Unsubscribe; exact and idempotent."""
+        self.machine.unobserve(self)
 
     def __enter__(self):
         return self

@@ -66,11 +66,14 @@ class TestTracer:
 
     def test_detach_restores_seams(self):
         machine, runtime = build()
-        original_commit = machine.htm.commit   # bound method
         tracer = Tracer(machine)
-        assert machine.htm.commit != original_commit
+        # The tracer subscribes; it does not shadow the HTM's methods.
+        assert "commit" not in vars(machine.htm)
+        assert machine.htm._on_commit == (tracer.on_commit,)
+        assert machine._on_violation == (tracer.on_violation,)
         tracer.detach()
-        assert machine.htm.commit == original_commit
+        assert machine.htm._on_commit == ()
+        assert machine._on_violation == ()
         tracer.detach()   # idempotent
         # and the machine still works untraced
         runtime.spawn(contended_pair(runtime, rounds=1), cpu_id=0)

@@ -10,14 +10,19 @@ stack's determinism end to end.
 """
 
 import hashlib
+import random
 
 import pytest
 
+from repro.check.explore import StepRecorder
 from repro.check.fuzz import build_config
+from repro.check.history import HistoryRecorder
 from repro.check.programs import make_program
 from repro.common.params import functional_config, paper_config
+from repro.faults import FaultInjector, make_plan
 from repro.harness.txstats import TxStatsCollector
 from repro.mem.layout import SharedArena
+from repro.obs.observer import HTM_EVENTS, MACHINE_EVENTS
 from repro.obs.profiler import BUCKETS, CycleProfiler
 from repro.obs.sinks import RingSink
 from repro.runtime.core import Runtime
@@ -139,13 +144,16 @@ class TestExactDetach:
 
     def test_detach_restores_htm_seams(self):
         machine = Machine(functional_config(n_cpus=2))
-        before = (machine.htm.begin, machine.htm.commit,
-                  machine.htm.rollback_to, machine.htm.abandon_all)
+        htm = machine.htm
+        events = ("begin", "commit", "rollback_to", "abandon_all")
         profiler = CycleProfiler(machine)
+        # Subscribed to the four HTM events, with no method shadowed.
+        for event in events:
+            assert getattr(htm, f"_on_{event}") == (
+                getattr(profiler, f"on_{event}"),)
+            assert event not in vars(htm)
         profiler.detach()
-        after = (machine.htm.begin, machine.htm.commit,
-                 machine.htm.rollback_to, machine.htm.abandon_all)
-        assert after == before
+        assert all(getattr(htm, f"_on_{event}") == () for event in events)
 
     @pytest.mark.parametrize("first_out", ["profiler", "tracer",
                                            "collector"])
@@ -185,6 +193,114 @@ class TestExactDetach:
         profiler.detach()
         profiler.detach()
         assert all(cpu.execute == cpu._execute_step for cpu in machine.cpus)
+
+
+#: The stacked-detach case: a fault injector plus every observer kind on
+#: one machine.  ``delayed-violation`` shadows four machine methods.
+STACK_CASE = ("counter", "lazy-wb-assoc", 1, "delayed-violation")
+
+#: How to attach, and what to compare, for each observer kind.
+_OBSERVERS = {
+    "tracer": (lambda m: Tracer(m, sink=RingSink(100_000)),
+               lambda o: [str(e) for e in o.events]),
+    "txstats": (TxStatsCollector, lambda o: list(o.records)),
+    "profiler": (CycleProfiler, lambda o: o.account().as_dict()),
+    "history": (HistoryRecorder, lambda o: o.history.signature()),
+    "steps": (lambda m: StepRecorder(m, m.policy),
+              lambda o: (o.footprints, o.deliveries)),
+}
+
+
+def _detach(machine, name, observer):
+    if name == "steps":
+        machine.unobserve(observer)
+    else:
+        observer.detach()
+
+
+def _stacked_run(attach, detach_before=()):
+    """Run :data:`STACK_CASE` with the injector plus the observers in
+    ``attach`` (attach order); ``detach_before`` are detached, in order,
+    before the run.  Returns ``(machine, injector, observers)``."""
+    program_name, config_name, seed, fault = STACK_CASE
+    program = make_program(program_name, seed=seed)
+    config = build_config(config_name, program)
+    machine = Machine(config, policy=make_policy("det", seed=seed))
+    injector = FaultInjector(make_plan(fault, seed), machine)
+    observers = {}
+    for name in attach:
+        observers[name] = _OBSERVERS[name][0](machine)
+        if name == "steps":
+            machine.observe(observers[name])
+    for name in detach_before:
+        _detach(machine, name, observers.pop(name))
+    runtime = Runtime(machine)
+    arena = SharedArena(machine)
+    program.setup(machine, runtime, arena)
+    machine.run(max_cycles=program.max_cycles)
+    program.verify(machine)
+    return machine, injector, observers
+
+
+def _stack_orders():
+    """A fixed sample of (attach order, detached-before-run, detach
+    order after the run) triples, led by the two historical defects."""
+    names = list(_OBSERVERS)
+    cases = [
+        # A recorder detached under a later tracer cut the tracer out.
+        (["history", "tracer", "txstats", "profiler", "steps"],
+         ["history"], ["tracer", "injector", "txstats", "profiler",
+                       "steps"]),
+        # A tracer detached under a later recorder left shadows behind.
+        (["tracer", "history", "steps", "profiler", "txstats"], [],
+         ["tracer", "history", "steps", "injector", "profiler",
+          "txstats"]),
+    ]
+    rng = random.Random(15)
+    for _ in range(4):
+        attach = rng.sample(names, len(names))
+        before = rng.sample(names, rng.randint(1, 3))
+        after = [n for n in names if n not in before] + ["injector"]
+        cases.append((attach, before, rng.sample(after, len(after))))
+    return cases
+
+
+class TestStackedObservers:
+    """Every observer plus a fault injector on one machine: whatever the
+    attach and detach order, each observer still attached sees exactly
+    what it sees alone, and the last detach leaves no trace."""
+
+    @pytest.fixture(scope="class")
+    def solo(self):
+        """Per observer kind, its result when attached alone; plus the
+        unobserved run's cycle count."""
+        results = {}
+        for name, (_, result) in _OBSERVERS.items():
+            _, _, observers = _stacked_run([name])
+            results[name] = result(observers[name])
+        machine, _, _ = _stacked_run([])
+        results["cycles"] = machine.stats.get("cycles")
+        return results
+
+    @pytest.mark.parametrize("attach,before,after", _stack_orders())
+    def test_stacked_detach_is_exact(self, solo, attach, before, after):
+        machine, injector, observers = _stacked_run(attach, before)
+        assert machine.stats.get("cycles") == solo["cycles"]
+        assert injector.n_injections > 0
+        for name, observer in observers.items():
+            assert _OBSERVERS[name][1](observer) == solo[name], name
+        for name in after:
+            if name == "injector":
+                injector.detach()
+            else:
+                _detach(machine, name, observers.pop(name))
+        for obj, events in ((machine, MACHINE_EVENTS),
+                            (machine.htm, HTM_EVENTS)):
+            shadows = [attr for attr in vars(obj)
+                       if callable(getattr(type(obj), attr, None))]
+            assert shadows == [], f"{type(obj).__name__}: {shadows}"
+            assert all(getattr(obj, f"_on_{event}") == ()
+                       for event in events)
 
 
 class TestFlagship:
