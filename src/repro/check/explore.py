@@ -107,7 +107,7 @@ from repro.sim.schedule import (
     ControlledPolicy,
     SchedulePruned,
 )
-from repro.sim.snapshot import SnapshotError
+from repro.sim.snapshot import SnapshotError, copy_value, load, save
 
 from repro.obs.observer import Observer
 from repro.obs.profiler import CycleProfiler
@@ -121,7 +121,7 @@ from repro.check.fuzz import (
     build_config,
     collect_violations,
 )
-from repro.check.history import History, HistoryRecorder, TxRecord
+from repro.check.history import History, HistoryRecorder
 from repro.check.oracles import OracleViolation, check_cycle_conservation
 from repro.check.programs import make_program
 from repro.spec.replay import freeze
@@ -396,11 +396,12 @@ class StepRecorder(Observer):
 #   parent executed the identical steps with the entry live and did not
 #   remove it, and the removal rule is deterministic in (footprint,
 #   deliveries, entry).
-# * **The policy is never restored.**  ``restore_policy=False`` keeps
-#   the child's own :class:`ControlledPolicy` — forced map, sleep set,
-#   ``sleep_from`` — and only the recorded ``choices``/``candidates``
-#   (identical to what a faithful replay of the prefix would have
-#   recorded) are preloaded from the checkpoint.
+# * **The policy is not in the snapshot.**  Each child runs its own
+#   :class:`ControlledPolicy` — forced map, sleep set, ``sleep_from`` —
+#   and the checkpoint carries only the recorded
+#   ``choices``/``candidates``/``divergences`` prefix (identical to what
+#   a faithful replay of the prefix would have recorded), which
+#   :func:`_restore_node` preloads into it.
 #
 # Entries no child consumes (a child the pool ran on another worker, a
 # frontier cut by ``max_schedules``) must not pile up: a checkpoint from
@@ -420,8 +421,8 @@ class _Checkpoint:
     """One fork-point state: the machine snapshot plus the observer
     state (recorder, history, profiler, tracer) that goes with it."""
 
-    __slots__ = ("snapshot", "recorder", "history", "profiler", "tracer",
-                 "uses", "generation")
+    __slots__ = ("snapshot", "policy", "recorder", "history", "profiler",
+                 "tracer", "uses", "generation")
 
 
 class CheckpointCache:
@@ -540,9 +541,8 @@ class _NodeContext:
         history.history = History()
         history._frames = [[] for _ in machine.cpus]
         history._seq = 0
-        # The profiler's books are overwritten wholesale by
-        # :func:`_restore_profiler_state`; only the account memo must
-        # reset here.
+        # The profiler's books are loaded wholesale from the
+        # checkpoint; only the account memo must reset here.
         self.profiler._account = None
         self.tracer.sink = RingSink(TRACE_RING, mode="tail")
 
@@ -587,10 +587,9 @@ def _restore_node(program_name, config_name, policy, entry, seed):
         _CONTEXTS[key] = ctx
     ctx.begin_node(policy)
     program = ctx.machine.restore(
-        entry.snapshot, _node_setup(program_name, seed),
-        restore_policy=False)
+        entry.snapshot, _node_setup(program_name, seed))
     (choices, n_choices, candidates, n_candidates,
-     divergences, n_divergences, _sleep) = entry.snapshot.policy
+     divergences, n_divergences) = entry.policy
     policy.choices[:] = choices[:n_choices]
     policy.candidates[:] = candidates[:n_candidates]
     policy.divergences[:] = divergences[:n_divergences]
@@ -617,33 +616,18 @@ def _restore_recorder_state(recorder, policy, sleep_entries, sleep_from,
         recorder._cpu_writes[cpu] = set(units)
 
 
-def _clone_tx(record):
-    """A mutation-isolated copy of one live frame's :class:`TxRecord`
-    (``reads`` spans are 2-element lists the recorder updates in
-    place)."""
-    return TxRecord(
-        txid=record.txid, cpu=record.cpu, level=record.level,
-        open=record.open, begin_cycle=record.begin_cycle,
-        reads={unit: list(span) for unit, span in record.reads.items()},
-        writes=set(record.writes), status=record.status,
-        kind=record.kind, commit_seq=record.commit_seq,
-        commit_cycle=record.commit_cycle, resumed=record.resumed,
-        released=record.released)
-
-
 def _capture_history_state(history_recorder):
     """Snapshot the history books at a step boundary.
 
     Committed/aborted records are immutable once appended (the recorder
     only mutates *live* frames, and a record leaves the frame stacks
     exactly when it enters one of those lists), so the lists are shared
-    by reference; only the live frames need cloning.
+    by reference; only the live frames need copying.
     """
     history = history_recorder.history
     return (history.committed, len(history.committed),
             history.aborted, len(history.aborted),
-            [[_clone_tx(record) for record in stack]
-             for stack in history_recorder._frames],
+            copy_value(history_recorder._frames),
             history_recorder._seq)
 
 
@@ -651,16 +635,10 @@ def _restore_history_state(history_recorder, hist_state):
     committed, n_committed, aborted, n_aborted, frames, seq = hist_state
     history_recorder.history.committed = list(committed[:n_committed])
     history_recorder.history.aborted = list(aborted[:n_aborted])
-    # Cloned per restore: one cache entry seeds many nodes, and each
+    # Copied per restore: one cache entry seeds many nodes, and each
     # resumed run mutates its own live frames.
-    history_recorder._frames = [
-        [_clone_tx(record) for record in stack] for stack in frames]
+    history_recorder._frames = copy_value(frames)
     history_recorder._seq = seq
-
-
-def _restore_profiler_state(profiler, prof_state):
-    for books, saved in zip(profiler._cpu, prof_state):
-        books.restore_state(saved)
 
 
 def _restore_tracer_state(tracer, trace_state):
@@ -683,6 +661,12 @@ def _capture_hook(machine, lo, hi, recorder, history_recorder, profiler,
             return
         entry = _Checkpoint()
         entry.snapshot = machine.snapshot()
+        # The policy's recordings are append-only for the node's
+        # lifetime, so they are shared with a length bound (O(1)).
+        policy = machine.policy
+        entry.policy = (policy.choices, len(policy.choices),
+                        policy.candidates, len(policy.candidates),
+                        policy.divergences, len(policy.divergences))
         entry.recorder = None
         if recorder is not None:
             # The per-step lists are append-only with immutable entries
@@ -697,8 +681,7 @@ def _capture_hook(machine, lo, hi, recorder, history_recorder, profiler,
                 {cpu: set(units)
                  for cpu, units in recorder._cpu_writes.items()})
         entry.history = _capture_history_state(history_recorder)
-        entry.profiler = tuple(
-            books.snapshot_state() for books in profiler._cpu)
+        entry.profiler = [save(books) for books in profiler._cpu]
         # Bounded copy: the tail ring holds at most TRACE_RING events.
         entry.tracer = (list(tracer.sink._events), tracer.sink.dropped)
         captured[step] = entry
@@ -854,7 +837,8 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
         profiler = ctx.profiler
         tracer = ctx.tracer
         _restore_history_state(history_recorder, entry.history)
-        _restore_profiler_state(profiler, entry.profiler)
+        for books, saved in zip(profiler._cpu, entry.profiler):
+            load(books, saved)
         _restore_tracer_state(tracer, entry.tracer)
     else:
         program = make_program(program_name, seed=seed)

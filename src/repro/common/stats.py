@@ -55,6 +55,10 @@ class Stats:
     machine-wide numbers coexist: ``cpu0.l1.hits``.
     """
 
+    #: Snapshot state (repro.sim.snapshot), loaded in place: every
+    #: BoundCounter aliases the dict.
+    _state = ("_counters",)
+
     def __init__(self):
         self._counters = defaultdict(int)
 
@@ -102,16 +106,6 @@ class Stats:
     def as_dict(self):
         """A plain-dict snapshot of every counter."""
         return dict(self._counters)
-
-    def snapshot_state(self):
-        """Capture every counter (for machine snapshot/restore)."""
-        return dict(self._counters)
-
-    def restore_state(self, saved):
-        """Overwrite the counters *in place*: BoundCounter handles bind
-        the underlying dict object, so the dict must never be rebound."""
-        self._counters.clear()
-        self._counters.update(saved)
 
     def __repr__(self):
         entries = ", ".join(

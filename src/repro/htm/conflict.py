@@ -58,6 +58,10 @@ class Violation:
 
 
 class DetectorBase:
+    #: Snapshot state (repro.sim.snapshot): lazy detectors are stateless
+    #: beyond the shared stats tree.
+    _state = ()
+
     def __init__(self, config, states, stats, index):
         self._config = config
         self._states = states   # list of per-CPU TxState
@@ -74,15 +78,6 @@ class DetectorBase:
         self._n_posted.add()
         self._sink(Violation(victim=victim, mask=mask, addr=addr,
                              source=source))
-
-    # -- snapshot support ------------------------------------------------------
-
-    def snapshot_state(self):
-        """Lazy detectors are stateless beyond the shared stats tree."""
-        return None
-
-    def restore_state(self, saved):
-        pass
 
     # -- interface -----------------------------------------------------------
 
@@ -138,6 +133,8 @@ class EagerDetector(DetectorBase):
     observable.
     """
 
+    _state = ("_stall_counts",)
+
     def __init__(self, config, states, stats, index):
         super().__init__(config, states, stats, index)
         self._stall_counts = {}
@@ -145,12 +142,6 @@ class EagerDetector(DetectorBase):
         self._n_self_aborts = stats.counter("conflicts.self_aborts")
         self._idx_readers = index.readers
         self._idx_writers = index.writers
-
-    def snapshot_state(self):
-        return dict(self._stall_counts)
-
-    def restore_state(self, saved):
-        self._stall_counts = dict(saved)
 
     def _resolve(self, cpu_id, unit, victims):
         """Decide the fate of an access conflicting with ``victims``

@@ -52,13 +52,6 @@ class NestingSchemeBase:
         """Record a transactional access; raise CapacityAbort on overflow."""
         raise NotImplementedError
 
-    def snapshot_state(self):
-        """Capture tracking state (repro.sim.snapshot)."""
-        raise NotImplementedError
-
-    def restore_state(self, saved):
-        raise NotImplementedError
-
     def commit_closed(self, level):
         """Merge level into level-1.  Returns merge work units (lines)."""
         raise NotImplementedError
@@ -82,25 +75,15 @@ class NestingSchemeBase:
 class MultiTrackingScheme(NestingSchemeBase):
     """Per-line R/W bit vectors over all nesting levels (Fig. 4a)."""
 
+    #: Snapshot state (repro.sim.snapshot).
+    _state = ("_lines", "_sets")
+
     def __init__(self, config, stats):
         super().__init__(config, stats)
         # line -> [read_mask, write_mask]; presence means the line holds
         # transactional state and pins a cache slot.
         self._lines = {}
         self._sets = defaultdict(set)  # set index -> resident tx lines
-
-    def snapshot_state(self):
-        return (
-            {line: list(masks) for line, masks in self._lines.items()},
-            {index: set(lines) for index, lines in self._sets.items()},
-        )
-
-    def restore_state(self, saved):
-        lines, sets = saved
-        self._lines = {line: list(masks) for line, masks in lines.items()}
-        self._sets = defaultdict(set)
-        for index, members in sets.items():
-            self._sets[index] = set(members)
 
     def note_access(self, level, addr, kind):
         line = addr - addr % self._line_size
@@ -166,24 +149,13 @@ class MultiTrackingScheme(NestingSchemeBase):
 class AssociativityScheme(NestingSchemeBase):
     """One cache way per (line, nesting level) pair (Fig. 4b)."""
 
+    _state = ("_entries", "_sets")
+
     def __init__(self, config, stats):
         super().__init__(config, stats)
         # (line, level) -> True; each entry occupies one way.
         self._entries = set()
         self._sets = defaultdict(set)  # set index -> {(line, level)}
-
-    def snapshot_state(self):
-        return (
-            set(self._entries),
-            {index: set(keys) for index, keys in self._sets.items()},
-        )
-
-    def restore_state(self, saved):
-        entries, sets = saved
-        self._entries = set(entries)
-        self._sets = defaultdict(set)
-        for index, members in sets.items():
-            self._sets[index] = set(members)
 
     def note_access(self, level, addr, kind):
         line = addr - addr % self._line_size

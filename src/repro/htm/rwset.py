@@ -34,6 +34,10 @@ class ConflictIndex:
 
     __slots__ = ("readers", "writers")
 
+    #: Snapshot state (repro.sim.snapshot), loaded in place: the
+    #: indexed detectors alias both tables.
+    _state = __slots__
+
     #: Shared immutable empty owner table (the common "nobody tracks
     #: this unit" answer, returned without allocating).
     _EMPTY = {}
@@ -93,26 +97,6 @@ class ConflictIndex:
             if not owners:
                 del table[unit]
 
-    # -- snapshot support ---------------------------------------------------
-
-    def snapshot_state(self):
-        """Two-level copies of both owner tables."""
-        return (
-            {unit: dict(owners) for unit, owners in self.readers.items()},
-            {unit: dict(owners) for unit, owners in self.writers.items()},
-        )
-
-    def restore_state(self, saved):
-        """Restore *in place*: the indexed detectors alias ``readers``/
-        ``writers`` directly, so the dict objects must never be rebound."""
-        readers, writers = saved
-        self.readers.clear()
-        self.readers.update(
-            {unit: dict(owners) for unit, owners in readers.items()})
-        self.writers.clear()
-        self.writers.update(
-            {unit: dict(owners) for unit, owners in writers.items()})
-
     def set_read(self, cpu_id, unit, level):
         self._set(self.readers, cpu_id, unit, 1 << (level - 1))
 
@@ -135,25 +119,14 @@ class RwSets:
     tracks only its own sets (unit tests build them this way).
     """
 
+    _state = ("_reads", "_writes")
+
     def __init__(self, config, index=None, cpu_id=0):
         self._config = config
         self._index = index
         self._cpu_id = cpu_id
         self._reads = {}   # level -> set of units
         self._writes = {}  # level -> set of units
-
-    # -- snapshot support ----------------------------------------------------
-
-    def snapshot_state(self):
-        return (
-            {level: set(units) for level, units in self._reads.items()},
-            {level: set(units) for level, units in self._writes.items()},
-        )
-
-    def restore_state(self, saved):
-        reads, writes = saved
-        self._reads = {level: set(units) for level, units in reads.items()}
-        self._writes = {level: set(units) for level, units in writes.items()}
 
     # -- unit mapping --------------------------------------------------------
 

@@ -51,6 +51,11 @@ class CommitResult:
 class TxState:
     """All transactional hardware state of one CPU."""
 
+    #: Snapshot state (repro.sim.snapshot).  The parts load in place:
+    #: ``_tx_load`` and friends are bound to them.
+    _state = ("n_loads", "n_stores", "levels", "flatten_extra",
+              "timestamp", "rwsets", "versions", "nesting")
+
     def __init__(self, cpu_id, config, memory, stats, index=None):
         self.cpu_id = cpu_id
         scope = stats.scope(f"cpu{cpu_id}.htm")
@@ -98,38 +103,14 @@ class TxState:
             self.n_stores = 0
         self.versions.flush_stats()
 
-    # -- snapshot support ---------------------------------------------------
-
-    def snapshot_state(self):
-        return (
-            self.n_loads,
-            self.n_stores,
-            tuple((info.txid, info.open, info.status, info.began_at)
-                  for info in self.levels),
-            self.flatten_extra,
-            self.timestamp,
-            self.rwsets.snapshot_state(),
-            self.versions.snapshot_state(),
-            self.nesting.snapshot_state(),
-        )
-
-    def restore_state(self, saved):
-        """Restore onto this TxState's own component objects (they are
-        pre-bound into ``_tx_load`` etc. and must not be replaced)."""
-        (self.n_loads, self.n_stores, levels, self.flatten_extra,
-         self.timestamp, rwsets, versions, nesting) = saved
-        self.levels = [
-            LevelInfo(txid=txid, open=open_, status=status,
-                      began_at=began_at)
-            for txid, open_, status, began_at in levels
-        ]
-        self.rwsets.restore_state(rwsets)
-        self.versions.restore_state(versions)
-        self.nesting.restore_state(nesting)
-
 
 class HtmSystem:
     """Functional HTM semantics for the whole machine."""
+
+    #: Snapshot state (repro.sim.snapshot).  The index and the per-CPU
+    #: states load in place: the detectors alias both.
+    _state = ("_next_txid", "serial_owner", "validated", "index",
+              "states", "detector")
 
     def __init__(self, config, memory, stats):
         self.config = config
@@ -476,33 +457,6 @@ class HtmSystem:
         tree (the engine calls this when a run ends)."""
         for state in self.states:
             state.flush_stats()
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.sim.snapshot)
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self):
-        return (
-            self._next_txid,
-            self.serial_owner,
-            dict(self.validated),
-            self.index.snapshot_state(),
-            tuple(state.snapshot_state() for state in self.states),
-            self.detector.snapshot_state(),
-        )
-
-    def restore_state(self, saved):
-        """Restore every transactional component in place.  The index
-        and per-CPU component objects stay identical (detectors and
-        TxStates hold direct aliases into them)."""
-        (self._next_txid, self.serial_owner, validated, index,
-         states, detector) = saved
-        self.validated.clear()
-        self.validated.update(validated)
-        self.index.restore_state(index)
-        for state, state_saved in zip(self.states, states):
-            state.restore_state(state_saved)
-        self.detector.restore_state(detector)
 
     # ------------------------------------------------------------------
     # Serial mode (the virtualization fallback hook, DESIGN.md §6b)

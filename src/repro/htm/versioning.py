@@ -35,13 +35,12 @@ class UndoEntry:
     old: object
     kind: str = "tx"
 
-    def clone(self):
-        """An independent copy (entries mutate in place on commit)."""
-        return UndoEntry(self.level, self.addr, self.old, self.kind)
-
 
 class VersionManagerBase:
     """State and behaviour shared by both versioning schemes."""
+
+    #: Snapshot state (repro.sim.snapshot); subclasses extend it.
+    _state = ("_im_undo", "_im_logged", "n_stores")
 
     def __init__(self, config, memory, stats):
         self._config = config
@@ -60,22 +59,6 @@ class VersionManagerBase:
         if self.n_stores and self._stores_key:
             self._stats.add(self._stores_key, self.n_stores)
             self.n_stores = 0
-
-    # -- snapshot support --------------------------------------------------------
-
-    def snapshot_state(self):
-        """Capture common state; subclasses append their own fields."""
-        return (
-            [entry.clone() for entry in self._im_undo],
-            set(self._im_logged),
-            self.n_stores,
-        )
-
-    def restore_state(self, saved):
-        im_undo, im_logged, n_stores = saved
-        self._im_undo = [entry.clone() for entry in im_undo]
-        self._im_logged = set(im_logged)
-        self.n_stores = n_stores
 
     # -- immediate accesses ----------------------------------------------------
 
@@ -156,6 +139,8 @@ class VersionManagerBase:
 class WriteBufferVersioning(VersionManagerBase):
     """Per-level write buffers; memory untouched until commit."""
 
+    _state = VersionManagerBase._state + ("_buffers",)
+
     def __init__(self, config, memory, stats):
         super().__init__(config, memory, stats)
         self._buffers = {}  # level -> {word addr: value}
@@ -164,25 +149,14 @@ class WriteBufferVersioning(VersionManagerBase):
         self._levels_desc = []
         self._stores_key = "wbuf.stores"
 
-    def _relevel(self):
+    def _rederive(self):
+        """Rebuild ``_levels_desc`` from the buffers (also the snapshot
+        protocol's hook)."""
         self._levels_desc = sorted(self._buffers, reverse=True)
-
-    def snapshot_state(self):
-        return (
-            super().snapshot_state(),
-            {level: dict(buffer) for level, buffer in self._buffers.items()},
-        )
-
-    def restore_state(self, saved):
-        base, buffers = saved
-        super().restore_state(base)
-        self._buffers = {
-            level: dict(buffer) for level, buffer in buffers.items()}
-        self._relevel()
 
     def begin_level(self, level):
         self._buffers[level] = {}
-        self._relevel()
+        self._rederive()
 
     def tx_load(self, level, addr):
         # Innermost buffered version wins; fall through to memory.
@@ -207,7 +181,7 @@ class WriteBufferVersioning(VersionManagerBase):
 
     def commit_closed(self, level):
         child = self._buffers.pop(level)
-        self._relevel()
+        self._rederive()
         parent_level = level - 1
         if parent_level in self._buffers:
             self._buffers[parent_level].update(child)
@@ -217,7 +191,7 @@ class WriteBufferVersioning(VersionManagerBase):
 
     def commit_to_memory(self, level, written_units=None):
         child = self._buffers.pop(level)
-        self._relevel()
+        self._rederive()
         for addr, value in child.items():
             self._memory.write(addr, value)
         # Open-nested commit semantics (paper §4.5/§6.3.2): ancestors with
@@ -236,7 +210,7 @@ class WriteBufferVersioning(VersionManagerBase):
 
     def rollback(self, level):
         dropped = self._buffers.pop(level, {})
-        self._relevel()
+        self._rederive()
         restored = self._rollback_im(level)
         self._stats.add("wbuf.rolled_back_words", len(dropped))
         return len(dropped) + restored
@@ -254,6 +228,9 @@ class UndoLogVersioning(VersionManagerBase):
     (§6.3.1).
     """
 
+    _state = VersionManagerBase._state + (
+        "_log", "_logged", "_level_writes")
+
     def __init__(self, config, memory, stats):
         super().__init__(config, memory, stats)
         self._log = []          # list[UndoEntry], push order
@@ -263,23 +240,6 @@ class UndoLogVersioning(VersionManagerBase):
 
     def begin_level(self, level):
         self._level_writes[level] = set()
-
-    def snapshot_state(self):
-        return (
-            super().snapshot_state(),
-            [entry.clone() for entry in self._log],
-            set(self._logged),
-            {level: set(addrs)
-             for level, addrs in self._level_writes.items()},
-        )
-
-    def restore_state(self, saved):
-        base, log, logged, level_writes = saved
-        super().restore_state(base)
-        self._log = [entry.clone() for entry in log]
-        self._logged = set(logged)
-        self._level_writes = {
-            level: set(addrs) for level, addrs in level_writes.items()}
 
     def im_store(self, level, addr, value):
         """``imst`` on an undo-log machine shares the transactional FILO

@@ -139,6 +139,15 @@ class Cpu:
         "failure", "rt", "_htm", "_mem", "_dispatch", "execute",
     )
 
+    #: Snapshot state (repro.sim.snapshot); ``frames`` and ``rt`` are
+    #: rebuilt by ghost replay.
+    _state = (
+        "state", "resume_at", "daemon", "wake_tokens", "pending_abort",
+        "icount", "handler_icount", "dispatch_depth", "send_value",
+        "throw_exc", "result", "failure", "parked", "saved_sends",
+        "saved_viol", "isa",
+    )
+
     def __init__(self, cpu_id, machine):
         self.cpu_id = cpu_id
         self.machine = machine

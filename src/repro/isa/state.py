@@ -35,6 +35,10 @@ class IsaState:
         "viol_reporting", "xabort_code", "requeue_enabled",
     )
 
+    #: Snapshot state (repro.sim.snapshot): every register but the
+    #: identity.
+    _state = __slots__[1:]
+
     def __init__(self, cpu_id):
         self.cpu_id = cpu_id
 
@@ -201,28 +205,6 @@ class IsaState:
                 self._live[addr] = live
             else:
                 del self._live[addr]
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.sim.snapshot)
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self):
-        """Immutable capture of every register (except the identity)."""
-        return (
-            self.xtcbptr_base, self.xtcbptr_top, self.xchcode,
-            self.xvhcode, self.xahcode, self.xvpc, self.xvaddr,
-            self.xvcurrent, tuple(self._vqueue), dict(self._live),
-            self.viol_reporting, self.xabort_code, self.requeue_enabled,
-        )
-
-    def restore_state(self, saved):
-        """Overwrite every register from a :meth:`snapshot_state` capture."""
-        (self.xtcbptr_base, self.xtcbptr_top, self.xchcode,
-         self.xvhcode, self.xahcode, self.xvpc, self.xvaddr,
-         self.xvcurrent, vqueue, live, self.viol_reporting,
-         self.xabort_code, self.requeue_enabled) = saved
-        self._vqueue = deque(vqueue)
-        self._live = dict(live)
 
     def clear_masks_at_and_above(self, level):
         """Drop the violation bits for ``level`` and deeper, both current

@@ -14,6 +14,10 @@ from __future__ import annotations
 class Bus:
     """Single shared bus with FCFS arbitration."""
 
+    #: Snapshot state (repro.sim.snapshot): occupancy is the bus's only
+    #: non-counter state.
+    _state = ("_busy_until",)
+
     def __init__(self, config, stats):
         self._config = config
         self._stats = stats.scope("bus")
@@ -52,9 +56,3 @@ class Bus:
     def busy_until(self):
         return self._busy_until
 
-    def snapshot_state(self):
-        """Occupancy is the bus's only non-counter state."""
-        return self._busy_until
-
-    def restore_state(self, saved):
-        self._busy_until = saved

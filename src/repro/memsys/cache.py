@@ -22,6 +22,11 @@ class Cache:
     the usual ``l1.hits``-style counters).
     """
 
+    #: Snapshot state (repro.sim.snapshot).  The shared registry is
+    #: derived: the memory model rebuilds it from every cache's sets.
+    _state = ("_sets", "n_hits", "n_misses", "n_evictions", "n_fills",
+              "n_invalidations")
+
     def __init__(self, name, size_bytes, assoc, line_size, stats,
                  registry=None, owner=None):
         self.name = name
@@ -124,24 +129,6 @@ class Cache:
                         del registry[line]
             return True
         return False
-
-    def snapshot_state(self):
-        """Residency (in LRU order) plus the deferred event counters.
-
-        The shared registry is *not* captured here — the memory model
-        owns it and restores it machine-wide in one pass."""
-        return (
-            tuple(tuple(cache_set) for cache_set in self._sets),
-            (self.n_hits, self.n_misses, self.n_evictions,
-             self.n_fills, self.n_invalidations),
-        )
-
-    def restore_state(self, saved):
-        sets, counters = saved
-        self._sets = [
-            OrderedDict((line, True) for line in lines) for lines in sets]
-        (self.n_hits, self.n_misses, self.n_evictions,
-         self.n_fills, self.n_invalidations) = counters
 
     def contains(self, addr):
         """Presence check without touching LRU state or stats."""

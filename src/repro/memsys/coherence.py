@@ -31,6 +31,8 @@ SHARED = "S"
 class MsiMemory(HierarchicalMemory):
     """MSI over the private two-level hierarchies of the base model."""
 
+    _state = HierarchicalMemory._state + ("_states",)
+
     def __init__(self, config, stats):
         super().__init__(config, stats)
         #: line -> {cpu: MODIFIED | SHARED}
@@ -139,21 +141,6 @@ class MsiMemory(HierarchicalMemory):
             self.l1[other].invalidate(line)
             self.l2[other].invalidate(line)
             self._msi_stats.add("invalidations")
-
-    # -- snapshot support --------------------------------------------------------
-
-    def snapshot_state(self):
-        return (
-            super().snapshot_state(),
-            {line: dict(holders)
-             for line, holders in self._states.items()},
-        )
-
-    def restore_state(self, saved):
-        base, states = saved
-        super().restore_state(base)
-        self._states = {
-            line: dict(holders) for line, holders in states.items()}
 
     # -- HTM hooks --------------------------------------------------------------
 

@@ -21,6 +21,9 @@ from repro.memsys.cache import Cache
 class MemoryModel:
     """Interface both timing models implement."""
 
+    #: Snapshot state (repro.sim.snapshot); the flat model has none.
+    _state = ()
+
     def access(self, cpu_id, addr, is_write, now):
         """Cycles for CPU ``cpu_id`` to access ``addr`` starting at ``now``."""
         raise NotImplementedError
@@ -36,13 +39,6 @@ class MemoryModel:
 
     def flush_stats(self):
         """Fold deferred event counts into the stats tree (run end)."""
-
-    def snapshot_state(self):
-        """Capture timing state (repro.sim.snapshot)."""
-        return None
-
-    def restore_state(self, saved):
-        pass
 
 
 class FlatMemory(MemoryModel):
@@ -60,6 +56,9 @@ class FlatMemory(MemoryModel):
 
 class HierarchicalMemory(MemoryModel):
     """Private L1/L2 caches per CPU over a shared bus."""
+
+    #: Snapshot state; ``residency`` is derived (see :meth:`_rederive`).
+    _state = ("bus", "l1", "l2")
 
     def __init__(self, config, stats):
         self._config = config
@@ -160,38 +159,16 @@ class HierarchicalMemory(MemoryModel):
         for cache in self.l2:
             cache.flush_stats()
 
-    def snapshot_state(self):
-        """Bus, cache residency, and the shared residency registry.
-
-        The registry maps lines to *cache objects*; it is captured as
-        (owner, level-name) identities so a restore can rebuild it
-        against the restoring machine's own cache objects in the same
-        insertion order (snoop order is deterministic because of it)."""
-        return (
-            self.bus.snapshot_state(),
-            tuple(cache.snapshot_state() for cache in self.l1),
-            tuple(cache.snapshot_state() for cache in self.l2),
-            tuple(
-                (line, tuple((cache.owner, cache.name)
-                             for cache in holders))
-                for line, holders in self.residency.items()
-            ),
-        )
-
-    def restore_state(self, saved):
-        bus, l1, l2, residency = saved
-        self.bus.restore_state(bus)
-        for cache, cache_saved in zip(self.l1, l1):
-            cache.restore_state(cache_saved)
-        for cache, cache_saved in zip(self.l2, l2):
-            cache.restore_state(cache_saved)
+    def _rederive(self):
+        """Rebuild the residency registry from the caches' contents
+        after a snapshot load.  Holder order may differ from the live
+        run's, but it only orders invalidations of distinct caches,
+        which commute."""
         self.residency.clear()
-        for line, holders in residency:
-            rebuilt = {}
-            for owner, name in holders:
-                level = self.l1 if name == "l1" else self.l2
-                rebuilt[level[owner]] = True
-            self.residency[line] = rebuilt
+        for cache in self.l1 + self.l2:
+            for cache_set in cache._sets:
+                for line in cache_set:
+                    self.residency.setdefault(line, {})[cache] = True
 
 
 def make_memory_model(config, stats):

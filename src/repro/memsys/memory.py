@@ -19,6 +19,9 @@ class MemoryImage:
     :func:`~repro.common.addr.check_word_aligned`.
     """
 
+    #: Snapshot state (repro.sim.snapshot).
+    _state = ("_words",)
+
     def __init__(self):
         self._words = {}
 
@@ -50,11 +53,6 @@ class MemoryImage:
     def snapshot(self):
         """A plain-dict copy of all written words (for checking invariants)."""
         return dict(self._words)
-
-    def restore(self, saved):
-        """Overwrite the image from a :meth:`snapshot` copy, in place."""
-        self._words.clear()
-        self._words.update(saved)
 
     def __len__(self):
         return len(self._words)

@@ -56,6 +56,9 @@ class _CpuAccount:
     __slots__ = ("committed", "wasted", "handler", "overhead", "idle",
                  "spec", "marks", "depth", "last_end", "last_bucket")
 
+    #: Snapshot state (repro.sim.snapshot): all of the books.
+    _state = __slots__
+
     def __init__(self):
         self.committed = 0
         self.wasted = 0
@@ -70,19 +73,6 @@ class _CpuAccount:
         #: End of this CPU's last busy interval (cycle time).
         self.last_end = 0
         self.last_bucket = None
-
-    def snapshot_state(self):
-        """The books as a flat tuple (:mod:`repro.sim.snapshot`
-        protocol; field order mirrors ``__slots__``)."""
-        return (self.committed, self.wasted, self.handler, self.overhead,
-                self.idle, self.spec, list(self.marks), self.depth,
-                self.last_end, self.last_bucket)
-
-    def restore_state(self, saved):
-        (self.committed, self.wasted, self.handler, self.overhead,
-         self.idle, self.spec, marks, self.depth,
-         self.last_end, self.last_bucket) = saved
-        self.marks = list(marks)
 
     def take_back(self, amount):
         """Remove ``amount`` cycles charged past the machine's final

@@ -67,6 +67,11 @@ _FEED_PARKED = ("p",)
 class Machine:
     """One simulated CMP: CPUs, memory system, HTM, and the scheduler."""
 
+    #: Snapshot state (repro.sim.snapshot).  The CPUs' generator frames
+    #: are rebuilt by ghost replay, and ``_ready`` by every ``run``.
+    _state = ("now", "_live_programs", "_capacity_retries", "stats",
+              "memory", "memmodel", "htm", "cpus")
+
     def __init__(self, config, stats=None, policy=None):
         self.config = config
         self.stats = stats if stats is not None else Stats()
@@ -639,16 +644,15 @@ class Machine:
 
         return capture(self)
 
-    def restore(self, snapshot, setup_fn, restore_policy=True):
+    def restore(self, snapshot, setup_fn):
         """Restore this machine to ``snapshot`` so a subsequent
         :meth:`run` resumes mid-schedule.  ``setup_fn(machine)`` must
         re-run the original program setup (same program, same seed) and
-        return the program object.  ``restore_policy=False`` leaves
-        ``self.policy`` untouched for callers that install their own
-        (the explore layer gives each child its own controlled policy)."""
+        return the program object.  ``self.policy`` is left as it is:
+        a caller resuming a stateful policy installs its own copy."""
         from repro.sim.snapshot import restore
 
-        return restore(self, snapshot, setup_fn, restore_policy)
+        return restore(self, snapshot, setup_fn)
 
     # ------------------------------------------------------------------
     # Results

@@ -75,17 +75,6 @@ class SchedulePolicy:
         """Replayable description, e.g. ``pct(seed=3, depth=3)``."""
         return self.name
 
-    def snapshot_state(self):
-        """Mutable mid-run state for :mod:`repro.sim.snapshot`.
-
-        Stateless policies return ``None``; stateful ones capture
-        whatever their next :meth:`choose` depends on, so a restored
-        machine resumes the schedule bit-for-bit."""
-        return None
-
-    def restore_state(self, saved):
-        pass
-
 
 class DeterministicPolicy(SchedulePolicy):
     """The engine's historical schedule: smallest local time wins, ties
@@ -120,12 +109,6 @@ class RandomPolicy(SchedulePolicy):
 
     def describe(self):
         return f"random(seed={self.seed})"
-
-    def snapshot_state(self):
-        return self._rng.getstate()
-
-    def restore_state(self, saved):
-        self._rng.setstate(saved)
 
 
 class SchedulePruned(Exception):
@@ -235,27 +218,6 @@ class ControlledPolicy(SchedulePolicy):
         forced = sorted(self.forced.items())
         return f"controlled(forced={forced})"
 
-    def snapshot_state(self):
-        # forced/sleep_from/window are construction parameters, not
-        # mid-run state; sleep *is* mutated (the recorder wakes
-        # entries) so it is captured alongside the recordings.  The
-        # recording lists are append-only for the policy's lifetime, so
-        # they are shared by reference with a length bound — capture
-        # stays O(1) however long the run (the checkpoint cache captures
-        # at every branch step).
-        return (self.choices, len(self.choices),
-                self.candidates, len(self.candidates),
-                self.divergences, len(self.divergences),
-                frozenset(self.sleep))
-
-    def restore_state(self, saved):
-        (choices, n_choices, candidates, n_candidates,
-         divergences, n_divergences, sleep) = saved
-        self.choices[:] = choices[:n_choices]
-        self.candidates[:] = candidates[:n_candidates]
-        self.divergences[:] = divergences[:n_divergences]
-        self.sleep = set(sleep)
-
 
 class PriorityPolicy(SchedulePolicy):
     """PCT-style priority scheduling with ``depth`` change-points.
@@ -326,16 +288,6 @@ class PriorityPolicy(SchedulePolicy):
     def describe(self):
         return (f"pct(seed={self.seed}, depth={self.depth}, "
                 f"change_points={list(self.change_points)})")
-
-    def snapshot_state(self):
-        return (self._steps, self._next_point, self._demote_seq,
-                dict(self._demoted), list(self.fired))
-
-    def restore_state(self, saved):
-        (self._steps, self._next_point, self._demote_seq,
-         demoted, fired) = saved
-        self._demoted = dict(demoted)
-        self.fired[:] = fired
 
 
 #: name -> constructor accepting (seed, **kwargs).

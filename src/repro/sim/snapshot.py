@@ -6,11 +6,35 @@ alternative: capture the whole machine at a step boundary and later
 *resume* from that point, so a child schedule that shares a long prefix
 with its parent skips the replay.
 
-Capturing the data plane is easy — every component exposes a
-``snapshot_state()``/``restore_state()`` pair.  The hard part is the
-*control plane*: workloads, handlers, and dispatchers are Python
-generators, which cannot be copied or pickled.  Restore therefore
-rebuilds them by **ghost replay**:
+**The data plane.**  Every long-lived component (the machine, CPUs, ISA
+registers, HTM parts, stats, memory, memory models, bus, caches)
+declares its mutable fields once, as a class attribute ``_state``, and
+:func:`save`/:func:`load` copy them by one rule set.  What a field holds
+the first time its class is saved decides its kind:
+
+* a component (an object with ``_state``), or a list of components, is
+  saved recursively and loaded **in place**;
+* a builtin container is cleared and refilled with copies, so every
+  alias into it stays valid (``BoundCounter`` → ``Stats._counters``,
+  the detectors → the ``ConflictIndex`` tables);
+* anything else is assigned, shared by reference.
+
+Inside containers, :func:`copy_value` copies ``dict`` (also
+``defaultdict``, ``OrderedDict``), ``list``, ``set`` and ``deque``
+recursively, keeping type and order, and non-frozen dataclass records
+(``LevelInfo``, ``UndoEntry``) field by field; everything else (scalars,
+tuples, frozensets, frozen ops, exceptions) is shared.  Derived caches
+are not state: :func:`load` calls a component's optional
+``_rederive()`` once its fields are back (``HierarchicalMemory``
+rebuilds the residency registry its caches alias as ``_registry``;
+``WriteBufferVersioning`` its level list).  The scheduling policy is
+not in the snapshot: a caller resuming a stateful policy installs its
+own copy (the explorer gives each child its own ``ControlledPolicy``).
+
+**The control plane** — workloads, handlers and dispatchers — is Python
+generators, which cannot be copied or pickled.  ``Cpu.frames`` and
+``Cpu.rt`` are therefore not declared state; restore rebuilds them by
+**ghost replay**:
 
 1. Reset the target machine to pristine and re-run the original program
    setup (same program, same seed).  Setup only *creates* generators —
@@ -26,9 +50,8 @@ rebuilds them by **ghost replay**:
    thrown exceptions, ISA registers, HTM status) comes from the journal,
    so it retraces the original path exactly without touching the data
    plane.
-3. Overwrite the data plane (memory, caches, HTM, ISA registers, CPU
-   scheduling state, stats) from the snapshot and self-check that the
-   rebuilt frame stacks match the captured frame counts.
+3. :func:`load` the data plane from the snapshot and self-check that
+   the rebuilt frame stacks match the captured frame counts.
 
 A resumed run is then bit-for-bit identical to the original straight
 line — cycles, stats, results — which ``tests/test_snapshot.py`` pins
@@ -37,13 +60,15 @@ and the explore layer enforces differentially.
 
 from __future__ import annotations
 
-from repro.common.errors import IsaError, ReproError, SimulationError, TxRollback
-from repro.isa.context import DONE
+import dataclasses
+from collections import OrderedDict, defaultdict, deque, namedtuple
+
+from repro.common.errors import ReproError, SimulationError, TxRollback
+from repro.htm.system import HtmSystem, TxState
 from repro.isa.dispatch import (
     default_abort_dispatcher,
     default_violation_dispatcher,
 )
-from repro.isa.state import IsaState
 
 
 class SnapshotError(ReproError):
@@ -54,18 +79,182 @@ class SnapshotError(ReproError):
     """
 
 
-# Restoring this into any ``IsaState`` resets every mutable register.
-_PRISTINE_ISA = IsaState(0).snapshot_state()
+# ----------------------------------------------------------------------
+# The state protocol
+# ----------------------------------------------------------------------
+
+
+#: The types resolved as shared.  ``_shared(map(type, items))`` is the
+#: C-level test that lets a container whose items are all shared be
+#: copied in one call.
+_SHARED = {int, bool, float, str, bytes, tuple, frozenset, type(None)}
+_shared = _SHARED.issuperset
+
+
+def copy_value(value):
+    """A copy of ``value`` under the rules in the module docstring."""
+    try:
+        copier = _COPIERS[type(value)]
+    except KeyError:
+        copier = _resolve(type(value))
+    return value if copier is None else copier(value)
+
+
+def _resolve(cls):
+    if (dataclasses.is_dataclass(cls)
+            and not cls.__dataclass_params__.frozen):
+        copier = _record_copier(cls)
+    else:
+        copier = None
+        _SHARED.add(cls)
+    _COPIERS[cls] = copier
+    return copier
+
+
+def _copy_dict(mapping):
+    clone = mapping.copy()
+    if mapping and not _shared(map(type, mapping.values())):
+        for key, value in mapping.items():
+            clone[key] = copy_value(value)
+    return clone
+
+
+def _copy_seq(items):
+    clone = items.copy()
+    if items and not _shared(map(type, items)):
+        clone.clear()
+        clone.extend(map(copy_value, items))
+    return clone
+
+
+#: type -> copy function, or None for a type shared by reference; the
+#: containers are listed here, every other type is resolved on first
+#: sight by :func:`_resolve`.  A set's elements are hashable, hence
+#: shared.
+_COPIERS = {dict: _copy_dict, defaultdict: _copy_dict,
+            OrderedDict: _copy_dict, list: _copy_seq, deque: _copy_seq,
+            set: set.copy}
+
+# The per-class code below is generated, the way :mod:`dataclasses`
+# generates ``__init__``: a restore runs once per explored schedule,
+# and plain attribute access is several times faster than a loop of
+# ``getattr``/``setattr`` calls.
+
+#: Container type -> generated code that refills the cleared container
+#: ``x`` with a copy of the saved ``y``'s items.
+_FILL = {
+    **dict.fromkeys(
+        (dict, defaultdict, OrderedDict),
+        "x.update(y if _shared(map(type, y.values())) else _copy_dict(y))"),
+    **dict.fromkeys(
+        (list, deque),
+        "x.extend(y if _shared(map(type, y)) else map(copy_value, y))"),
+    set: "x.update(y)",
+}
+
+#: Generated-code expression for a copy of the value ``{}``.
+_COPY = "v if type(v := {}) in _SHARED else copy_value(v)"
+
+#: Generated-code expression for the compiled pair of the component
+#: ``{0}``, bound to the name ``{1}``.
+_CODEC = "(_CODECS.get(type({0})) or _compile({1}))"
+
+#: component class -> its compiled ``(save, load)`` pair.
+_CODECS = {}
+
+
+def _define(source, **names):
+    """The one function ``source`` defines, compiled against this
+    module's globals plus ``names``."""
+    namespace = {}
+    exec(source, {**globals(), **names}, namespace)
+    (function,) = namespace.values()
+    return function
+
+
+def _record_copier(cls):
+    body = "".join(
+        f"    clone.{field.name} = {_COPY.format('record.' + field.name)}\n"
+        for field in dataclasses.fields(cls))
+    return _define(
+        f"def copy_record(record):\n    clone = new(cls)\n{body}"
+        "    return clone\n", new=object.__new__, cls=cls)
+
+
+def _compile(component):
+    """Compile ``save``/``load`` for ``type(component)`` from its
+    ``_state``.  A capture is a tuple with one entry per field.  Each
+    field is handled by what it holds on the first instance seen
+    (components are wired at construction and never change kind)."""
+    cls = type(component)
+    saves, loads, kinds = [], [], {}
+    for index, name in enumerate(cls._state):
+        field = f"c.{name}"
+        saved = f"s[{index}]"
+        value = getattr(component, name)
+        if hasattr(type(value), "_state"):
+            codec = _CODEC.format(f"v := {field}", "v")
+            saves.append(f"{codec}[0](v)")
+            loads.append(f"{codec}[1](v, {saved})")
+        elif (type(value) is list and value
+              and all(hasattr(type(part), "_state") for part in value)):
+            codec = _CODEC.format("p", "p")
+            saves.append(f"[{codec}[0](p) for p in {field}]")
+            loads.append(f"for p, ps in zip({field}, {saved}):")
+            loads.append(f"    {codec}[1](p, ps)")
+        elif type(value) in _FILL:
+            # Refilled in place while it still holds this container
+            # type, replaced by a copy otherwise.  Most are empty, and
+            # an empty one is copied and refilled without a call.
+            kinds[f"kind{index}"] = type(value)
+            saves.append(f"v.copy() if type(v := {field}) is kind{index} "
+                         "and not v else copy_value(v)")
+            loads += [
+                f"y = {saved}",
+                f"if type(x := {field}) is kind{index} is type(y):",
+                "    x.clear()",
+                f"    if y: {_FILL[type(value)]}",
+                "else:",
+                f"    {field} = copy_value(y)",
+            ]
+        else:
+            saves.append(field)
+            loads.append(f"{field} = {saved}")
+    if hasattr(cls, "_rederive"):
+        loads.append("c._rederive()")
+    codec = _CODECS[cls] = (
+        _define("def save_state(c):\n    return ("
+                + "".join(f"{item}, " for item in saves) + ")\n", **kinds),
+        _define("def load_state(c, s):\n"
+                + "".join(f"    {line}\n" for line in loads or ["pass"]),
+                **kinds))
+    return codec
+
+
+def save(component):
+    """Capture the fields ``component`` declares in ``_state``."""
+    codec = _CODECS.get(type(component)) or _compile(component)
+    return codec[0](component)
+
+
+def load(component, saved):
+    """Write a :func:`save` capture back onto ``component`` in place."""
+    codec = _CODECS.get(type(component)) or _compile(component)
+    codec[1](component, saved)
+
+
+# ----------------------------------------------------------------------
+# The step journal
+# ----------------------------------------------------------------------
 
 # Feed tag singletons.  A step's feed is what the engine gave the top
 # frame: a parked-op re-issue (no generator interaction), a sent value,
 # or a thrown exception.
 _FEED_PARKED = ("p",)
 
-
-# ----------------------------------------------------------------------
-# The step journal
-# ----------------------------------------------------------------------
+LevelView = namedtuple("LevelView", "txid open status")
+LevelView.__doc__ = """One nesting level as the journal records it and
+ghost replay shows it to host code."""
 
 
 class StepJournal:
@@ -87,8 +276,8 @@ class StepJournal:
       ``("t", exc)`` throw.
     * ``post`` — ``(levels, flatten_extra, unwound)``: the CPU's HTM
       nesting view after the step (``levels`` is a tuple of
-      ``(txid, open, status)``) plus whether a capacity abort unwound
-      the dispatcher stack.
+      :data:`LevelView`) plus whether a capacity abort unwound the
+      dispatcher stack.
     """
 
     __slots__ = (
@@ -125,8 +314,8 @@ class StepJournal:
     def close_step(self, machine, cpu):
         state = machine.htm.states[cpu.cpu_id]
         post = (
-            tuple((info.txid, info.open, info.status)
-                  for info in state.levels),
+            tuple([LevelView(info.txid, info.open, info.status)
+                   for info in state.levels]),
             state.flatten_extra,
             self._unwound,
         )
@@ -140,40 +329,21 @@ class StepJournal:
 # ----------------------------------------------------------------------
 
 
-class _GhostLevel:
-    """Mirror of ``LevelInfo`` limited to what host code reads."""
-
-    __slots__ = ("txid", "open", "status")
-
-    def __init__(self, txid, open_, status):
-        self.txid = txid
-        self.open = open_
-        self.status = status
-
-
 class _GhostTxState:
-    """Mirror of ``TxState``'s introspection surface."""
+    """``TxState``'s introspection surface — its own methods — over the
+    journal's tuple of :data:`LevelView`."""
 
     __slots__ = ("cpu_id", "levels", "flatten_extra")
 
+    depth = TxState.depth
+    in_tx = TxState.in_tx
+    current = TxState.current
+    is_validated = TxState.is_validated
+
     def __init__(self, cpu_id):
         self.cpu_id = cpu_id
-        self.levels = []
+        self.levels = ()
         self.flatten_extra = 0
-
-    def depth(self):
-        return len(self.levels)
-
-    def in_tx(self):
-        return bool(self.levels)
-
-    def current(self):
-        if not self.levels:
-            raise IsaError(f"cpu {self.cpu_id}: no active transaction")
-        return self.levels[-1]
-
-    def is_validated(self):
-        return any(info.status == "validated" for info in self.levels)
 
 
 class GhostHtm:
@@ -188,31 +358,11 @@ class GhostHtm:
     at the caller.
     """
 
+    depth = HtmSystem.depth
+    xstatus = HtmSystem.xstatus
+
     def __init__(self, n_cpus):
         self.states = [_GhostTxState(cpu_id) for cpu_id in range(n_cpus)]
-
-    def set_state(self, cpu_id, levels, flatten_extra):
-        state = self.states[cpu_id]
-        state.levels = [
-            _GhostLevel(txid, open_, status)
-            for txid, open_, status in levels
-        ]
-        state.flatten_extra = flatten_extra
-
-    def depth(self, cpu_id):
-        return len(self.states[cpu_id].levels)
-
-    def xstatus(self, cpu_id):
-        state = self.states[cpu_id]
-        if not state.levels:
-            return {"txid": 0, "type": None, "status": None, "level": 0}
-        info = state.levels[-1]
-        return {
-            "txid": info.txid,
-            "type": "open" if info.open else "closed",
-            "status": info.status,
-            "level": len(state.levels) + state.flatten_extra,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -223,14 +373,12 @@ class GhostHtm:
 class MachineSnapshot:
     """Everything needed to rebuild a machine mid-run.
 
-    All captured containers are copies; a snapshot can be restored any
-    number of times, onto any machine with the same configuration.
+    ``state`` is the machine's :func:`save` capture (all copies), so a
+    snapshot can be restored any number of times, onto any machine
+    with an equal configuration.
     """
 
-    __slots__ = (
-        "n_cpus", "now", "live_programs", "capacity_retries", "journal",
-        "journal_len", "cpus", "isa", "stats", "memory", "memmodel",
-        "htm", "policy")
+    __slots__ = ("config", "state", "frames", "journal", "journal_len")
 
     def steps(self):
         """Engine steps completed at capture time."""
@@ -249,32 +397,15 @@ def capture(machine):
         raise SnapshotError(
             "snapshot requires enable_journal() before the run")
     snap = MachineSnapshot()
-    snap.n_cpus = machine.config.n_cpus
-    snap.now = machine.now
-    snap.live_programs = machine._live_programs
-    snap.capacity_retries = list(machine._capacity_retries)
+    snap.config = machine.config
+    snap.state = save(machine)
+    snap.frames = tuple(len(cpu.frames) for cpu in machine.cpus)
     # Zero-copy view: the journal is append-only and its entries are
     # immutable tuples, so sharing the live list plus a length bound is
     # exact — and keeps capture O(1) in the journal instead of O(steps)
     # (the explorer captures at every branch step).
     snap.journal = journal.entries
     snap.journal_len = len(journal.entries)
-    snap.cpus = [
-        (cpu.state, cpu.resume_at, cpu.daemon, cpu.wake_tokens,
-         cpu.pending_abort, cpu.icount, cpu.handler_icount,
-         cpu.dispatch_depth, cpu.send_value, cpu.throw_exc, cpu.result,
-         cpu.failure, dict(cpu.parked), dict(cpu.saved_sends),
-         dict(cpu.saved_viol), len(cpu.frames))
-        for cpu in machine.cpus
-    ]
-    snap.isa = [cpu.isa.snapshot_state() for cpu in machine.cpus]
-    snap.stats = machine.stats.snapshot_state()
-    snap.memory = machine.memory.snapshot()
-    snap.memmodel = machine.memmodel.snapshot_state()
-    snap.htm = machine.htm.snapshot_state()
-    policy_snapshot = getattr(machine.policy, "snapshot_state", None)
-    snap.policy = (
-        policy_snapshot() if policy_snapshot is not None else None)
     return snap
 
 
@@ -283,40 +414,67 @@ def capture(machine):
 # ----------------------------------------------------------------------
 
 
-def restore(machine, snapshot, setup_fn, restore_policy=True):
+def restore(machine, snapshot, setup_fn):
     """Rebuild ``snapshot`` onto ``machine`` so ``run()`` resumes it.
 
     ``setup_fn(machine)`` must re-run the *original* program setup —
-    same program, same seed — and return the program object.  With
-    ``restore_policy`` false the captured scheduling-policy state is not
-    applied; the caller owns ``machine.policy`` (the explore layer
-    installs each child's own controlled policy).
+    same program, same seed — and return the program object.  The
+    machine's scheduling policy is left as it is.
 
-    Raises :class:`SnapshotError` when the ghost replay drifts from the
-    journal; the machine is then in an undefined state and must be reset
-    before reuse (the explore layer simply falls back to a stateless
-    re-execution on a pooled machine).
+    Raises :class:`SnapshotError` when the machine's configuration
+    differs from the snapshot's, or when the ghost replay drifts from
+    the journal; after the latter the machine is in an undefined state
+    and must be reset before reuse (the explore layer simply falls back
+    to a stateless re-execution on a pooled machine).
     """
-    if machine.config.n_cpus != snapshot.n_cpus:
+    if machine.config != snapshot.config:
+        diff = {name: (value, getattr(machine.config, name))
+                for name, value in vars(snapshot.config).items()
+                if value != getattr(machine.config, name)}
         raise SnapshotError(
-            f"snapshot has {snapshot.n_cpus} cpus, machine has "
-            f"{machine.config.n_cpus}")
+            f"snapshot config differs from the machine's, as "
+            f"field: (snapshot, machine): {diff}")
     reset_machine(machine)
     program = setup_fn(machine)
     _ghost_replay(machine, snapshot)
-    _overwrite_data_plane(machine, snapshot, restore_policy)
+    load(machine, snapshot.state)
+    journal = StepJournal()
+    journal.entries = snapshot.journal[:snapshot.journal_len]
+    machine._journal = journal
+    # Resumed runs report engine.steps as prefix + own steps, exactly
+    # like the straight line would.
+    machine._steps_base = snapshot.journal_len
     return program
+
+
+#: ``(cpu, stats, memory)`` captures of a just-built machine; see
+#: :func:`_pristine`.
+_PRISTINE = None
+
+
+def _pristine():
+    """Pristine CPU, stats and memory state, captured on first use from
+    a throwaway one-CPU machine (never while a real one is built)."""
+    global _PRISTINE
+    if _PRISTINE is None:
+        from repro.common.params import SystemConfig
+        from repro.sim.engine import Machine
+
+        bare = Machine(SystemConfig(n_cpus=1, timing=False))
+        _PRISTINE = (save(bare.cpus[0]), save(bare.stats),
+                     save(bare.memory))
+    return _PRISTINE
 
 
 def reset_machine(machine):
     """Return a (possibly used) machine to its just-constructed state.
 
-    Only control-plane state is reset; the data plane (memory, caches,
-    HTM, stats) is overwritten wholesale by
-    :func:`_overwrite_data_plane` after the ghost replay, so scrubbing
-    it here would be wasted work — except the stats and memory, which
-    program setup *appends* to and therefore must start empty.
+    The CPUs, stats and memory load a pristine capture (program setup
+    *appends* to the stats and memory, so they must start empty).  The
+    rest of the data plane (caches, HTM) is left for :func:`restore`'s
+    final :func:`load` to overwrite wholesale.
     """
+    cpu_state, stats_state, memory_state = _pristine()
     machine.codereg.reset()
     for cpu in machine.cpus:
         for frame in reversed(cpu.frames):
@@ -325,23 +483,10 @@ def reset_machine(machine):
             except Exception:  # noqa: BLE001 - cleanup must not fail
                 pass
         cpu.frames = []
-        cpu.dispatch_depth = 0
-        cpu.parked.clear()
-        cpu.saved_sends.clear()
-        cpu.saved_viol.clear()
-        cpu.send_value = None
-        cpu.throw_exc = None
-        cpu.pending_abort = False
-        cpu.wake_tokens = 0
-        cpu.state = DONE
-        cpu.resume_at = 0
-        cpu.daemon = False
-        cpu.result = None
-        cpu.failure = None
-        cpu.icount = 0
-        cpu.handler_icount = 0
         cpu.rt = None
-        cpu.isa.restore_state(_PRISTINE_ISA)
+        load(cpu, cpu_state)
+    load(machine.stats, stats_state)
+    load(machine.memory, memory_state)
     machine.now = 0
     machine._live_programs = 0
     machine._ready = []
@@ -349,8 +494,6 @@ def reset_machine(machine):
     machine._capacity_retries = [0] * machine.config.n_cpus
     machine._steps_base = 0
     machine._journal = StepJournal()
-    machine.stats.restore_state({})
-    machine.memory.restore({})
 
 
 def _ghost_replay(machine, snapshot):
@@ -362,6 +505,7 @@ def _ghost_replay(machine, snapshot):
     effects are already inside the snapshot's data plane.
     """
     ghost = GhostHtm(machine.config.n_cpus)
+    ghost_states = ghost.states
     real_htm = machine.htm
     machine.htm = ghost
     try:
@@ -417,54 +561,21 @@ def _ghost_replay(machine, snapshot):
                         except Exception:  # noqa: BLE001
                             pass
                     cpu.frames = []
-            levels, flatten_extra, unwound = post
+            state = ghost_states[cpu_id]
+            state.levels, state.flatten_extra, unwound = post
             if unwound:
                 # Mirrors _handle_capacity_abort: dispatcher frames are
                 # dropped without close, the program frame survives.
                 del cpu.frames[1:]
             cpu.dispatch_depth = max(0, len(cpu.frames) - 1)
-            ghost.set_state(cpu_id, levels, flatten_extra)
     except AttributeError as exc:
         # Host code touched machinery the ghost does not model.
         raise SnapshotError(f"ghost replay: {exc}") from exc
     finally:
         machine.htm = real_htm
-    for cpu, saved in zip(machine.cpus, snapshot.cpus):
-        if len(cpu.frames) != saved[-1]:
+    for cpu, n_frames in zip(machine.cpus, snapshot.frames):
+        if len(cpu.frames) != n_frames:
             raise SnapshotError(
                 f"ghost replay drift: cpu {cpu.cpu_id} rebuilt "
                 f"{len(cpu.frames)} frames, snapshot recorded "
-                f"{saved[-1]}")
-
-
-def _overwrite_data_plane(machine, snapshot, restore_policy):
-    machine.now = snapshot.now
-    machine._live_programs = snapshot.live_programs
-    machine._capacity_retries = list(snapshot.capacity_retries)
-    machine.stats.restore_state(snapshot.stats)
-    machine.memory.restore(snapshot.memory)
-    machine.memmodel.restore_state(snapshot.memmodel)
-    machine.htm.restore_state(snapshot.htm)
-    for cpu, saved, isa_saved in zip(
-            machine.cpus, snapshot.cpus, snapshot.isa):
-        (cpu.state, cpu.resume_at, cpu.daemon, cpu.wake_tokens,
-         cpu.pending_abort, cpu.icount, cpu.handler_icount,
-         cpu.dispatch_depth, cpu.send_value, cpu.throw_exc, cpu.result,
-         cpu.failure, parked, saved_sends, saved_viol, _) = saved
-        cpu.parked.clear()
-        cpu.parked.update(parked)
-        cpu.saved_sends.clear()
-        cpu.saved_sends.update(saved_sends)
-        cpu.saved_viol.clear()
-        cpu.saved_viol.update(saved_viol)
-        cpu.isa.restore_state(isa_saved)
-    if restore_policy and snapshot.policy is not None:
-        restore_state = getattr(machine.policy, "restore_state", None)
-        if restore_state is not None:
-            restore_state(snapshot.policy)
-    journal = StepJournal()
-    journal.entries = snapshot.journal[:snapshot.journal_len]
-    machine._journal = journal
-    # Resumed runs report engine.steps as prefix + own steps, exactly
-    # like the straight line would.
-    machine._steps_base = snapshot.journal_len
+                f"{n_frames}")

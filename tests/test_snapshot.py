@@ -7,11 +7,14 @@ image, per-CPU results — must be identical.  A pinned golden-cycle
 value guards against the capture itself perturbing the run.
 """
 
+import copy
+
 import pytest
 
-from repro.check.fuzz import build_config
+from repro.check.fuzz import CONFIGS, build_config
 from repro.check.programs import make_program
 from repro.mem.layout import SharedArena
+from repro.obs.observer import Observer
 from repro.runtime.core import Runtime
 from repro.sim.engine import Machine
 from repro.sim.schedule import (
@@ -20,7 +23,12 @@ from repro.sim.schedule import (
     RandomPolicy,
     SchedulePolicy,
 )
-from repro.sim.snapshot import SnapshotError, capture, reset_machine
+from repro.sim.snapshot import (
+    SnapshotError,
+    capture,
+    copy_value,
+    reset_machine,
+)
 
 CONFIG = "lazy-wb-assoc"
 
@@ -30,7 +38,11 @@ class _CapturingPolicy(SchedulePolicy):
     before step ``at`` — the seam the explorer captures its fork-point
     checkpoints through (inside ``choose``, ahead of the pick).  It
     never serves from the ready heap, so every step reaches
-    ``choose``; the deterministic pick is the same either way."""
+    ``choose``; the deterministic pick is the same either way.
+
+    The snapshot leaves the policy out, so each capture is a
+    ``(snapshot, policy copy)`` pair and :func:`_restore` installs a
+    copy of the policy next to the machine state."""
 
     def __init__(self, inner, machine, at, captured):
         self.inner = inner
@@ -41,20 +53,22 @@ class _CapturingPolicy(SchedulePolicy):
 
     def choose(self, runnable):
         if self.steps == self.at:
-            self.captured.append(self.machine.snapshot())
+            self.captured.append(
+                (self.machine.snapshot(), copy.deepcopy(self.inner)))
         self.steps += 1
         return self.inner.choose(runnable)
-
-    def snapshot_state(self):
-        return self.inner.snapshot_state()
-
-    def restore_state(self, saved):
-        self.inner.restore_state(saved)
 
 
 def _capture_at(machine, snapshot_at, captured):
     machine.policy = _CapturingPolicy(
         machine.policy, machine, snapshot_at, captured)
+
+
+def _restore(machine, checkpoint, setup_fn):
+    """Install a copy of the captured policy and restore the snapshot."""
+    snapshot, policy = checkpoint
+    machine.policy = copy.deepcopy(policy)
+    return machine.restore(snapshot, setup_fn)
 
 
 def _policy(spec):
@@ -68,17 +82,18 @@ def _policy(spec):
 
 def _run(program_name, config, policy, snapshot_at=None,
          machine=None):
-    """One full run; returns (machine, observables, snapshot or None).
+    """One full run; returns (machine, observables, checkpoint or None).
 
-    ``snapshot_at`` captures at that step count through the policy's
-    ``choose``, the seam the explore layer captures checkpoints at.
-    ``machine`` restores the given (machine, snapshot) pair first and
-    resumes instead of running from cycle 0.
+    ``snapshot_at`` captures a ``(snapshot, policy)`` checkpoint at that
+    step count through the policy's ``choose``, the seam the explore
+    layer captures checkpoints at.  ``machine`` restores the given
+    (machine, checkpoint) pair first and resumes instead of running
+    from cycle 0.
     """
     captured = []
     if machine is not None:
-        machine, snapshot = machine
-        program = machine.restore(snapshot, _setup_fn(program_name))
+        machine, checkpoint = machine
+        program = _restore(machine, checkpoint, _setup_fn(program_name))
     else:
         machine = Machine(config, policy=policy)
         machine.enable_journal()
@@ -91,7 +106,7 @@ def _run(program_name, config, policy, snapshot_at=None,
     machine.run(max_cycles=program.max_cycles)
     observables = (
         machine.now,
-        machine.stats.snapshot_state(),
+        machine.stats.as_dict(),
         machine.memory.snapshot(),
         machine.results(),
     )
@@ -123,18 +138,18 @@ def test_restore_resume_is_bit_for_bit(program_name):
     assert n_steps > 4
     snapshot_at = n_steps // 2
 
-    _, straight, snapshot = _run(
+    _, straight, checkpoint = _run(
         program_name, config, DeterministicPolicy(),
         snapshot_at=snapshot_at)
     # The capture itself must not perturb the run.
     assert straight == golden
-    assert snapshot is not None
-    assert snapshot.steps() == snapshot_at
+    assert checkpoint is not None
+    assert checkpoint[0].steps() == snapshot_at
 
     # Restore onto a brand-new machine.
     fresh = Machine(config, policy=DeterministicPolicy())
     _, resumed, _ = _run(program_name, config, None,
-                         machine=(fresh, snapshot))
+                         machine=(fresh, checkpoint))
     assert resumed == golden
 
 
@@ -142,13 +157,13 @@ def test_restore_onto_reused_machine():
     """A pooled machine — dirty from a completed run — restores clean."""
     config = build_config(CONFIG, make_program("litmus-sb", seed=1))
     golden, n_steps = _golden_steps("litmus-sb", config, ("det", 0))
-    _, _, snapshot = _run("litmus-sb", config, DeterministicPolicy(),
-                          snapshot_at=n_steps // 2)
+    _, _, checkpoint = _run("litmus-sb", config, DeterministicPolicy(),
+                            snapshot_at=n_steps // 2)
     dirty, first, _ = _run("litmus-mp", config, DeterministicPolicy())
     assert first != golden
     dirty.policy = DeterministicPolicy()
     _, resumed, _ = _run("litmus-sb", config, None,
-                         machine=(dirty, snapshot))
+                         machine=(dirty, checkpoint))
     assert resumed == golden
 
 
@@ -156,13 +171,13 @@ def test_restore_is_repeatable():
     """One snapshot restores any number of times without decay."""
     config = build_config(CONFIG, make_program("litmus-inc", seed=1))
     golden, n_steps = _golden_steps("litmus-inc", config, ("det", 0))
-    _, _, snapshot = _run("litmus-inc", config, DeterministicPolicy(),
-                          snapshot_at=max(2, n_steps // 3))
+    _, _, checkpoint = _run("litmus-inc", config, DeterministicPolicy(),
+                            snapshot_at=max(2, n_steps // 3))
     machine = Machine(config, policy=DeterministicPolicy())
     for _ in range(3):
         machine.policy = DeterministicPolicy()
         _, resumed, _ = _run("litmus-inc", config, None,
-                             machine=(machine, snapshot))
+                             machine=(machine, checkpoint))
         assert resumed == golden
 
 
@@ -175,11 +190,11 @@ def test_pinned_golden_cycles():
     """
     config = build_config(CONFIG, make_program("litmus-sb", seed=1))
     golden, n_steps = _golden_steps("litmus-sb", config, ("det", 0))
-    _, _, snapshot = _run("litmus-sb", config, DeterministicPolicy(),
-                          snapshot_at=n_steps // 2)
+    _, _, checkpoint = _run("litmus-sb", config, DeterministicPolicy(),
+                            snapshot_at=n_steps // 2)
     fresh = Machine(config, policy=DeterministicPolicy())
     _, resumed, _ = _run("litmus-sb", config, None,
-                         machine=(fresh, snapshot))
+                         machine=(fresh, checkpoint))
     assert golden[0] == resumed[0] == PINNED_LITMUS_SB_CYCLES
 
 
@@ -197,13 +212,12 @@ except ImportError:  # pragma: no cover - hypothesis is in the image
 
 if HAVE_HYPOTHESIS:
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         program_name=st.sampled_from(
             ("litmus-sb", "litmus-mp", "litmus-inc", "litmus-lb",
              "counter")),
-        config_name=st.sampled_from(
-            ("lazy-wb-assoc", "eager-wb", "lazy-timing-simple")),
+        config_name=st.sampled_from(sorted(CONFIGS)),
         policy_spec=st.sampled_from(
             (("det", 0), ("random", 1), ("random", 7))),
         frac=st.floats(min_value=0.0, max_value=1.0),
@@ -232,7 +246,7 @@ if HAVE_HYPOTHESIS:
                 _capture_at(machine, snapshot_at, captured)
             machine.run(max_cycles=program.max_cycles)
             return (
-                (machine.now, machine.stats.snapshot_state(),
+                (machine.now, machine.stats.as_dict(),
                  machine.memory.snapshot(), machine.results()),
                 captured[0] if captured else None,
             )
@@ -240,14 +254,14 @@ if HAVE_HYPOTHESIS:
         golden, _ = straight_line()
         n_steps = golden[1]["engine.steps"]
         snapshot_at = 1 + int(frac * max(0, n_steps - 2))
-        observed, snapshot = straight_line(snapshot_at)
+        observed, checkpoint = straight_line(snapshot_at)
         assert observed == golden
-        assert snapshot is not None
+        assert checkpoint is not None
 
         fresh = Machine(config, policy=_policy(policy_spec))
-        program = fresh.restore(snapshot, setup_fn)
+        program = _restore(fresh, checkpoint, setup_fn)
         fresh.run(max_cycles=program.max_cycles)
-        resumed = (fresh.now, fresh.stats.snapshot_state(),
+        resumed = (fresh.now, fresh.stats.as_dict(),
                    fresh.memory.snapshot(), fresh.results())
         assert resumed == golden
 
@@ -267,7 +281,7 @@ def test_reset_machine_clears_control_plane():
     assert machine.results() == {cpu.cpu_id: None
                                  for cpu in machine.cpus}
     assert all(not cpu.frames for cpu in machine.cpus)
-    assert machine.stats.snapshot_state() == {}
+    assert machine.stats.as_dict() == {}
     assert machine.memory.snapshot() == {}
 
 
@@ -289,3 +303,108 @@ def test_ghost_replay_names_the_journal_index():
                        match=rf"cpu 0 has no frame to feed at step "
                              rf"{n_entries}$"):
         fresh.restore(snapshot, _setup_fn("litmus-sb"))
+
+
+@pytest.mark.parametrize("captured_on, restored_on", [
+    ("eager-wb", "lazy-wb-assoc"),
+    ("lazy-wb-assoc", "eager-wb"),
+    ("lazy-wb-assoc", "lazy-timing-simple"),
+])
+def test_restore_rejects_a_different_config(captured_on, restored_on):
+    """A snapshot restores only onto a machine with an equal config;
+    anything else is a SnapshotError (the explorer's "fall back to
+    stateless"), never a silent mis-resume or a bare TypeError."""
+    program = make_program("litmus-sb", seed=1)
+    source = build_config(captured_on, program)
+    _, _, checkpoint = _run("litmus-sb", source, DeterministicPolicy(),
+                            snapshot_at=5)
+    target = Machine(build_config(restored_on, program),
+                     policy=DeterministicPolicy())
+    with pytest.raises(SnapshotError, match="config differs"):
+        _restore(target, checkpoint, _setup_fn("litmus-sb"))
+
+
+def _components(component, found):
+    """``component`` and every component its ``_state`` reaches."""
+    found.append(component)
+    for name in type(component)._state:
+        value = getattr(component, name)
+        parts = value if type(value) is list else [value]
+        for part in parts:
+            if hasattr(type(part), "_state"):
+                _components(part, found)
+    return found
+
+
+def _attribute_names(obj):
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        names.update(getattr(cls, "__slots__", ()))
+    return {name for name in names - {"__dict__", "__weakref__"}
+            if hasattr(obj, name)}
+
+
+#: Mutable fields deliberately outside ``_state``: the derived caches
+#: ``_rederive`` rebuilds (HierarchicalMemory's residency registry and
+#: WriteBufferVersioning's level list), the generator frames and
+#: runtime handles ghost replay rebuilds, and the ready heap every
+#: ``Machine.run`` rebuilds.
+NOT_STATE = {"residency", "_levels_desc", "frames", "rt", "_ready"}
+
+#: Recorded in place of a value for an alias (identity-checked only).
+_ALIAS = object()
+
+
+class _UndeclaredWatch(Observer):
+    """After every step, names each component attribute outside
+    ``_state`` that is no longer the recorded object with an equal
+    value (a field a run mutates and then resets — a flushed counter,
+    an emptied table — is caught mid-run).  An alias of a declared or
+    derived container (the detectors' index tables, each cache's
+    residency registry) must stay the same object; its value is the
+    declared field's business."""
+
+    def __init__(self, machine):
+        self.changed = set()
+        self._recorded = []
+        machine.observe(self)
+        components = _components(machine, [])
+        covered = {
+            id(getattr(component, name))
+            for component in components
+            for name in type(component)._state + tuple(NOT_STATE)
+            if hasattr(component, name)
+            and copy_value(getattr(component, name))
+            is not getattr(component, name)}
+        for component in components:
+            for name in _attribute_names(component):
+                if name in type(component)._state or name in NOT_STATE:
+                    continue
+                value = getattr(component, name)
+                before = (_ALIAS if id(value) in covered
+                          else copy_value(value))
+                self._recorded.append((component, name, value, before))
+
+    def on_step(self, cpu):
+        for component, name, value, before in self._recorded:
+            now = getattr(component, name)
+            if now is not value or (before is not _ALIAS
+                                    and now != before):
+                self.changed.add(f"{type(component).__name__}.{name}")
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+def test_declared_state_is_complete(config_name):
+    """Everything a run changes is declared: every other attribute of
+    every component stays the same object, with an equal value, through
+    a whole ``counter`` run."""
+    program = make_program("counter", seed=1)
+    machine = Machine(build_config(config_name, program),
+                      policy=DeterministicPolicy())
+    watch = _UndeclaredWatch(machine)
+    program.setup(machine, Runtime(machine), SharedArena(machine))
+    machine.run(max_cycles=program.max_cycles)
+    watch.on_step(None)
+    assert machine.stats.get("engine.steps") > 0
+    assert not watch.changed, (
+        f"undeclared mutable state: {sorted(watch.changed)}")
