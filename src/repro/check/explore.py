@@ -87,7 +87,8 @@ point the run prunes instead of starving it forever.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
+from collections import namedtuple
+from functools import partial
 
 from repro.common.errors import ReproError
 from repro.common.params import LAZY
@@ -97,7 +98,7 @@ from repro.harness.parallel import (
     CaseSpec,
     WorkerPool,
     batched_gc,
-    run_campaign,
+    call_guarded,
 )
 from repro.mem.layout import SharedArena
 from repro.runtime.core import Runtime
@@ -121,7 +122,7 @@ from repro.check.fuzz import (
     build_config,
     collect_violations,
 )
-from repro.check.history import History, HistoryRecorder
+from repro.check.history import HistoryRecorder
 from repro.check.oracles import OracleViolation, check_cycle_conservation
 from repro.check.programs import make_program
 from repro.spec.replay import freeze
@@ -145,8 +146,8 @@ _EMPTY = frozenset()
 TOKEN = -1
 
 
-@dataclasses.dataclass(frozen=True)
-class Footprint:
+class Footprint(namedtuple("Footprint", "reads writes global_",
+                           defaults=(_EMPTY, _EMPTY, False))):
     """What one scheduling step touched, at conflict-unit granularity.
 
     ``global_`` marks actions ordered against everything (serial-mode
@@ -157,19 +158,26 @@ class Footprint:
     accesses to unrelated units.
     """
 
-    reads: frozenset = _EMPTY
-    writes: frozenset = _EMPTY
-    global_: bool = False
+    __slots__ = ()
 
     def depends(self, other):
         """Conservative dependence: do the two steps fail to commute?"""
         if self.global_ or other.global_:
             return True
-        return bool(self.writes & (other.reads | other.writes)
-                    or other.writes & (self.reads | self.writes))
+        writes = self.writes
+        return not (writes.isdisjoint(other.reads)
+                    and writes.isdisjoint(other.writes)
+                    and other.writes.isdisjoint(self.reads))
 
+
+#: ``_footprint((reads, writes, global_))`` builds a :class:`Footprint`
+#: without the Python-level ``__new__`` (one per recorded step).
+_footprint = partial(tuple.__new__, Footprint)
 
 GLOBAL_FOOTPRINT = Footprint(global_=True)
+
+#: The footprint of a step that touched nothing.
+EMPTY_FOOTPRINT = Footprint()
 
 
 def _encode_sleep(entries):
@@ -187,7 +195,7 @@ def _encode_sleep(entries):
 
 
 def _decode_sleep(encoded):
-    return {cpu: (Footprint(frozenset(reads), frozenset(writes)),
+    return {cpu: (_footprint((frozenset(reads), frozenset(writes), False)),
                   active_from)
             for cpu, active_from, reads, writes in encoded}
 
@@ -212,12 +220,13 @@ class StepRecorder(Observer):
         self.policy = policy
         self.sleep_from = sleep_from
         #: Live sleep entries: cpu -> (Footprint of its covered pending
-        #: op, step index the coverage claim starts at).
+        #: op, step index the coverage claim starts at).  Replaced, never
+        #: mutated, when an entry wakes, so ``sleep_before`` shares it.
         self._sleep = dict(sleep_entries or {})
         #: Closed per-step records, index-aligned with ``policy.choices``.
         self.footprints = []
         self.deliveries = []
-        #: Sleep-entry snapshot *before* each step executed.
+        #: Sleep entries *before* each step executed.
         self.sleep_before = []
         self._acc_reads = set()
         self._acc_writes = set()
@@ -237,30 +246,42 @@ class StepRecorder(Observer):
 
     def on_step(self, cpu):
         """Seal the step that just executed."""
-        self.sleep_before.append(dict(self._sleep))
-        footprint = Footprint(
-            frozenset(self._acc_reads), frozenset(self._acc_writes),
-            self._acc_global)
-        delivered = frozenset(self._acc_delivered)
+        sleep = self._sleep
+        self.sleep_before.append(sleep)
+        reads = self._acc_reads
+        writes = self._acc_writes
+        if reads or writes:
+            footprint = _footprint((frozenset(reads), frozenset(writes),
+                                    self._acc_global))
+            reads.clear()
+            writes.clear()
+        else:
+            footprint = (GLOBAL_FOOTPRINT if self._acc_global
+                         else EMPTY_FOOTPRINT)
+        self._acc_global = False
+        delivered = self._acc_delivered
+        if delivered:
+            delivered = frozenset(delivered)
+            self._acc_delivered.clear()
+        else:
+            delivered = _EMPTY
         self.footprints.append(footprint)
         self.deliveries.append(delivered)
-        self._acc_reads.clear()
-        self._acc_writes.clear()
-        self._acc_delivered.clear()
-        self._acc_global = False
-        if self._sleep:
+        if sleep and (delivered or footprint is not EMPTY_FOOTPRINT):
             # A dependent step — or a delivery, which changes the
             # sleeper's pending op — invalidates the entry's coverage
             # claim, so the sleeper becomes schedulable again.  Steps
             # before an entry's ``active_from`` logically precede its
-            # creation and are ignored.
+            # creation and are ignored.  A step that touched nothing
+            # commutes with every entry (none is global).
             step_index = len(self.footprints) - 1
-            for cpu in list(self._sleep):
-                fp, active_from = self._sleep[cpu]
-                if step_index < active_from:
-                    continue
-                if cpu in delivered or footprint.depends(fp):
-                    del self._sleep[cpu]
+            woken = [cpu for cpu, (fp, active_from) in sleep.items()
+                     if step_index >= active_from
+                     and (cpu in delivered or footprint.depends(fp))]
+            if woken:
+                self._sleep = {cpu: entry for cpu, entry in sleep.items()
+                               if cpu not in woken}
+                for cpu in woken:
                     self.policy.sleep.discard(cpu)
 
     # ------------------------------------------------------------------
@@ -397,11 +418,30 @@ class StepRecorder(Observer):
 #   remove it, and the removal rule is deterministic in (footprint,
 #   deliveries, entry).
 # * **The policy is not in the snapshot.**  Each child runs its own
-#   :class:`ControlledPolicy` — forced map, sleep set, ``sleep_from`` —
-#   and the checkpoint carries only the recorded
-#   ``choices``/``candidates``/``divergences`` prefix (identical to what
-#   a faithful replay of the prefix would have recorded), which
-#   :func:`_restore_node` preloads into it.
+#   :class:`ControlledPolicy` — sleep set, ``sleep_from``, and a forced
+#   map holding only the fork step's choice, the one prefix choice the
+#   resumed run still makes — and the checkpoint carries only the
+#   recorded ``choices``/``candidates``/``divergences`` prefix
+#   (identical to what a faithful replay of the prefix would have
+#   recorded), which :meth:`_NodeContext.resume` preloads into it.
+#
+# A node pays only for what its outcome reads:
+#
+# * **Hand-off on last use.**  Every capture is a copy; a deposit sets
+#   the snapshot's ``uses`` to its children's count, and the child that
+#   uses it up takes the copies over (machine containers, recorder
+#   sets, live history frames) instead of copying them again.  In the
+#   two-CPU litmus drains every entry has one child.
+# * **Bound CPUs only.**  The snapshot and the observer books cover the
+#   CPUs a program is bound to; the others never leave their just-built
+#   state (tests/test_explore_checkpoint.py pins that after a drain).
+# * **Books installed once.**  A restore re-runs setup and ghost replay
+#   with the pooled observers attached, but no event fires until the
+#   engine steps, so :meth:`_NodeContext.resume` installs every book
+#   once, after the restore.
+# * **No trace ring on the node.**  Only a failing verdict reads the
+#   trace tail; :func:`_failure_trace` rebuilds it by replaying that one
+#   schedule with a tracer attached.
 #
 # Entries no child consumes (a child the pool ran on another worker, a
 # frontier cut by ``max_schedules``) must not pile up: a checkpoint from
@@ -419,10 +459,10 @@ class StepRecorder(Observer):
 
 class _Checkpoint:
     """One fork-point state: the machine snapshot plus the observer
-    state (recorder, history, profiler, tracer) that goes with it."""
+    state (recorder, history, profiler) that goes with it."""
 
     __slots__ = ("snapshot", "policy", "recorder", "history", "profiler",
-                 "tracer", "uses", "generation")
+                 "uses", "generation")
 
 
 class CheckpointCache:
@@ -486,7 +526,7 @@ _CHECKPOINTS = CheckpointCache()
 
 class _NodeContext:
     """One worker's reusable restore target: a machine with the history
-    recorder, profiler and tracer permanently attached, plus a pooled
+    recorder and profiler permanently attached, plus a pooled
     :class:`StepRecorder` subscribed only while pruning nodes run.  It
     stays subscribed from one pruning node to the next: re-subscribing
     rebuilds a tuple per recorded event, which costs more per node than
@@ -495,12 +535,12 @@ class _NodeContext:
     Constructing the observers costs more than a short resumed run, so
     hit-path nodes share one context per (program, config) and
     overwrite its state from the checkpoint instead of rebuilding it.
-    Only the restore path may use a context: ``reset_machine`` leaves
-    htm/memsys state for :func:`repro.sim.snapshot.restore` to
-    overwrite, so a stateless (cache-miss) run always builds fresh.
+    Only the restore path may use a context: a restore leaves the data
+    plane to :func:`repro.sim.snapshot.restore`'s final load, so a
+    stateless (cache-miss) run always builds fresh.
     """
 
-    __slots__ = ("machine", "recorder", "history", "profiler", "tracer")
+    __slots__ = ("machine", "recorder", "history", "profiler")
 
     def __init__(self, config):
         placeholder = ControlledPolicy(window=EXPLORE_WINDOW)
@@ -508,43 +548,65 @@ class _NodeContext:
         self.recorder = StepRecorder(self.machine, placeholder)
         self.history = HistoryRecorder(self.machine)
         self.profiler = CycleProfiler(self.machine)
-        self.tracer = Tracer(self.machine,
-                             sink=RingSink(TRACE_RING, mode="tail"))
 
-    def begin_node(self, policy):
-        """Point the attached observers at a new node's run.
+    def resume(self, entry, policy, sleep_entries, sleep_from, record,
+               take):
+        """Install a restored node's ``policy`` and load the observers'
+        books from ``entry``, once, after the machine restored.
 
-        Shared-able containers are **rebound, never cleared**: cached
-        checkpoints hold references to the previous node's lists (see
-        :func:`_capture_hook`), and the restore's ``setup_fn`` replays
-        program bring-up with the observers attached — anything they
-        record before the checkpoint state lands must go into fresh
-        books, not cached ones.
-        """
+        Every book is replaced or refilled, never left from the previous
+        node; the lists cached checkpoints share with a length bound are
+        sliced, not cleared.  The unbound CPUs' books are never touched
+        (they stay empty).  ``take`` hands the entry's copied containers
+        over: this is its last use."""
         machine = self.machine
         machine.policy = policy
+        bound = machine._bound_cpus
+        (choices, n_choices, candidates, n_candidates,
+         divergences, n_divergences) = entry.policy
+        policy.choices = choices[:n_choices]
+        policy.candidates = candidates[:n_candidates]
+        policy.divergences = divergences[:n_divergences]
         recorder = self.recorder
-        recorder.policy = policy
-        recorder.sleep_from = 0
-        recorder._sleep = {}
-        recorder.footprints = []
-        recorder.deliveries = []
-        recorder.sleep_before = []
-        recorder._acc_reads.clear()
-        recorder._acc_writes.clear()
-        recorder._acc_delivered.clear()
-        recorder._acc_global = False
-        for cpu_id in recorder._cpu_reads:
-            recorder._cpu_reads[cpu_id] = set()
-            recorder._cpu_writes[cpu_id] = set()
+        if record:
+            # ``sleep_before`` is one shared view of the node's initial
+            # entries per recorded step — exact, because no entry of
+            # *this* node can be removed before the branch step (the
+            # fork-point constraint above).
+            footprints, deliveries, n, cpu_reads, cpu_writes = (
+                entry.recorder)
+            recorder.policy = policy
+            recorder.sleep_from = sleep_from
+            recorder._sleep = sleep_entries
+            recorder.footprints = footprints[:n]
+            recorder.deliveries = deliveries[:n]
+            recorder.sleep_before = [sleep_entries] * n
+            recorder._acc_reads.clear()
+            recorder._acc_writes.clear()
+            recorder._acc_delivered.clear()
+            recorder._acc_global = False
+            for cpu_id, reads, writes in zip(bound, cpu_reads, cpu_writes):
+                recorder._cpu_reads[cpu_id] = reads if take else set(reads)
+                recorder._cpu_writes[cpu_id] = (writes if take
+                                                else set(writes))
+            machine.observe(recorder)
+        else:
+            machine.unobserve(recorder)
+        # Committed/aborted records are immutable once appended, so the
+        # lists are shared with a length bound; only the live frames
+        # were copied (see _capture_hook).
+        committed, n_committed, aborted, n_aborted, frames, seq = (
+            entry.history)
         history = self.history
-        history.history = History()
-        history._frames = [[] for _ in machine.cpus]
-        history._seq = 0
-        # The profiler's books are loaded wholesale from the
-        # checkpoint; only the account memo must reset here.
-        self.profiler._account = None
-        self.tracer.sink = RingSink(TRACE_RING, mode="tail")
+        history.history.committed = committed[:n_committed]
+        history.history.aborted = aborted[:n_aborted]
+        for cpu_id, live in zip(bound, frames):
+            history._frames[cpu_id] = live if take else copy_value(live)
+        history._seq = seq
+        profiler = self.profiler
+        profiler._account = None
+        for cpu_id, saved in zip(bound, entry.profiler):
+            load(profiler._cpu[cpu_id], saved)
 
 
 #: Restore-target contexts, one per (program, config) per worker.
@@ -575,92 +637,41 @@ def _node_setup(program_name, seed):
     return setup
 
 
-def _restore_node(program_name, config_name, policy, entry, seed):
-    """Restore ``entry`` onto this worker's pooled node context
-    (building it on first use), install the node's own ``policy``, and
-    preload the recorded choice/candidate prefix."""
+def _restore_node(program_name, config_name, entry, seed):
+    """Restore ``entry``'s snapshot onto this worker's pooled node
+    context (building it on first use)."""
     key = (program_name, config_name)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
         program = make_program(program_name, seed=seed)
         ctx = _NodeContext(build_config(config_name, program))
         _CONTEXTS[key] = ctx
-    ctx.begin_node(policy)
     program = ctx.machine.restore(
         entry.snapshot, _node_setup(program_name, seed))
-    (choices, n_choices, candidates, n_candidates,
-     divergences, n_divergences) = entry.policy
-    policy.choices[:] = choices[:n_choices]
-    policy.candidates[:] = candidates[:n_candidates]
-    policy.divergences[:] = divergences[:n_divergences]
     return ctx, program
 
 
-def _restore_recorder_state(recorder, policy, sleep_entries, sleep_from,
-                            rec_state):
-    """Point the pooled :class:`StepRecorder` at this node and load the
-    checkpoint's recorded prefix.  ``sleep_before`` is synthesized as
-    one copy of the node's initial entries per recorded step — exact,
-    because no entry of *this* node can be removed before the branch
-    step (the fork-point constraint above)."""
-    footprints, deliveries, n, cpu_reads, cpu_writes = rec_state
-    recorder.policy = policy
-    recorder.sleep_from = sleep_from
-    recorder._sleep = dict(sleep_entries)
-    recorder.footprints = list(footprints[:n])
-    recorder.deliveries = list(deliveries[:n])
-    recorder.sleep_before = [dict(recorder._sleep) for _ in range(n)]
-    for cpu, units in cpu_reads.items():
-        recorder._cpu_reads[cpu] = set(units)
-    for cpu, units in cpu_writes.items():
-        recorder._cpu_writes[cpu] = set(units)
-
-
-def _capture_history_state(history_recorder):
-    """Snapshot the history books at a step boundary.
-
-    Committed/aborted records are immutable once appended (the recorder
-    only mutates *live* frames, and a record leaves the frame stacks
-    exactly when it enters one of those lists), so the lists are shared
-    by reference; only the live frames need copying.
-    """
-    history = history_recorder.history
-    return (history.committed, len(history.committed),
-            history.aborted, len(history.aborted),
-            copy_value(history_recorder._frames),
-            history_recorder._seq)
-
-
-def _restore_history_state(history_recorder, hist_state):
-    committed, n_committed, aborted, n_aborted, frames, seq = hist_state
-    history_recorder.history.committed = list(committed[:n_committed])
-    history_recorder.history.aborted = list(aborted[:n_aborted])
-    # Copied per restore: one cache entry seeds many nodes, and each
-    # resumed run mutates its own live frames.
-    history_recorder._frames = copy_value(frames)
-    history_recorder._seq = seq
-
-
-def _restore_tracer_state(tracer, trace_state):
-    events, dropped = trace_state
-    sink = RingSink(TRACE_RING, mode="tail")
-    sink._events.extend(events)
-    sink.dropped = dropped
-    tracer.sink = sink
-
-
 def _capture_hook(machine, lo, hi, recorder, history_recorder, profiler,
-                  tracer, captured):
+                  captured):
     """The ``branch_hook`` capturing this node's checkpoints at branch
     steps in ``[lo, hi)`` into ``captured`` (step -> entry).  It fires
     at a step boundary, so every observer is quiescent: the recorder's
-    accumulators are empty and the profiler's books are settled."""
+    accumulators are empty and the profiler's books are settled.  Like
+    the snapshot, the per-CPU observer books cover the bound CPUs only.
+    Past ``hi`` no capture can follow, so the first branch step there
+    retires the hook and the step journal only captures read.
+    """
 
     def hook(step):
-        if step < lo or (hi is not None and step >= hi):
+        if step < lo:
+            return
+        if hi is not None and step >= hi:
+            machine.policy.branch_hook = None
+            machine.disable_journal()
             return
         entry = _Checkpoint()
         entry.snapshot = machine.snapshot()
+        bound = entry.snapshot.shape.bound
         # The policy's recordings are append-only for the node's
         # lifetime, so they are shared with a length bound (O(1)).
         policy = machine.policy
@@ -670,20 +681,29 @@ def _capture_hook(machine, lo, hi, recorder, history_recorder, profiler,
         entry.recorder = None
         if recorder is not None:
             # The per-step lists are append-only with immutable entries
-            # for the node's lifetime (the next pooled node *rebinds*
+            # for the node's lifetime (the next pooled node *replaces*
             # them), so they are shared by reference with a length
             # bound — same zero-copy discipline as the step journal.
+            cpu_reads = recorder._cpu_reads
+            cpu_writes = recorder._cpu_writes
             entry.recorder = (
                 recorder.footprints, recorder.deliveries,
                 len(recorder.footprints),
-                {cpu: set(units)
-                 for cpu, units in recorder._cpu_reads.items()},
-                {cpu: set(units)
-                 for cpu, units in recorder._cpu_writes.items()})
-        entry.history = _capture_history_state(history_recorder)
-        entry.profiler = [save(books) for books in profiler._cpu]
-        # Bounded copy: the tail ring holds at most TRACE_RING events.
-        entry.tracer = (list(tracer.sink._events), tracer.sink.dropped)
+                [set(cpu_reads[cpu_id]) for cpu_id in bound],
+                [set(cpu_writes[cpu_id]) for cpu_id in bound])
+        # Committed/aborted records are immutable once appended (the
+        # recorder only mutates *live* frames, and a record leaves the
+        # frame stacks exactly when it enters one of those lists), so
+        # the lists are shared by reference; only the live frames are
+        # copied.
+        history = history_recorder.history
+        frames = history_recorder._frames
+        entry.history = (history.committed, len(history.committed),
+                         history.aborted, len(history.aborted),
+                         [copy_value(frames[cpu_id]) for cpu_id in bound],
+                         history_recorder._seq)
+        books = profiler._cpu
+        entry.profiler = [save(books[cpu_id]) for cpu_id in bound]
         captured[step] = entry
 
     return hook
@@ -783,41 +803,52 @@ def _should_prune(prune, fault, config):
 
 
 def _execute(program_name, config_name, forced, sleep, sleep_from,
-             fault, seed, max_cycles, record, checkpoint_ctx=None):
+             fault, seed, max_cycles, record, checkpoint_ctx=None,
+             trace=False):
     """Run one controlled schedule; returns the post-run state tuple
     ``(program, machine, policy, history, error, pruned_at, recorder,
-    obs)`` where ``obs`` is the ``(tracer, profiler)`` pair every node
-    carries (trace-on-failure ring + cycle-conservation books).
+    obs)`` where ``obs`` is the ``(tracer, profiler)`` pair: the
+    cycle-conservation books every node carries, and the trace-on-failure
+    ring when ``trace`` asks for it (else None; a node's verdict reads a
+    trace only when it fails, see :func:`_failure_trace`).
 
     ``checkpoint_ctx`` (``{"base", "prefix", "max_depth",
     "captured"}``) switches the node to the checkpoint cache: fork at
     ``prefix``'s branch step when that checkpoint is cached, and capture
     this run's own branch steps into ``captured`` (see
-    :func:`_capture_hook`) for :func:`run_node` to deposit.  Verdicts
-    are identical either way — the cache only changes where execution
-    starts.
+    :func:`_capture_hook`) for :func:`run_node` to deposit.  ``forced``
+    may then be None: it is the prefix's, built only for a stateless
+    run (a restored node only still has its last choice to force).
+    Verdicts are identical either way — the cache only changes where
+    execution starts.
     """
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
     sleep_entries = _decode_sleep(sleep)
-    policy = ControlledPolicy(
-        forced=forced, sleep=sleep_entries, sleep_from=sleep_from,
-        window=EXPLORE_WINDOW)
     entry = None
     ctx = None
     if checkpoint_ctx is not None:
-        entry = _CHECKPOINTS.lookup(
-            checkpoint_ctx["base"], checkpoint_ctx["prefix"])
+        prefix = checkpoint_ctx["prefix"]
+        entry = _CHECKPOINTS.lookup(checkpoint_ctx["base"], prefix)
+        if forced is None:
+            forced = dict(enumerate(prefix))
     if entry is not None:
+        # The fork step's choice is the only one the resumed run makes
+        # of the prefix (the earlier ones are preloaded).
+        fork = len(prefix) - 1
+        policy = ControlledPolicy(
+            forced={fork: prefix[fork]}, sleep=sleep_entries,
+            sleep_from=sleep_from, window=EXPLORE_WINDOW)
         try:
             ctx, program = _restore_node(
-                program_name, config_name, policy, entry, seed)
+                program_name, config_name, entry, seed)
         except SnapshotError:
             _CHECKPOINTS.stats["fallbacks"] += 1
             entry, ctx = None, None
-            policy.choices.clear()
-            policy.candidates.clear()
-            policy.divergences.clear()
+    if ctx is None:
+        policy = ControlledPolicy(
+            forced=forced, sleep=sleep_entries, sleep_from=sleep_from,
+            window=EXPLORE_WINDOW)
     injector = None
     if ctx is not None:
         # Hit path: the pooled context's observers are already attached;
@@ -825,21 +856,13 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
         # under a fault plan, so no injector here).
         machine = ctx.machine
         config = machine.config
-        recorder = None
-        if record and _should_prune(True, fault, config):
-            recorder = ctx.recorder
-            _restore_recorder_state(recorder, policy, sleep_entries,
-                                    sleep_from, entry.recorder)
-            machine.observe(recorder)
-        else:
-            machine.unobserve(ctx.recorder)
+        recording = record and _should_prune(True, fault, config)
+        ctx.resume(entry, policy, sleep_entries, sleep_from, recording,
+                   take=entry.uses <= 0)
+        recorder = ctx.recorder if recording else None
         history_recorder = ctx.history
         profiler = ctx.profiler
-        tracer = ctx.tracer
-        _restore_history_state(history_recorder, entry.history)
-        for books, saved in zip(profiler._cpu, entry.profiler):
-            load(books, saved)
-        _restore_tracer_state(tracer, entry.tracer)
+        tracer = None
     else:
         program = make_program(program_name, seed=seed)
         config = build_config(config_name, program)
@@ -858,13 +881,14 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
         arena = SharedArena(machine)
         history_recorder = HistoryRecorder(machine)
         profiler = CycleProfiler(machine)
-        tracer = Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
+        tracer = (Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
+                  if trace else None)
     # max_depth 0 marks the last bounded generation: no child will run.
     if checkpoint_ctx is not None and checkpoint_ctx["max_depth"] != 0:
         policy.branch_hook = _capture_hook(
             machine, len(checkpoint_ctx["prefix"]),
             checkpoint_ctx["max_depth"], recorder, history_recorder,
-            profiler, tracer, checkpoint_ctx["captured"])
+            profiler, checkpoint_ctx["captured"])
     error = None
     pruned_at = None
     try:
@@ -878,7 +902,8 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
     finally:
         policy.branch_hook = None
         if ctx is None:
-            tracer.detach()
+            if tracer is not None:
+                tracer.detach()
             profiler.detach()
             history_recorder.detach()
             if injector is not None:
@@ -897,20 +922,35 @@ def _trace_deviations(policy):
         if cands and chosen != cands[0])
 
 
+def _failure_trace(program_name, config_name, fault, seed, max_cycles,
+                   deviations):
+    """The last-K trace ring of the schedule ``deviations`` names, from a
+    replay with a tracer attached.  Runs are a pure function of their
+    choices, so the replay records exactly the events the explored run
+    made; only a failing schedule pays for it."""
+    obs = _execute(program_name, config_name, dict(deviations), (), 0,
+                   fault, seed, max_cycles, record=False, trace=True)[-1]
+    return tuple(obs[0].events)
+
+
 def _make_verdict(program_name, config_name, fault, seed, program,
-                  machine, policy, history, error, obs=None):
+                  machine, policy, history, error, obs=None,
+                  max_cycles=None):
     violations, error = collect_violations(
         program, machine, history, error, fault)
+    deviations = _trace_deviations(policy)
     trace = ()
     if obs is not None:
         tracer, profiler = obs
         violations += check_cycle_conservation(profiler.account())
         if violations:
-            trace = tuple(tracer.events)
+            trace = (tuple(tracer.events) if tracer is not None
+                     else _failure_trace(program_name, config_name, fault,
+                                         seed, max_cycles, deviations))
     outcome = None if error else freeze(program.outcome(machine))
     return ScheduleVerdict(
         program=program_name, config=config_name, fault=fault, seed=seed,
-        deviations=_trace_deviations(policy),
+        deviations=deviations,
         violations=violations,
         error=str(error) if error else None,
         n_committed=len(history),
@@ -921,9 +961,10 @@ def _make_verdict(program_name, config_name, fault, seed, program,
         outcome=outcome)
 
 
-def _pending_footprints(choices, footprints, deliveries, cpu_ids):
-    """``pending[i][cpu]`` = the footprint ``cpu`` would execute if
-    scheduled at step boundary ``i``, or None if unknown.
+def _pending_footprints(choices, footprints, deliveries, cpu_ids, lo=0):
+    """``pending[i - lo][cpu]`` = the footprint ``cpu`` would execute if
+    scheduled at step boundary ``i``, or None if unknown, for ``i`` in
+    ``[lo, len(choices))`` (the steps a node branches at).
 
     A non-running CPU's next operation is fixed until it runs or
     receives a delivery, so its footprint is the one it executed at the
@@ -931,16 +972,16 @@ def _pending_footprints(choices, footprints, deliveries, cpu_ids):
     delivery to it.
     """
     n = len(choices)
-    pending = [None] * n
-    nxt = {cpu: None for cpu in cpu_ids}
-    for i in range(n - 1, -1, -1):
-        cur = dict(nxt)
+    pending = [None] * (n - lo)
+    nxt = dict.fromkeys(cpu_ids)
+    for i in range(n - 1, lo - 1, -1):
+        cur = nxt.copy()
+        chosen = choices[i]
         for cpu in deliveries[i]:
-            if cpu != choices[i] and cpu in cur:
+            if cpu != chosen and cpu in cur:
                 cur[cpu] = None
-        cur[choices[i]] = footprints[i]
-        pending[i] = cur
-        nxt = cur
+        cur[chosen] = footprints[i]
+        pending[i - lo] = nxt = cur
     return pending
 
 
@@ -963,11 +1004,16 @@ def _make_children(prefix, policy, recorder, max_depth, n_cpus):
     # step but never closed it: branch only over fully recorded steps.
     n = min(n, len(recorder.footprints))
     hi = min(hi, n)
-    pending = _pending_footprints(
-        choices[:n], recorder.footprints, recorder.deliveries,
-        range(n_cpus))
+    pending = None
     for i in range(lo, hi):
+        if len(candidates[i]) < 2:
+            continue  # a lone candidate has no sibling
+        if pending is None:
+            pending = _pending_footprints(
+                choices[:n], recorder.footprints, recorder.deliveries,
+                range(n_cpus), lo)
         sleep_i = recorder.sleep_before[i]
+        pending_i = pending[i - lo]
         # Godefroid's rule: child sleep = {already-explored siblings and
         # inherited entries, filtered to those provably independent of
         # the child's own first action}.  The already-run sibling
@@ -980,7 +1026,7 @@ def _make_children(prefix, policy, recorder, max_depth, n_cpus):
         for alt in candidates[i]:
             if alt == choices[i] or alt in sleep_i:
                 continue
-            alt_fp = pending[i].get(alt) or GLOBAL_FOOTPRINT
+            alt_fp = pending_i.get(alt) or GLOBAL_FOOTPRINT
             seed = {}
             for cpu, entry in list(sleep_i.items()) + explored:
                 if cpu == alt:
@@ -992,7 +1038,7 @@ def _make_children(prefix, policy, recorder, max_depth, n_cpus):
                     seed[cpu] = (fp, active_from)
             children.append(
                 (tuple(choices[:i]) + (alt,), _encode_sleep(seed)))
-            explored.append((alt, (pending[i].get(alt), i)))
+            explored.append((alt, (pending_i.get(alt), i)))
     return children
 
 
@@ -1025,24 +1071,29 @@ def run_node(program_name, config_name, prefix=(), sleep=(), fault=None,
         }
         before = dict(_CHECKPOINTS.stats)
     program, machine, policy, history, error, pruned_at, recorder, obs = (
-        _execute(program_name, config_name, dict(enumerate(prefix)),
+        _execute(program_name, config_name,
+                 None if ctx else dict(enumerate(prefix)),
                  sleep, len(prefix), fault, seed, max_cycles,
                  record=prune, checkpoint_ctx=ctx))
     verdict = None
     if pruned_at is None:
         verdict = _make_verdict(program_name, config_name, fault, seed,
                                 program, machine, policy, history, error,
-                                obs=obs)
+                                obs=obs, max_cycles=max_cycles)
     children = _make_children(prefix, policy, recorder, max_depth,
                               machine.config.n_cpus)
     cache = None
     if ctx is not None:
         # Hand each capture to the children its step produced (a run
         # that died mid-step produced none at its last step).
-        uses = Counter(len(child) - 1 for child, _ in children)
+        uses = {}
+        for child, _ in children:
+            step = len(child) - 1
+            uses[step] = uses.get(step, 0) + 1
         for step, entry in ctx["captured"].items():
-            if uses[step]:
-                entry.uses = uses[step]
+            if step in uses:
+                # The last use takes the copies over (no copy on load).
+                entry.uses = entry.snapshot.uses = uses[step]
                 entry.generation = generation
                 _CHECKPOINTS.deposit(
                     (ctx["base"], tuple(policy.choices[:step])), entry)
@@ -1066,7 +1117,7 @@ def replay(program_name, config_name, deviations, fault=None, seed=1,
     deviations = tuple(sorted(tuple(d) for d in deviations))
     program, machine, policy, history, error, _pruned, _rec, obs = (
         _execute(program_name, config_name, dict(deviations), (), 0,
-                 fault, seed, max_cycles, record=False))
+                 fault, seed, max_cycles, record=False, trace=True))
     return _make_verdict(program_name, config_name, fault, seed,
                          program, machine, policy, history, error,
                          obs=obs)
@@ -1114,6 +1165,14 @@ def node_failure(spec, message):
         error=message)
     return NodeOutcome(prefix=tuple(kwargs.get("prefix", ())),
                        verdict=verdict)
+
+
+def _failed_node(program_name, config_name, prefix, sleep, common,
+                 message):
+    """:func:`node_failure` for a node run in-process."""
+    return node_failure(
+        node_spec(program_name, config_name, prefix, sleep, **common),
+        message)
 
 
 @dataclasses.dataclass
@@ -1251,22 +1310,29 @@ def explore(program_name, config_name, fault=None, seed=1,
                 last = (preemption_bound is not None
                         and generation == preemption_bound)
                 depth = 0 if last else max_depth
-                specs = [
-                    node_spec(program_name, config_name, prefix, sleep,
-                              fault, seed, depth, effective_prune,
-                              max_cycles=max_cycles,
-                              checkpoint=effective_checkpoint,
-                              affinity=affinity, generation=generation)
-                    for prefix, sleep, affinity in frontier
-                ]
+                common = {"fault": fault, "seed": seed, "max_depth": depth,
+                          "prune": effective_prune,
+                          "max_cycles": max_cycles,
+                          "checkpoint": effective_checkpoint,
+                          "generation": generation}
                 if pool is not None:
+                    specs = [node_spec(program_name, config_name, prefix,
+                                       sleep, affinity=affinity, **common)
+                             for prefix, sleep, affinity in frontier]
                     outcomes = pool.map(specs, timeout=timeout,
                                         failure_result=node_failure)
                     assigned = pool.last_assignments
                 else:
-                    outcomes = run_campaign(
-                        specs, jobs=1, timeout=timeout,
-                        failure_result=node_failure)
+                    # In-process: a node's spec is built only to
+                    # classify its failure.
+                    outcomes = [
+                        call_guarded(
+                            run_node, (program_name, config_name),
+                            {"prefix": prefix, "sleep": sleep, **common},
+                            timeout,
+                            partial(_failed_node, program_name, config_name,
+                                    prefix, sleep, common))
+                        for prefix, sleep, _ in frontier]
                     assigned = None
                 next_frontier = []
                 for position, outcome in enumerate(outcomes):

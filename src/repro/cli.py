@@ -472,21 +472,45 @@ def cmd_explore(args):
     return 1 if failures or gate_failed else 0
 
 
+#: Report fields the checkpointed and stateless sweeps must agree on.
+_REPORT_FIELDS = ("program", "config", "fault", "seed", "skipped",
+                  "explored", "pruned", "truncated", "generations")
+
+#: Per-verdict fields they must agree on, verdict by verdict in
+#: enumeration order.
+_VERDICT_FIELDS = ("name", "failed", "signature", "outcome")
+
+
 def _diff_explore_reports(checked, control):
     """Human-readable differences between two explore sweeps that must
-    agree (checkpointed vs ``--no-checkpoint``)."""
+    agree (checkpointed vs ``--no-checkpoint``): the reports' counts and
+    generations, and each verdict's name, pass/fail, committed-history
+    signature and outcome, position by position (enumeration order is
+    part of the contract).  One line per differing field; a verdict
+    list reports its first differing position and how many differ."""
     out = []
+    if len(checked) != len(control):
+        out.append(f"{len(checked)} reports != {len(control)}")
     for a, b in zip(checked, control):
         name = f"{a.program}:{a.config}"
-        for field in ("explored", "pruned", "skipped", "truncated"):
+        for field in _REPORT_FIELDS:
             va, vb = getattr(a, field), getattr(b, field)
             if va != vb:
                 out.append(f"{name}: {field} {va} != {vb}")
-        va = sorted(str(v) for v in a.verdicts)
-        vb = sorted(str(v) for v in b.verdicts)
-        if va != vb:
-            out.append(f"{name}: verdict sets differ "
-                       f"({len(va)} vs {len(vb)} schedules)")
+        if len(a.verdicts) != len(b.verdicts):
+            out.append(f"{name}: {len(a.verdicts)} verdicts != "
+                       f"{len(b.verdicts)}")
+        for field in _VERDICT_FIELDS:
+            differ = [index for index, (va, vb)
+                      in enumerate(zip(a.verdicts, b.verdicts))
+                      if getattr(va, field) != getattr(vb, field)]
+            if differ:
+                first = differ[0]
+                out.append(
+                    f"{name}: verdict {field} differs at {len(differ)} "
+                    f"position(s), first #{first}: "
+                    f"{repr(getattr(a.verdicts[first], field))[:80]} != "
+                    f"{repr(getattr(b.verdicts[first], field))[:80]}")
     return out
 
 

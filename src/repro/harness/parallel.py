@@ -176,17 +176,24 @@ def _describe(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_guarded(spec, timeout, failure_result):
-    """Serial execution of one spec with the same classification the
-    parallel path applies: exceptions and timeouts become failure
-    results at the campaign boundary instead of sinking the matrix."""
+def call_guarded(fn, args, kwargs, timeout, on_failure):
+    """``fn(*args, **kwargs)`` in-process with the classification the
+    parallel path applies: a timeout or an exception becomes
+    ``on_failure(message)`` at the campaign boundary instead of sinking
+    the matrix."""
     try:
         with _time_limit(timeout):
-            return run_spec(spec)
+            return fn(*args, **kwargs)
     except CaseTimeout:
-        return failure_result(spec, f"timeout after {timeout:g}s")
+        return on_failure(f"timeout after {timeout:g}s")
     except Exception as exc:
-        return failure_result(spec, _describe(exc))
+        return on_failure(_describe(exc))
+
+
+def _run_guarded(spec, timeout, failure_result):
+    """Serial execution of one spec (see :func:`call_guarded`)."""
+    return call_guarded(run_spec, (spec,), {}, timeout,
+                        lambda message: failure_result(spec, message))
 
 
 @batched_gc()

@@ -111,6 +111,8 @@ class HtmSystem:
     #: states load in place: the detectors alias both.
     _state = ("_next_txid", "serial_owner", "validated", "index",
               "states", "detector")
+    #: Per-CPU parts a snapshot keeps for the bound CPUs only.
+    _per_cpu = ("states",)
 
     def __init__(self, config, memory, stats):
         self.config = config

@@ -74,25 +74,23 @@ class _CpuAccount:
         self.last_end = 0
         self.last_bucket = None
 
-    def take_back(self, amount):
-        """Remove ``amount`` cycles charged past the machine's final
-        time (the last op's latency can overshoot the end of the run).
-        Prefer the bucket charged last — that is where the overshoot
-        lives."""
-        order = [self.last_bucket] + ["spec", "overhead", "handler",
-                                      "wasted", "committed", "idle"]
-        for bucket in order:
-            if bucket is None:
-                continue
-            have = getattr(self, bucket)
-            take = min(amount, have)
-            if take:
-                setattr(self, bucket, have - take)
-                amount -= take
-            if not amount:
-                return
-        # Books already short by ``amount`` — leave it to the
-        # conservation check to report.
+
+def _take_back(books, last_bucket, amount):
+    """Remove ``amount`` cycles charged past the machine's final time
+    from the closed ``books`` (the last op's latency can overshoot the
+    end of the run).  Prefer the bucket charged last — that is where
+    the overshoot lives."""
+    for bucket in (last_bucket, "overhead", "handler", "wasted",
+                   "committed", "idle"):
+        if bucket is None:
+            continue
+        take = min(amount, books[bucket])
+        books[bucket] -= take
+        amount -= take
+        if not amount:
+            return
+    # Books already short by ``amount`` — leave it to the
+    # conservation check to report.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -282,19 +280,21 @@ class CycleProfiler(Observer):
             cycles = self.machine.now
         per_cpu = []
         for books in self._cpu:
+            # Closed on a copy: the live books stay as the run left them
+            # (a CPU that never ran keeps its just-built books).
+            closed = {bucket: getattr(books, bucket) for bucket in BUCKETS}
             # Work still speculative when the run ended never committed.
-            books.wasted += books.spec
-            if books.last_bucket == "spec":
-                books.last_bucket = "wasted"
-            books.spec = 0
+            closed["wasted"] += books.spec
+            last_bucket = books.last_bucket
+            if last_bucket == "spec":
+                last_bucket = "wasted"
             if books.last_end > cycles:
                 # The final op's latency ran past the end of simulated
                 # time; those cycles were never lived.
-                books.take_back(books.last_end - cycles)
+                _take_back(closed, last_bucket, books.last_end - cycles)
             elif books.last_end < cycles:
-                books.idle += cycles - books.last_end
-            per_cpu.append({bucket: getattr(books, bucket)
-                            for bucket in BUCKETS})
+                closed["idle"] += cycles - books.last_end
+            per_cpu.append(closed)
         self._account = CycleAccount(
             cycles=cycles, n_cpus=len(self._cpu), per_cpu=tuple(per_cpu))
         return self._account

@@ -71,6 +71,8 @@ class Machine:
     #: are rebuilt by ghost replay, and ``_ready`` by every ``run``.
     _state = ("now", "_live_programs", "_capacity_retries", "stats",
               "memory", "memmodel", "htm", "cpus")
+    #: Per-CPU parts a snapshot keeps for the bound CPUs only.
+    _per_cpu = ("cpus",)
 
     def __init__(self, config, stats=None, policy=None):
         self.config = config
@@ -99,6 +101,12 @@ class Machine:
         #: checkpointing is enabled.  None keeps every hot path at a
         #: single attribute probe.
         self._journal = None
+        #: CPUs a program was ever bound to, ascending.  The others
+        #: never leave their just-built state, so snapshots skip them.
+        self._bound_cpus = ()
+        #: The snapshot save/load generated for this machine (on its
+        #: first capture), or None.
+        self._shape = None
         #: Steps executed before this run's loop started: a machine
         #: restored from a mid-run snapshot resumes the count here so
         #: ``engine.steps`` matches the straight-line run bit-for-bit.
@@ -169,6 +177,8 @@ class Machine:
         cpu.pending_abort = False
         if not daemon:
             self._live_programs += 1
+        if cpu_id not in self._bound_cpus:
+            self._bound_cpus = tuple(sorted((*self._bound_cpus, cpu_id)))
         if self._use_heap:
             heapq.heappush(self._ready, (cpu.resume_at, cpu.cpu_id))
         return cpu
@@ -367,7 +377,7 @@ class Machine:
         # transaction, paper footnote 1).
         journal = self._journal
         if journal is not None:
-            journal.begin_step(cpu, self.now)
+            journal.begin_step(cpu)
         if cpu.throw_exc is None:
             if cpu.pending_abort:
                 cpu.pending_abort = False
@@ -634,6 +644,11 @@ class Machine:
 
             self._journal = StepJournal()
         return self._journal
+
+    def disable_journal(self):
+        """Stop recording the step journal; snapshots already taken keep
+        their view of it.  Idempotent."""
+        self._journal = None
 
     def snapshot(self):
         """Deep, deterministic capture of the whole machine mid-run.

@@ -118,14 +118,18 @@ class SchedulePruned(Exception):
 
     Deliberately *not* a :class:`~repro.common.errors.ReproError`: it is
     exploration control flow, not a simulated failure, and must never be
-    classified as an oracle violation.
+    classified as an oracle violation.  Most pruned runs are never
+    printed, so the message is formatted only when asked for.
     """
 
     def __init__(self, step, candidates):
-        super().__init__(
-            f"all candidates {list(candidates)} asleep at step {step}")
+        super().__init__(step, candidates)
         self.step = step
         self.candidates = tuple(candidates)
+
+    def __str__(self):
+        return (f"all candidates {list(self.candidates)} asleep at step "
+                f"{self.step}")
 
 
 class ControlledPolicy(SchedulePolicy):
@@ -180,39 +184,62 @@ class ControlledPolicy(SchedulePolicy):
 
     def choose(self, runnable):
         step = len(self.choices)
-        candidates = window_candidates(runnable, self.window)
-        ids = tuple(cpu.cpu_id for cpu in candidates)
+        # The in-window candidates in window_candidates' (resume_at,
+        # cpu_id) order, without its genexpr and key function: the
+        # explorer's machines mostly have one or two runnable CPUs.
+        if len(runnable) == 1:
+            order = runnable
+            ids = (runnable[0].cpu_id,)
+        elif len(runnable) == 2:
+            first, second = runnable
+            if (second.resume_at, second.cpu_id) < (first.resume_at,
+                                                    first.cpu_id):
+                first, second = second, first
+            if second.resume_at <= first.resume_at + self.window:
+                order = (first, second)
+                ids = (first.cpu_id, second.cpu_id)
+            else:
+                order = (first,)
+                ids = (first.cpu_id,)
+        else:
+            keyed = sorted([(cpu.resume_at, cpu.cpu_id, cpu)
+                            for cpu in runnable])
+            limit = keyed[0][0] + self.window
+            order = [cpu for resume_at, _, cpu in keyed
+                     if resume_at <= limit]
+            ids = tuple([cpu.cpu_id for cpu in order])
         chosen = None
         want = self.forced.get(step)
         if want is not None:
-            for cpu in candidates:
-                if cpu.cpu_id == want:
-                    chosen = cpu
-                    break
-            if chosen is None:
+            if want in ids:
+                chosen = want
+            else:
                 self.divergences.append((step, want))
+        sleep = self.sleep
         if chosen is None:
-            if step >= self.sleep_from and self.sleep:
-                for cpu in candidates:
-                    if cpu.cpu_id not in self.sleep:
-                        chosen = cpu
+            if sleep and step >= self.sleep_from:
+                for cpu_id in ids:
+                    if cpu_id not in sleep:
+                        chosen = cpu_id
                         break
-                if chosen is None:
+                else:
                     # choices stays one short of candidates: the pruned
                     # step was observed but never executed.
                     self.candidates.append(ids)
                     raise SchedulePruned(step, ids)
             else:
-                chosen = candidates[0]
+                chosen = ids[0]
         hook = self.branch_hook
-        if hook is not None and want is None:
+        if hook is not None and want is None and len(ids) > 1:
             for cpu_id in ids:
-                if cpu_id != chosen.cpu_id and cpu_id not in self.sleep:
+                if cpu_id != chosen and cpu_id not in sleep:
                     hook(step)
                     break
         self.candidates.append(ids)
-        self.choices.append(chosen.cpu_id)
-        return chosen
+        self.choices.append(chosen)
+        for cpu in order:
+            if cpu.cpu_id == chosen:
+                return cpu
 
     def describe(self):
         forced = sorted(self.forced.items())

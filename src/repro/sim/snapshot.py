@@ -10,7 +10,7 @@ with its parent skips the replay.
 registers, HTM parts, stats, memory, memory models, bus, caches)
 declares its mutable fields once, as a class attribute ``_state``, and
 :func:`save`/:func:`load` copy them by one rule set.  What a field holds
-the first time its class is saved decides its kind:
+the first time its tree is saved decides its kind:
 
 * a component (an object with ``_state``), or a list of components, is
   saved recursively and loaded **in place**;
@@ -31,16 +31,40 @@ rebuilds the residency registry its caches alias as ``_registry``;
 not in the snapshot: a caller resuming a stateful policy installs its
 own copy (the explorer gives each child its own ``ControlledPolicy``).
 
+**One generated save/load per machine shape.**  The rules are applied
+by code generated from the ``_state`` declarations, the way
+:mod:`dataclasses` generates ``__init__``: one flat ``save`` and one
+``load`` per tree shape (root type, configuration, bound CPUs), with
+every component unrolled into a local variable and every run of
+assigned fields read by one ``attrgetter``.  A machine generates its
+shape lazily, on its first capture (never in ``Machine.__init__``), and
+keeps it for the next ones.
+
+**Bound CPUs only.**  A CPU no program was ever bound to
+(``Machine._bound_cpus``) never leaves its just-built state, so the
+machine's ``_per_cpu`` lists (its CPUs, the HTM's per-CPU states) are
+captured and loaded for the bound CPUs only.  :func:`restore` raises
+:class:`SnapshotError` unless the target ends up with exactly the
+snapshot's bound CPUs.
+
+**Hand-off on last use.**  A capture deep-copies, so one snapshot can be
+restored any number of times.  A caller that knows how many restores a
+snapshot will serve sets :attr:`MachineSnapshot.uses`; the restore that
+uses it up takes the captured containers over instead of copying them
+again, and the spent snapshot refuses any further restore.
+
 **The control plane** — workloads, handlers and dispatchers — is Python
 generators, which cannot be copied or pickled.  ``Cpu.frames`` and
 ``Cpu.rt`` are therefore not declared state; restore rebuilds them by
 **ghost replay**:
 
-1. Reset the target machine to pristine and re-run the original program
-   setup (same program, same seed).  Setup only *creates* generators —
-   nothing runs until the engine's first ``send`` — so this recreates
-   the frame stacks' level 0 with virgin host state (closures, locals,
-   per-program RNGs).
+1. Reset what program setup and ghost replay read — the bound CPUs'
+   frames, runtime handles and run state, the code registry, the clock
+   — and re-run the original program setup (same program, same seed).
+   Setup only *creates* generators — nothing runs until the engine's
+   first ``send`` — so this recreates the frame stacks' level 0 with
+   virgin host state (closures, locals, per-program RNGs).  What setup
+   writes into the stats and memory is overwritten by step 3.
 2. Swap ``machine.htm`` for a :class:`GhostHtm` and re-feed the **step
    journal** — the per-step record of every engine↔generator
    interaction the original run made (recorded by the engine when
@@ -50,8 +74,8 @@ generators, which cannot be copied or pickled.  ``Cpu.frames`` and
    thrown exceptions, ISA registers, HTM status) comes from the journal,
    so it retraces the original path exactly without touching the data
    plane.
-3. :func:`load` the data plane from the snapshot and self-check that
-   the rebuilt frame stacks match the captured frame counts.
+3. Load the data plane from the snapshot and self-check that the
+   rebuilt frame stacks match the captured frame counts.
 
 A resumed run is then bit-for-bit identical to the original straight
 line — cycles, stats, results — which ``tests/test_snapshot.py`` pins
@@ -62,9 +86,11 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict, defaultdict, deque, namedtuple
+from operator import attrgetter
 
 from repro.common.errors import ReproError, SimulationError, TxRollback
 from repro.htm.system import HtmSystem, TxState
+from repro.isa.context import DONE
 from repro.isa.dispatch import (
     default_abort_dispatcher,
     default_violation_dispatcher,
@@ -135,32 +161,26 @@ _COPIERS = {dict: _copy_dict, defaultdict: _copy_dict,
             OrderedDict: _copy_dict, list: _copy_seq, deque: _copy_seq,
             set: set.copy}
 
-# The per-class code below is generated, the way :mod:`dataclasses`
-# generates ``__init__``: a restore runs once per explored schedule,
-# and plain attribute access is several times faster than a loop of
-# ``getattr``/``setattr`` calls.
+# The save/load code below is generated, the way :mod:`dataclasses`
+# generates ``__init__``: a restore runs once per explored schedule, and
+# straight-line attribute access is several times faster than a loop of
+# ``getattr``/``setattr`` calls or a call per component.
 
 #: Container type -> generated code that refills the cleared container
-#: ``x`` with a copy of the saved ``y``'s items.
+#: ``x`` from the saved ``y``: with ``y``'s own items when the capture
+#: is being taken over (``take``) or its items are all shared, with
+#: copies otherwise.
 _FILL = {
     **dict.fromkeys(
         (dict, defaultdict, OrderedDict),
-        "x.update(y if _shared(map(type, y.values())) else _copy_dict(y))"),
+        "x.update(y if take or _shared(map(type, y.values())) "
+        "else _copy_dict(y))"),
     **dict.fromkeys(
         (list, deque),
-        "x.extend(y if _shared(map(type, y)) else map(copy_value, y))"),
+        "x.extend(y if take or _shared(map(type, y)) "
+        "else map(copy_value, y))"),
     set: "x.update(y)",
 }
-
-#: Generated-code expression for a copy of the value ``{}``.
-_COPY = "v if type(v := {}) in _SHARED else copy_value(v)"
-
-#: Generated-code expression for the compiled pair of the component
-#: ``{0}``, bound to the name ``{1}``.
-_CODEC = "(_CODECS.get(type({0})) or _compile({1}))"
-
-#: component class -> its compiled ``(save, load)`` pair.
-_CODECS = {}
 
 
 def _define(source, **names):
@@ -174,73 +194,142 @@ def _define(source, **names):
 
 def _record_copier(cls):
     body = "".join(
-        f"    clone.{field.name} = {_COPY.format('record.' + field.name)}\n"
+        f"    v = record.{field.name}\n"
+        f"    clone.{field.name} = "
+        "v if type(v) in _SHARED else copy_value(v)\n"
         for field in dataclasses.fields(cls))
     return _define(
         f"def copy_record(record):\n    clone = new(cls)\n{body}"
         "    return clone\n", new=object.__new__, cls=cls)
 
 
-def _compile(component):
-    """Compile ``save``/``load`` for ``type(component)`` from its
-    ``_state``.  A capture is a tuple with one entry per field.  Each
-    field is handled by what it holds on the first instance seen
-    (components are wired at construction and never change kind)."""
-    cls = type(component)
-    saves, loads, kinds = [], [], {}
-    for index, name in enumerate(cls._state):
-        field = f"c.{name}"
-        saved = f"s[{index}]"
-        value = getattr(component, name)
-        if hasattr(type(value), "_state"):
-            codec = _CODEC.format(f"v := {field}", "v")
-            saves.append(f"{codec}[0](v)")
-            loads.append(f"{codec}[1](v, {saved})")
-        elif (type(value) is list and value
-              and all(hasattr(type(part), "_state") for part in value)):
-            codec = _CODEC.format("p", "p")
-            saves.append(f"[{codec}[0](p) for p in {field}]")
-            loads.append(f"for p, ps in zip({field}, {saved}):")
-            loads.append(f"    {codec}[1](p, ps)")
-        elif type(value) in _FILL:
-            # Refilled in place while it still holds this container
-            # type, replaced by a copy otherwise.  Most are empty, and
-            # an empty one is copied and refilled without a call.
-            kinds[f"kind{index}"] = type(value)
-            saves.append(f"v.copy() if type(v := {field}) is kind{index} "
-                         "and not v else copy_value(v)")
-            loads += [
-                f"y = {saved}",
-                f"if type(x := {field}) is kind{index} is type(y):",
-                "    x.clear()",
-                f"    if y: {_FILL[type(value)]}",
-                "else:",
-                f"    {field} = copy_value(y)",
-            ]
-        else:
-            saves.append(field)
-            loads.append(f"{field} = {saved}")
-    if hasattr(cls, "_rederive"):
-        loads.append("c._rederive()")
-    codec = _CODECS[cls] = (
-        _define("def save_state(c):\n    return ("
-                + "".join(f"{item}, " for item in saves) + ")\n", **kinds),
-        _define("def load_state(c, s):\n"
-                + "".join(f"    {line}\n" for line in loads or ["pass"]),
-                **kinds))
-    return codec
+class _Shape:
+    """The generated ``save``/``load`` pair of one component tree.
+
+    ``save(root)`` returns a flat tuple with one entry per field of the
+    whole tree; ``load(root, saved, take)`` writes one back in place,
+    taking the capture's containers over instead of copying them when
+    ``take`` is true (the capture must not be loaded again).  ``bound``
+    is the CPU ids the per-CPU component lists were cut to (None: all
+    of them)."""
+
+    __slots__ = ("bound", "save", "load")
+
+
+#: ``(type, bound)`` (or ``(type, config repr, bound)`` for a root with
+#: a configuration) -> its :class:`_Shape`.
+_SHAPES = {}
+
+
+def _shape(root, bound=None):
+    """The (lazily generated) :class:`_Shape` of ``root``'s tree with its
+    per-CPU lists cut to ``bound``.  A tree's classes and list lengths
+    are fixed by its root type and configuration."""
+    shape = _SHAPES.get((type(root), bound))
+    if shape is None:
+        config = getattr(root, "config", None)
+        key = ((type(root), bound) if config is None
+               else (type(root), repr(config), bound))
+        shape = _SHAPES.get(key)
+        if shape is None:
+            shape = _SHAPES[key] = _compile(root, bound)
+    return shape
+
+
+def _compile(root, bound):
+    """Generate the :class:`_Shape` of ``root``'s tree from the ``_state``
+    of its components.  Components are unrolled into local variables;
+    a component's ``_per_cpu`` lists keep only the ``bound`` entries.
+    Each field is handled by what it holds on this instance
+    (components are wired at construction and never change kind); a
+    run of assigned fields is read by one ``attrgetter`` and written by
+    one unpacking assignment."""
+    fetch, items, loads, names = [], [], [], {}
+    components = iter(range(1, 1 << 30))
+
+    def bind(expr, component):
+        var = f"c{next(components)}"
+        fetch.append(f"{var} = {expr}")
+        walk(component, var)
+
+    def assign(var, run):
+        saved = f"s[{len(items)}]"
+        if len(run) == 1:
+            items.append(f"{var}.{run[0]}")
+            loads.append(f"{var}.{run[0]} = {saved}")
+        elif run:
+            getter = f"g{len(items)}"
+            names[getter] = attrgetter(*run)
+            items.append(f"{getter}({var})")
+            loads.append(", ".join(f"{var}.{name}" for name in run)
+                         + f" = {saved}")
+        run.clear()
+
+    def walk(component, var):
+        cls = type(component)
+        run = []
+        for name in cls._state:
+            value = getattr(component, name)
+            field = f"{var}.{name}"
+            if hasattr(type(value), "_state"):
+                assign(var, run)
+                bind(field, value)
+            elif (type(value) is list and value
+                    and all(hasattr(type(part), "_state") for part in value)):
+                assign(var, run)
+                cut = (bound if bound is not None
+                       and name in getattr(cls, "_per_cpu", ())
+                       else range(len(value)))
+                for index in cut:
+                    bind(f"{field}[{index}]", value[index])
+            elif type(value) in _FILL:
+                # Refilled in place while it still holds this container
+                # type (aliases stay valid), replaced otherwise.
+                assign(var, run)
+                saved = f"s[{len(items)}]"
+                kind = f"k{len(items)}"
+                names[kind] = type(value)
+                names[f"copy_{kind}"] = _COPIERS[type(value)]
+                items.append(f"copy_{kind}(v) if type(v := {field}) is "
+                             f"{kind} else copy_value(v)")
+                loads.extend([
+                    f"y = {saved}",
+                    f"if type(x := {field}) is {kind} is type(y):",
+                    "    if x: x.clear()",
+                    f"    if y: {_FILL[type(value)]}",
+                    "else:",
+                    f"    {field} = y if take else copy_value(y)",
+                ])
+            else:
+                run.append(name)
+        assign(var, run)
+        if hasattr(cls, "_rederive"):
+            loads.append(f"{var}._rederive()")
+
+    walk(root, "c0")
+    shape = _Shape()
+    shape.bound = bound
+    shape.save = _define(
+        "def save_state(c0):\n"
+        + "".join(f"    {line}\n" for line in fetch)
+        + "    return (\n"
+        + "".join(f"        {item},\n" for item in items)
+        + "    )\n", **names)
+    shape.load = _define(
+        "def load_state(c0, s, take):\n"
+        + "".join(f"    {line}\n" for line in fetch + loads)
+        + "    return None\n", **names)
+    return shape
 
 
 def save(component):
-    """Capture the fields ``component`` declares in ``_state``."""
-    codec = _CODECS.get(type(component)) or _compile(component)
-    return codec[0](component)
+    """Capture the fields ``component``'s tree declares in ``_state``."""
+    return _shape(component).save(component)
 
 
 def load(component, saved):
     """Write a :func:`save` capture back onto ``component`` in place."""
-    codec = _CODECS.get(type(component)) or _compile(component)
-    codec[1](component, saved)
+    _shape(component).load(component, saved, False)
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +345,10 @@ LevelView = namedtuple("LevelView", "txid open status")
 LevelView.__doc__ = """One nesting level as the journal records it and
 ghost replay shows it to host code."""
 
+#: The ``post`` record of a step that left its CPU outside any
+#: transaction.
+_POST_IDLE = ((), 0, False)
+
 
 class StepJournal:
     """Per-step log of engine↔generator interactions.
@@ -264,6 +357,8 @@ class StepJournal:
 
         (cpu_id, now, sync, push, feed, post)
 
+    * ``now`` — the step's start time (the engine does not move the
+      clock inside a step).
     * ``sync`` — ISA registers host code can observe, captured at the
       top of ``_step``: ``(viol_reporting, xvcurrent, xvaddr,
       xabort_code, xtcbptr_top)``.  They are re-applied before the feed
@@ -280,27 +375,23 @@ class StepJournal:
       dispatcher stack.
     """
 
-    __slots__ = (
-        "entries", "_cpu", "_now", "_sync", "_push", "_feed", "_unwound")
+    __slots__ = ("entries", "_sync", "_push", "_feed", "_unwound",
+                 "_views")
 
     def __init__(self):
         self.entries = []
-        self._cpu = 0
-        self._now = 0
         self._sync = None
         self._push = None
         self._feed = _FEED_PARKED
         self._unwound = False
+        #: cpu id -> the level-view tuple last recorded for it, reused
+        #: while its nesting is unchanged.
+        self._views = {}
 
-    def begin_step(self, cpu, now):
+    def begin_step(self, cpu):
         isa = cpu.isa
-        self._cpu = cpu.cpu_id
-        self._now = now
         self._sync = (isa.viol_reporting, isa.xvcurrent, isa.xvaddr,
                       isa.xabort_code, isa.xtcbptr_top)
-        self._push = None
-        self._feed = _FEED_PARKED
-        self._unwound = False
 
     def stage_push(self, kind, code_id, xvcurrent, xvaddr, xvpc):
         self._push = (kind, code_id, xvcurrent, xvaddr, xvpc)
@@ -312,16 +403,35 @@ class StepJournal:
         self._unwound = True
 
     def close_step(self, machine, cpu):
-        state = machine.htm.states[cpu.cpu_id]
-        post = (
-            tuple([LevelView(info.txid, info.open, info.status)
-                   for info in state.levels]),
-            state.flatten_extra,
-            self._unwound,
-        )
+        """Record the step ``cpu`` just made (``machine.now`` is still
+        the step's start time) and reset the staged parts."""
+        cpu_id = cpu.cpu_id
+        state = machine.htm.states[cpu_id]
+        levels = state.levels
+        if levels:
+            view = self._views.get(cpu_id)
+            if view is not None and len(view) == len(levels):
+                for seen, info in zip(view, levels):
+                    if (seen.txid != info.txid or seen.open != info.open
+                            or seen.status != info.status):
+                        view = None
+                        break
+            else:
+                view = None
+            if view is None:
+                view = self._views[cpu_id] = tuple([
+                    LevelView(info.txid, info.open, info.status)
+                    for info in levels])
+            post = (view, state.flatten_extra, self._unwound)
+        elif state.flatten_extra or self._unwound:
+            post = ((), state.flatten_extra, self._unwound)
+        else:
+            post = _POST_IDLE
         self.entries.append(
-            (self._cpu, self._now, self._sync, self._push, self._feed,
-             post))
+            (cpu_id, machine.now, self._sync, self._push, self._feed, post))
+        self._push = None
+        self._feed = _FEED_PARKED
+        self._unwound = False
 
 
 # ----------------------------------------------------------------------
@@ -373,12 +483,17 @@ class GhostHtm:
 class MachineSnapshot:
     """Everything needed to rebuild a machine mid-run.
 
-    ``state`` is the machine's :func:`save` capture (all copies), so a
-    snapshot can be restored any number of times, onto any machine
-    with an equal configuration.
+    ``state`` is the :class:`_Shape` capture of the machine with its
+    per-CPU parts cut to the CPUs bound at capture (``shape.bound``):
+    all copies, so a snapshot restores onto any machine with an equal
+    configuration and the same bound CPUs.  ``uses`` is how many more
+    restores it serves: None is unlimited, and the restore that brings
+    a count to zero takes the captured containers over instead of
+    copying them, after which the snapshot is spent.
     """
 
-    __slots__ = ("config", "state", "frames", "journal", "journal_len")
+    __slots__ = ("config", "shape", "state", "frames", "journal",
+                 "journal_len", "uses")
 
     def steps(self):
         """Engine steps completed at capture time."""
@@ -396,16 +511,25 @@ def capture(machine):
     if journal is None:
         raise SnapshotError(
             "snapshot requires enable_journal() before the run")
+    bound = machine._bound_cpus
+    shape = machine._shape
+    if shape is None or shape.bound != bound:
+        # Generated on a machine's first capture (and again only if a
+        # program is bound to one more CPU mid-run).
+        shape = machine._shape = _shape(machine, bound)
+    cpus = machine.cpus
     snap = MachineSnapshot()
     snap.config = machine.config
-    snap.state = save(machine)
-    snap.frames = tuple(len(cpu.frames) for cpu in machine.cpus)
+    snap.shape = shape
+    snap.state = shape.save(machine)
+    snap.frames = [len(cpus[cpu_id].frames) for cpu_id in bound]
     # Zero-copy view: the journal is append-only and its entries are
     # immutable tuples, so sharing the live list plus a length bound is
     # exact — and keeps capture O(1) in the journal instead of O(steps)
     # (the explorer captures at every branch step).
     snap.journal = journal.entries
     snap.journal_len = len(journal.entries)
+    snap.uses = None
     return snap
 
 
@@ -421,26 +545,45 @@ def restore(machine, snapshot, setup_fn):
     same program, same seed — and return the program object.  The
     machine's scheduling policy is left as it is.
 
-    Raises :class:`SnapshotError` when the machine's configuration
-    differs from the snapshot's, or when the ghost replay drifts from
-    the journal; after the latter the machine is in an undefined state
-    and must be reset before reuse (the explore layer simply falls back
-    to a stateless re-execution on a pooled machine).
+    Raises :class:`SnapshotError` when the snapshot is spent, when the
+    machine's configuration differs from the snapshot's, when the two
+    disagree on the bound CPUs, or when the ghost replay drifts from
+    the journal; after the last two the machine is in an undefined
+    state and must be reset before reuse (the explore layer simply
+    falls back to a stateless re-execution on a pooled machine).
     """
-    if machine.config != snapshot.config:
+    if snapshot.state is None:
+        raise SnapshotError(
+            "snapshot is spent: its last use already took its state")
+    if machine.config is not snapshot.config and (
+            machine.config != snapshot.config):
         diff = {name: (value, getattr(machine.config, name))
                 for name, value in vars(snapshot.config).items()
                 if value != getattr(machine.config, name)}
         raise SnapshotError(
             f"snapshot config differs from the machine's, as "
             f"field: (snapshot, machine): {diff}")
-    reset_machine(machine)
+    bound = snapshot.shape.bound
+    if machine._bound_cpus != bound and not set(
+            machine._bound_cpus) <= set(bound):
+        raise SnapshotError(
+            f"machine has CPUs {list(machine._bound_cpus)} bound, the "
+            f"snapshot only {list(bound)}")
+    _reset_control_plane(machine)
     program = setup_fn(machine)
     _ghost_replay(machine, snapshot)
-    load(machine, snapshot.state)
-    journal = StepJournal()
-    journal.entries = snapshot.journal[:snapshot.journal_len]
-    machine._journal = journal
+    if machine._bound_cpus != bound:
+        raise SnapshotError(
+            f"setup bound CPUs {list(machine._bound_cpus)}, the snapshot "
+            f"recorded {list(bound)}")
+    take = False
+    if snapshot.uses is not None:
+        snapshot.uses -= 1
+        take = snapshot.uses <= 0
+    snapshot.shape.load(machine, snapshot.state, take)
+    if take:
+        snapshot.state = None
+    machine._journal.entries = snapshot.journal[:snapshot.journal_len]
     # Resumed runs report engine.steps as prefix + own steps, exactly
     # like the straight line would.
     machine._steps_base = snapshot.journal_len
@@ -466,17 +609,15 @@ def _pristine():
     return _PRISTINE
 
 
-def reset_machine(machine):
-    """Return a (possibly used) machine to its just-constructed state.
-
-    The CPUs, stats and memory load a pristine capture (program setup
-    *appends* to the stats and memory, so they must start empty).  The
-    rest of the data plane (caches, HTM) is left for :func:`restore`'s
-    final :func:`load` to overwrite wholesale.
-    """
-    cpu_state, stats_state, memory_state = _pristine()
+def _reset_control_plane(machine):
+    """Reset what program setup and ghost replay read: the bound CPUs'
+    frames, runtime handles and run state, the code registry and the
+    engine's clock and bookkeeping.  The rest of the data plane is left
+    for the final load to overwrite."""
     machine.codereg.reset()
-    for cpu in machine.cpus:
+    cpus = machine.cpus
+    for cpu_id in machine._bound_cpus:
+        cpu = cpus[cpu_id]
         for frame in reversed(cpu.frames):
             try:
                 frame.close()
@@ -484,16 +625,32 @@ def reset_machine(machine):
                 pass
         cpu.frames = []
         cpu.rt = None
-        load(cpu, cpu_state)
-    load(machine.stats, stats_state)
-    load(machine.memory, memory_state)
+        cpu.state = DONE
+        cpu.resume_at = 0
+        cpu.dispatch_depth = 0
     machine.now = 0
     machine._live_programs = 0
     machine._ready = []
     machine.fault_hooks = None
-    machine._capacity_retries = [0] * machine.config.n_cpus
     machine._steps_base = 0
     machine._journal = StepJournal()
+
+
+def reset_machine(machine):
+    """Return a (possibly used) machine to its just-constructed state.
+
+    The CPUs, stats and memory load a pristine capture (program setup
+    *appends* to the stats and memory, so they must start empty).  The
+    rest of the data plane (caches, HTM) is left for :func:`restore`'s
+    final load to overwrite wholesale.
+    """
+    cpu_state, stats_state, memory_state = _pristine()
+    _reset_control_plane(machine)
+    for cpu in machine.cpus:
+        load(cpu, cpu_state)
+    load(machine.stats, stats_state)
+    load(machine.memory, memory_state)
+    machine._capacity_retries = [0] * machine.config.n_cpus
 
 
 def _ghost_replay(machine, snapshot):
@@ -508,11 +665,16 @@ def _ghost_replay(machine, snapshot):
     ghost_states = ghost.states
     real_htm = machine.htm
     machine.htm = ghost
+    cpus = machine.cpus
+    code = machine.codereg.get
+    index = -1
     try:
-        for index in range(snapshot.journal_len):
-            cpu_id, now, sync, push, feed, post = snapshot.journal[index]
-            cpu = machine.cpus[cpu_id]
+        for cpu_id, now, sync, push, feed, post in (
+                snapshot.journal[:snapshot.journal_len]):
+            index += 1
+            cpu = cpus[cpu_id]
             isa = cpu.isa
+            frames = cpu.frames
             machine.now = now
             (isa.viol_reporting, isa.xvcurrent, isa.xvaddr,
              isa.xabort_code, isa.xtcbptr_top) = sync
@@ -524,7 +686,7 @@ def _ghost_replay(machine, snapshot):
                 isa.xvaddr = xvaddr
                 if code_id:
                     try:
-                        factory = machine.codereg.get(code_id)
+                        factory = code(code_id)
                     except SimulationError as exc:
                         raise SnapshotError(
                             f"ghost replay: handler registration "
@@ -533,49 +695,50 @@ def _ghost_replay(machine, snapshot):
                     factory = default_violation_dispatcher
                 else:
                     factory = default_abort_dispatcher
-                cpu.frames.append(factory(cpu))
-                cpu.dispatch_depth = len(cpu.frames) - 1
-            tag = feed[0]
-            if tag != "p":
-                if not cpu.frames:
+                frames.append(factory(cpu))
+                cpu.dispatch_depth = len(frames) - 1
+            if feed[0] != "p":
+                if not frames:
                     raise SnapshotError(
                         f"ghost replay: cpu {cpu_id} has no frame to "
                         f"feed at step {index}")
-                frame = cpu.frames[-1]
                 try:
-                    if tag == "s":
-                        frame.send(feed[1])
+                    if feed[0] == "s":
+                        frames[-1].send(feed[1])
                     else:
-                        frame.throw(feed[1])
+                        frames[-1].throw(feed[1])
                 except StopIteration:
-                    cpu.frames.pop()
+                    frames.pop()
+                    cpu.dispatch_depth = len(frames) - 1 if frames else 0
                 except TxRollback:
                     # Mirrors _rollback_escaped: drop the frame the
                     # rollback escaped (the generator is already
                     # exhausted by the propagation).
-                    cpu.frames.pop()
+                    frames.pop()
+                    cpu.dispatch_depth = len(frames) - 1 if frames else 0
                 except Exception:  # noqa: BLE001 - mirrors _kill
-                    for open_frame in reversed(cpu.frames):
+                    for open_frame in reversed(frames):
                         try:
                             open_frame.close()
                         except Exception:  # noqa: BLE001
                             pass
-                    cpu.frames = []
+                    frames = cpu.frames = []
+                    cpu.dispatch_depth = 0
             state = ghost_states[cpu_id]
             state.levels, state.flatten_extra, unwound = post
             if unwound:
                 # Mirrors _handle_capacity_abort: dispatcher frames are
                 # dropped without close, the program frame survives.
-                del cpu.frames[1:]
-            cpu.dispatch_depth = max(0, len(cpu.frames) - 1)
+                del frames[1:]
+                cpu.dispatch_depth = 0
     except AttributeError as exc:
         # Host code touched machinery the ghost does not model.
         raise SnapshotError(f"ghost replay: {exc}") from exc
     finally:
         machine.htm = real_htm
-    for cpu, n_frames in zip(machine.cpus, snapshot.frames):
-        if len(cpu.frames) != n_frames:
+    for cpu_id, n_frames in zip(snapshot.shape.bound, snapshot.frames):
+        if len(cpus[cpu_id].frames) != n_frames:
             raise SnapshotError(
-                f"ghost replay drift: cpu {cpu.cpu_id} rebuilt "
-                f"{len(cpu.frames)} frames, snapshot recorded "
+                f"ghost replay drift: cpu {cpu_id} rebuilt "
+                f"{len(cpus[cpu_id].frames)} frames, snapshot recorded "
                 f"{n_frames}")

@@ -114,3 +114,66 @@ class TestConformSmoke:
         out = capsys.readouterr().out
         assert "1 litmus drains" in out
         assert "0 failed" in out
+
+
+class TestExploreDifferentialGate:
+    """``--min-checkpoint-speedup``'s comparison of the checkpointed
+    sweep against the stateless control."""
+
+    @staticmethod
+    def _report(verdicts):
+        from repro.check.explore import ExploreReport
+
+        return ExploreReport(program="litmus-sb", config="lazy-wb-assoc",
+                             explored=len(verdicts), generations=[1, 1],
+                             verdicts=verdicts)
+
+    @staticmethod
+    def _verdict(deviations=(), signature=((0, "outer", 3),),
+                 outcome=(("r0", 1),)):
+        from repro.check.explore import ScheduleVerdict
+
+        return ScheduleVerdict(
+            program="litmus-sb", config="lazy-wb-assoc", fault=None,
+            seed=1, deviations=deviations, n_committed=2, n_steps=9,
+            signature=signature, outcome=outcome)
+
+    def test_identical_sweeps_agree(self):
+        from repro.cli import _diff_explore_reports
+
+        a = self._report([self._verdict(), self._verdict(((3, 1),))])
+        b = self._report([self._verdict(), self._verdict(((3, 1),))])
+        assert _diff_explore_reports([a], [b]) == []
+
+    @pytest.mark.parametrize("change", ["signature", "outcome", "order"])
+    def test_flags_what_the_verdict_strings_hide(self, change):
+        from repro.cli import _diff_explore_reports
+
+        first, second = self._verdict(), self._verdict(((3, 1),))
+        if change == "signature":
+            other = [first, self._verdict(((3, 1),),
+                                          signature=((1, "outer", 3),))]
+        elif change == "outcome":
+            other = [first, self._verdict(((3, 1),),
+                                          outcome=(("r0", 0),))]
+        else:
+            other = [second, first]
+        a, b = self._report([first, second]), self._report(other)
+        # A passing verdict's string is only its name, commits and
+        # steps: sorted strings cannot tell these sweeps apart ...
+        assert sorted(map(str, a.verdicts)) == sorted(map(str, b.verdicts))
+        # ... the gate must.
+        mismatches = _diff_explore_reports([a], [b])
+        assert mismatches
+        field = "name" if change == "order" else change
+        assert any(f"verdict {field} differs" in line
+                   for line in mismatches)
+
+    def test_flags_generations(self):
+        from repro.cli import _diff_explore_reports
+
+        a = self._report([self._verdict()])
+        b = self._report([self._verdict()])
+        b.generations = [2]
+        assert _diff_explore_reports([a], [b]) == [
+            "litmus-sb:lazy-wb-assoc: generations [1, 1] != [2]"]

@@ -228,6 +228,27 @@ def test_node_failure_has_no_children():
     assert outcome.verdict.violations[0].oracle == "run-failure"
 
 
+def test_in_process_node_crash_is_a_failing_verdict(monkeypatch):
+    """A node that raises in the in-process path is classified like a
+    crashed worker's: a run-failure verdict naming the node, and the
+    campaign goes on."""
+    import repro.check.explore as explore_mod
+
+    run_node = explore_mod.run_node
+
+    def crash_on_one(*args, **kwargs):
+        if kwargs["prefix"] == (1,):
+            raise RuntimeError("boom")
+        return run_node(*args, **kwargs)
+
+    monkeypatch.setattr(explore_mod, "run_node", crash_on_one)
+    report = explore("litmus-sb", CONFIG, preemption_bound=1)
+    (failure,) = report.failures
+    assert failure.violations[0].oracle == "run-failure"
+    assert "node prefix=[1]: RuntimeError: boom" in str(failure)
+    assert report.explored > 1
+
+
 # ----------------------------------------------------------------------
 # Parallel == serial
 # ----------------------------------------------------------------------
@@ -284,3 +305,47 @@ def test_verdict_str_formats():
                               fault=None, seed=1, deviations=((3, 1),))
     assert "3@1" in verdict.name
     assert "ok" in str(verdict)
+
+
+def _pending_reference(choices, footprints, deliveries, cpu_ids):
+    """The full backward scan over every step boundary (the explorer
+    reads only ``[lo, n)`` of it)."""
+    n = len(choices)
+    pending = [None] * n
+    nxt = {cpu: None for cpu in cpu_ids}
+    for i in range(n - 1, -1, -1):
+        cur = dict(nxt)
+        for cpu in deliveries[i]:
+            if cpu != choices[i] and cpu in cur:
+                cur[cpu] = None
+        cur[choices[i]] = footprints[i]
+        pending[i] = cur
+        nxt = cur
+    return pending
+
+
+def test_bounded_pending_footprints_equal_the_full_scan():
+    """``_pending_footprints`` scans back only to ``lo``; on ``[lo, n)``
+    it must equal the full scan, for random traces."""
+    import random
+
+    from repro.check.explore import Footprint, _pending_footprints
+
+    rng = random.Random(7)
+    for _ in range(300):
+        n_cpus = rng.randint(1, 4)
+        n = rng.randint(0, 40)
+        cpus = range(n_cpus)
+        choices = [rng.randrange(n_cpus) for _ in range(n)]
+        footprints = [
+            Footprint(frozenset(rng.sample(range(8), rng.randint(0, 2))),
+                      frozenset(rng.sample(range(8), rng.randint(0, 2))),
+                      rng.random() < 0.1)
+            for _ in range(n)]
+        deliveries = [frozenset(rng.sample(range(n_cpus + 1),
+                                           rng.randint(0, 2)))
+                      for _ in range(n)]
+        full = _pending_reference(choices, footprints, deliveries, cpus)
+        lo = rng.randint(0, n)
+        assert _pending_footprints(choices, footprints, deliveries, cpus,
+                                   lo) == full[lo:]

@@ -238,3 +238,50 @@ def test_stateless_mode_deposits_nothing():
     assert report.checkpoint_stats is None
     assert cache.stats["deposits"] == 0
     assert not cache._entries
+
+
+def test_litmus_mp_drain_shape_is_pinned():
+    """The seed-1 litmus-mp drain at its conformance depth: how many
+    schedules it explores and prunes, its generations and its
+    checkpoint counters are fixed points.  A restore-cost change must
+    leave every one of them where it is."""
+    _fresh_cache()
+    report = explore("litmus-mp", CONFIG, seed=1, preemption_bound=None,
+                     max_depth=LITMUS_DEPTHS["litmus-mp"], checkpoint=True)
+    assert not report.truncated
+    assert (report.explored, report.pruned) == (523, 3014)
+    assert len(report.generations) == 29
+    assert report.checkpoint_stats == {
+        "hits": 3536, "misses": 1, "deposits": 3536, "fallbacks": 0,
+        "peak_live": 216}
+
+
+def test_unbound_cpus_stay_pristine_through_a_drain():
+    """The snapshot and the observers' books cover the bound CPUs only,
+    which is exact because a CPU no program was bound to never leaves
+    its just-built state: after a whole drain on the pooled context,
+    every unbound CPU's Cpu, IsaState, TxState tree and profiler books
+    save equal to a fresh machine's."""
+    from repro.check.fuzz import build_config
+    from repro.check.programs import make_program
+    from repro.obs.profiler import CycleProfiler
+    from repro.sim.engine import Machine
+    from repro.sim.snapshot import save
+
+    _fresh_cache()
+    report = explore("litmus-mp", CONFIG, preemption_bound=None,
+                     max_depth=LITMUS_DEPTHS["litmus-mp"], checkpoint=True)
+    assert report.checkpoint_stats["hits"] > 0
+    ctx = explore_mod._CONTEXTS[("litmus-mp", CONFIG)]
+    machine = ctx.machine
+    fresh = Machine(build_config(CONFIG, make_program("litmus-mp", seed=1)))
+    fresh_books = CycleProfiler(fresh)._cpu
+    unbound = [cpu.cpu_id for cpu in machine.cpus
+               if cpu.cpu_id not in machine._bound_cpus]
+    assert machine._bound_cpus == (0, 1) and unbound == [2, 3]
+    for cpu_id in unbound:
+        assert save(machine.cpus[cpu_id]) == save(fresh.cpus[cpu_id])
+        assert save(machine.htm.states[cpu_id]) == save(
+            fresh.htm.states[cpu_id])
+        assert save(ctx.profiler._cpu[cpu_id]) == save(
+            fresh_books[cpu_id])

@@ -103,6 +103,25 @@ def test_window_candidates_always_nonempty():
     assert [c.cpu_id for c in window_candidates(cpus, 250)] == [0]
 
 
+def test_controlled_policy_candidates_match_window_candidates():
+    """ControlledPolicy orders its candidates without calling
+    window_candidates; for any runnable list (any order, ties included)
+    it must record exactly window_candidates' ids and pick the first."""
+    import random
+
+    from repro.sim.schedule import ControlledPolicy
+
+    rng = random.Random(5)
+    for _ in range(500):
+        cpus = [FakeCpu(cpu_id, rng.choice((0, 10, 249, 250, 251, 600)))
+                for cpu_id in rng.sample(range(6), rng.randint(1, 5))]
+        policy = ControlledPolicy(window=250)
+        chosen = policy.choose(cpus)
+        expected = [cpu.cpu_id for cpu in window_candidates(cpus, 250)]
+        assert list(policy.candidates[-1]) == expected
+        assert chosen.cpu_id == expected[0] and chosen in cpus
+
+
 def test_random_policy_only_picks_within_window():
     policy = RandomPolicy(seed=0, window=250)
     cpus = [FakeCpu(0, 0), FakeCpu(1, 1_000)]

@@ -222,11 +222,15 @@ if HAVE_HYPOTHESIS:
             (("det", 0), ("random", 1), ("random", 7))),
         frac=st.floats(min_value=0.0, max_value=1.0),
         seed=st.sampled_from((1, 3)),
+        uses=st.integers(min_value=2, max_value=3),
     )
     def test_property_restore_resume_equals_straight_line(
-            program_name, config_name, policy_spec, frac, seed):
+            program_name, config_name, policy_spec, frac, seed, uses):
         """Any (program, config, policy, capture point, seed): the resumed
-        run is indistinguishable from the straight-line one."""
+        run is indistinguishable from the straight-line one — after each
+        of ``uses`` restores of one snapshot, copying on all but the
+        last, which takes the captured containers over.  The spent
+        snapshot then refuses a further restore."""
         def setup_fn(machine):
             runtime = Runtime(machine)
             arena = SharedArena(machine)
@@ -258,12 +262,21 @@ if HAVE_HYPOTHESIS:
         assert observed == golden
         assert checkpoint is not None
 
-        fresh = Machine(config, policy=_policy(policy_spec))
-        program = _restore(fresh, checkpoint, setup_fn)
-        fresh.run(max_cycles=program.max_cycles)
-        resumed = (fresh.now, fresh.stats.as_dict(),
-                   fresh.memory.snapshot(), fresh.results())
-        assert resumed == golden
+        snapshot = checkpoint[0]
+        snapshot.uses = uses
+        # The first restore lands on a fresh machine, the later ones on
+        # the same machine, dirty from the previous resume.
+        target = Machine(config, policy=_policy(policy_spec))
+        for _ in range(uses):
+            program = _restore(target, checkpoint, setup_fn)
+            target.run(max_cycles=program.max_cycles)
+            resumed = (target.now, target.stats.as_dict(),
+                       target.memory.snapshot(), target.results())
+            assert resumed == golden
+        assert snapshot.uses == 0
+        with pytest.raises(SnapshotError, match="spent"):
+            _restore(Machine(config, policy=_policy(policy_spec)),
+                     checkpoint, setup_fn)
 
 
 def test_snapshot_requires_journal():
@@ -324,6 +337,53 @@ def test_restore_rejects_a_different_config(captured_on, restored_on):
         _restore(target, checkpoint, _setup_fn("litmus-sb"))
 
 
+def test_restore_rejects_a_different_bound_set():
+    """The snapshot covers the CPUs bound at capture; a target with
+    another CPU bound, or a setup that binds one more, is a
+    SnapshotError, never a resume with a stale CPU."""
+    config = build_config(CONFIG, make_program("litmus-sb", seed=1))
+    _, _, checkpoint = _run("litmus-sb", config, DeterministicPolicy(),
+                            snapshot_at=5)
+    assert checkpoint[0].shape.bound == (0, 1)
+
+    def idle(t):
+        yield t.alu()
+
+    dirty = Machine(config, policy=DeterministicPolicy())
+    dirty.add_thread(idle, cpu_id=3)
+    with pytest.raises(SnapshotError, match="bound"):
+        _restore(dirty, checkpoint, _setup_fn("litmus-sb"))
+
+    def setup_one_more(machine):
+        program = _setup_fn("litmus-sb")(machine)
+        machine.add_thread(idle, cpu_id=2)
+        return program
+
+    with pytest.raises(SnapshotError, match="bound"):
+        _restore(Machine(config, policy=DeterministicPolicy()),
+                 checkpoint, setup_one_more)
+
+
+def test_last_use_hands_the_capture_over():
+    """A snapshot with ``uses`` set copies on every restore but the
+    last, which takes the captured containers over and spends it."""
+    config = build_config(CONFIG, make_program("litmus-inc", seed=1))
+    golden, n_steps = _golden_steps("litmus-inc", config, ("det", 0))
+    _, _, checkpoint = _run("litmus-inc", config, DeterministicPolicy(),
+                            snapshot_at=n_steps // 2)
+    snapshot = checkpoint[0]
+    snapshot.uses = 2
+    machine = Machine(config, policy=DeterministicPolicy())
+    _, first, _ = _run("litmus-inc", config, None,
+                       machine=(machine, checkpoint))
+    assert first == golden and snapshot.state is not None
+    _, last, _ = _run("litmus-inc", config, None,
+                      machine=(machine, checkpoint))
+    assert last == golden and snapshot.state is None
+    with pytest.raises(SnapshotError, match="spent"):
+        _run("litmus-inc", config, None, machine=(machine, checkpoint))
+
+
 def _components(component, found):
     """``component`` and every component its ``_state`` reaches."""
     found.append(component)
@@ -347,9 +407,11 @@ def _attribute_names(obj):
 #: Mutable fields deliberately outside ``_state``: the derived caches
 #: ``_rederive`` rebuilds (HierarchicalMemory's residency registry and
 #: WriteBufferVersioning's level list), the generator frames and
-#: runtime handles ghost replay rebuilds, and the ready heap every
-#: ``Machine.run`` rebuilds.
-NOT_STATE = {"residency", "_levels_desc", "frames", "rt", "_ready"}
+#: runtime handles ghost replay rebuilds, the ready heap every
+#: ``Machine.run`` rebuilds, and the bound-CPU set program setup
+#: rebuilds (restore checks it against the snapshot's).
+NOT_STATE = {"residency", "_levels_desc", "frames", "rt", "_ready",
+             "_bound_cpus"}
 
 #: Recorded in place of a value for an alias (identity-checked only).
 _ALIAS = object()

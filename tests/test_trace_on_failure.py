@@ -1,7 +1,9 @@
 """Trace-on-failure and the campaign-wide conservation property.
 
-Every check/chaos/explore case now runs with a cycle profiler and a
-last-K trace ring attached.  A failing case must carry its trace tail —
+Every check/chaos case runs with a cycle profiler and a last-K trace
+ring attached (an explore node with the profiler only; a failing
+explored schedule gets its ring by replay).  A failing case must carry
+its trace tail —
 including when the campaign fans out across worker processes, where the
 ring has to pickle back — and a passing case must carry none (the rings
 would bloat result lists).  On top sits the Hypothesis property: cycle
@@ -74,6 +76,20 @@ class TestTraceOnFailure:
         assert verdict.failed
         assert verdict.trace
         assert "trace tail" in str(verdict)
+
+    def test_explored_failure_trace_equals_the_live_ring(self):
+        """An explore node carries no trace ring: a failing verdict
+        rebuilds its tail by replaying its schedule.  At bound 0 the
+        explored schedule is the fuzzer's ``det`` one, whose ring is
+        recorded live — the two tails must be identical."""
+        from repro.check.explore import explore
+
+        report = explore("counter", "lazy-wb-assoc",
+                         fault="spurious-violation+broken", seed=0,
+                         preemption_bound=0)
+        (verdict,) = report.verdicts
+        assert verdict.failed and verdict.trace
+        assert verdict.trace == run_case(**FAILING).trace
 
     def test_explore_verdicts_clean_when_passing(self):
         verdict = replay("litmus-sb", "lazy-wb-assoc", (), seed=1)
