@@ -15,6 +15,13 @@ from collections import OrderedDict
 class Cache:
     """An LRU set-associative cache of line addresses.
 
+    Sets are allocated on first fill: ``_sets`` maps a set index to its
+    ``OrderedDict`` of resident lines (oldest first), and a set no line
+    was ever inserted into does not exist.  Probing a missing set is a
+    miss with the usual counters, so the model is exactly an eager
+    array of empty sets, while a machine builds, snapshots and restores
+    only the sets a run touched (the paper's 16-CPU machine has 36,864).
+
     Every simulated load probes :meth:`lookup`, so the line/set math is
     inlined and the event counters are plain integer attributes bumped
     in place; :meth:`flush_stats` folds them into the stats tree (the
@@ -33,7 +40,7 @@ class Cache:
         self.assoc = assoc
         self.line_size = line_size
         self.n_sets = size_bytes // (line_size * assoc)
-        self._sets = [OrderedDict() for _ in range(self.n_sets)]
+        self._sets = {}
         self._stats = stats.scope(name)
         #: Optional shared residency registry (line -> dict of caches
         #: holding it, used as an insertion-ordered set so snoop order
@@ -67,15 +74,12 @@ class Cache:
         self.n_hits = self.n_misses = 0
         self.n_evictions = self.n_fills = self.n_invalidations = 0
 
-    def _set_for(self, line_addr):
-        return self._sets[(line_addr // self.line_size) % self.n_sets]
-
     def lookup(self, addr):
         """True (and LRU-touch) if the line holding ``addr`` is resident."""
         line_size = self.line_size
         line = addr - addr % line_size
-        cache_set = self._sets[(line // line_size) % self.n_sets]
-        if line in cache_set:
+        cache_set = self._sets.get((line // line_size) % self.n_sets)
+        if cache_set is not None and line in cache_set:
             cache_set.move_to_end(line)
             self.n_hits += 1
             return True
@@ -87,8 +91,11 @@ class Cache:
         address, or ``None`` if no eviction was needed."""
         line_size = self.line_size
         line = addr - addr % line_size
-        cache_set = self._sets[(line // line_size) % self.n_sets]
-        if line in cache_set:
+        index = (line // line_size) % self.n_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        elif line in cache_set:
             cache_set.move_to_end(line)
             return None
         victim = None
@@ -116,8 +123,8 @@ class Cache:
         """Drop the line holding ``addr`` if resident; True if it was."""
         line_size = self.line_size
         line = addr - addr % line_size
-        cache_set = self._sets[(line // line_size) % self.n_sets]
-        if line in cache_set:
+        cache_set = self._sets.get((line // line_size) % self.n_sets)
+        if cache_set is not None and line in cache_set:
             del cache_set[line]
             self.n_invalidations += 1
             registry = self._registry
@@ -132,12 +139,14 @@ class Cache:
 
     def contains(self, addr):
         """Presence check without touching LRU state or stats."""
-        line = addr - addr % self.line_size
-        return line in self._set_for(line)
+        line_size = self.line_size
+        line = addr - addr % line_size
+        cache_set = self._sets.get((line // line_size) % self.n_sets)
+        return cache_set is not None and line in cache_set
 
     def resident_lines(self):
         """All resident line addresses (diagnostics / tests)."""
         lines = []
-        for cache_set in self._sets:
-            lines.extend(cache_set)
+        for index in sorted(self._sets):
+            lines.extend(self._sets[index])
         return lines

@@ -161,12 +161,13 @@ class HierarchicalMemory(MemoryModel):
 
     def _rederive(self):
         """Rebuild the residency registry from the caches' contents
-        after a snapshot load.  Holder order may differ from the live
-        run's, but it only orders invalidations of distinct caches,
-        which commute."""
+        after a snapshot load, walking only the sets each cache has
+        allocated (the load already dropped sets created after the
+        capture).  Holder order may differ from the live run's, but it
+        only orders invalidations of distinct caches, which commute."""
         self.residency.clear()
         for cache in self.l1 + self.l2:
-            for cache_set in cache._sets:
+            for cache_set in cache._sets.values():
                 for line in cache_set:
                     self.residency.setdefault(line, {})[cache] = True
 

@@ -14,13 +14,19 @@ observably identical:
   O(n_cpus × written units) and O(n_cpus × nesting levels) full scans
   over every other CPU's read/write-sets.  :func:`install_naive_detector`
   swaps one into a machine in place of its indexed detector.
+* :class:`EagerCache` — the cache that builds every set up front as a
+  list of ``OrderedDict``, verbatim.  :func:`install_eager_caches`
+  swaps a twin of it in for every cache of a machine.
 
-Install either before the machine runs and before any instrument
+Install any of them before the machine runs and before any instrument
 attaches (instruments capture the executor and the violation sink).
+The eager caches do not snapshot: ``HierarchicalMemory._rederive``
+walks the lazy cache's set dict.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from types import MethodType
 
 from repro.common.errors import IsaError, SimulationError
@@ -256,4 +262,153 @@ def install_naive_detector(machine):
                 indexed._index)
     naive.attach_sink(indexed._sink)
     htm.detector = naive
+    return machine
+
+
+# ---------------------------------------------------------------------------
+# The eager-set cache
+# ---------------------------------------------------------------------------
+
+class EagerCache:
+    """An LRU set-associative cache of line addresses.
+
+    Every simulated load probes :meth:`lookup`, so the line/set math is
+    inlined and the event counters are plain integer attributes bumped
+    in place; :meth:`flush_stats` folds them into the stats tree (the
+    engine calls it when a run ends, so finished machines always expose
+    the usual ``l1.hits``-style counters).
+    """
+
+    #: Snapshot state (repro.sim.snapshot).  The shared registry is
+    #: derived: the memory model rebuilds it from every cache's sets.
+    _state = ("_sets", "n_hits", "n_misses", "n_evictions", "n_fills",
+              "n_invalidations")
+
+    def __init__(self, name, size_bytes, assoc, line_size, stats,
+                 registry=None, owner=None):
+        self.name = name
+        self.assoc = assoc
+        self.line_size = line_size
+        self.n_sets = size_bytes // (line_size * assoc)
+        self._sets = [OrderedDict() for _ in range(self.n_sets)]
+        self._stats = stats.scope(name)
+        #: Optional shared residency registry (line -> dict of caches
+        #: holding it, used as an insertion-ordered set so snoop order
+        #: is deterministic), kept exact by insert/invalidate/evict so
+        #: the memory model can snoop only the caches that hold a line
+        #: instead of sweeping every cache in the machine.
+        self._registry = registry
+        #: The registry key identifying this cache's CPU (snoops skip
+        #: the requester's own caches).
+        self.owner = owner
+        self.n_hits = 0
+        self.n_misses = 0
+        self.n_evictions = 0
+        self.n_fills = 0
+        self.n_invalidations = 0
+
+    def flush_stats(self):
+        """Fold the locally-accumulated event counts into the stats tree
+        and reset them, so repeated flushes (or multi-run reuse) never
+        double-count.  Zero counts are skipped so the tree grows a key
+        only for events that actually happened, exactly as per-event
+        ``add`` calls would."""
+        stats = self._stats
+        for name, count in (("hits", self.n_hits),
+                            ("misses", self.n_misses),
+                            ("evictions", self.n_evictions),
+                            ("fills", self.n_fills),
+                            ("invalidations", self.n_invalidations)):
+            if count:
+                stats.add(name, count)
+        self.n_hits = self.n_misses = 0
+        self.n_evictions = self.n_fills = self.n_invalidations = 0
+
+    def _set_for(self, line_addr):
+        return self._sets[(line_addr // self.line_size) % self.n_sets]
+
+    def lookup(self, addr):
+        """True (and LRU-touch) if the line holding ``addr`` is resident."""
+        line_size = self.line_size
+        line = addr - addr % line_size
+        cache_set = self._sets[(line // line_size) % self.n_sets]
+        if line in cache_set:
+            cache_set.move_to_end(line)
+            self.n_hits += 1
+            return True
+        self.n_misses += 1
+        return False
+
+    def insert(self, addr):
+        """Bring the line holding ``addr`` in; return the evicted line
+        address, or ``None`` if no eviction was needed."""
+        line_size = self.line_size
+        line = addr - addr % line_size
+        cache_set = self._sets[(line // line_size) % self.n_sets]
+        if line in cache_set:
+            cache_set.move_to_end(line)
+            return None
+        victim = None
+        registry = self._registry
+        if len(cache_set) >= self.assoc:
+            victim, _ = cache_set.popitem(last=False)
+            self.n_evictions += 1
+            if registry is not None:
+                holders = registry.get(victim)
+                if holders is not None:
+                    holders.pop(self, None)
+                    if not holders:
+                        del registry[victim]
+        cache_set[line] = True
+        self.n_fills += 1
+        if registry is not None:
+            holders = registry.get(line)
+            if holders is None:
+                registry[line] = {self: True}
+            else:
+                holders[self] = True
+        return victim
+
+    def invalidate(self, addr):
+        """Drop the line holding ``addr`` if resident; True if it was."""
+        line_size = self.line_size
+        line = addr - addr % line_size
+        cache_set = self._sets[(line // line_size) % self.n_sets]
+        if line in cache_set:
+            del cache_set[line]
+            self.n_invalidations += 1
+            registry = self._registry
+            if registry is not None:
+                holders = registry.get(line)
+                if holders is not None:
+                    holders.pop(self, None)
+                    if not holders:
+                        del registry[line]
+            return True
+        return False
+
+    def contains(self, addr):
+        """Presence check without touching LRU state or stats."""
+        line = addr - addr % self.line_size
+        return line in self._set_for(line)
+
+    def resident_lines(self):
+        """All resident line addresses (diagnostics / tests)."""
+        lines = []
+        for cache_set in self._sets:
+            lines.extend(cache_set)
+        return lines
+
+
+def install_eager_caches(machine):
+    """Replace every cache of ``machine``'s timing model with an
+    :class:`EagerCache` twin: same geometry, stats scope, residency
+    registry and owner, every set allocated and empty."""
+    memmodel = machine.memmodel
+    for caches in (memmodel.l1, memmodel.l2):
+        for index, lazy in enumerate(caches):
+            eager = EagerCache.__new__(EagerCache)
+            vars(eager).update(vars(lazy))
+            eager._sets = [OrderedDict() for _ in range(lazy.n_sets)]
+            caches[index] = eager
     return machine

@@ -198,6 +198,56 @@ def test_pinned_golden_cycles():
     assert golden[0] == resumed[0] == PINNED_LITMUS_SB_CYCLES
 
 
+def _cache_view(machine):
+    """Per cache, set index -> the set's lines in LRU order."""
+    memmodel = machine.memmodel
+    return [{index: list(lines) for index, lines in cache._sets.items()}
+            for cache in memmodel.l1 + memmodel.l2]
+
+
+def test_restore_drops_cache_sets_the_capture_never_had():
+    """Caches allocate sets on first fill.  A restore onto a machine
+    that filled other sets must leave exactly the captured sets, in
+    their captured LRU order, and resume the straight line."""
+    config = build_config("lazy-timing-simple",
+                          make_program("litmus-sb", seed=1))
+    golden, n_steps = _golden_steps("litmus-sb", config, ("det", 0))
+    at = n_steps // 2
+    captured_view = []
+
+    class Viewing(_CapturingPolicy):
+        def choose(self, runnable):
+            if self.steps == self.at:
+                captured_view.extend(_cache_view(self.machine))
+            return super().choose(runnable)
+
+    machine = Machine(config, policy=DeterministicPolicy())
+    machine.enable_journal()
+    program = _setup_fn("litmus-sb")(machine)
+    captured = []
+    machine.policy = Viewing(machine.policy, machine, at, captured)
+    machine.run(max_cycles=program.max_cycles)
+    assert any(captured_view)
+
+    # The target ran another program and then filled, in every cache,
+    # a set the capture does not hold.
+    target, _, _ = _run("litmus-mp", config, DeterministicPolicy())
+    memmodel = target.memmodel
+    for cache, view in zip(memmodel.l1 + memmodel.l2, captured_view):
+        index = next(i for i in range(cache.n_sets) if i not in view)
+        cache.insert(index * cache.line_size)
+    assert _cache_view(target) != captured_view
+
+    program = _restore(target, captured[0], _setup_fn("litmus-sb"))
+    assert _cache_view(target) == captured_view
+    assert set(memmodel.residency) == {
+        line for view in captured_view for lines in view.values()
+        for line in lines}
+    target.run(max_cycles=program.max_cycles)
+    assert (target.now, target.stats.as_dict(), target.memory.snapshot(),
+            target.results()) == golden
+
+
 #: The deterministic litmus-sb run under lazy-wb-assoc.  Update only
 #: with a semantics change that moves every schedule the same way.
 PINNED_LITMUS_SB_CYCLES = 33
