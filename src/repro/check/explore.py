@@ -11,18 +11,32 @@ explores the schedule space the way stateless model checkers do
 *prefix* of scheduling decisions and records the in-window alternatives
 at every choice point, then branch on the recorded alternatives.
 
-**Enumeration.**  The root node is the empty prefix — the deterministic
-schedule.  After running a node's prefix ``P`` to completion (trace
-``T``), each step ``i >= len(P)`` with an unexplored alternative ``a``
-spawns the child prefix ``T[:i] + (a,)``.  Every child deviates from
-its parent's continuation at exactly one new point, so generation ``b``
-of the search contains exactly the schedules reachable with ``b``
-forced deviations from the deterministic pick — and iterating the
-generations ``0, 1, .., bound`` is *iterative preemption bounding* in
-the delay-bounding style of CHESS (Musuvathi & Qadeer): shallow bugs
-surface first, and ``bound = 0`` is precisely the fuzzer's ``det``
-schedule.  Each complete schedule is visited exactly once (two distinct
-prefixes always complete to distinct choice sequences).
+**Enumeration.**  A *bounded* search (finite ``preemption_bound``) and
+an unpruned one go breadth-first over generations.  The root node is
+the empty prefix — the deterministic schedule.  After running a node's
+prefix ``P`` to completion (trace ``T``), each step ``i >= len(P)``
+with an unexplored alternative ``a`` spawns the child prefix
+``T[:i] + (a,)``.  Every child deviates from its parent's continuation
+at exactly one new point, so generation ``b`` of the search contains
+exactly the schedules reachable with ``b`` forced deviations from the
+deterministic pick — and iterating the generations ``0, 1, .., bound``
+is *iterative preemption bounding* in the delay-bounding style of CHESS
+(Musuvathi & Qadeer): shallow bugs surface first, and ``bound = 0`` is
+precisely the fuzzer's ``det`` schedule.  Each complete schedule is
+visited exactly once (two distinct prefixes always complete to
+distinct choice sequences).
+
+An *unbounded pruned* drain runs source-set DPOR instead (Abdulla,
+Aronis, Jonsson, Sagonas, POPL 2014; :func:`_explore_dpor` and
+:mod:`repro.check.por`).  It goes depth-first, one run at a time, and
+branches only where two dependent steps of a run race: at the state
+before the earlier step it adds a CPU whose first step reverses the
+race.  Branching on every alternative, as the generations do, completes
+each interleaving class several times over (1 176 judged runs for the
+175 classes of the seed-1 ``litmus-sb`` drain at depth 48); DPOR
+judges 228 runs there and abandons none.  DPOR and preemption bounds do
+not compose naively (Coons, Musuvathi, McKinley, OOPSLA 2013), so a
+bounded search keeps the generations.
 
 **Pruning.**  Exploring both orders of two *independent* steps is
 wasted work (they commute), so each branch seeds its child with a
@@ -41,12 +55,13 @@ retracted units); serial-mode transitions, wakes and any
 stalled/aborted access are *global* (dependent with everything); a
 posted violation is a targeted *delivery* to its victim, which wakes
 any sleep entry for that CPU.  A non-running CPU's pending footprint is
-inferred from
-the first later step where it ran, invalidated by any intervening
-delivery (wake or violation) to it — a CPU's next operation is fixed by
-its own last step until it runs again or receives a delivery, which is
-what makes the estimate sound.  Unknown footprints never enter a sleep
-set.
+inferred from the first later step where it ran, invalidated by any
+intervening delivery (wake or violation) to it — a CPU's next operation
+is fixed by its own last step until it runs again or receives a
+delivery, which is what makes the estimate sound.  Unknown footprints
+never enter a sleep set.  DPOR's happens-before adds the deliveries to
+dependence: a delivery orders the victim's next step after it, and a
+victim's step orders a later delivery to it after that step.
 
 Pruning is enabled only where it is sound:
 
@@ -61,6 +76,12 @@ Pruning is enabled only where it is sound:
   unbounded exploration; under a finite ``preemption_bound`` a pruned
   branch's representative may need more deviations than the bound
   allows.  ``prune=False`` restores plain bounded enumeration.
+* The candidate window makes a CPU's enabledness depend on time, and a
+  CPU leaving the window is no dependent step.  When no CPU that would
+  reverse a race is in the window at its state, DPOR branches on every
+  in-window candidate there (a *window fallback*, counted in the
+  report).  ``tests/test_por.py`` checks that DPOR completes every
+  class the sleep-set enumeration (``tests/reference.py``) completes.
 
 **Counterexamples.**  A failing schedule is reported as its *deviation
 list* — the ``(step, cpu)`` pairs where it departs from the
@@ -69,11 +90,13 @@ deterministic pick — which replays exactly (:func:`replay`, CLI
 through the same greedy loop as the fuzzer's change-points
 (:func:`repro.check.fuzz.shrink_change_points`).
 
-**Parallelism.**  Each generation is a wave of independent node runs —
-worker-disjoint subtree claims — sharded across processes with
-:class:`~repro.harness.parallel.WorkerPool` and merged in enumeration
-order, so ``--jobs N`` produces the identical schedule/verdict sequence
-as a serial run.
+**Parallelism.**  Each generation of a bounded or unpruned search is a
+wave of independent node runs — worker-disjoint subtree claims —
+sharded across processes with :class:`~repro.harness.parallel.WorkerPool`
+and merged in enumeration order, so ``--jobs N`` produces the identical
+schedule/verdict sequence as a serial run.  A DPOR drain is one
+in-process DFS that ``jobs`` does not shard (sharding a drain node by
+node lost to serial); ``conform`` shards whole drains instead.
 
 The explorer uses the fuzzer's candidate window
 (:data:`~repro.sim.schedule.DEFAULT_WINDOW`): the explored space is
@@ -87,7 +110,6 @@ point the run prunes instead of starving it forever.
 from __future__ import annotations
 
 import dataclasses
-from collections import namedtuple
 from functools import partial
 
 from repro.common.errors import ReproError
@@ -124,6 +146,19 @@ from repro.check.fuzz import (
 )
 from repro.check.history import HistoryRecorder
 from repro.check.oracles import OracleViolation, check_cycle_conservation
+from repro.check.por import (
+    EMPTY_FOOTPRINT,
+    GLOBAL_FOOTPRINT,
+    TOKEN,
+    RaceStats,
+    add_backtracks,
+    decode_sleep,
+    footprint as _footprint,
+    make_children,
+    pending_footprints,
+    sleep_seed,
+    vector_clocks,
+)
 from repro.check.programs import make_program
 from repro.spec.replay import freeze
 
@@ -138,66 +173,6 @@ from repro.spec.replay import freeze
 EXPLORE_WINDOW = DEFAULT_WINDOW
 
 _EMPTY = frozenset()
-
-#: Pseudo-unit serializing the commit path: commits, validates,
-#: devalidates and rollbacks all touch it, so their mutual order is
-#: never treated as exchangeable.  Real units are non-negative address
-#: or line indices, so -1 can never collide.
-TOKEN = -1
-
-
-class Footprint(namedtuple("Footprint", "reads writes global_",
-                           defaults=(_EMPTY, _EMPTY, False))):
-    """What one scheduling step touched, at conflict-unit granularity.
-
-    ``global_`` marks actions ordered against everything (serial-mode
-    transitions, wakes, any stalled/aborted access, non-transactional
-    publishing stores): they are dependent with every other step.
-    Commits are *not* global: a commit's footprint is its published
-    write-set plus the :data:`TOKEN` pseudo-unit, so it commutes with
-    accesses to unrelated units.
-    """
-
-    __slots__ = ()
-
-    def depends(self, other):
-        """Conservative dependence: do the two steps fail to commute?"""
-        if self.global_ or other.global_:
-            return True
-        writes = self.writes
-        return not (writes.isdisjoint(other.reads)
-                    and writes.isdisjoint(other.writes)
-                    and other.writes.isdisjoint(self.reads))
-
-
-#: ``_footprint((reads, writes, global_))`` builds a :class:`Footprint`
-#: without the Python-level ``__new__`` (one per recorded step).
-_footprint = partial(tuple.__new__, Footprint)
-
-GLOBAL_FOOTPRINT = Footprint(global_=True)
-
-#: The footprint of a step that touched nothing.
-EMPTY_FOOTPRINT = Footprint()
-
-
-def _encode_sleep(entries):
-    """dict cpu -> (Footprint, active_from)  =>  picklable spec tuple.
-
-    ``active_from`` is the step index at which the entry's coverage
-    claim starts: the recorder's live removal only considers steps at or
-    past it, so an entry inherited through a replayed prefix is not
-    erased by steps that logically precede its creation.
-    """
-    return tuple(
-        (cpu, active_from,
-         tuple(sorted(fp.reads)), tuple(sorted(fp.writes)))
-        for cpu, (fp, active_from) in sorted(entries.items()))
-
-
-def _decode_sleep(encoded):
-    return {cpu: (_footprint((frozenset(reads), frozenset(writes), False)),
-                  active_from)
-            for cpu, active_from, reads, writes in encoded}
 
 
 class StepRecorder(Observer):
@@ -392,10 +367,11 @@ class StepRecorder(Observer):
 # over.  Instead, a node captures a mid-run machine snapshot
 # (:mod:`repro.sim.snapshot`) at each of its branch steps in
 # ``[len(P), max_depth)`` — where :class:`ControlledPolicy` calls its
-# ``branch_hook``, by the rule :func:`_make_children` applies — and
-# deposits it with one use per child that step actually produced.  A
-# child with prefix ``P`` forks at its branch step ``len(P) - 1``; the
-# entry is dropped when its last child has restored it.
+# ``branch_hook``, by the rule :func:`repro.check.por.make_children`
+# applies — and deposits it with one use per child that step actually
+# produced.  A child with prefix ``P`` forks at its branch step
+# ``len(P) - 1``; the entry is dropped when its last child has restored
+# it.
 #
 # Soundness rests on three facts:
 #
@@ -408,9 +384,10 @@ class StepRecorder(Observer):
 #   choice-determined, so the observers restore from the same entry.
 # * **The fork point is the branch step, never past it.**  A child's
 #   *new* sleep entries activate at the branch step ``len(prefix) - 1``
-#   (see :func:`_make_children`), and the recorder's removal rule may
-#   fire at exactly that step — so restoring past it could skip a
-#   wake-up and prune a schedule the stateless run explores.  Forking at
+#   (see :func:`repro.check.por.make_children`), and the recorder's
+#   removal rule may fire at exactly that step — so restoring past it
+#   could skip a wake-up and prune a schedule the stateless run
+#   explores.  Forking at
 #   ``s = len(prefix) - 1`` runs the branch step itself live, keeping
 #   every sleep-set decision of this node inside the resumed portion.
 #   Inherited entries survive all earlier steps by construction: the
@@ -424,6 +401,14 @@ class StepRecorder(Observer):
 #   recorded ``choices``/``candidates``/``divergences`` prefix
 #   (identical to what a faithful replay of the prefix would have
 #   recorded), which :meth:`_NodeContext.resume` preloads into it.
+#
+# A DPOR drain (:func:`_explore_dpor`) uses the same entries without the
+# cache: they live on its DFS stack, one per state at most, captured by
+# a run only at the states below its fork that still have a CPU to
+# explore, and released when the state is popped.  A child resumes from
+# the nearest entry at or before its fork and forces the gap; the same
+# three facts make that exact (an entry's inherited sleep entries
+# survived the gap in the run that recorded the state).
 #
 # A node pays only for what its outcome reads:
 #
@@ -462,7 +447,7 @@ class _Checkpoint:
     state (recorder, history, profiler) that goes with it."""
 
     __slots__ = ("snapshot", "policy", "recorder", "history", "profiler",
-                 "uses", "generation")
+                 "uses", "generation", "__weakref__")
 
 
 class CheckpointCache:
@@ -651,14 +636,55 @@ def _restore_node(program_name, config_name, entry, seed):
     return ctx, program
 
 
+def _capture(machine, recorder, history_recorder, profiler):
+    """One :class:`_Checkpoint` of ``machine`` and its observers at the
+    current step boundary, where every observer is quiescent: the
+    recorder's accumulators are empty and the profiler's books are
+    settled.  Like the snapshot, the per-CPU observer books cover the
+    bound CPUs only."""
+    entry = _Checkpoint()
+    entry.uses = None
+    entry.snapshot = machine.snapshot()
+    bound = entry.snapshot.shape.bound
+    # The policy's recordings are append-only for the node's lifetime,
+    # so they are shared with a length bound (O(1)).
+    policy = machine.policy
+    entry.policy = (policy.choices, len(policy.choices),
+                    policy.candidates, len(policy.candidates),
+                    policy.divergences, len(policy.divergences))
+    entry.recorder = None
+    if recorder is not None:
+        # The per-step lists are append-only with immutable entries for
+        # the node's lifetime (the next pooled node *replaces* them), so
+        # they are shared by reference with a length bound — same
+        # zero-copy discipline as the step journal.
+        cpu_reads = recorder._cpu_reads
+        cpu_writes = recorder._cpu_writes
+        entry.recorder = (
+            recorder.footprints, recorder.deliveries,
+            len(recorder.footprints),
+            [set(cpu_reads[cpu_id]) for cpu_id in bound],
+            [set(cpu_writes[cpu_id]) for cpu_id in bound])
+    # Committed/aborted records are immutable once appended (the
+    # recorder only mutates *live* frames, and a record leaves the frame
+    # stacks exactly when it enters one of those lists), so the lists
+    # are shared by reference; only the live frames are copied.
+    history = history_recorder.history
+    frames = history_recorder._frames
+    entry.history = (history.committed, len(history.committed),
+                     history.aborted, len(history.aborted),
+                     [copy_value(frames[cpu_id]) for cpu_id in bound],
+                     history_recorder._seq)
+    books = profiler._cpu
+    entry.profiler = [save(books[cpu_id]) for cpu_id in bound]
+    return entry
+
+
 def _capture_hook(machine, lo, hi, recorder, history_recorder, profiler,
                   captured):
     """The ``branch_hook`` capturing this node's checkpoints at branch
-    steps in ``[lo, hi)`` into ``captured`` (step -> entry).  It fires
-    at a step boundary, so every observer is quiescent: the recorder's
-    accumulators are empty and the profiler's books are settled.  Like
-    the snapshot, the per-CPU observer books cover the bound CPUs only.
-    Past ``hi`` no capture can follow, so the first branch step there
+    steps in ``[lo, hi)`` into ``captured`` (step -> entry).  Past
+    ``hi`` no capture can follow, so the first branch step there
     retires the hook and the step journal only captures read.
     """
 
@@ -669,42 +695,25 @@ def _capture_hook(machine, lo, hi, recorder, history_recorder, profiler,
             machine.policy.branch_hook = None
             machine.disable_journal()
             return
-        entry = _Checkpoint()
-        entry.snapshot = machine.snapshot()
-        bound = entry.snapshot.shape.bound
-        # The policy's recordings are append-only for the node's
-        # lifetime, so they are shared with a length bound (O(1)).
-        policy = machine.policy
-        entry.policy = (policy.choices, len(policy.choices),
-                        policy.candidates, len(policy.candidates),
-                        policy.divergences, len(policy.divergences))
-        entry.recorder = None
-        if recorder is not None:
-            # The per-step lists are append-only with immutable entries
-            # for the node's lifetime (the next pooled node *replaces*
-            # them), so they are shared by reference with a length
-            # bound — same zero-copy discipline as the step journal.
-            cpu_reads = recorder._cpu_reads
-            cpu_writes = recorder._cpu_writes
-            entry.recorder = (
-                recorder.footprints, recorder.deliveries,
-                len(recorder.footprints),
-                [set(cpu_reads[cpu_id]) for cpu_id in bound],
-                [set(cpu_writes[cpu_id]) for cpu_id in bound])
-        # Committed/aborted records are immutable once appended (the
-        # recorder only mutates *live* frames, and a record leaves the
-        # frame stacks exactly when it enters one of those lists), so
-        # the lists are shared by reference; only the live frames are
-        # copied.
-        history = history_recorder.history
-        frames = history_recorder._frames
-        entry.history = (history.committed, len(history.committed),
-                         history.aborted, len(history.aborted),
-                         [copy_value(frames[cpu_id]) for cpu_id in bound],
-                         history_recorder._seq)
-        books = profiler._cpu
-        entry.profiler = [save(books[cpu_id]) for cpu_id in bound]
-        captured[step] = entry
+        captured[step] = _capture(machine, recorder, history_recorder,
+                                  profiler)
+
+    return hook
+
+
+def _stack_capture_hook(machine, steps, recorder, history_recorder,
+                        profiler, captured):
+    """The ``fork_hook`` of a DPOR node: capture at each step boundary
+    in ``steps`` into ``captured`` (step -> entry).  After the last one
+    it retires itself and the step journal."""
+    last = max(steps)
+
+    def hook(step):
+        captured[step] = _capture(machine, recorder, history_recorder,
+                                  profiler)
+        if step == last:
+            machine.policy.fork_steps = _EMPTY
+            machine.disable_journal()
 
     return hook
 
@@ -802,7 +811,7 @@ def _should_prune(prune, fault, config):
     return bool(prune) and fault is None and config.detection == LAZY
 
 
-def _execute(program_name, config_name, forced, sleep, sleep_from,
+def _execute(program_name, config_name, forced, sleep_entries, sleep_from,
              fault, seed, max_cycles, record, checkpoint_ctx=None,
              trace=False):
     """Run one controlled schedule; returns the post-run state tuple
@@ -811,40 +820,53 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
     cycle-conservation books every node carries, and the trace-on-failure
     ring when ``trace`` asks for it (else None; a node's verdict reads a
     trace only when it fails, see :func:`_failure_trace`).
+    ``sleep_entries`` is the decoded sleep-set seed.
 
-    ``checkpoint_ctx`` (``{"base", "prefix", "max_depth",
-    "captured"}``) switches the node to the checkpoint cache: fork at
-    ``prefix``'s branch step when that checkpoint is cached, and capture
-    this run's own branch steps into ``captured`` (see
-    :func:`_capture_hook`) for :func:`run_node` to deposit.  ``forced``
-    may then be None: it is the prefix's, built only for a stateless
-    run (a restored node only still has its last choice to force).
-    Verdicts are identical either way — the cache only changes where
-    execution starts.
+    ``checkpoint_ctx`` switches the node to checkpoints, in one of two
+    forms.  The generation loop's (``{"base", "prefix", "max_depth",
+    "captured"}``) forks at ``prefix``'s branch step when the cache
+    holds that checkpoint, and captures this run's own branch steps into
+    ``captured`` (see :func:`_capture_hook`) for :func:`run_node` to
+    deposit.  The DPOR search's (``{"prefix", "resume", "capture",
+    "captured"}``) resumes from ``resume = (step, entry)`` when given,
+    forcing the prefix from ``step`` on, and captures at the step
+    boundaries in ``capture``; it reports whether the restore happened
+    as ``"restored"``.  ``forced`` may be None: it is the prefix's,
+    built only for a stateless run.  Verdicts are identical either way
+    — checkpoints only change where execution starts.
     """
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
-    sleep_entries = _decode_sleep(sleep)
-    entry = None
+    resume = None
     ctx = None
     if checkpoint_ctx is not None:
         prefix = checkpoint_ctx["prefix"]
-        entry = _CHECKPOINTS.lookup(checkpoint_ctx["base"], prefix)
+        if "resume" in checkpoint_ctx:
+            resume = checkpoint_ctx["resume"]
+        else:
+            entry = _CHECKPOINTS.lookup(checkpoint_ctx["base"], prefix)
+            if entry is not None:
+                resume = (len(prefix) - 1, entry)
         if forced is None:
             forced = dict(enumerate(prefix))
-    if entry is not None:
-        # The fork step's choice is the only one the resumed run makes
-        # of the prefix (the earlier ones are preloaded).
-        fork = len(prefix) - 1
+    if resume is not None:
+        # The resumed run makes only the prefix's choices from the
+        # resume step on (the earlier ones are preloaded).
+        start, entry = resume
         policy = ControlledPolicy(
-            forced={fork: prefix[fork]}, sleep=sleep_entries,
-            sleep_from=sleep_from, window=EXPLORE_WINDOW)
+            forced={step: prefix[step]
+                    for step in range(start, len(prefix))},
+            sleep=sleep_entries, sleep_from=sleep_from,
+            window=EXPLORE_WINDOW)
         try:
             ctx, program = _restore_node(
                 program_name, config_name, entry, seed)
         except SnapshotError:
-            _CHECKPOINTS.stats["fallbacks"] += 1
-            entry, ctx = None, None
+            if "resume" not in checkpoint_ctx:
+                _CHECKPOINTS.stats["fallbacks"] += 1
+            ctx = None
+    if checkpoint_ctx is not None:
+        checkpoint_ctx["restored"] = ctx is not None
     if ctx is None:
         policy = ControlledPolicy(
             forced=forced, sleep=sleep_entries, sleep_from=sleep_from,
@@ -858,7 +880,7 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
         config = machine.config
         recording = record and _should_prune(True, fault, config)
         ctx.resume(entry, policy, sleep_entries, sleep_from, recording,
-                   take=entry.uses <= 0)
+                   take=entry.uses is not None and entry.uses <= 0)
         recorder = ctx.recorder if recording else None
         history_recorder = ctx.history
         profiler = ctx.profiler
@@ -883,8 +905,16 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
         profiler = CycleProfiler(machine)
         tracer = (Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
                   if trace else None)
-    # max_depth 0 marks the last bounded generation: no child will run.
-    if checkpoint_ctx is not None and checkpoint_ctx["max_depth"] != 0:
+    if checkpoint_ctx is not None and "capture" in checkpoint_ctx:
+        if checkpoint_ctx["capture"]:
+            policy.fork_steps = checkpoint_ctx["capture"]
+            policy.fork_hook = _stack_capture_hook(
+                machine, checkpoint_ctx["capture"], recorder,
+                history_recorder, profiler, checkpoint_ctx["captured"])
+        else:
+            machine.disable_journal()
+    elif checkpoint_ctx is not None and checkpoint_ctx["max_depth"] != 0:
+        # max_depth 0 marks the last bounded generation: no child runs.
         policy.branch_hook = _capture_hook(
             machine, len(checkpoint_ctx["prefix"]),
             checkpoint_ctx["max_depth"], recorder, history_recorder,
@@ -901,6 +931,7 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
         error = exc
     finally:
         policy.branch_hook = None
+        policy.fork_hook = None
         if ctx is None:
             if tracer is not None:
                 tracer.detach()
@@ -928,7 +959,7 @@ def _failure_trace(program_name, config_name, fault, seed, max_cycles,
     replay with a tracer attached.  Runs are a pure function of their
     choices, so the replay records exactly the events the explored run
     made; only a failing schedule pays for it."""
-    obs = _execute(program_name, config_name, dict(deviations), (), 0,
+    obs = _execute(program_name, config_name, dict(deviations), {}, 0,
                    fault, seed, max_cycles, record=False, trace=True)[-1]
     return tuple(obs[0].events)
 
@@ -959,87 +990,6 @@ def _make_verdict(program_name, config_name, fault, seed, program,
         divergences=tuple(policy.divergences),
         trace=trace,
         outcome=outcome)
-
-
-def _pending_footprints(choices, footprints, deliveries, cpu_ids, lo=0):
-    """``pending[i - lo][cpu]`` = the footprint ``cpu`` would execute if
-    scheduled at step boundary ``i``, or None if unknown, for ``i`` in
-    ``[lo, len(choices))`` (the steps a node branches at).
-
-    A non-running CPU's next operation is fixed until it runs or
-    receives a delivery, so its footprint is the one it executed at the
-    first later step where it ran — invalidated by any intervening
-    delivery to it.
-    """
-    n = len(choices)
-    pending = [None] * (n - lo)
-    nxt = dict.fromkeys(cpu_ids)
-    for i in range(n - 1, lo - 1, -1):
-        cur = nxt.copy()
-        chosen = choices[i]
-        for cpu in deliveries[i]:
-            if cpu != chosen and cpu in cur:
-                cur[cpu] = None
-        cur[chosen] = footprints[i]
-        pending[i - lo] = nxt = cur
-    return pending
-
-
-def _make_children(prefix, policy, recorder, max_depth, n_cpus):
-    """The child prefixes branching off this node's trace, with their
-    sleep-set seeds, in enumeration order."""
-    choices = policy.choices
-    candidates = policy.candidates
-    n = len(choices)
-    hi = n if max_depth is None else min(n, max_depth)
-    lo = len(prefix)
-    children = []
-    if recorder is None:
-        for i in range(lo, hi):
-            for alt in candidates[i]:
-                if alt != choices[i]:
-                    children.append((tuple(choices[:i]) + (alt,), ()))
-        return children
-    # A run that died mid-step (e.g. the cycle limit) chose its last
-    # step but never closed it: branch only over fully recorded steps.
-    n = min(n, len(recorder.footprints))
-    hi = min(hi, n)
-    pending = None
-    for i in range(lo, hi):
-        if len(candidates[i]) < 2:
-            continue  # a lone candidate has no sibling
-        if pending is None:
-            pending = _pending_footprints(
-                choices[:n], recorder.footprints, recorder.deliveries,
-                range(n_cpus), lo)
-        sleep_i = recorder.sleep_before[i]
-        pending_i = pending[i - lo]
-        # Godefroid's rule: child sleep = {already-explored siblings and
-        # inherited entries, filtered to those provably independent of
-        # the child's own first action}.  The already-run sibling
-        # (this trace's choice) enters with its *exact* footprint;
-        # earlier alternatives with their pending estimates.  New
-        # sibling entries become active at the branch step itself, so
-        # the child run's removal logic sees the branch action's own
-        # deliveries and dependences.
-        explored = [(choices[i], (recorder.footprints[i], i))]
-        for alt in candidates[i]:
-            if alt == choices[i] or alt in sleep_i:
-                continue
-            alt_fp = pending_i.get(alt) or GLOBAL_FOOTPRINT
-            seed = {}
-            for cpu, entry in list(sleep_i.items()) + explored:
-                if cpu == alt:
-                    continue
-                fp, active_from = entry
-                if fp is None or fp.global_:
-                    continue
-                if not fp.depends(alt_fp):
-                    seed[cpu] = (fp, active_from)
-            children.append(
-                (tuple(choices[:i]) + (alt,), _encode_sleep(seed)))
-            explored.append((alt, (pending_i.get(alt), i)))
-    return children
 
 
 def run_node(program_name, config_name, prefix=(), sleep=(), fault=None,
@@ -1073,15 +1023,15 @@ def run_node(program_name, config_name, prefix=(), sleep=(), fault=None,
     program, machine, policy, history, error, pruned_at, recorder, obs = (
         _execute(program_name, config_name,
                  None if ctx else dict(enumerate(prefix)),
-                 sleep, len(prefix), fault, seed, max_cycles,
+                 decode_sleep(sleep), len(prefix), fault, seed, max_cycles,
                  record=prune, checkpoint_ctx=ctx))
     verdict = None
     if pruned_at is None:
         verdict = _make_verdict(program_name, config_name, fault, seed,
                                 program, machine, policy, history, error,
                                 obs=obs, max_cycles=max_cycles)
-    children = _make_children(prefix, policy, recorder, max_depth,
-                              machine.config.n_cpus)
+    children = make_children(prefix, policy, recorder, max_depth,
+                             machine.config.n_cpus)
     cache = None
     if ctx is not None:
         # Hand each capture to the children its step produced (a run
@@ -1116,11 +1066,212 @@ def replay(program_name, config_name, deviations, fault=None, seed=1,
     """
     deviations = tuple(sorted(tuple(d) for d in deviations))
     program, machine, policy, history, error, _pruned, _rec, obs = (
-        _execute(program_name, config_name, dict(deviations), (), 0,
+        _execute(program_name, config_name, dict(deviations), {}, 0,
                  fault, seed, max_cycles, record=False, trace=True))
     return _make_verdict(program_name, config_name, fault, seed,
                          program, machine, policy, history, error,
                          obs=obs)
+
+
+# ----------------------------------------------------------------------
+# Source-set DPOR: the unbounded pruned search
+# ----------------------------------------------------------------------
+
+
+def _run_dpor_node(program_name, config_name, prefix, sleep_entries,
+                   seed, max_cycles, checkpoint_ctx):
+    """Run one DPOR node; returns ``(verdict, policy, recorder)`` with
+    ``verdict`` None when the sleep set pruned the run."""
+    program, machine, policy, history, error, pruned_at, recorder, obs = (
+        _execute(program_name, config_name,
+                 None if checkpoint_ctx else dict(enumerate(prefix)),
+                 sleep_entries, len(prefix), None, seed, max_cycles,
+                 record=True, checkpoint_ctx=checkpoint_ctx))
+    verdict = None
+    if pruned_at is None:
+        verdict = _make_verdict(program_name, config_name, None, seed,
+                                program, machine, policy, history, error,
+                                obs=obs, max_cycles=max_cycles)
+    return verdict, policy, recorder
+
+
+class _DporStack:
+    """The DFS stack of :func:`_explore_dpor`: one state per step of the
+    current path (the latest run's trace), as parallel lists.
+
+    Per state: the step the current path took there (choice, window,
+    footprint, deliveries, vector clock), the sleep entries in effect,
+    the CPUs explored there with their exact footprints (``done``), the
+    ``backtrack`` set races put there, the generation of the run that
+    recorded it, and the checkpoint captured at its boundary (or None).
+    """
+
+    __slots__ = ("choices", "candidates", "footprints", "deliveries",
+                 "sleep", "done", "backtrack", "generation", "snapshot",
+                 "clocks")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, [])
+
+    def __len__(self):
+        return len(self.choices)
+
+    def truncate(self, height):
+        for name in self.__slots__:
+            del getattr(self, name)[height:]
+
+    def push(self, choice, candidates, fp, delivered, sleep, generation):
+        self.choices.append(choice)
+        self.candidates.append(candidates)
+        self.footprints.append(fp)
+        self.deliveries.append(delivered)
+        self.sleep.append(sleep)
+        self.done.append({choice: fp})
+        self.backtrack.append({choice})
+        self.generation.append(generation)
+        self.snapshot.append(None)
+
+    def todo(self, k):
+        """The CPU to explore next at state ``k`` (window order), or
+        None: in ``backtrack``, not yet explored, not asleep."""
+        backtrack = self.backtrack[k]
+        done = self.done[k]
+        if len(backtrack) == len(done):
+            return None
+        asleep = self.sleep[k]
+        for cpu in self.candidates[k]:
+            if cpu in backtrack and cpu not in done and cpu not in asleep:
+                return cpu
+        return None
+
+
+def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
+                  max_schedules, max_cycles, timeout, report, checkpoint):
+    """Drain the unbounded pruned schedule space of one (program,
+    config) by source-set DPOR, filling ``out``.
+
+    Depth-first: run a schedule, push its new states, add the backtrack
+    points its races call for (:func:`repro.check.por.add_backtracks`),
+    then fork the deepest state with a CPU left to explore.  The child
+    replays the path up to that state, forces the CPU, seeds its sleep
+    set by Godefroid's rule from the state's sleep entries and explored
+    siblings, and continues with the default pick.
+
+    With ``checkpoint``, snapshots live on the stack: a child resumes
+    from the nearest one at or before its fork, forcing the gap, and
+    captures on its way only at the boundaries a later child is known
+    to fork from (the states below its fork with a CPU left to
+    explore).  Popping a state releases its snapshot.
+    """
+    stack = _DporStack()
+    stats = out.checkpoint_stats
+    race_stats = RaceStats()
+    fork = None
+    prefix = ()
+    sleep_entries = {}
+    generation = 0
+    while True:
+        if (max_schedules is not None
+                and out.explored + out.pruned >= max_schedules):
+            out.truncated = True
+            break
+        ctx = None
+        if checkpoint:
+            resume = None
+            start = 0
+            if fork is not None:
+                for k in range(fork, -1, -1):
+                    if stack.snapshot[k] is not None:
+                        resume = (k, stack.snapshot[k])
+                        start = k
+                        break
+            capture = frozenset(
+                k for k in range(start + (resume is not None),
+                                 0 if fork is None else fork)
+                if stack.snapshot[k] is None and stack.todo(k) is not None)
+            ctx = {"prefix": prefix, "resume": resume, "capture": capture,
+                   "captured": {}}
+        result = call_guarded(
+            _run_dpor_node,
+            (program_name, config_name, prefix, sleep_entries, seed,
+             max_cycles, ctx), {}, timeout,
+            partial(_failure_verdict, program_name, config_name, None,
+                    seed, prefix))
+        if isinstance(result, ScheduleVerdict):
+            verdict, recorder = result, None
+        else:
+            verdict, policy, recorder = result
+        if verdict is None:
+            out.pruned += 1
+        else:
+            out.explored += 1
+            out.verdicts.append(verdict)
+            if report is not None:
+                report(verdict)
+        while len(out.generations) <= generation:
+            out.generations.append(0)
+        out.generations[generation] += 1
+        if ctx is not None and "restored" in ctx:
+            # (A run that crashed before its restore counts nowhere.)
+            restored = ctx["restored"]
+            stats["hits"] += restored
+            stats["misses"] += not restored
+            stats["fallbacks"] += (ctx["resume"] is not None
+                                   and not restored)
+
+        # Push the run's new states and analyse its new steps' races.
+        lo = 0 if fork is None else fork
+        stack.truncate(0 if fork is None else fork + 1)
+        n = 0 if recorder is None else len(recorder.footprints)
+        if n > lo:
+            footprints = recorder.footprints
+            if fork is not None:
+                stack.choices[fork] = policy.choices[fork]
+                stack.footprints[fork] = footprints[fork]
+                stack.deliveries[fork] = recorder.deliveries[fork]
+                stack.done[fork][policy.choices[fork]] = footprints[fork]
+            for k in range(len(stack), n):
+                stack.push(policy.choices[k], policy.candidates[k],
+                           footprints[k], recorder.deliveries[k],
+                           recorder.sleep_before[k], generation)
+            if ctx is not None:
+                stats["deposits"] += len(ctx["captured"])
+                for k, entry in ctx["captured"].items():
+                    stack.snapshot[k] = entry
+            stack.clocks, races = vector_clocks(
+                stack.choices, stack.footprints, stack.deliveries, n_cpus,
+                lo, stack.clocks[:lo])
+            add_backtracks(stack.choices, stack.candidates, stack.clocks,
+                           races, stack.backtrack, stack.sleep, race_stats,
+                           hi=max_depth)
+        if stats is not None:
+            stats["peak_live"] = max(
+                stats["peak_live"],
+                sum(entry is not None for entry in stack.snapshot))
+
+        # Fork the deepest state with a CPU left to explore.
+        top = len(stack) if max_depth is None else min(len(stack),
+                                                      max_depth)
+        for k in range(top - 1, -1, -1):
+            alt = stack.todo(k)
+            if alt is not None:
+                break
+        else:
+            break
+        fork = k
+        alt_fp = pending_footprints(stack.choices, stack.footprints,
+                                    stack.deliveries, (alt,), k)[0][alt]
+        sleep_entries = sleep_seed(
+            list(stack.sleep[k].items())
+            + [(cpu, (fp, k)) for cpu, fp in stack.done[k].items()],
+            alt, alt_fp or GLOBAL_FOOTPRINT)
+        stack.done[k][alt] = None
+        prefix = tuple(stack.choices[:k]) + (alt,)
+        generation = stack.generation[k] + 1
+    out.races = race_stats.races
+    out.backtracks = race_stats.insertions
+    out.window_fallbacks = race_stats.fallbacks
 
 
 # ----------------------------------------------------------------------
@@ -1150,21 +1301,26 @@ def node_spec(program_name, config_name, prefix, sleep, fault, seed,
                     affinity=affinity)
 
 
+def _failure_verdict(program_name, config_name, fault, seed, prefix,
+                     message):
+    return ScheduleVerdict(
+        program=program_name, config=config_name, fault=fault, seed=seed,
+        deviations=(),
+        violations=[OracleViolation(
+            "run-failure", f"node prefix={list(prefix)}: {message}")],
+        error=message)
+
+
 def node_failure(spec, message):
     """Classify a crashed/hung node as a failed schedule (its subtree
     is lost, but the campaign and the verdict stream survive)."""
     program_name, config_name = spec.args
     kwargs = dict(spec.kwargs)
-    verdict = ScheduleVerdict(
-        program=program_name, config=config_name,
-        fault=kwargs.get("fault"), seed=kwargs.get("seed", 1),
-        deviations=(),
-        violations=[OracleViolation(
-            "run-failure",
-            f"node prefix={list(kwargs.get('prefix', ()))}: {message}")],
-        error=message)
-    return NodeOutcome(prefix=tuple(kwargs.get("prefix", ())),
-                       verdict=verdict)
+    prefix = tuple(kwargs.get("prefix", ()))
+    verdict = _failure_verdict(program_name, config_name,
+                               kwargs.get("fault"), kwargs.get("seed", 1),
+                               prefix, message)
+    return NodeOutcome(prefix=prefix, verdict=verdict)
 
 
 def _failed_node(program_name, config_name, prefix, sleep, common,
@@ -1204,6 +1360,18 @@ class ExploreReport:
     #: fallbacks summed across nodes; ``peak_live`` is the most entries
     #: any worker held at once).  None when checkpointing was off.
     checkpoint_stats: dict = None
+    #: DPOR counters (unbounded pruned drains only): races analysed,
+    #: CPUs inserted into backtrack sets, and races with no in-window
+    #: initial, where every in-window candidate was added.
+    races: int = 0
+    backtracks: int = 0
+    window_fallbacks: int = 0
+
+    @property
+    def dpor(self):
+        """Whether the drain ran source-set DPOR (unbounded, pruned)."""
+        return self.preemption_bound is None and self.prune and not (
+            self.skipped)
 
     @property
     def failures(self):
@@ -1240,25 +1408,28 @@ def explore(program_name, config_name, fault=None, seed=1,
             report=None, pool=None, checkpoint=True):
     """Explore the schedule space of one (program, config[, fault]).
 
-    Breadth-first over generations: generation ``b`` holds the
-    schedules with ``b`` forced deviations, so ``preemption_bound``
-    (None = unbounded, i.e. run until the frontier drains) is iterative
-    preemption bounding.  ``report``, if given, sees every
+    With a ``preemption_bound``, or without pruning: breadth-first over
+    generations, where generation ``b`` holds the schedules with ``b``
+    forced deviations — iterative preemption bounding.  Unbounded
+    (``preemption_bound=None``) and pruned: a source-set DPOR drain
+    (:func:`_explore_dpor`).  ``report``, if given, sees every
     :class:`ScheduleVerdict` in enumeration order; ``jobs > 1`` shards
     each generation across a :class:`WorkerPool` (pass ``pool`` to
-    reuse one across calls) without changing any result.
-    ``max_schedules`` caps the total number of runs as a safety net and
-    marks the report ``truncated``.
+    reuse one across calls) without changing any result, and leaves a
+    DPOR drain in-process.  ``max_schedules`` caps the total number of
+    runs as a safety net and marks the report ``truncated``.
 
     ``checkpoint`` (default on; gated per node by
-    :func:`_checkpoint_supported`) lets each child fork from the
-    snapshot its parent captured at the branch step instead of
-    replaying from cycle 0, and routes children to the worker holding
-    that checkpoint via spec affinity.  Every verdict is identical with
-    it on or off — ``--no-checkpoint`` is the differential control.
-    The in-process cache is empty again when this returns.
+    :func:`_checkpoint_supported`) lets a run resume from a snapshot
+    instead of replaying from cycle 0: each child of the generations
+    forks from the snapshot its parent captured at the branch step (and
+    is routed to the worker holding it via spec affinity), and a DPOR
+    child from the nearest snapshot on the DFS stack.  Every verdict is
+    identical with it on or off — ``--no-checkpoint`` is the
+    differential control.  The in-process cache is empty again when
+    this returns.
 
-    The frontier loop runs under :func:`batched_gc`; the previous GC
+    Both searches run under :func:`batched_gc`; the previous GC
     thresholds are back in place however the campaign ends.
     """
     if config_name not in CONFIGS:
@@ -1282,6 +1453,13 @@ def explore(program_name, config_name, fault=None, seed=1,
     if effective_checkpoint:
         out.checkpoint_stats = {"hits": 0, "misses": 0, "deposits": 0,
                                 "fallbacks": 0, "peak_live": 0}
+
+    if out.dpor:
+        with batched_gc():
+            _explore_dpor(out, program_name, config_name, seed,
+                          config.n_cpus, max_depth, max_schedules,
+                          max_cycles, timeout, report, effective_checkpoint)
+        return out
 
     own_pool = None
     if jobs > 1 and pool is None:

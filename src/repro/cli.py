@@ -401,7 +401,9 @@ def cmd_explore(args):
             "drop --no-checkpoint")
 
     pool = None
-    if args.jobs > 1:
+    # An unbounded pruned drain is one in-process DFS; only the
+    # generation loop shards (an unpruned eager drain makes its own pool).
+    if args.jobs > 1 and (bound is not None or args.no_prune or fault):
         from repro.harness.parallel import WorkerPool
         pool = WorkerPool(args.jobs)
 
@@ -429,6 +431,10 @@ def cmd_explore(args):
         results, elapsed = campaign(not args.no_checkpoint)
         for result in results:
             print("explore:", result.summary())
+            if args.verbose and result.dpor:
+                print(f"  dpor: races={result.races}, "
+                      f"backtracks={result.backtracks}, "
+                      f"window_fallbacks={result.window_fallbacks}")
             if args.verbose and result.checkpoint_stats:
                 stats = result.checkpoint_stats
                 print("  checkpoint: "
@@ -474,7 +480,8 @@ def cmd_explore(args):
 
 #: Report fields the checkpointed and stateless sweeps must agree on.
 _REPORT_FIELDS = ("program", "config", "fault", "seed", "skipped",
-                  "explored", "pruned", "truncated", "generations")
+                  "explored", "pruned", "truncated", "generations",
+                  "races", "backtracks", "window_fallbacks")
 
 #: Per-verdict fields they must agree on, verdict by verdict in
 #: enumeration order.
@@ -729,7 +736,7 @@ def build_parser():
                    help="branch only at steps below this index "
                         "(0 = no depth bound)")
     p.add_argument("--no-prune", action="store_true",
-                   help="disable sleep-set pruning (plain bounded "
+                   help="disable sleep-set and DPOR pruning (plain "
                         "enumeration)")
     p.add_argument("--seed", type=int, default=1,
                    help="program seed (schedules themselves are "
@@ -744,8 +751,10 @@ def build_parser():
                    help="replay one schedule: [fault:]program:config:"
                         "deviations (e.g. litmus-sb:lazy-wb-assoc:3@1)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes per generation wave "
-                        "(any value yields identical results)")
+                   help="worker processes per generation wave of a "
+                        "bounded or unpruned search; an unbounded "
+                        "pruned drain is one in-process DFS (any value "
+                        "yields identical results)")
     p.add_argument("--timeout", type=float, default=0.0,
                    help="per-node timeout in seconds (parallel runs)")
     p.add_argument("--no-checkpoint", action="store_true",
@@ -770,7 +779,8 @@ def build_parser():
                    help="comma-separated check programs (default: all)")
     p.add_argument("--configs", default="",
                    help="comma-separated configs for the replay cells "
-                        "(default: the functional design-space matrix)")
+                        "and, where lazy, the litmus drains (default: "
+                        "the functional design-space matrix)")
     p.add_argument("--seeds", type=int, default=1,
                    help="seeds per (program, config) replay cell")
     p.add_argument("--litmus-only", action="store_true",

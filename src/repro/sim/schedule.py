@@ -132,6 +132,9 @@ class SchedulePruned(Exception):
                 f"{self.step}")
 
 
+_NO_STEPS = frozenset()
+
+
 class ControlledPolicy(SchedulePolicy):
     """Replay a prefix of scheduling choices, then run the deterministic
     continuation — recording every choice point on the way.
@@ -162,7 +165,10 @@ class ControlledPolicy(SchedulePolicy):
     is not asleep — the steps the explorer branches at.  It runs after
     the pick is decided but before the step is recorded or executed, so
     the machine and this policy are still at the step boundary: the
-    explorer captures its fork-point checkpoints there.
+    explorer captures its fork-point checkpoints there.  ``fork_hook``
+    is called the same way at each step index in ``fork_steps``,
+    forced or not: the DPOR search names the boundaries it will fork
+    from in advance.
     """
 
     name = "controlled"
@@ -181,6 +187,8 @@ class ControlledPolicy(SchedulePolicy):
         #: unavailable; empty on a faithful replay.
         self.divergences = []
         self.branch_hook = None
+        self.fork_steps = _NO_STEPS
+        self.fork_hook = None
 
     def choose(self, runnable):
         step = len(self.choices)
@@ -235,6 +243,8 @@ class ControlledPolicy(SchedulePolicy):
                 if cpu_id != chosen and cpu_id not in sleep:
                     hook(step)
                     break
+        if step in self.fork_steps:
+            self.fork_hook(step)
         self.candidates.append(ids)
         self.choices.append(chosen)
         for cpu in order:

@@ -12,12 +12,13 @@ workers exactly like the check/chaos/bench sweeps:
   equivalent to an atomic, instantaneous serial execution of the same
   program.
 * **Drain cells** (:func:`run_drain_cell`) exhaustively enumerate a
-  litmus program's schedule space with the model checker
-  (:func:`repro.check.explore.explore`, unbounded preemptions within
-  the program's deviation window) and require the set of observed final
-  outcomes to equal — not merely be contained in — the spec-admissible
-  set from :func:`repro.spec.outcomes.spec_outcomes`.  An extra outcome
-  is a serializability hole; a missing one is lost schedule coverage.
+  litmus program's schedule space on one lazy config with the model
+  checker (:func:`repro.check.explore.explore`, unbounded preemptions
+  within the program's deviation window) and require the set of
+  observed final outcomes to equal — not merely be contained in — the
+  spec-admissible set from :func:`repro.spec.outcomes.spec_outcomes`.
+  An extra outcome is a serializability hole; a missing one is lost
+  schedule coverage.
 
 ``python -m repro conform`` drives both matrices.
 """
@@ -25,8 +26,9 @@ workers exactly like the check/chaos/bench sweeps:
 from __future__ import annotations
 
 from repro.check.explore import explore
-from repro.check.fuzz import FAST_CONFIGS, run_case
+from repro.check.fuzz import CONFIGS, FAST_CONFIGS, run_case
 from repro.check.programs import PROGRAMS
+from repro.common.params import LAZY
 from repro.harness.parallel import CaseSpec, run_campaign
 from repro.spec.outcomes import spec_outcomes
 
@@ -108,17 +110,23 @@ def run_drain_cell(program_name, config_name="lazy-wb-assoc", seed=1,
 
 def conform_specs(programs=None, configs=None, seeds=1, litmus=True,
                   cells=True):
-    """The campaign's :class:`CaseSpec` list, in canonical order."""
+    """The campaign's :class:`CaseSpec` list, in canonical order: a
+    drain per litmus program and lazy config (the explorer prunes only
+    under lazy detection, so only there is a drain exhaustive at litmus
+    cost), then the replay cells."""
     programs = list(programs) if programs else sorted(PROGRAMS)
     configs = list(configs) if configs else list(CONFORM_CONFIGS)
     specs = []
     if litmus:
-        for name in programs:
-            if name in LITMUS_DEPTHS:
-                specs.append(CaseSpec(
-                    runner="repro.spec.conform:run_drain_cell",
-                    name=f"drain:{name}",
-                    args=(name,)))
+        for config in configs:
+            if CONFIGS[config].get("detection", LAZY) != LAZY:
+                continue
+            for name in programs:
+                if name in LITMUS_DEPTHS:
+                    specs.append(CaseSpec(
+                        runner="repro.spec.conform:run_drain_cell",
+                        name=f"drain:{name}:{config}",
+                        args=(name, config)))
     if cells:
         for name in programs:
             for config in configs:

@@ -22,6 +22,11 @@ Install any of them before the machine runs and before any instrument
 attaches (instruments capture the executor and the violation sink).
 The eager caches do not snapshot: ``HierarchicalMemory._rederive``
 walks the lazy cache's set dict.
+
+The explorer drains unbounded pruned schedule spaces by source-set
+DPOR.  :func:`explore_sleep_sets` keeps the enumeration it replaced:
+breadth-first over generations, branching on every in-window
+alternative at every step, pruned by sleep sets alone.
 """
 
 from __future__ import annotations
@@ -29,7 +34,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from types import MethodType
 
+import repro.check.explore as explore_mod
+from repro.check.explore import ExploreReport, run_node
 from repro.common.errors import IsaError, SimulationError
+from repro.harness.parallel import batched_gc
 from repro.htm.conflict import (
     PROCEED,
     SELF_ABORT,
@@ -412,3 +420,61 @@ def install_eager_caches(machine):
             eager._sets = [OrderedDict() for _ in range(lazy.n_sets)]
             caches[index] = eager
     return machine
+
+
+# ---------------------------------------------------------------------------
+# The sleep-set-only unbounded enumeration
+# ---------------------------------------------------------------------------
+
+def explore_sleep_sets(program_name, config_name, seed=1, max_depth=None,
+                       max_schedules=None, checkpoint=True, report=None):
+    """Drain ``(program, config)``'s unbounded schedule space the way the
+    explorer did before DPOR: generation ``b`` runs every child prefix
+    of generation ``b - 1`` (:func:`repro.check.por.make_children`), and
+    sleep sets abandon the runs a sibling covers.  Returns an
+    :class:`~repro.check.explore.ExploreReport` with its verdicts in
+    enumeration order and the fork-point cache counters."""
+    out = ExploreReport(program=program_name, config=config_name,
+                        seed=seed, preemption_bound=None,
+                        max_depth=max_depth, checkpoint=checkpoint)
+    stats = {"hits": 0, "misses": 0, "deposits": 0, "fallbacks": 0,
+             "peak_live": 0}
+    frontier = [((), ())]
+    generation = 0
+    try:
+        with batched_gc():
+            while frontier:
+                if max_schedules is not None:
+                    room = max_schedules - (out.explored + out.pruned)
+                    if len(frontier) > room:
+                        frontier = frontier[:max(room, 0)]
+                        out.truncated = True
+                    if not frontier:
+                        break
+                next_frontier = []
+                for prefix, sleep in frontier:
+                    outcome = run_node(
+                        program_name, config_name, prefix=prefix,
+                        sleep=sleep, seed=seed, max_depth=max_depth,
+                        checkpoint=checkpoint, generation=generation)
+                    if outcome.pruned:
+                        out.pruned += 1
+                    else:
+                        out.explored += 1
+                        out.verdicts.append(outcome.verdict)
+                        if report is not None:
+                            report(outcome.verdict)
+                    next_frontier.extend(outcome.children)
+                    for key, value in (outcome.cache or {}).items():
+                        if key == "peak_live":
+                            stats[key] = max(stats[key], value)
+                        else:
+                            stats[key] += value
+                out.generations.append(len(frontier))
+                frontier = next_frontier
+                generation += 1
+    finally:
+        explore_mod._CHECKPOINTS.clear()
+    if checkpoint:
+        out.checkpoint_stats = stats
+    return out

@@ -81,6 +81,16 @@ class TestExploreVerbose:
         assert int(stats["hits"]) == int(stats["deposits"])
         assert int(stats["fallbacks"]) == 0
 
+    def test_verbose_prints_dpor_counters(self, capsys):
+        code = main(["explore", "--programs", "litmus-sb",
+                     "--preemption-bound", "-1", "--max-depth", "24",
+                     "--verbose"])
+        assert code == 0
+        lines = [line.strip() for line in capsys.readouterr().out
+                 .splitlines() if line.strip().startswith("dpor:")]
+        assert lines == ["dpor: races=72, backtracks=35, "
+                         "window_fallbacks=0"]
+
 
 class TestConformErrors:
     def test_bad_program_name(self):
@@ -108,11 +118,13 @@ class TestConformSmoke:
         assert "0 failed" in out
 
     def test_litmus_only_drain(self, capsys):
+        # One drain per lazy config of the default matrix.
         code = main(["conform", "--programs", "litmus-token-handoff",
-                     "--litmus-only"])
+                     "--litmus-only", "--verbose"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "1 litmus drains" in out
+        assert "2 litmus drains" in out
+        assert "litmus-token-handoff:lazy-wb-mt:1: ok" in out
         assert "0 failed" in out
 
 

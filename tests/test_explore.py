@@ -25,6 +25,7 @@ from repro.check.explore import (
 from repro.check.fuzz import run_case, shrink_change_points
 from repro.check.programs import LITMUS_PROGRAMS, PROGRAMS
 from repro.sim.schedule import ControlledPolicy, SchedulePruned
+from tests.reference import explore_sleep_sets
 
 CONFIG = "lazy-wb-assoc"
 
@@ -129,13 +130,19 @@ def test_bound_zero_is_exactly_the_det_schedule():
 def test_exhaustive_litmus_enumeration_drains():
     """The headline acceptance test: bounded-exhaustive exploration of a
     2-CPU litmus program visits every schedule class reachable within
-    the depth bound, reporting explored vs. pruned counts."""
+    the depth bound, reporting explored vs. pruned counts.  DPOR
+    branches only at races, so it abandons at most a third of the runs
+    the sleep-set enumeration abandons and judges no more schedules."""
     report = explore("litmus-sb", CONFIG, preemption_bound=None,
                      max_depth=24, max_schedules=5000)
+    reference = explore_sleep_sets("litmus-sb", CONFIG, max_depth=24,
+                                   max_schedules=5000)
     assert not report.truncated
     assert report.exhaustive
     assert report.explored > 10
-    assert report.pruned > report.explored  # pruning carries its weight
+    assert 3 * report.pruned <= reference.pruned
+    assert report.explored <= reference.explored
+    assert report.races > 0 and report.backtracks > 0
     assert not report.failures
     # Deterministic: a second run enumerates the identical sequence.
     again = explore("litmus-sb", CONFIG, preemption_bound=None,
@@ -249,14 +256,48 @@ def test_in_process_node_crash_is_a_failing_verdict(monkeypatch):
     assert report.explored > 1
 
 
+def test_dpor_node_crash_is_a_failing_verdict(monkeypatch):
+    """A DPOR run that raises is classified like one in the generation
+    loop: a run-failure verdict naming its prefix, and the drain goes
+    on with the states it already has."""
+    import repro.check.explore as explore_mod
+
+    run_dpor_node = explore_mod._run_dpor_node
+    crashed = []
+
+    def crash_once(*args):
+        if not crashed and args[2]:
+            crashed.append(args[2])
+            raise RuntimeError("boom")
+        return run_dpor_node(*args)
+
+    monkeypatch.setattr(explore_mod, "_run_dpor_node", crash_once)
+    report = explore("litmus-sb", CONFIG, preemption_bound=None,
+                     max_depth=24)
+    (failure,) = report.failures
+    assert failure.violations[0].oracle == "run-failure"
+    assert (f"node prefix={list(crashed[0])}: RuntimeError: boom"
+            in str(failure))
+    assert report.explored > 1 and not report.truncated
+
+
+def test_dpor_drain_respects_the_schedule_cap():
+    report = explore("litmus-sb", CONFIG, preemption_bound=None,
+                     max_depth=24, max_schedules=5)
+    assert report.truncated and not report.exhaustive
+    assert report.explored + report.pruned == 5
+    assert sum(report.generations) == 5
+
+
 # ----------------------------------------------------------------------
 # Parallel == serial
 # ----------------------------------------------------------------------
 
 
 def test_parallel_exploration_matches_serial():
-    kwargs = dict(preemption_bound=None, max_depth=20,
-                  max_schedules=2000)
+    """The pool shards the bounded generation loop (an unbounded pruned
+    drain is one in-process DFS)."""
+    kwargs = dict(preemption_bound=2, max_depth=20, max_schedules=2000)
     serial = explore("litmus-inc", CONFIG, jobs=1, **kwargs)
     parallel = explore("litmus-inc", CONFIG, jobs=3, **kwargs)
     assert not serial.truncated
@@ -325,11 +366,11 @@ def _pending_reference(choices, footprints, deliveries, cpu_ids):
 
 
 def test_bounded_pending_footprints_equal_the_full_scan():
-    """``_pending_footprints`` scans back only to ``lo``; on ``[lo, n)``
+    """``pending_footprints`` scans back only to ``lo``; on ``[lo, n)``
     it must equal the full scan, for random traces."""
     import random
 
-    from repro.check.explore import Footprint, _pending_footprints
+    from repro.check.por import Footprint, pending_footprints
 
     rng = random.Random(7)
     for _ in range(300):
@@ -347,5 +388,5 @@ def test_bounded_pending_footprints_equal_the_full_scan():
                       for _ in range(n)]
         full = _pending_reference(choices, footprints, deliveries, cpus)
         lo = rng.randint(0, n)
-        assert _pending_footprints(choices, footprints, deliveries, cpus,
-                                   lo) == full[lo:]
+        assert pending_footprints(choices, footprints, deliveries, cpus,
+                                  lo) == full[lo:]

@@ -7,7 +7,9 @@ byte-identical reports — and with forced misses (a cache that drops
 every other deposit, so half the children replay from cycle 0).  They
 also pin the cache's lifetime rules: every deposit is consumed by its
 children, nothing outlives the campaign, and the campaign's GC scope
-is undone however it ends.
+is undone however it ends.  A DPOR drain keeps its snapshots on its
+DFS stack instead of the cache; the same differentials (stateless
+control, injected restore failures) and lifetime rules cover it.
 
 The snapshot layer itself (capture → restore → resume, bit-for-bit) is
 pinned in tests/test_snapshot.py; this file is about the *cache policy*
@@ -15,13 +17,17 @@ staying invisible to exploration semantics.
 """
 
 import gc
+import weakref
 
 import pytest
 
 import repro.check.explore as explore_mod
 from repro.check.explore import CheckpointCache, _Checkpoint, explore
+from repro.check.programs import LITMUS_PROGRAMS
 from repro.harness.parallel import GC_GEN0_THRESHOLD
+from repro.sim.snapshot import SnapshotError
 from repro.spec.conform import LITMUS_DEPTHS
+from tests.reference import explore_sleep_sets
 
 CONFIG = "lazy-wb-assoc"
 PROGRAMS = ("litmus-sb", "litmus-mp", "litmus-inc")
@@ -63,6 +69,43 @@ def test_checkpoint_matches_stateless(program):
     assert _fingerprint(checkpointed) == _fingerprint(stateless)
     assert checkpointed.checkpoint
     assert not stateless.checkpoint
+
+
+@pytest.mark.parametrize("program", LITMUS_PROGRAMS)
+def test_dpor_checkpoint_matches_stateless(program):
+    """A DPOR drain resumes from stack snapshots; its verdict stream and
+    race counters must equal the stateless drain's."""
+    kwargs = dict(preemption_bound=None, max_depth=24)
+    stateless = explore(program, CONFIG, checkpoint=False, **kwargs)
+    checkpointed = explore(program, CONFIG, checkpoint=True, **kwargs)
+    assert _fingerprint(checkpointed) == _fingerprint(stateless)
+    assert [(v.outcome, v.n_steps) for v in checkpointed.verdicts] == [
+        (v.outcome, v.n_steps) for v in stateless.verdicts]
+    assert (checkpointed.races, checkpointed.backtracks,
+            checkpointed.window_fallbacks) == (
+        stateless.races, stateless.backtracks, stateless.window_fallbacks)
+
+
+def test_dpor_restore_failures_fall_back_to_stateless(monkeypatch):
+    """A snapshot that fails to restore costs a replay from cycle 0,
+    counted as a fallback, and changes no verdict."""
+    kwargs = dict(preemption_bound=None, max_depth=36)
+    stateless = explore("litmus-mp", CONFIG, checkpoint=False, **kwargs)
+    restore = explore_mod._restore_node
+    calls = []
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) % 2:
+            raise SnapshotError("injected")
+        return restore(*args)
+
+    monkeypatch.setattr(explore_mod, "_restore_node", flaky)
+    checkpointed = explore("litmus-mp", CONFIG, checkpoint=True, **kwargs)
+    assert _fingerprint(checkpointed) == _fingerprint(stateless)
+    stats = checkpointed.checkpoint_stats
+    assert stats["fallbacks"] == (len(calls) + 1) // 2 > 0
+    assert stats["hits"] == len(calls) // 2 > 0
 
 
 def test_checkpoint_cache_actually_used():
@@ -125,20 +168,33 @@ class _SpyCache(CheckpointCache):
 
 
 @pytest.mark.parametrize("program", ("litmus-sb", "litmus-mp"))
-def test_serial_drain_consumes_every_deposit(program):
-    """Each deposit is restored by its children and freed with the
-    last one: a serial drain ends with nothing left to clear."""
+def test_serial_drain_consumes_every_deposit(monkeypatch, program):
+    """A DPOR drain keeps its snapshots on the DFS stack, at most one
+    per state below ``max_depth``, and frees them with the stack: the
+    drain ends with nothing left alive and the fork-point cache
+    untouched."""
     cache = _fresh_cache(_SpyCache())
+    captured = []
+    capture = explore_mod._capture
+
+    def spy(*args):
+        entry = capture(*args)
+        captured.append(weakref.ref(entry))
+        return entry
+
+    monkeypatch.setattr(explore_mod, "_capture", spy)
+    depth = LITMUS_DEPTHS[program]
     report = explore(program, CONFIG, preemption_bound=None,
-                     max_depth=LITMUS_DEPTHS[program], checkpoint=True)
+                     max_depth=depth, checkpoint=True)
     stats = report.checkpoint_stats
     assert not report.truncated
-    assert stats["deposits"] > 0
-    # Two CPUs: every branch step has exactly one child.
-    assert stats["hits"] == stats["deposits"]
+    assert stats["deposits"] == len(captured) > 0
+    assert stats["hits"] > stats["deposits"]
     assert stats["fallbacks"] == 0
-    assert 0 < stats["peak_live"] < stats["deposits"]
-    assert cache.live_at_clear == [0]
+    assert 0 < stats["peak_live"] <= depth
+    gc.collect()
+    assert [ref for ref in captured if ref() is not None] == []
+    assert cache.stats["deposits"] == 0
     assert len(explore_mod._CHECKPOINTS) == 0
 
 
@@ -242,16 +298,29 @@ def test_stateless_mode_deposits_nothing():
 
 def test_litmus_mp_drain_shape_is_pinned():
     """The seed-1 litmus-mp drain at its conformance depth: how many
-    schedules it explores and prunes, its generations and its
-    checkpoint counters are fixed points.  A restore-cost change must
+    schedules it explores and prunes, its generations, its race and
+    checkpoint counters are fixed points, for DPOR and for the
+    sleep-set enumeration it replaced.  A restore-cost change must
     leave every one of them where it is."""
+    depth = LITMUS_DEPTHS["litmus-mp"]
     _fresh_cache()
     report = explore("litmus-mp", CONFIG, seed=1, preemption_bound=None,
-                     max_depth=LITMUS_DEPTHS["litmus-mp"], checkpoint=True)
+                     max_depth=depth, checkpoint=True)
     assert not report.truncated
-    assert (report.explored, report.pruned) == (523, 3014)
+    assert (report.explored, report.pruned) == (199, 0)
     assert len(report.generations) == 29
+    assert (report.races, report.backtracks,
+            report.window_fallbacks) == (396, 198, 0)
     assert report.checkpoint_stats == {
+        "hits": 197, "misses": 2, "deposits": 13, "fallbacks": 0,
+        "peak_live": 5}
+    _fresh_cache()
+    reference = explore_sleep_sets("litmus-mp", CONFIG, seed=1,
+                                   max_depth=depth, checkpoint=True)
+    assert not reference.truncated
+    assert (reference.explored, reference.pruned) == (523, 3014)
+    assert len(reference.generations) == 29
+    assert reference.checkpoint_stats == {
         "hits": 3536, "misses": 1, "deposits": 3536, "fallbacks": 0,
         "peak_live": 216}
 
