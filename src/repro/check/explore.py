@@ -90,13 +90,15 @@ deterministic pick — which replays exactly (:func:`replay`, CLI
 through the same greedy loop as the fuzzer's change-points
 (:func:`repro.check.fuzz.shrink_change_points`).
 
-**Parallelism.**  Each generation of a bounded or unpruned search is a
-wave of independent node runs — worker-disjoint subtree claims —
-sharded across processes with :class:`~repro.harness.parallel.WorkerPool`
-and merged in enumeration order, so ``--jobs N`` produces the identical
-schedule/verdict sequence as a serial run.  A DPOR drain is one
-in-process DFS that ``jobs`` does not shard (sharding a drain node by
-node lost to serial); ``conform`` shards whole drains instead.
+**Parallelism.**  :func:`explore` runs one (program, config) search
+serially, in-process.  The unit that ``explore --jobs N`` shards is a
+whole search: one :class:`~repro.harness.parallel.CaseSpec` per pair
+through :func:`~repro.harness.parallel.run_campaign`, whose reports come
+back in enumeration order, so the output is the serial run's whatever
+``N`` is (``conform`` shards its drains the same way).  Sharding one
+search node by node lost to serial: a node costs less than its pickling
+and the barrier at each generation.  A worker that crashes or hangs on
+a pair becomes that pair's report (:func:`failed_search`).
 
 The explorer uses the fuzzer's candidate window
 (:data:`~repro.sim.schedule.DEFAULT_WINDOW`): the explored space is
@@ -116,12 +118,7 @@ from repro.common.errors import ReproError
 from repro.common.params import LAZY
 from repro.htm.conflict import PROCEED
 from repro.faults import FaultInjector, make_plan
-from repro.harness.parallel import (
-    CaseSpec,
-    WorkerPool,
-    batched_gc,
-    call_guarded,
-)
+from repro.harness.parallel import CaseSpec, call_guarded
 from repro.mem.layout import SharedArena
 from repro.runtime.core import Runtime
 from repro.sim.engine import Machine
@@ -152,7 +149,6 @@ from repro.check.por import (
     TOKEN,
     RaceStats,
     add_backtracks,
-    decode_sleep,
     footprint as _footprint,
     make_children,
     pending_footprints,
@@ -428,11 +424,9 @@ class StepRecorder(Observer):
 #   trace tail; :func:`_failure_trace` rebuilds it by replaying that one
 #   schedule with a tracer attached.
 #
-# Entries no child consumes (a child the pool ran on another worker, a
-# frontier cut by ``max_schedules``) must not pile up: a checkpoint from
-# generation ``g`` serves only generation ``g + 1``, so a worker entering
-# a new generation drops everything older, and the serial
-# :func:`explore` empties the cache when it returns.
+# Entries no child consumes (a frontier cut by ``max_schedules``, a
+# child whose run crashed before its lookup) stay in the cache until
+# :func:`explore` empties it on its way out, however the search ends.
 #
 # The cache is verified differentially: ``--no-checkpoint`` keeps the
 # stateless path, and the conformance gate asserts verdict-for-verdict
@@ -447,7 +441,7 @@ class _Checkpoint:
     state (recorder, history, profiler) that goes with it."""
 
     __slots__ = ("snapshot", "policy", "recorder", "history", "profiler",
-                 "uses", "generation", "__weakref__")
+                 "uses", "__weakref__")
 
 
 class CheckpointCache:
@@ -456,13 +450,11 @@ class CheckpointCache:
     Keys are ``(base, choices)``: ``base`` pins everything else a run
     depends on — ``(program, config, fault, seed, recording)`` — so a
     lookup can only ever hit a state its own schedule would reach.
-    Every lookup consumes one use; :meth:`begin_generation` drops what
-    the previous wave left behind.
+    Every lookup consumes one use, and an entry goes with its last.
     """
 
     def __init__(self):
         self._entries = {}
-        self.generation = None
         self.stats = {"hits": 0, "misses": 0, "deposits": 0,
                       "fallbacks": 0}
 
@@ -486,18 +478,6 @@ class CheckpointCache:
         self._entries[key] = entry
         self.stats["deposits"] += 1
 
-    def begin_generation(self, generation):
-        """Drop the entries no node of ``generation`` can fork from.
-
-        Only checkpoints deposited in ``generation - 1`` have children
-        left to run."""
-        if generation == self.generation:
-            return
-        self.generation = generation
-        for key in [key for key, entry in self._entries.items()
-                    if entry.generation != generation - 1]:
-            del self._entries[key]
-
     def __len__(self):
         return len(self._entries)
 
@@ -505,12 +485,11 @@ class CheckpointCache:
         self._entries.clear()
 
 
-#: The worker-local cache (one per process; explore workers persist
-#: across generations, so deposits survive wave boundaries).
+#: The process's cache; :func:`explore` empties it when it returns.
 _CHECKPOINTS = CheckpointCache()
 
 class _NodeContext:
-    """One worker's reusable restore target: a machine with the history
+    """One process's reusable restore target: a machine with the history
     recorder and profiler permanently attached, plus a pooled
     :class:`StepRecorder` subscribed only while pruning nodes run.  It
     stays subscribed from one pruning node to the next: re-subscribing
@@ -594,7 +573,7 @@ class _NodeContext:
             load(profiler._cpu[cpu_id], saved)
 
 
-#: Restore-target contexts, one per (program, config) per worker.
+#: Restore-target contexts, one per (program, config) per process.
 _CONTEXTS = {}
 
 
@@ -623,7 +602,7 @@ def _node_setup(program_name, seed):
 
 
 def _restore_node(program_name, config_name, entry, seed):
-    """Restore ``entry``'s snapshot onto this worker's pooled node
+    """Restore ``entry``'s snapshot onto this process's pooled node
     context (building it on first use)."""
     key = (program_name, config_name)
     ctx = _CONTEXTS.get(key)
@@ -799,12 +778,8 @@ class NodeOutcome:
     prefix: tuple
     pruned: bool = False
     verdict: ScheduleVerdict = None
-    #: (child_prefix, encoded_sleep) pairs, in enumeration order.
+    #: (child_prefix, sleep-set seed) pairs, in enumeration order.
     children: tuple = ()
-    #: Checkpoint-cache counter deltas for this node (None when the
-    #: node ran stateless); ``peak_live`` is the worker's live-entry
-    #: gauge after the node's deposits.
-    cache: dict = None
 
 
 def _should_prune(prune, fault, config):
@@ -820,7 +795,8 @@ def _execute(program_name, config_name, forced, sleep_entries, sleep_from,
     cycle-conservation books every node carries, and the trace-on-failure
     ring when ``trace`` asks for it (else None; a node's verdict reads a
     trace only when it fails, see :func:`_failure_trace`).
-    ``sleep_entries`` is the decoded sleep-set seed.
+    ``sleep_entries`` is the sleep-set seed (see
+    :func:`repro.check.por.sleep_seed`).
 
     ``checkpoint_ctx`` switches the node to checkpoints, in one of two
     forms.  The generation loop's (``{"base", "prefix", "max_depth",
@@ -992,38 +968,35 @@ def _make_verdict(program_name, config_name, fault, seed, program,
         outcome=outcome)
 
 
-def run_node(program_name, config_name, prefix=(), sleep=(), fault=None,
-             seed=1, max_depth=None, prune=True, max_cycles=None,
-             checkpoint=False, generation=0):
+def run_node(program_name, config_name, prefix=(), sleep=None,
+             fault=None, seed=1, max_depth=None, prune=True,
+             max_cycles=None, checkpoint=False):
     """Run one exploration node: replay ``prefix``, complete the run
     deterministically, judge it, and derive the child prefixes.
 
-    Pure in its (picklable) arguments — the unit the campaign executor
-    shards across workers.  ``sleep`` is the encoded sleep-set seed for
-    this subtree; ``max_depth`` bounds the step index at which new
-    branches may be taken.  ``checkpoint`` enables the worker-local
-    snapshot cache where :func:`_checkpoint_supported` allows, and
-    ``generation`` (the node's wave) bounds how long its checkpoints
-    wait for their children; the node's verdict and children are
-    identical with it on or off.
+    ``sleep`` is the sleep-set seed for this subtree (a child's, from
+    :func:`repro.check.por.make_children`); ``max_depth`` bounds the
+    step index at which new branches may be taken.  ``checkpoint``
+    enables the in-process snapshot cache where
+    :func:`_checkpoint_supported` allows: the node forks from its
+    parent's deposit and deposits its own branch steps for its
+    children.  The node's verdict and children are identical with it on
+    or off.
     """
     prefix = tuple(prefix)
     ctx = None
-    before = None
     if checkpoint and _checkpoint_supported(program_name, config_name,
                                             fault):
-        _CHECKPOINTS.begin_generation(generation)
         ctx = {
             "base": (program_name, config_name, fault, seed, bool(prune)),
             "prefix": prefix,
             "max_depth": max_depth,
             "captured": {},
         }
-        before = dict(_CHECKPOINTS.stats)
     program, machine, policy, history, error, pruned_at, recorder, obs = (
         _execute(program_name, config_name,
                  None if ctx else dict(enumerate(prefix)),
-                 decode_sleep(sleep), len(prefix), fault, seed, max_cycles,
+                 sleep or {}, len(prefix), fault, seed, max_cycles,
                  record=prune, checkpoint_ctx=ctx))
     verdict = None
     if pruned_at is None:
@@ -1032,7 +1005,6 @@ def run_node(program_name, config_name, prefix=(), sleep=(), fault=None,
                                 obs=obs, max_cycles=max_cycles)
     children = make_children(prefix, policy, recorder, max_depth,
                              machine.config.n_cpus)
-    cache = None
     if ctx is not None:
         # Hand each capture to the children its step produced (a run
         # that died mid-step produced none at its last step).
@@ -1044,15 +1016,10 @@ def run_node(program_name, config_name, prefix=(), sleep=(), fault=None,
             if step in uses:
                 # The last use takes the copies over (no copy on load).
                 entry.uses = entry.snapshot.uses = uses[step]
-                entry.generation = generation
                 _CHECKPOINTS.deposit(
                     (ctx["base"], tuple(policy.choices[:step])), entry)
-        cache = {key: _CHECKPOINTS.stats[key] - before[key]
-                 for key in before}
-        cache["peak_live"] = len(_CHECKPOINTS)
     return NodeOutcome(prefix=prefix, pruned=pruned_at is not None,
-                       verdict=verdict, children=tuple(children),
-                       cache=cache)
+                       verdict=verdict, children=tuple(children))
 
 
 def replay(program_name, config_name, deviations, fault=None, seed=1,
@@ -1279,56 +1246,17 @@ def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
 # ----------------------------------------------------------------------
 
 
-def node_spec(program_name, config_name, prefix, sleep, fault, seed,
-              max_depth, prune, max_cycles=None, checkpoint=False,
-              affinity=None, generation=0):
-    """The picklable :class:`CaseSpec` for one exploration node.
-
-    ``affinity`` routes the node toward the worker that ran its parent
-    (whose checkpoint cache holds the checkpoint it forks from); it is
-    a placement hint only and never affects the node's result.
-    """
-    name = (f"{program_name}:{config_name}:"
-            f"prefix={','.join(map(str, prefix)) or '-'}")
-    if fault:
-        name = f"{fault}:{name}"
-    kwargs = (("prefix", tuple(prefix)), ("sleep", tuple(sleep)),
-              ("fault", fault), ("seed", seed), ("max_depth", max_depth),
-              ("prune", prune), ("max_cycles", max_cycles),
-              ("checkpoint", checkpoint), ("generation", generation))
-    return CaseSpec(runner="repro.check.explore:run_node", name=name,
-                    args=(program_name, config_name), kwargs=kwargs,
-                    affinity=affinity)
-
-
 def _failure_verdict(program_name, config_name, fault, seed, prefix,
                      message):
+    """The run-failure verdict of a node (``prefix``) or, with ``prefix``
+    None, of a whole search that crashed or hung with ``message``."""
+    where = (f"search {program_name}:{config_name}" if prefix is None
+             else f"node prefix={list(prefix)}")
     return ScheduleVerdict(
         program=program_name, config=config_name, fault=fault, seed=seed,
         deviations=(),
-        violations=[OracleViolation(
-            "run-failure", f"node prefix={list(prefix)}: {message}")],
+        violations=[OracleViolation("run-failure", f"{where}: {message}")],
         error=message)
-
-
-def node_failure(spec, message):
-    """Classify a crashed/hung node as a failed schedule (its subtree
-    is lost, but the campaign and the verdict stream survive)."""
-    program_name, config_name = spec.args
-    kwargs = dict(spec.kwargs)
-    prefix = tuple(kwargs.get("prefix", ()))
-    verdict = _failure_verdict(program_name, config_name,
-                               kwargs.get("fault"), kwargs.get("seed", 1),
-                               prefix, message)
-    return NodeOutcome(prefix=prefix, verdict=verdict)
-
-
-def _failed_node(program_name, config_name, prefix, sleep, common,
-                 message):
-    """:func:`node_failure` for a node run in-process."""
-    return node_failure(
-        node_spec(program_name, config_name, prefix, sleep, **common),
-        message)
 
 
 @dataclasses.dataclass
@@ -1342,8 +1270,10 @@ class ExploreReport:
     preemption_bound: int = None
     max_depth: int = None
     prune: bool = True
-    jobs: int = 1
     skipped: bool = False
+    #: Why the whole search failed (its worker crashed or hung), else
+    #: None; such a report holds just the search's run-failure verdict.
+    error: str = None
     #: Schedules run to completion and judged.
     explored: int = 0
     #: Runs abandoned by the sleep set (continuation covered elsewhere).
@@ -1356,9 +1286,9 @@ class ExploreReport:
     truncated: bool = False
     #: Whether the snapshot cache was requested for this campaign.
     checkpoint: bool = False
-    #: Aggregated checkpoint-cache counters (hits/misses/deposits/
-    #: fallbacks summed across nodes; ``peak_live`` is the most entries
-    #: any worker held at once).  None when checkpointing was off.
+    #: Checkpoint counters (hits/misses/deposits/fallbacks over the
+    #: search; ``peak_live`` is the most entries held at once).  None
+    #: when checkpointing was off.
     checkpoint_stats: dict = None
     #: DPOR counters (unbounded pruned drains only): races analysed,
     #: CPUs inserted into backtrack sets, and races with no in-window
@@ -1371,7 +1301,7 @@ class ExploreReport:
     def dpor(self):
         """Whether the drain ran source-set DPOR (unbounded, pruned)."""
         return self.preemption_bound is None and self.prune and not (
-            self.skipped)
+            self.skipped or self.error)
 
     @property
     def failures(self):
@@ -1392,6 +1322,8 @@ class ExploreReport:
             name = f"{self.fault}:{name}"
         if self.skipped:
             return f"{name}: skipped (scenario needs another config)"
+        if self.error:
+            return f"{name}: search failed ({self.error})"
         bound = ("unbounded" if self.preemption_bound is None
                  else f"bound {self.preemption_bound}")
         scope = "exhaustive" if self.exhaustive else bound
@@ -1402,35 +1334,59 @@ class ExploreReport:
                 f"{len(self.failures)} failing){tail}")
 
 
+def search_spec(program_name, config_name, **kwargs):
+    """The :class:`CaseSpec` of one whole search,
+    ``explore(program_name, config_name, **kwargs)``: the unit
+    ``explore --jobs`` shards across workers."""
+    return CaseSpec(runner="repro.check.explore:explore",
+                    name=f"{program_name}:{config_name}",
+                    args=(program_name, config_name),
+                    kwargs=tuple(kwargs.items()))
+
+
+def failed_search(spec, message):
+    """The report of a :func:`search_spec` whose run crashed or hung as
+    a whole: its one verdict is a run-failure naming the pair."""
+    program_name, config_name = spec.args
+    kwargs = dict(spec.kwargs)
+    out = ExploreReport(
+        program=program_name, config=config_name,
+        fault=kwargs.get("fault"), seed=kwargs.get("seed", 1),
+        preemption_bound=kwargs.get("preemption_bound", 2),
+        max_depth=kwargs.get("max_depth"), error=message)
+    out.verdicts.append(_failure_verdict(
+        program_name, config_name, out.fault, out.seed, None, message))
+    return out
+
+
 def explore(program_name, config_name, fault=None, seed=1,
-            preemption_bound=2, max_depth=None, prune=True, jobs=1,
+            preemption_bound=2, max_depth=None, prune=True,
             max_schedules=None, max_cycles=None, timeout=None,
-            report=None, pool=None, checkpoint=True):
-    """Explore the schedule space of one (program, config[, fault]).
+            report=None, checkpoint=True):
+    """Explore one (program, config[, fault]) schedule space serially.
+
+    The search runs in this process; ``explore --jobs`` shards whole
+    searches (:func:`search_spec`).
 
     With a ``preemption_bound``, or without pruning: breadth-first over
     generations, where generation ``b`` holds the schedules with ``b``
     forced deviations — iterative preemption bounding.  Unbounded
     (``preemption_bound=None``) and pruned: a source-set DPOR drain
     (:func:`_explore_dpor`).  ``report``, if given, sees every
-    :class:`ScheduleVerdict` in enumeration order; ``jobs > 1`` shards
-    each generation across a :class:`WorkerPool` (pass ``pool`` to
-    reuse one across calls) without changing any result, and leaves a
-    DPOR drain in-process.  ``max_schedules`` caps the total number of
-    runs as a safety net and marks the report ``truncated``.
+    :class:`ScheduleVerdict` in enumeration order.  ``timeout`` is the
+    per-node budget in seconds: a node over it, or one that raises,
+    becomes a run-failure verdict and the search goes on.
+    ``max_schedules`` caps the total number of runs as a safety net and
+    marks the report ``truncated``.
 
     ``checkpoint`` (default on; gated per node by
     :func:`_checkpoint_supported`) lets a run resume from a snapshot
     instead of replaying from cycle 0: each child of the generations
-    forks from the snapshot its parent captured at the branch step (and
-    is routed to the worker holding it via spec affinity), and a DPOR
-    child from the nearest snapshot on the DFS stack.  Every verdict is
-    identical with it on or off — ``--no-checkpoint`` is the
+    forks from the snapshot its parent captured at the branch step, and
+    a DPOR child from the nearest snapshot on the DFS stack.  Every
+    verdict is identical with it on or off — ``--no-checkpoint`` is the
     differential control.  The in-process cache is empty again when
     this returns.
-
-    Both searches run under :func:`batched_gc`; the previous GC
-    thresholds are back in place however the campaign ends.
     """
     if config_name not in CONFIGS:
         raise ValueError(f"unknown config {config_name!r}; "
@@ -1446,7 +1402,7 @@ def explore(program_name, config_name, fault=None, seed=1,
     out = ExploreReport(
         program=program_name, config=config_name, fault=fault, seed=seed,
         preemption_bound=preemption_bound, max_depth=max_depth,
-        prune=effective_prune, jobs=jobs, checkpoint=effective_checkpoint)
+        prune=effective_prune, checkpoint=effective_checkpoint)
     if not program.supports(config):
         out.skipped = True
         return out
@@ -1455,91 +1411,63 @@ def explore(program_name, config_name, fault=None, seed=1,
                                 "fallbacks": 0, "peak_live": 0}
 
     if out.dpor:
-        with batched_gc():
-            _explore_dpor(out, program_name, config_name, seed,
-                          config.n_cpus, max_depth, max_schedules,
-                          max_cycles, timeout, report, effective_checkpoint)
+        _explore_dpor(out, program_name, config_name, seed, config.n_cpus,
+                      max_depth, max_schedules, max_cycles, timeout, report,
+                      effective_checkpoint)
         return out
 
-    own_pool = None
-    if jobs > 1 and pool is None:
-        own_pool = pool = WorkerPool(jobs)
-    frontier = [((), (), None)]
+    cache = _CHECKPOINTS
+    before = dict(cache.stats)
+    frontier = [((), None)]
     generation = 0
     try:
-        with batched_gc():
-            while frontier:
-                if (preemption_bound is not None
-                        and generation > preemption_bound):
+        while frontier:
+            if preemption_bound is not None and generation > preemption_bound:
+                break
+            if max_schedules is not None:
+                room = max_schedules - (out.explored + out.pruned)
+                if room <= 0:
+                    out.truncated = True
                     break
-                if max_schedules is not None:
-                    room = max_schedules - (out.explored + out.pruned)
-                    if room <= 0:
-                        out.truncated = True
-                        break
-                    if len(frontier) > room:
-                        frontier = frontier[:room]
-                        out.truncated = True
-                # The last bounded generation's children can never
-                # run: suppress them at the source (a livelocked run
-                # has tens of thousands of steps, and materializing one
-                # child prefix per step is quadratic in memory for no
-                # benefit).
-                last = (preemption_bound is not None
-                        and generation == preemption_bound)
-                depth = 0 if last else max_depth
-                common = {"fault": fault, "seed": seed, "max_depth": depth,
-                          "prune": effective_prune,
-                          "max_cycles": max_cycles,
-                          "checkpoint": effective_checkpoint,
-                          "generation": generation}
-                if pool is not None:
-                    specs = [node_spec(program_name, config_name, prefix,
-                                       sleep, affinity=affinity, **common)
-                             for prefix, sleep, affinity in frontier]
-                    outcomes = pool.map(specs, timeout=timeout,
-                                        failure_result=node_failure)
-                    assigned = pool.last_assignments
+                if len(frontier) > room:
+                    frontier = frontier[:room]
+                    out.truncated = True
+            # The last bounded generation's children can never run:
+            # suppress them at the source (a livelocked run has tens of
+            # thousands of steps, and materializing one child prefix per
+            # step is quadratic in memory for no benefit).
+            last = (preemption_bound is not None
+                    and generation == preemption_bound)
+            common = {"fault": fault, "seed": seed,
+                      "max_depth": 0 if last else max_depth,
+                      "prune": effective_prune, "max_cycles": max_cycles,
+                      "checkpoint": effective_checkpoint}
+            next_frontier = []
+            for prefix, sleep in frontier:
+                outcome = call_guarded(
+                    run_node, (program_name, config_name),
+                    {"prefix": prefix, "sleep": sleep, **common}, timeout,
+                    partial(_failure_verdict, program_name, config_name,
+                            fault, seed, prefix))
+                if isinstance(outcome, ScheduleVerdict):
+                    outcome = NodeOutcome(prefix=prefix, verdict=outcome)
+                if outcome.pruned:
+                    out.pruned += 1
                 else:
-                    # In-process: a node's spec is built only to
-                    # classify its failure.
-                    outcomes = [
-                        call_guarded(
-                            run_node, (program_name, config_name),
-                            {"prefix": prefix, "sleep": sleep, **common},
-                            timeout,
-                            partial(_failed_node, program_name, config_name,
-                                    prefix, sleep, common))
-                        for prefix, sleep, _ in frontier]
-                    assigned = None
-                next_frontier = []
-                for position, outcome in enumerate(outcomes):
-                    if outcome.pruned:
-                        out.pruned += 1
-                    else:
-                        out.explored += 1
-                        out.verdicts.append(outcome.verdict)
-                        if report is not None:
-                            report(outcome.verdict)
-                    # Children fork from checkpoints this node deposited,
-                    # so route them to the worker that ran it.
-                    worker = (assigned[position] if assigned is not None
-                              else None)
-                    next_frontier.extend(
-                        (child_prefix, child_sleep, worker)
-                        for child_prefix, child_sleep in outcome.children)
-                    if outcome.cache and out.checkpoint_stats is not None:
-                        for key, value in outcome.cache.items():
-                            if key == "peak_live":
-                                out.checkpoint_stats[key] = max(
-                                    out.checkpoint_stats[key], value)
-                            else:
-                                out.checkpoint_stats[key] += value
-                out.generations.append(len(outcomes))
-                frontier = next_frontier
-                generation += 1
+                    out.explored += 1
+                    out.verdicts.append(outcome.verdict)
+                    if report is not None:
+                        report(outcome.verdict)
+                next_frontier.extend(outcome.children)
+                if effective_checkpoint:
+                    stats = out.checkpoint_stats
+                    stats["peak_live"] = max(stats["peak_live"], len(cache))
+            out.generations.append(len(frontier))
+            frontier = next_frontier
+            generation += 1
     finally:
-        _CHECKPOINTS.clear()
-        if own_pool is not None:
-            own_pool.close()
+        if effective_checkpoint:
+            for key, value in before.items():
+                out.checkpoint_stats[key] = cache.stats[key] - value
+        cache.clear()
     return out

@@ -99,31 +99,17 @@ EMPTY_FOOTPRINT = Footprint()
 # ----------------------------------------------------------------------
 
 
-def encode_sleep(entries):
-    """dict cpu -> (Footprint, active_from)  =>  picklable spec tuple.
-
-    ``active_from`` is the step index at which the entry's coverage
-    claim starts: the recorder's live removal only considers steps at or
-    past it, so an entry inherited through a replayed prefix is not
-    erased by steps that logically precede its creation.
-    """
-    return tuple(
-        (cpu, active_from,
-         tuple(sorted(fp.reads)), tuple(sorted(fp.writes)))
-        for cpu, (fp, active_from) in sorted(entries.items()))
-
-
-def decode_sleep(encoded):
-    return {cpu: (footprint((frozenset(reads), frozenset(writes), False)),
-                  active_from)
-            for cpu, active_from, reads, writes in encoded}
-
-
 def sleep_seed(entries, alt, alt_fp):
     """Godefroid's rule: the child that runs ``alt`` first sleeps on
     every ``(cpu, (footprint, active_from))`` of ``entries`` (inherited
     entries and explored siblings) provably independent of ``alt``'s
-    first step.  Unknown and global footprints never enter."""
+    first step.  Unknown and global footprints never enter.
+
+    ``active_from`` is the step index at which an entry's coverage
+    claim starts: the recorder's live removal only considers steps at or
+    past it, so an entry inherited through a replayed prefix is not
+    erased by steps that logically precede its creation.  Returns the
+    seed as a dict ``cpu -> (footprint, active_from)``."""
     seed = {}
     for cpu, entry in entries:
         if cpu == alt:
@@ -164,7 +150,7 @@ def make_children(prefix, policy, recorder, max_depth, n_cpus):
     """The child prefixes branching off a node's trace, with their
     sleep-set seeds, in enumeration order: every in-window alternative
     at every step in ``[len(prefix), max_depth)``.  Without a recorder
-    (unpruned runs) no child sleeps."""
+    (unpruned runs) no child sleeps: its seed is None."""
     choices = policy.choices
     candidates = policy.candidates
     n = len(choices)
@@ -175,7 +161,7 @@ def make_children(prefix, policy, recorder, max_depth, n_cpus):
         for i in range(lo, hi):
             for alt in candidates[i]:
                 if alt != choices[i]:
-                    children.append((tuple(choices[:i]) + (alt,), ()))
+                    children.append((tuple(choices[:i]) + (alt,), None))
         return children
     # A run that died mid-step (e.g. the cycle limit) chose its last
     # step but never closed it: branch only over fully recorded steps.
@@ -203,8 +189,7 @@ def make_children(prefix, policy, recorder, max_depth, n_cpus):
             alt_fp = pending_i.get(alt) or GLOBAL_FOOTPRINT
             seed = sleep_seed(list(sleep_i.items()) + explored, alt,
                               alt_fp)
-            children.append(
-                (tuple(choices[:i]) + (alt,), encode_sleep(seed)))
+            children.append((tuple(choices[:i]) + (alt,), seed))
             explored.append((alt, (pending_i.get(alt), i)))
     return children
 

@@ -358,12 +358,14 @@ def cmd_chaos(args):
 def cmd_explore(args):
     from repro.check.explore import (
         deviations_to_str,
-        explore,
+        failed_search,
         parse_deviations,
         replay,
+        search_spec,
     )
     from repro.check.fuzz import CONFIGS, shrink_change_points
     from repro.check.programs import LITMUS_PROGRAMS, PROGRAMS
+    from repro.harness.parallel import run_campaign
 
     fault = args.inject_fault or None
 
@@ -400,74 +402,72 @@ def cmd_explore(args):
             "--min-checkpoint-speedup needs checkpointing on; "
             "drop --no-checkpoint")
 
-    pool = None
-    # An unbounded pruned drain is one in-process DFS; only the
-    # generation loop shards (an unpruned eager drain makes its own pool).
-    if args.jobs > 1 and (bound is not None or args.no_prune or fault):
-        from repro.harness.parallel import WorkerPool
-        pool = WorkerPool(args.jobs)
+    def show_verdicts(result):
+        for verdict in result.verdicts:
+            print(verdict)
 
     def campaign(checkpoint):
-        """One full sweep; returns (reports, wall-clock seconds)."""
-        reports = []
+        """One full sweep, a whole search per (program, config) pair,
+        sharded across ``--jobs`` workers; returns (reports in
+        enumeration order, wall-clock seconds)."""
+        specs = [search_spec(
+            program, config, fault=fault, seed=args.seed,
+            preemption_bound=bound, max_depth=args.max_depth or None,
+            prune=not args.no_prune,
+            max_schedules=args.max_schedules or None,
+            timeout=args.timeout or None, checkpoint=checkpoint)
+            for program in programs for config in configs]
         start = time.perf_counter()
-        for program in programs:
-            for config in configs:
-                reports.append(explore(
-                    program, config, fault=fault, seed=args.seed,
-                    preemption_bound=bound,
-                    max_depth=args.max_depth or None,
-                    prune=not args.no_prune, jobs=args.jobs,
-                    max_schedules=args.max_schedules or None,
-                    timeout=args.timeout or None,
-                    report=(print if args.verbose else None),
-                    pool=pool, checkpoint=checkpoint))
+        reports = run_campaign(
+            specs, jobs=args.jobs, failure_result=failed_search,
+            report=show_verdicts if args.verbose else None)
         return reports, time.perf_counter() - start
 
     failures = []
     truncated = False
     gate_failed = False
-    try:
-        results, elapsed = campaign(not args.no_checkpoint)
-        for result in results:
-            print("explore:", result.summary())
-            if args.verbose and result.dpor:
-                print(f"  dpor: races={result.races}, "
-                      f"backtracks={result.backtracks}, "
-                      f"window_fallbacks={result.window_fallbacks}")
-            if args.verbose and result.checkpoint_stats:
-                stats = result.checkpoint_stats
-                print("  checkpoint: "
-                      + ", ".join(f"{k}={stats[k]}" for k in sorted(stats)))
-            failures.extend(result.failures)
-            truncated |= result.truncated
-        if args.min_checkpoint_speedup:
-            # Differential gate: the stateless control must agree
-            # verdict-for-verdict, and checkpointing must pay its way.
-            control, control_elapsed = campaign(False)
-            mismatches = _diff_explore_reports(results, control)
-            for line in mismatches:
-                print(f"explore: DIFFERENTIAL MISMATCH {line}",
-                      file=sys.stderr)
-            speedup = control_elapsed / elapsed if elapsed else float("inf")
-            print(f"explore: checkpoint speedup {speedup:.2f}x "
-                  f"(checkpointed {elapsed:.2f}s, "
-                  f"stateless {control_elapsed:.2f}s, "
-                  f"floor {args.min_checkpoint_speedup:.2f}x)")
-            if speedup < args.min_checkpoint_speedup:
-                print("explore: checkpoint speedup below floor",
-                      file=sys.stderr)
-                gate_failed = True
-            gate_failed |= bool(mismatches)
-    finally:
-        if pool is not None:
-            pool.close()
+    results, elapsed = campaign(not args.no_checkpoint)
+    for result in results:
+        print("explore:", result.summary())
+        if args.verbose and result.dpor:
+            print(f"  dpor: races={result.races}, "
+                  f"backtracks={result.backtracks}, "
+                  f"window_fallbacks={result.window_fallbacks}")
+        if args.verbose and result.checkpoint_stats:
+            stats = result.checkpoint_stats
+            print("  checkpoint: "
+                  + ", ".join(f"{k}={stats[k]}" for k in sorted(stats)))
+        failures.extend((result, failure) for failure in result.failures)
+        truncated |= result.truncated
+    if args.min_checkpoint_speedup:
+        # Differential gate: the stateless control must agree
+        # verdict-for-verdict, and checkpointing must pay its way.
+        control, control_elapsed = campaign(False)
+        mismatches = _diff_explore_reports(results, control)
+        for line in mismatches:
+            print(f"explore: DIFFERENTIAL MISMATCH {line}",
+                  file=sys.stderr)
+        speedup = control_elapsed / elapsed if elapsed else float("inf")
+        print(f"explore: checkpoint speedup {speedup:.2f}x "
+              f"(checkpointed {elapsed:.2f}s, "
+              f"stateless {control_elapsed:.2f}s, "
+              f"floor {args.min_checkpoint_speedup:.2f}x)")
+        if speedup < args.min_checkpoint_speedup:
+            print("explore: checkpoint speedup below floor",
+                  file=sys.stderr)
+            gate_failed = True
+        gate_failed |= bool(mismatches)
     if truncated:
         print("explore: schedule cap hit; raise --max-schedules or set "
               "--max-depth for a drainable space", file=sys.stderr)
-    for failure in failures:
+    for result, failure in failures:
         print()
         print(failure)
+        if result.error:
+            # The search died as a whole: replay the pair's search.
+            print("  replay with:")
+            print(f"    {_search_command(args, result)}")
+            continue
         deviations, _ = shrink_change_points(failure, fault=fault)
         devstr = deviations_to_str(deviations)
         name = f"{failure.program}:{failure.config}:{devstr}"
@@ -476,6 +476,25 @@ def cmd_explore(args):
         print(f"  shrunk to deviations {list(deviations)}; replay with:")
         print(f"    python -m repro explore --replay {name}")
     return 1 if failures or gate_failed else 0
+
+
+def _search_command(args, report):
+    """The ``explore`` command line that reruns ``report``'s search
+    alone, with the sweep's search options."""
+    words = ["python -m repro explore", f"--programs {report.program}",
+             f"--configs {report.config}",
+             f"--preemption-bound {args.preemption_bound}",
+             f"--max-depth {args.max_depth}", f"--seed {args.seed}",
+             f"--max-schedules {args.max_schedules}"]
+    if args.inject_fault:
+        words.append(f"--inject-fault {args.inject_fault}")
+    if args.timeout:
+        words.append(f"--timeout {args.timeout:g}")
+    if args.no_prune:
+        words.append("--no-prune")
+    if args.no_checkpoint:
+        words.append("--no-checkpoint")
+    return " ".join(words)
 
 
 #: Report fields the checkpointed and stateless sweeps must agree on.
@@ -751,12 +770,12 @@ def build_parser():
                    help="replay one schedule: [fault:]program:config:"
                         "deviations (e.g. litmus-sb:lazy-wb-assoc:3@1)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes per generation wave of a "
-                        "bounded or unpruned search; an unbounded "
-                        "pruned drain is one in-process DFS (any value "
-                        "yields identical results)")
+                   help="worker processes; each runs whole (program, "
+                        "config) searches (any value yields identical "
+                        "output)")
     p.add_argument("--timeout", type=float, default=0.0,
-                   help="per-node timeout in seconds (parallel runs)")
+                   help="per-node timeout in seconds; a node over it "
+                        "becomes a run-failure verdict")
     p.add_argument("--no-checkpoint", action="store_true",
                    help="disable the prefix checkpoint cache and replay "
                         "every node from cycle 0 (the differential "

@@ -56,10 +56,10 @@ _UNSET = object()
 #: :func:`call_payload`.
 _PAYLOAD = {}
 
-#: Gen-0 GC threshold inside :func:`batched_gc`.  Campaign loops
-#: allocate millions of short-lived containers over a large live heap;
-#: at CPython's default of 700 the cyclic collector keeps re-walking
-#: that heap (about a third of an exhaustive litmus drain).
+#: Gen-0 GC threshold inside :func:`batched_gc`, which every worker
+#: runs under.  Campaign cases allocate millions of short-lived
+#: containers over a large live heap; at CPython's default of 700 the
+#: cyclic collector keeps re-walking that heap.
 GC_GEN0_THRESHOLD = 100_000
 
 
@@ -85,20 +85,12 @@ class CaseSpec:
     (``kwargs`` is a tuple of ``(key, value)`` pairs so the spec itself
     stays hashable).  ``name`` is the case's replayable name, used only
     for failure reporting.
-
-    ``affinity`` is a soft placement hint: :meth:`WorkerPool.map`
-    prefers the worker at position ``affinity % jobs`` when it is idle,
-    falling back to any idle worker rather than stalling the wave.
-    Wave-structured drivers use it to land a case on the worker whose
-    process-local caches its ancestor warmed (the model checker's
-    checkpoint cache); it never affects results, only placement.
     """
 
     runner: str
     name: str
     args: tuple = ()
     kwargs: tuple = ()
-    affinity: int = None
 
 
 @dataclasses.dataclass
@@ -198,17 +190,15 @@ def _run_guarded(spec, timeout, failure_result):
 
 @batched_gc()
 def _worker_main(task_queue, result_queue):
-    """Worker loop: pull ``(epoch, index, spec, timeout)`` tasks, push
-    ``(epoch, index, pickled outcome)`` results.  Outcomes are pickled
-    in the worker so an unpicklable result surfaces as a classified
-    failure rather than wedging the queue's feeder thread.  The epoch
-    tag travels untouched: it lets a persistent pool tell a live wave's
-    results from a written-off worker's stale ones."""
+    """Worker loop: pull ``(index, spec, timeout)`` tasks, push
+    ``(index, pickled outcome)`` results.  Outcomes are pickled in the
+    worker so an unpicklable result surfaces as a classified failure
+    rather than wedging the queue's feeder thread."""
     while True:
         task = task_queue.get()
         if task is None:
             return
-        epoch, index, spec, timeout = task
+        index, spec, timeout = task
         try:
             with _time_limit(timeout):
                 outcome = ("ok", run_spec(spec))
@@ -221,7 +211,7 @@ def _worker_main(task_queue, result_queue):
         except Exception as exc:
             blob = pickle.dumps(
                 ("fail", f"result not picklable ({_describe(exc)})"))
-        result_queue.put((epoch, index, blob))
+        result_queue.put((index, blob))
 
 
 class _Worker:
@@ -237,10 +227,10 @@ class _Worker:
         self.index = None      # case index in flight, if any
         self.started = None    # monotonic time the case was assigned
 
-    def assign(self, epoch, index, spec, timeout):
+    def assign(self, index, spec, timeout):
         self.index = index
         self.started = time.monotonic()
-        self.task_queue.put((epoch, index, spec, timeout))
+        self.task_queue.put((index, spec, timeout))
 
     def alive(self):
         return self.process.is_alive()
@@ -296,121 +286,51 @@ def run_campaign(specs, jobs=1, timeout=None, report=None,
                 if report is not None:
                     report(result)
             return results
-        with WorkerPool(min(jobs, len(specs)), ctx=ctx) as pool:
-            return pool.map(specs, timeout=timeout, report=report,
-                            failure_result=failure_result, grace=grace)
+        return _run_workers(specs, min(jobs, len(specs)), ctx, timeout,
+                            report, failure_result, grace)
     finally:
         _PAYLOAD = saved_payload
 
 
-class WorkerPool:
-    """A persistent pool of case workers, reusable across waves.
+def _run_workers(specs, jobs, ctx, timeout, report, failure_result, grace):
+    """:func:`run_campaign`'s parallel path: ``jobs`` workers drain the
+    specs in enumeration order, each taking the next spec when it goes
+    idle, and are stopped when the campaign ends however it ends."""
+    result_queue = ctx.Queue()
+    workers = [_Worker(ctx, result_queue) for _ in range(jobs)]
+    results = [_UNSET] * len(specs)
+    n_done = 0
+    n_sent = 0
+    emitted = 0
+    idle = list(workers)
 
-    :func:`run_campaign` spins one up per call; wave-structured drivers
-    — the model checker's generation BFS (:mod:`repro.check.explore`)
-    runs one campaign per frontier generation — keep a single pool
-    alive across many :meth:`map` calls instead of respawning ``jobs``
-    interpreters per wave.
+    def finish(index, result):
+        nonlocal n_done, emitted
+        if results[index] is not _UNSET:
+            return  # stale message from a worker already written off
+        results[index] = result
+        n_done += 1
+        if report is not None:
+            while emitted < len(results) and results[emitted] is not _UNSET:
+                report(results[emitted])
+                emitted += 1
 
-    Each :meth:`map` call is one *epoch*.  Tasks and results carry the
-    epoch tag, so a result arriving from a worker that was written off
-    in an earlier wave (killed after a timeout, crashed mid-case, or
-    simply slow to flush its queue before being replaced) can never be
-    mistaken for a result of the current wave; within a wave the
-    result-slot guard catches same-epoch stragglers as before.
-    """
+    def respawn(worker):
+        fresh = _Worker(ctx, result_queue)
+        workers[workers.index(worker)] = fresh
+        idle.append(fresh)
 
-    def __init__(self, jobs, ctx=None):
-        self._ctx = ctx if ctx is not None else _context()
-        self.jobs = max(1, int(jobs))
-        self._result_queue = self._ctx.Queue()
-        self._workers = [
-            _Worker(self._ctx, self._result_queue)
-            for _ in range(self.jobs)
-        ]
-        self._epoch = 0
-        self._closed = False
-
-    def map(self, specs, timeout=None, report=None, failure_result=None,
-            grace=5.0):
-        """Run one wave of specs; returns results in enumeration order.
-
-        Same contract as :func:`run_campaign` for ``timeout``,
-        ``report``, ``failure_result`` and ``grace``.
-        """
-        if self._closed:
-            raise RuntimeError("WorkerPool is closed")
-        specs = list(specs)
-        if failure_result is None:
-            failure_result = lambda spec, message: CampaignFailure(  # noqa: E731
-                spec.name, message)
-        if not specs:
-            return []
-        self._epoch += 1
-        epoch = self._epoch
-        workers = self._workers
-        # A worker still marked busy here belongs to a wave that was
-        # abandoned mid-flight (exception between map calls): its index
-        # and start time describe the old epoch, so retire it rather
-        # than let this wave's watchdog misread them.
-        for pos, worker in enumerate(workers):
-            if worker.index is not None:
-                worker.kill()
-                workers[pos] = _Worker(self._ctx, self._result_queue)
-        results = [_UNSET] * len(specs)
-        #: Worker position each case was dispatched to, by case index —
-        #: the feedback channel affinity-aware drivers use to tag the
-        #: next wave (a child lands where its ancestor's caches live).
-        self.last_assignments = [None] * len(specs)
-        n_done = 0
-        emitted = 0
-        pending = list(range(len(specs)))
-        idle = list(workers)
-
-        def take_for(position):
-            """The next case for the idle worker at ``position``:
-            its affine case if one is pending, else the first pending
-            unpinned case, else (work-conserving) the oldest pending
-            case even if pinned elsewhere."""
-            fallback = None
-            for slot, index in enumerate(pending):
-                affinity = specs[index].affinity
-                if affinity is not None and affinity % self.jobs == position:
-                    return pending.pop(slot)
-                if fallback is None and affinity is None:
-                    fallback = slot
-            return pending.pop(fallback if fallback is not None else 0)
-
-        def finish(index, result):
-            nonlocal n_done, emitted
-            if results[index] is not _UNSET:
-                return  # stale message from a worker already written off
-            results[index] = result
-            n_done += 1
-            if report is not None:
-                while (emitted < len(results)
-                        and results[emitted] is not _UNSET):
-                    report(results[emitted])
-                    emitted += 1
-
-        def respawn(worker):
-            fresh = _Worker(self._ctx, self._result_queue)
-            workers[workers.index(worker)] = fresh
-            idle.append(fresh)
-
+    try:
         while n_done < len(specs):
-            while idle and pending:
+            while idle and n_sent < len(specs):
                 worker = idle.pop()
                 if not worker.alive():   # died idle; replace and retry
                     respawn(worker)
                     continue
-                position = workers.index(worker)
-                index = take_for(position)
-                self.last_assignments[index] = position
-                worker.assign(epoch, index, specs[index], timeout)
+                worker.assign(n_sent, specs[n_sent], timeout)
+                n_sent += 1
             try:
-                r_epoch, index, blob = self._result_queue.get(
-                    timeout=_POLL_S)
+                index, blob = result_queue.get(timeout=_POLL_S)
             except queue.Empty:
                 now = time.monotonic()
                 for worker in list(workers):
@@ -429,8 +349,6 @@ class WorkerPool:
                             f"timeout after {timeout:g}s (worker killed)"))
                         respawn(worker)
                 continue
-            if r_epoch != epoch:
-                continue  # a written-off worker's leftover from a past wave
             for worker in workers:
                 if worker.index == index:
                     worker.index = None
@@ -442,24 +360,12 @@ class WorkerPool:
             else:
                 finish(index, failure_result(specs[index], value))
         return results
-
-    def close(self):
-        """Stop every worker and release the queues."""
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers:
+    finally:
+        for worker in workers:
             worker.stop()
         deadline = time.monotonic() + 2.0
-        for worker in self._workers:
+        for worker in workers:
             worker.process.join(max(0.0, deadline - time.monotonic()))
             if worker.process.is_alive():
                 worker.kill()
-        self._result_queue.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
+        result_queue.close()

@@ -1,7 +1,7 @@
 """The conformance campaign: simulator vs. reference semantics, at scale.
 
 Two kinds of cell, both pure functions of small picklable names so the
-campaign shards across :class:`~repro.harness.parallel.WorkerPool`
+campaign shards across :func:`~repro.harness.parallel.run_campaign`
 workers exactly like the check/chaos/bench sweeps:
 
 * **Replay cells** (:func:`run_conform_cell`) run one

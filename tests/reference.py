@@ -37,7 +37,6 @@ from types import MethodType
 import repro.check.explore as explore_mod
 from repro.check.explore import ExploreReport, run_node
 from repro.common.errors import IsaError, SimulationError
-from repro.harness.parallel import batched_gc
 from repro.htm.conflict import (
     PROCEED,
     SELF_ABORT,
@@ -437,44 +436,40 @@ def explore_sleep_sets(program_name, config_name, seed=1, max_depth=None,
     out = ExploreReport(program=program_name, config=config_name,
                         seed=seed, preemption_bound=None,
                         max_depth=max_depth, checkpoint=checkpoint)
-    stats = {"hits": 0, "misses": 0, "deposits": 0, "fallbacks": 0,
-             "peak_live": 0}
-    frontier = [((), ())]
-    generation = 0
+    cache = explore_mod._CHECKPOINTS
+    before = dict(cache.stats)
+    peak_live = 0
+    frontier = [((), None)]
     try:
-        with batched_gc():
-            while frontier:
-                if max_schedules is not None:
-                    room = max_schedules - (out.explored + out.pruned)
-                    if len(frontier) > room:
-                        frontier = frontier[:max(room, 0)]
-                        out.truncated = True
-                    if not frontier:
-                        break
-                next_frontier = []
-                for prefix, sleep in frontier:
-                    outcome = run_node(
-                        program_name, config_name, prefix=prefix,
-                        sleep=sleep, seed=seed, max_depth=max_depth,
-                        checkpoint=checkpoint, generation=generation)
-                    if outcome.pruned:
-                        out.pruned += 1
-                    else:
-                        out.explored += 1
-                        out.verdicts.append(outcome.verdict)
-                        if report is not None:
-                            report(outcome.verdict)
-                    next_frontier.extend(outcome.children)
-                    for key, value in (outcome.cache or {}).items():
-                        if key == "peak_live":
-                            stats[key] = max(stats[key], value)
-                        else:
-                            stats[key] += value
-                out.generations.append(len(frontier))
-                frontier = next_frontier
-                generation += 1
+        while frontier:
+            if max_schedules is not None:
+                room = max_schedules - (out.explored + out.pruned)
+                if len(frontier) > room:
+                    frontier = frontier[:max(room, 0)]
+                    out.truncated = True
+                if not frontier:
+                    break
+            next_frontier = []
+            for prefix, sleep in frontier:
+                outcome = run_node(
+                    program_name, config_name, prefix=prefix, sleep=sleep,
+                    seed=seed, max_depth=max_depth, checkpoint=checkpoint)
+                if outcome.pruned:
+                    out.pruned += 1
+                else:
+                    out.explored += 1
+                    out.verdicts.append(outcome.verdict)
+                    if report is not None:
+                        report(outcome.verdict)
+                next_frontier.extend(outcome.children)
+                peak_live = max(peak_live, len(cache))
+            out.generations.append(len(frontier))
+            frontier = next_frontier
     finally:
-        explore_mod._CHECKPOINTS.clear()
+        stats = {key: cache.stats[key] - value
+                 for key, value in before.items()}
+        cache.clear()
+    stats["peak_live"] = peak_live
     if checkpoint:
         out.checkpoint_stats = stats
     return out

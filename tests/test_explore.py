@@ -226,13 +226,37 @@ def test_explorer_counterexample_shrinks_through_shared_loop():
     assert replay("requeue", CONFIG, shrunk, fault="drop-requeue").failed
 
 
-def test_node_failure_has_no_children():
-    from repro.check.explore import node_failure, node_spec
-    spec = node_spec("litmus-sb", CONFIG, (0, 1), (), None, 1, None, True)
-    outcome = node_failure(spec, "worker died")
-    assert outcome.children == ()
-    assert outcome.verdict.failed
-    assert outcome.verdict.violations[0].oracle == "run-failure"
+def test_node_failure_has_no_children(monkeypatch):
+    """A crashed node's subtree is lost: none of the children it has
+    when it runs clean is run, and the search goes on."""
+    import repro.check.explore as explore_mod
+
+    run_node = explore_mod.run_node
+    ran = []
+    children = {}
+
+    def spy(*args, **kwargs):
+        prefix = kwargs["prefix"]
+        ran.append(prefix)
+        if prefix == crash:
+            raise RuntimeError("boom")
+        outcome = run_node(*args, **kwargs)
+        children[prefix] = [child for child, _ in outcome.children]
+        return outcome
+
+    monkeypatch.setattr(explore_mod, "run_node", spy)
+    crash = None
+    clean = explore("litmus-sb", CONFIG, preemption_bound=2)
+    crash = next(prefix for prefix in ran if prefix and children[prefix])
+    lost = set(children[crash])
+    assert lost <= set(ran)
+    ran.clear()
+    report = explore("litmus-sb", CONFIG, preemption_bound=2)
+    assert crash in ran and not lost & set(ran)
+    (failure,) = report.failures
+    assert failure.violations[0].oracle == "run-failure"
+    assert failure.deviations == ()
+    assert 0 < report.explored < clean.explored
 
 
 def test_in_process_node_crash_is_a_failing_verdict(monkeypatch):
@@ -294,17 +318,67 @@ def test_dpor_drain_respects_the_schedule_cap():
 # ----------------------------------------------------------------------
 
 
+def _sharded(specs, jobs):
+    from repro.check.explore import failed_search
+    from repro.harness.parallel import run_campaign
+    return run_campaign(specs, jobs=jobs, failure_result=failed_search)
+
+
 def test_parallel_exploration_matches_serial():
-    """The pool shards the bounded generation loop (an unbounded pruned
-    drain is one in-process DFS)."""
+    """``explore --jobs`` shards whole (program, config) searches: each
+    pair's report from a worker equals the serial search's."""
+    from repro.check.explore import search_spec
     kwargs = dict(preemption_bound=2, max_depth=20, max_schedules=2000)
-    serial = explore("litmus-inc", CONFIG, jobs=1, **kwargs)
-    parallel = explore("litmus-inc", CONFIG, jobs=3, **kwargs)
-    assert not serial.truncated
-    assert (serial.explored, serial.pruned) == (
-        parallel.explored, parallel.pruned)
-    assert [(v.name, v.failed, v.signature) for v in serial.verdicts] \
-        == [(v.name, v.failed, v.signature) for v in parallel.verdicts]
+    pairs = [(program, config) for program in ("litmus-inc", "litmus-sb")
+             for config in (CONFIG, "eager-wb")]
+    serial = [explore(program, config, **kwargs) for program, config
+              in pairs]
+    parallel = _sharded([search_spec(program, config, **kwargs)
+                         for program, config in pairs], jobs=3)
+    assert not any(report.truncated for report in serial)
+    for one, other in zip(serial, parallel, strict=True):
+        assert (one.program, one.config, one.explored, one.pruned,
+                one.generations) == (other.program, other.config,
+                                     other.explored, other.pruned,
+                                     other.generations)
+        assert [(v.name, v.failed, v.signature) for v in one.verdicts] \
+            == [(v.name, v.failed, v.signature) for v in other.verdicts]
+
+
+def test_crashed_search_is_a_classified_report(monkeypatch, capsys):
+    """A worker that dies on one (program, config) pair becomes that
+    pair's report: one run-failure verdict naming the pair and a replay
+    line for its search; the other pair's output is unchanged and the
+    exit status is 1."""
+    import os
+
+    import repro.check.explore as explore_mod
+    from repro.cli import main
+
+    real_explore = explore_mod.explore
+
+    def sabotaged(program, config, **kwargs):
+        if program == "litmus-sb":
+            os._exit(40)
+        return real_explore(program, config, **kwargs)
+
+    argv = ["explore", "--programs", "litmus-sb,litmus-mp",
+            "--preemption-bound", "1", "--jobs", "2"]
+    assert main(argv[:-2]) == 0
+    clean = capsys.readouterr().out
+    # fork inherits the monkeypatched module, so the worker dies too
+    monkeypatch.setattr(explore_mod, "explore", sabotaged)
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert ("explore: litmus-sb:lazy-wb-assoc: search failed "
+            "(worker crashed (exit code 40))") in out
+    assert ("[run-failure] search litmus-sb:lazy-wb-assoc: "
+            "worker crashed (exit code 40)") in out
+    assert ("python -m repro explore --programs litmus-sb "
+            "--configs lazy-wb-assoc --preemption-bound 1") in out
+    (mp_line,) = [line for line in clean.splitlines()
+                  if line.startswith("explore: litmus-mp:")]
+    assert mp_line in out.splitlines()
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ enforce that differentially — same campaign with the cache on and off,
 byte-identical reports — and with forced misses (a cache that drops
 every other deposit, so half the children replay from cycle 0).  They
 also pin the cache's lifetime rules: every deposit is consumed by its
-children, nothing outlives the campaign, and the campaign's GC scope
-is undone however it ends.  A DPOR drain keeps its snapshots on its
+children, nothing outlives the campaign, and a search leaves the
+caller's GC thresholds as it found them however it ends.  A DPOR drain keeps its snapshots on its
 DFS stack instead of the cache; the same differentials (stateless
 control, injected restore failures) and lifetime rules cover it.
 
@@ -24,7 +24,6 @@ import pytest
 import repro.check.explore as explore_mod
 from repro.check.explore import CheckpointCache, _Checkpoint, explore
 from repro.check.programs import LITMUS_PROGRAMS
-from repro.harness.parallel import GC_GEN0_THRESHOLD
 from repro.sim.snapshot import SnapshotError
 from repro.spec.conform import LITMUS_DEPTHS
 from tests.reference import explore_sleep_sets
@@ -209,19 +208,17 @@ def test_truncated_campaign_leaves_cache_empty():
     assert len(cache) == 0
 
 
-def _entry(generation, uses=1):
+def _entry(uses=1):
     entry = _Checkpoint()
-    entry.generation = generation
     entry.uses = uses
     return entry
 
 
-def test_cache_lookup_consumes_and_generations_expire():
+def test_cache_lookup_consumes_uses():
     cache = CheckpointCache()
     base = ("p", "c", None, 1, True)
-    cache.begin_generation(0)
-    cache.deposit((base, (0,)), _entry(0, uses=2))
-    cache.deposit((base, (1,)), _entry(0))
+    cache.deposit((base, (0,)), _entry(uses=2))
+    cache.deposit((base, (1,)), _entry())
     # The fork point of prefix (0, 1) is the entry at choices (0,).
     assert cache.lookup(base, (0, 1)) is not None
     assert cache.lookup(base, (0, 0)) is not None
@@ -229,27 +226,24 @@ def test_cache_lookup_consumes_and_generations_expire():
     assert cache.lookup(base, ()) is None       # the root never forks
     assert cache.stats == {"hits": 2, "misses": 2, "deposits": 2,
                            "fallbacks": 0}
-    # A child routed elsewhere never consumes (1,): the wave after its
-    # children's wave drops it, but keeps the previous wave's entries.
-    cache.begin_generation(1)
-    cache.deposit((base, (1, 0)), _entry(1))
-    assert len(cache) == 2
-    cache.begin_generation(2)
     assert len(cache) == 1
-    assert cache.lookup(base, (1, 0, 1)) is not None
+    assert cache.lookup(base, (1, 0)) is not None
     assert len(cache) == 0
 
 
 def test_gc_thresholds_restored_after_explore():
+    """Both searches (bounded generations, DPOR drain) run under the
+    caller's GC thresholds and leave them untouched."""
     saved = gc.get_threshold()
-    seen = []
     try:
         gc.set_threshold(777, 11, 12)
-        explore("litmus-sb", CONFIG, preemption_bound=1,
-                report=lambda verdict: seen.append(gc.get_threshold()))
-        assert seen and all(t == (GC_GEN0_THRESHOLD, 11, 12)
-                            for t in seen)
-        assert gc.get_threshold() == (777, 11, 12)
+        for bound in (1, None):
+            seen = []
+            explore("litmus-sb", CONFIG, preemption_bound=bound,
+                    max_depth=12,
+                    report=lambda verdict: seen.append(gc.get_threshold()))
+            assert seen and all(t == (777, 11, 12) for t in seen)
+            assert gc.get_threshold() == (777, 11, 12)
     finally:
         gc.set_threshold(*saved)
 
@@ -274,17 +268,26 @@ def test_gc_thresholds_restored_when_report_raises():
 
 
 def test_checkpoint_matches_stateless_parallel():
-    """Sharded exploration with worker-local caches and checkpoint
-    affinity still reproduces the stateless campaign exactly."""
+    """Searches sharded whole across workers, each with its own process
+    cache, reproduce the serial searches exactly: verdicts, the
+    stateless control's fingerprint and the checkpoint counters."""
+    from repro.check.explore import failed_search, search_spec
+    from repro.harness.parallel import run_campaign
+
     kwargs = dict(preemption_bound=2, max_schedules=2000)
-    stateless = explore("litmus-mp", CONFIG, jobs=1, checkpoint=False,
-                        **kwargs)
-    checkpointed = explore("litmus-mp", CONFIG, jobs=3, checkpoint=True,
-                           **kwargs)
-    assert _fingerprint(checkpointed)[:-1] == _fingerprint(stateless)[:-1]
-    assert [(v.name, v.failed, v.signature)
-            for v in checkpointed.verdicts] \
-        == [(v.name, v.failed, v.signature) for v in stateless.verdicts]
+    stateless = [explore(program, CONFIG, checkpoint=False, **kwargs)
+                 for program in PROGRAMS]
+    serial = [explore(program, CONFIG, checkpoint=True, **kwargs)
+              for program in PROGRAMS]
+    sharded = run_campaign(
+        [search_spec(program, CONFIG, checkpoint=True, **kwargs)
+         for program in PROGRAMS], jobs=2, failure_result=failed_search)
+    for control, one, other in zip(stateless, serial, sharded,
+                                   strict=True):
+        assert _fingerprint(other) == _fingerprint(control)
+        assert _fingerprint(other) == _fingerprint(one)
+        assert other.checkpoint_stats == one.checkpoint_stats
+        assert other.checkpoint_stats["hits"] > 0
 
 
 def test_stateless_mode_deposits_nothing():
