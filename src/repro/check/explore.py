@@ -83,6 +83,15 @@ Pruning is enabled only where it is sound:
   report).  ``tests/test_por.py`` checks that DPOR completes every
   class the sleep-set enumeration (``tests/reference.py``) completes.
 
+**Checkpoints.**  A run resumes from a mid-run snapshot instead of
+replaying its prefix from cycle 0 wherever :func:`_checkpoint_supported`
+allows.  Each search owns its snapshots, under one discipline for both
+drivers: a snapshot travels with the search structure that consumes it
+— a child's frontier entry in the generations, the DFS stack in a DPOR
+drain — and restores onto one :class:`_NodeContext` the search builds,
+so nothing outlives the search (see the comment block above
+:class:`_Checkpoint`).
+
 **Counterexamples.**  A failing schedule is reported as its *deviation
 list* — the ``(step, cpu)`` pairs where it departs from the
 deterministic pick — which replays exactly (:func:`replay`, CLI
@@ -112,6 +121,7 @@ point the run prunes instead of starving it forever.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from functools import partial
 
 from repro.common.errors import ReproError
@@ -360,21 +370,35 @@ class StepRecorder(Observer):
 # A node run is a pure function of its choice prefix, and every child
 # shares all but its last choice with its parent — so the stateless
 # "replay from cycle 0" discipline re-executes the same prefix over and
-# over.  Instead, a node captures a mid-run machine snapshot
-# (:mod:`repro.sim.snapshot`) at each of its branch steps in
-# ``[len(P), max_depth)`` — where :class:`ControlledPolicy` calls its
-# ``branch_hook``, by the rule :func:`repro.check.por.make_children`
-# applies — and deposits it with one use per child that step actually
-# produced.  A child with prefix ``P`` forks at its branch step
-# ``len(P) - 1``; the entry is dropped when its last child has restored
-# it.
+# over.  Instead, a run captures mid-run machine snapshots
+# (:mod:`repro.sim.snapshot`) at the step boundaries its search will
+# fork children from, and a child restores one and runs on from there.
+# Each snapshot travels with the search structure that consumes it:
+#
+# * **Generations.**  A node with prefix ``P`` captures at each of its
+#   branch steps in ``[len(P), max_depth)`` — where
+#   :class:`ControlledPolicy` calls its ``fork_hook``, by the rule
+#   :func:`repro.check.por.make_children` applies — and hands each
+#   capture down to the children that step produced, one use per child
+#   (:func:`run_node`).  A child forks at its branch step
+#   ``len(prefix) - 1``, and its frontier entry carries the capture.
+# * **DPOR.**  A drain (:func:`_explore_dpor`) keeps its captures on its
+#   DFS stack, one per state at most, taken by a run only at the states
+#   below its fork that still have a CPU to explore, and released when
+#   the state is popped.  A child resumes from the nearest entry at or
+#   before its fork and forces the gap.
+#
+# Either way a checkpoint lives as long as its search holds it: a
+# frontier cut by ``max_schedules``, or the subtree of a crashed node,
+# drops its entries with it.  Restores go onto one :class:`_NodeContext`
+# the search builds and drops.
 #
 # Soundness rests on three facts:
 #
 # * **Machine state is a function of the choices alone.**  Two runs that
 #   made the same choice sequence stepped the same CPUs through the same
 #   ops, whatever sleep sets or forced maps *led* to those choices — so
-#   a checkpoint deposited by any node serves any other node whose
+#   a checkpoint captured by any node serves any other node whose
 #   prefix extends the checkpoint's choices.  The recorded candidate
 #   lists, footprints, deliveries, histories and cycle books are equally
 #   choice-determined, so the observers restore from the same entry.
@@ -389,119 +413,66 @@ class StepRecorder(Observer):
 #   Inherited entries survive all earlier steps by construction: the
 #   parent executed the identical steps with the entry live and did not
 #   remove it, and the removal rule is deterministic in (footprint,
-#   deliveries, entry).
+#   deliveries, entry).  A DPOR child that forces a gap after its entry
+#   is exact for the same reason: its inherited entries survived the
+#   gap in the run that recorded the state.
 # * **The policy is not in the snapshot.**  Each child runs its own
 #   :class:`ControlledPolicy` — sleep set, ``sleep_from``, and a forced
-#   map holding only the fork step's choice, the one prefix choice the
-#   resumed run still makes — and the checkpoint carries only the
-#   recorded ``choices``/``candidates``/``divergences`` prefix
-#   (identical to what a faithful replay of the prefix would have
-#   recorded), which :meth:`_NodeContext.resume` preloads into it.
-#
-# A DPOR drain (:func:`_explore_dpor`) uses the same entries without the
-# cache: they live on its DFS stack, one per state at most, captured by
-# a run only at the states below its fork that still have a CPU to
-# explore, and released when the state is popped.  A child resumes from
-# the nearest entry at or before its fork and forces the gap; the same
-# three facts make that exact (an entry's inherited sleep entries
-# survived the gap in the run that recorded the state).
+#   map holding only the prefix choices the resumed run still makes —
+#   and the checkpoint carries only the recorded
+#   ``choices``/``candidates``/``divergences`` prefix (identical to what
+#   a faithful replay of the prefix would have recorded), which
+#   :meth:`_NodeContext.resume` preloads into it.
 #
 # A node pays only for what its outcome reads:
 #
-# * **Hand-off on last use.**  Every capture is a copy; a deposit sets
-#   the snapshot's ``uses`` to its children's count, and the child that
-#   uses it up takes the copies over (machine containers, recorder
+# * **Hand-off on last use.**  Every capture is a copy; handing one down
+#   sets the snapshot's ``uses`` to its children's count, and the child
+#   that uses it up takes the copies over (machine containers, recorder
 #   sets, live history frames) instead of copying them again.  In the
 #   two-CPU litmus drains every entry has one child.
 # * **Bound CPUs only.**  The snapshot and the observer books cover the
 #   CPUs a program is bound to; the others never leave their just-built
 #   state (tests/test_explore_checkpoint.py pins that after a drain).
 # * **Books installed once.**  A restore re-runs setup and ghost replay
-#   with the pooled observers attached, but no event fires until the
+#   with the context's observers attached, but no event fires until the
 #   engine steps, so :meth:`_NodeContext.resume` installs every book
 #   once, after the restore.
 # * **No trace ring on the node.**  Only a failing verdict reads the
 #   trace tail; :func:`_failure_trace` rebuilds it by replaying that one
 #   schedule with a tracer attached.
 #
-# Entries no child consumes (a frontier cut by ``max_schedules``, a
-# child whose run crashed before its lookup) stay in the cache until
-# :func:`explore` empties it on its way out, however the search ends.
-#
-# The cache is verified differentially: ``--no-checkpoint`` keeps the
-# stateless path, and the conformance gate asserts verdict-for-verdict
-# equality between the two modes (tests/test_explore_checkpoint.py).
-# Any :class:`SnapshotError` falls back to the stateless path for that
-# node (counted in ``fallbacks``) — checkpointing is an accelerator,
-# never a semantic dependency.
+# Checkpointing is verified differentially: ``--no-checkpoint`` keeps
+# the stateless path, and the conformance gate asserts
+# verdict-for-verdict equality between the two modes
+# (tests/test_explore_checkpoint.py).  Any :class:`SnapshotError` falls
+# back to the stateless path for that node (counted in ``fallbacks``) —
+# checkpointing is an accelerator, never a semantic dependency.
 
 
 class _Checkpoint:
     """One fork-point state: the machine snapshot plus the observer
-    state (recorder, history, profiler) that goes with it."""
+    state (recorder, history, profiler) that goes with it.  ``uses`` is
+    how many children will still restore it (None: unlimited)."""
 
     __slots__ = ("snapshot", "policy", "recorder", "history", "profiler",
                  "uses", "__weakref__")
 
 
-class CheckpointCache:
-    """Fork-point checkpoints awaiting their children.
-
-    Keys are ``(base, choices)``: ``base`` pins everything else a run
-    depends on — ``(program, config, fault, seed, recording)`` — so a
-    lookup can only ever hit a state its own schedule would reach.
-    Every lookup consumes one use, and an entry goes with its last.
-    """
-
-    def __init__(self):
-        self._entries = {}
-        self.stats = {"hits": 0, "misses": 0, "deposits": 0,
-                      "fallbacks": 0}
-
-    def lookup(self, base, prefix):
-        """Consume one use of the checkpoint ``prefix`` forks from.
-
-        The fork point is step ``len(prefix) - 1`` (see the note
-        above); returns the entry, or None on a miss."""
-        key = (base, tuple(prefix[:-1]))
-        entry = self._entries.get(key) if prefix else None
-        if entry is None:
-            self.stats["misses"] += 1
-            return None
-        entry.uses -= 1
-        if entry.uses <= 0:
-            del self._entries[key]
-        self.stats["hits"] += 1
-        return entry
-
-    def deposit(self, key, entry):
-        self._entries[key] = entry
-        self.stats["deposits"] += 1
-
-    def __len__(self):
-        return len(self._entries)
-
-    def clear(self):
-        self._entries.clear()
-
-
-#: The process's cache; :func:`explore` empties it when it returns.
-_CHECKPOINTS = CheckpointCache()
-
 class _NodeContext:
-    """One process's reusable restore target: a machine with the history
-    recorder and profiler permanently attached, plus a pooled
+    """One search's reusable restore target: a machine with the history
+    recorder and profiler permanently attached, plus a
     :class:`StepRecorder` subscribed only while pruning nodes run.  It
     stays subscribed from one pruning node to the next: re-subscribing
     rebuilds a tuple per recorded event, which costs more per node than
     the idle subscription (no event fires while a checkpoint restores).
 
     Constructing the observers costs more than a short resumed run, so
-    hit-path nodes share one context per (program, config) and
-    overwrite its state from the checkpoint instead of rebuilding it.
-    Only the restore path may use a context: a restore leaves the data
-    plane to :func:`repro.sim.snapshot.restore`'s final load, so a
-    stateless (cache-miss) run always builds fresh.
+    a search's restored nodes share one context and overwrite its state
+    from the checkpoint instead of rebuilding it.  Only the restore path
+    may use a context: a restore leaves the data plane to
+    :func:`repro.sim.snapshot.restore`'s final load, so a stateless run
+    always builds fresh.
     """
 
     __slots__ = ("machine", "recorder", "history", "profiler")
@@ -513,17 +484,24 @@ class _NodeContext:
         self.history = HistoryRecorder(self.machine)
         self.profiler = CycleProfiler(self.machine)
 
-    def resume(self, entry, policy, sleep_entries, sleep_from, record,
-               take):
-        """Install a restored node's ``policy`` and load the observers'
-        books from ``entry``, once, after the machine restored.
+    def resume(self, entry, setup_fn, policy, sleep_entries, sleep_from,
+               record):
+        """Restore ``entry`` onto this context's machine (re-running
+        ``setup_fn``), install the node's ``policy`` and load the
+        observers' books from ``entry``; returns the program.  Raises
+        :class:`SnapshotError` before any book is touched.
 
-        Every book is replaced or refilled, never left from the previous
-        node; the lists cached checkpoints share with a length bound are
-        sliced, not cleared.  The unbound CPUs' books are never touched
-        (they stay empty).  ``take`` hands the entry's copied containers
-        over: this is its last use."""
+        This consumes one of the entry's ``uses``; the use that spends
+        the last takes its copied containers over.  Every book is
+        replaced or refilled, never left from the previous node; the
+        lists checkpoints share with a length bound are sliced, not
+        cleared.  The unbound CPUs' books are never touched (they stay
+        empty)."""
+        if entry.uses is not None:
+            entry.uses -= 1
         machine = self.machine
+        program = machine.restore(entry.snapshot, setup_fn)
+        take = entry.uses is not None and entry.uses <= 0
         machine.policy = policy
         bound = machine._bound_cpus
         (choices, n_choices, candidates, n_candidates,
@@ -558,7 +536,7 @@ class _NodeContext:
             machine.unobserve(recorder)
         # Committed/aborted records are immutable once appended, so the
         # lists are shared with a length bound; only the live frames
-        # were copied (see _capture_hook).
+        # were copied (see _capture).
         committed, n_committed, aborted, n_aborted, frames, seq = (
             entry.history)
         history = self.history
@@ -571,10 +549,7 @@ class _NodeContext:
         profiler._account = None
         for cpu_id, saved in zip(bound, entry.profiler):
             load(profiler._cpu[cpu_id], saved)
-
-
-#: Restore-target contexts, one per (program, config) per process.
-_CONTEXTS = {}
+        return program
 
 
 def _checkpoint_supported(program_name, config_name, fault):
@@ -601,20 +576,6 @@ def _node_setup(program_name, seed):
     return setup
 
 
-def _restore_node(program_name, config_name, entry, seed):
-    """Restore ``entry``'s snapshot onto this process's pooled node
-    context (building it on first use)."""
-    key = (program_name, config_name)
-    ctx = _CONTEXTS.get(key)
-    if ctx is None:
-        program = make_program(program_name, seed=seed)
-        ctx = _NodeContext(build_config(config_name, program))
-        _CONTEXTS[key] = ctx
-    program = ctx.machine.restore(
-        entry.snapshot, _node_setup(program_name, seed))
-    return ctx, program
-
-
 def _capture(machine, recorder, history_recorder, profiler):
     """One :class:`_Checkpoint` of ``machine`` and its observers at the
     current step boundary, where every observer is quiescent: the
@@ -634,8 +595,8 @@ def _capture(machine, recorder, history_recorder, profiler):
     entry.recorder = None
     if recorder is not None:
         # The per-step lists are append-only with immutable entries for
-        # the node's lifetime (the next pooled node *replaces* them), so
-        # they are shared by reference with a length bound — same
+        # the node's lifetime (the next restored node *replaces* them),
+        # so they are shared by reference with a length bound — same
         # zero-copy discipline as the step journal.
         cpu_reads = recorder._cpu_reads
         cpu_writes = recorder._cpu_writes
@@ -659,33 +620,13 @@ def _capture(machine, recorder, history_recorder, profiler):
     return entry
 
 
-def _capture_hook(machine, lo, hi, recorder, history_recorder, profiler,
+def _capture_hook(machine, steps, recorder, history_recorder, profiler,
                   captured):
-    """The ``branch_hook`` capturing this node's checkpoints at branch
-    steps in ``[lo, hi)`` into ``captured`` (step -> entry).  Past
-    ``hi`` no capture can follow, so the first branch step there
-    retires the hook and the step journal only captures read.
-    """
-
-    def hook(step):
-        if step < lo:
-            return
-        if hi is not None and step >= hi:
-            machine.policy.branch_hook = None
-            machine.disable_journal()
-            return
-        captured[step] = _capture(machine, recorder, history_recorder,
-                                  profiler)
-
-    return hook
-
-
-def _stack_capture_hook(machine, steps, recorder, history_recorder,
-                        profiler, captured):
-    """The ``fork_hook`` of a DPOR node: capture at each step boundary
-    in ``steps`` into ``captured`` (step -> entry).  After the last one
-    it retires itself and the step journal."""
-    last = max(steps)
+    """The ``fork_hook`` capturing a node's checkpoints into ``captured``
+    (step -> entry) at the steps of ``steps`` (ascending) the policy
+    calls it at.  At the last one it retires itself and the step
+    journal only captures read."""
+    last = steps[-1]
 
     def hook(step):
         captured[step] = _capture(machine, recorder, history_recorder,
@@ -695,6 +636,17 @@ def _stack_capture_hook(machine, steps, recorder, history_recorder,
             machine.disable_journal()
 
     return hook
+
+
+def _count_restore(stats, ctx):
+    """Count a checkpointed node's start in ``stats``: a hit if it
+    restored, else a miss, and a fallback if its restore failed.  A run
+    that crashed before it started counts nowhere."""
+    if "restored" in ctx:
+        restored = ctx["restored"]
+        stats["hits"] += restored
+        stats["misses"] += not restored
+        stats["fallbacks"] += ctx["resume"] is not None and not restored
 
 
 # ----------------------------------------------------------------------
@@ -780,6 +732,9 @@ class NodeOutcome:
     verdict: ScheduleVerdict = None
     #: (child_prefix, sleep-set seed) pairs, in enumeration order.
     children: tuple = ()
+    #: Fork step -> the checkpoint handed down to the children forking
+    #: there (checkpointed nodes only).
+    checkpoints: dict = dataclasses.field(default_factory=dict)
 
 
 def _should_prune(prune, fault, config):
@@ -798,70 +753,58 @@ def _execute(program_name, config_name, forced, sleep_entries, sleep_from,
     ``sleep_entries`` is the sleep-set seed (see
     :func:`repro.check.por.sleep_seed`).
 
-    ``checkpoint_ctx`` switches the node to checkpoints, in one of two
-    forms.  The generation loop's (``{"base", "prefix", "max_depth",
-    "captured"}``) forks at ``prefix``'s branch step when the cache
-    holds that checkpoint, and captures this run's own branch steps into
-    ``captured`` (see :func:`_capture_hook`) for :func:`run_node` to
-    deposit.  The DPOR search's (``{"prefix", "resume", "capture",
-    "captured"}``) resumes from ``resume = (step, entry)`` when given,
-    forcing the prefix from ``step`` on, and captures at the step
-    boundaries in ``capture``; it reports whether the restore happened
-    as ``"restored"``.  ``forced`` may be None: it is the prefix's,
-    built only for a stateless run.  Verdicts are identical either way
-    — checkpoints only change where execution starts.
+    ``checkpoint_ctx`` switches the node to checkpoints, in the one form
+    both searches use: ``{"prefix", "target", "resume", "capture",
+    "captured"}``.  With ``resume = (step, entry)`` the run restores
+    ``entry`` onto the search's ``target`` (:class:`_NodeContext`) and
+    forces the prefix from ``step`` on; it reports whether the restore
+    happened as ``"restored"``.  It captures into ``captured`` (step ->
+    entry) at the steps of ``capture`` (ascending) a child can fork from
+    (see :class:`ControlledPolicy` and :func:`_capture_hook`).
+    ``forced`` may be None: it is the prefix's, built only for a
+    stateless run.  Verdicts are identical either way — checkpoints only
+    change where execution starts.
     """
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
-    resume = None
-    ctx = None
+    target = None
     if checkpoint_ctx is not None:
         prefix = checkpoint_ctx["prefix"]
-        if "resume" in checkpoint_ctx:
-            resume = checkpoint_ctx["resume"]
-        else:
-            entry = _CHECKPOINTS.lookup(checkpoint_ctx["base"], prefix)
-            if entry is not None:
-                resume = (len(prefix) - 1, entry)
         if forced is None:
             forced = dict(enumerate(prefix))
-    if resume is not None:
-        # The resumed run makes only the prefix's choices from the
-        # resume step on (the earlier ones are preloaded).
-        start, entry = resume
-        policy = ControlledPolicy(
-            forced={step: prefix[step]
-                    for step in range(start, len(prefix))},
-            sleep=sleep_entries, sleep_from=sleep_from,
-            window=EXPLORE_WINDOW)
-        try:
-            ctx, program = _restore_node(
-                program_name, config_name, entry, seed)
-        except SnapshotError:
-            if "resume" not in checkpoint_ctx:
-                _CHECKPOINTS.stats["fallbacks"] += 1
-            ctx = None
-    if checkpoint_ctx is not None:
-        checkpoint_ctx["restored"] = ctx is not None
-    if ctx is None:
+        if checkpoint_ctx["resume"] is not None:
+            target = checkpoint_ctx["target"]
+            # The resumed run makes only the prefix's choices from the
+            # resume step on (the earlier ones are preloaded).
+            start, entry = checkpoint_ctx["resume"]
+            policy = ControlledPolicy(
+                forced={step: prefix[step]
+                        for step in range(start, len(prefix))},
+                sleep=sleep_entries, sleep_from=sleep_from,
+                window=EXPLORE_WINDOW)
+            recording = record and _should_prune(
+                True, fault, target.machine.config)
+            try:
+                program = target.resume(
+                    entry, _node_setup(program_name, seed), policy,
+                    sleep_entries, sleep_from, recording)
+            except SnapshotError:
+                target = None
+        checkpoint_ctx["restored"] = target is not None
+    injector = None
+    if target is not None:
+        # Restored: the context's observers are already attached and
+        # loaded (checkpointing never runs under a fault plan, so no
+        # injector here).
+        machine = target.machine
+        recorder = target.recorder if recording else None
+        history_recorder = target.history
+        profiler = target.profiler
+        tracer = None
+    else:
         policy = ControlledPolicy(
             forced=forced, sleep=sleep_entries, sleep_from=sleep_from,
             window=EXPLORE_WINDOW)
-    injector = None
-    if ctx is not None:
-        # Hit path: the pooled context's observers are already attached;
-        # load their state from the checkpoint (checkpointing never runs
-        # under a fault plan, so no injector here).
-        machine = ctx.machine
-        config = machine.config
-        recording = record and _should_prune(True, fault, config)
-        ctx.resume(entry, policy, sleep_entries, sleep_from, recording,
-                   take=entry.uses is not None and entry.uses <= 0)
-        recorder = ctx.recorder if recording else None
-        history_recorder = ctx.history
-        profiler = ctx.profiler
-        tracer = None
-    else:
         program = make_program(program_name, seed=seed)
         config = build_config(config_name, program)
         machine = Machine(config, policy=policy)
@@ -881,24 +824,19 @@ def _execute(program_name, config_name, forced, sleep_entries, sleep_from,
         profiler = CycleProfiler(machine)
         tracer = (Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
                   if trace else None)
-    if checkpoint_ctx is not None and "capture" in checkpoint_ctx:
-        if checkpoint_ctx["capture"]:
-            policy.fork_steps = checkpoint_ctx["capture"]
-            policy.fork_hook = _stack_capture_hook(
-                machine, checkpoint_ctx["capture"], recorder,
-                history_recorder, profiler, checkpoint_ctx["captured"])
+    if checkpoint_ctx is not None:
+        capture = checkpoint_ctx["capture"]
+        if capture:
+            policy.fork_steps = capture
+            policy.fork_hook = _capture_hook(
+                machine, capture, recorder, history_recorder, profiler,
+                checkpoint_ctx["captured"])
         else:
             machine.disable_journal()
-    elif checkpoint_ctx is not None and checkpoint_ctx["max_depth"] != 0:
-        # max_depth 0 marks the last bounded generation: no child runs.
-        policy.branch_hook = _capture_hook(
-            machine, len(checkpoint_ctx["prefix"]),
-            checkpoint_ctx["max_depth"], recorder, history_recorder,
-            profiler, checkpoint_ctx["captured"])
     error = None
     pruned_at = None
     try:
-        if ctx is None:
+        if target is None:
             program.setup(machine, runtime, arena)
         machine.run(max_cycles=max_cycles or program.max_cycles)
     except SchedulePruned as exc:
@@ -906,9 +844,8 @@ def _execute(program_name, config_name, forced, sleep_entries, sleep_from,
     except ReproError as exc:
         error = exc
     finally:
-        policy.branch_hook = None
         policy.fork_hook = None
-        if ctx is None:
+        if target is None:
             if tracer is not None:
                 tracer.detach()
             profiler.detach()
@@ -970,34 +907,25 @@ def _make_verdict(program_name, config_name, fault, seed, program,
 
 def run_node(program_name, config_name, prefix=(), sleep=None,
              fault=None, seed=1, max_depth=None, prune=True,
-             max_cycles=None, checkpoint=False):
+             max_cycles=None, checkpoint=None):
     """Run one exploration node: replay ``prefix``, complete the run
     deterministically, judge it, and derive the child prefixes.
 
     ``sleep`` is the sleep-set seed for this subtree (a child's, from
     :func:`repro.check.por.make_children`); ``max_depth`` bounds the
-    step index at which new branches may be taken.  ``checkpoint``
-    enables the in-process snapshot cache where
-    :func:`_checkpoint_supported` allows: the node forks from its
-    parent's deposit and deposits its own branch steps for its
-    children.  The node's verdict and children are identical with it on
-    or off.
+    step index at which new branches may be taken.  ``checkpoint`` is
+    the node's checkpoint context (see :func:`_execute`), or None for a
+    stateless run: the node forks from the checkpoint its parent handed
+    down, and hands its own captures down to its children
+    (:attr:`NodeOutcome.checkpoints`).  The node's verdict and children
+    are identical either way.
     """
     prefix = tuple(prefix)
-    ctx = None
-    if checkpoint and _checkpoint_supported(program_name, config_name,
-                                            fault):
-        ctx = {
-            "base": (program_name, config_name, fault, seed, bool(prune)),
-            "prefix": prefix,
-            "max_depth": max_depth,
-            "captured": {},
-        }
     program, machine, policy, history, error, pruned_at, recorder, obs = (
         _execute(program_name, config_name,
-                 None if ctx else dict(enumerate(prefix)),
+                 None if checkpoint else dict(enumerate(prefix)),
                  sleep or {}, len(prefix), fault, seed, max_cycles,
-                 record=prune, checkpoint_ctx=ctx))
+                 record=prune, checkpoint_ctx=checkpoint))
     verdict = None
     if pruned_at is None:
         verdict = _make_verdict(program_name, config_name, fault, seed,
@@ -1005,21 +933,22 @@ def run_node(program_name, config_name, prefix=(), sleep=None,
                                 obs=obs, max_cycles=max_cycles)
     children = make_children(prefix, policy, recorder, max_depth,
                              machine.config.n_cpus)
-    if ctx is not None:
+    handed = {}
+    if checkpoint is not None:
         # Hand each capture to the children its step produced (a run
         # that died mid-step produced none at its last step).
         uses = {}
         for child, _ in children:
             step = len(child) - 1
             uses[step] = uses.get(step, 0) + 1
-        for step, entry in ctx["captured"].items():
+        for step, entry in checkpoint["captured"].items():
             if step in uses:
                 # The last use takes the copies over (no copy on load).
                 entry.uses = entry.snapshot.uses = uses[step]
-                _CHECKPOINTS.deposit(
-                    (ctx["base"], tuple(policy.choices[:step])), entry)
+                handed[step] = entry
     return NodeOutcome(prefix=prefix, pruned=pruned_at is not None,
-                       verdict=verdict, children=tuple(children))
+                       verdict=verdict, children=tuple(children),
+                       checkpoints=handed)
 
 
 def replay(program_name, config_name, deviations, fault=None, seed=1,
@@ -1114,7 +1043,7 @@ class _DporStack:
 
 
 def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
-                  max_schedules, max_cycles, timeout, report, checkpoint):
+                  max_schedules, max_cycles, timeout, report, target):
     """Drain the unbounded pruned schedule space of one (program,
     config) by source-set DPOR, filling ``out``.
 
@@ -1125,11 +1054,11 @@ def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
     set by Godefroid's rule from the state's sleep entries and explored
     siblings, and continues with the default pick.
 
-    With ``checkpoint``, snapshots live on the stack: a child resumes
-    from the nearest one at or before its fork, forcing the gap, and
-    captures on its way only at the boundaries a later child is known
-    to fork from (the states below its fork with a CPU left to
-    explore).  Popping a state releases its snapshot.
+    With a ``target`` (:class:`_NodeContext`), snapshots live on the
+    stack: a child resumes from the nearest one at or before its fork,
+    forcing the gap, and captures on its way only at the boundaries a
+    later child is known to fork from (the states below its fork with a
+    CPU left to explore).  Popping a state releases its snapshot.
     """
     stack = _DporStack()
     stats = out.checkpoint_stats
@@ -1144,7 +1073,7 @@ def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
             out.truncated = True
             break
         ctx = None
-        if checkpoint:
+        if target is not None:
             resume = None
             start = 0
             if fork is not None:
@@ -1153,12 +1082,12 @@ def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
                         resume = (k, stack.snapshot[k])
                         start = k
                         break
-            capture = frozenset(
+            capture = tuple(
                 k for k in range(start + (resume is not None),
                                  0 if fork is None else fork)
                 if stack.snapshot[k] is None and stack.todo(k) is not None)
-            ctx = {"prefix": prefix, "resume": resume, "capture": capture,
-                   "captured": {}}
+            ctx = {"prefix": prefix, "target": target, "resume": resume,
+                   "capture": capture, "captured": {}}
         result = call_guarded(
             _run_dpor_node,
             (program_name, config_name, prefix, sleep_entries, seed,
@@ -1179,13 +1108,8 @@ def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
         while len(out.generations) <= generation:
             out.generations.append(0)
         out.generations[generation] += 1
-        if ctx is not None and "restored" in ctx:
-            # (A run that crashed before its restore counts nowhere.)
-            restored = ctx["restored"]
-            stats["hits"] += restored
-            stats["misses"] += not restored
-            stats["fallbacks"] += (ctx["resume"] is not None
-                                   and not restored)
+        if ctx is not None:
+            _count_restore(stats, ctx)
 
         # Push the run's new states and analyse its new steps' races.
         lo = 0 if fork is None else fork
@@ -1242,7 +1166,91 @@ def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
 
 
 # ----------------------------------------------------------------------
-# The frontier driver
+# Generations: the bounded and unpruned searches
+# ----------------------------------------------------------------------
+
+
+def _explore_generations(out, program_name, config_name, fault, seed,
+                         preemption_bound, max_depth, prune, max_schedules,
+                         max_cycles, timeout, report, target):
+    """Explore breadth-first over generations, filling ``out``:
+    generation ``b`` runs the children of generation ``b - 1``, through
+    generation ``preemption_bound`` (until the frontier drains when
+    None).
+
+    With a ``target`` (:class:`_NodeContext`), each frontier entry
+    carries the checkpoint its parent captured at the child's fork step
+    and handed down (:func:`run_node`); the child restores it onto
+    ``target``, and the child that uses it up takes its copies over.
+    """
+    stats = out.checkpoint_stats
+    live = 0  # handed-down checkpoints with uses left
+    frontier = [((), None, None)]
+    generation = 0
+    while frontier:
+        if preemption_bound is not None and generation > preemption_bound:
+            break
+        if max_schedules is not None:
+            room = max_schedules - (out.explored + out.pruned)
+            if room <= 0:
+                out.truncated = True
+                break
+            if len(frontier) > room:
+                frontier = frontier[:room]
+                out.truncated = True
+        # The last bounded generation's children can never run: suppress
+        # them at the source (a livelocked run has tens of thousands of
+        # steps, and materializing one child prefix per step is
+        # quadratic in memory for no benefit).
+        depth = (0 if preemption_bound is not None
+                 and generation == preemption_bound else max_depth)
+        common = {"fault": fault, "seed": seed, "max_depth": depth,
+                  "prune": prune, "max_cycles": max_cycles}
+        out.generations.append(len(frontier))
+        next_frontier = []
+        # Popped in order, so an entry's checkpoint goes with its last
+        # child rather than with the generation.
+        frontier.reverse()
+        while frontier:
+            prefix, sleep, entry = frontier.pop()
+            ctx = None
+            if target is not None:
+                ctx = {"prefix": prefix, "target": target,
+                       "resume": (None if entry is None
+                                  else (len(prefix) - 1, entry)),
+                       "capture": range(len(prefix), sys.maxsize
+                                        if depth is None else depth),
+                       "captured": {}}
+            outcome = call_guarded(
+                run_node, (program_name, config_name),
+                {"prefix": prefix, "sleep": sleep, "checkpoint": ctx,
+                 **common}, timeout,
+                partial(_failure_verdict, program_name, config_name,
+                        fault, seed, prefix))
+            if isinstance(outcome, ScheduleVerdict):
+                outcome = NodeOutcome(prefix=prefix, verdict=outcome)
+            if outcome.pruned:
+                out.pruned += 1
+            else:
+                out.explored += 1
+                out.verdicts.append(outcome.verdict)
+                if report is not None:
+                    report(outcome.verdict)
+            handed = outcome.checkpoints
+            next_frontier.extend(
+                (child, child_sleep, handed.get(len(child) - 1))
+                for child, child_sleep in outcome.children)
+            if ctx is not None:
+                _count_restore(stats, ctx)
+                stats["deposits"] += len(handed)
+                live += len(handed) - (entry is not None and entry.uses == 0)
+                stats["peak_live"] = max(stats["peak_live"], live)
+        frontier = next_frontier
+        generation += 1
+
+
+# ----------------------------------------------------------------------
+# The search driver
 # ----------------------------------------------------------------------
 
 
@@ -1379,14 +1387,14 @@ def explore(program_name, config_name, fault=None, seed=1,
     ``max_schedules`` caps the total number of runs as a safety net and
     marks the report ``truncated``.
 
-    ``checkpoint`` (default on; gated per node by
+    ``checkpoint`` (default on; gated per search by
     :func:`_checkpoint_supported`) lets a run resume from a snapshot
     instead of replaying from cycle 0: each child of the generations
     forks from the snapshot its parent captured at the branch step, and
     a DPOR child from the nearest snapshot on the DFS stack.  Every
     verdict is identical with it on or off — ``--no-checkpoint`` is the
-    differential control.  The in-process cache is empty again when
-    this returns.
+    differential control.  The search owns its checkpoints and restore
+    target: none outlives it, however it ends.
     """
     if config_name not in CONFIGS:
         raise ValueError(f"unknown config {config_name!r}; "
@@ -1406,68 +1414,18 @@ def explore(program_name, config_name, fault=None, seed=1,
     if not program.supports(config):
         out.skipped = True
         return out
+    target = None
     if effective_checkpoint:
         out.checkpoint_stats = {"hits": 0, "misses": 0, "deposits": 0,
                                 "fallbacks": 0, "peak_live": 0}
-
+        target = _NodeContext(config)
     if out.dpor:
         _explore_dpor(out, program_name, config_name, seed, config.n_cpus,
                       max_depth, max_schedules, max_cycles, timeout, report,
-                      effective_checkpoint)
-        return out
-
-    cache = _CHECKPOINTS
-    before = dict(cache.stats)
-    frontier = [((), None)]
-    generation = 0
-    try:
-        while frontier:
-            if preemption_bound is not None and generation > preemption_bound:
-                break
-            if max_schedules is not None:
-                room = max_schedules - (out.explored + out.pruned)
-                if room <= 0:
-                    out.truncated = True
-                    break
-                if len(frontier) > room:
-                    frontier = frontier[:room]
-                    out.truncated = True
-            # The last bounded generation's children can never run:
-            # suppress them at the source (a livelocked run has tens of
-            # thousands of steps, and materializing one child prefix per
-            # step is quadratic in memory for no benefit).
-            last = (preemption_bound is not None
-                    and generation == preemption_bound)
-            common = {"fault": fault, "seed": seed,
-                      "max_depth": 0 if last else max_depth,
-                      "prune": effective_prune, "max_cycles": max_cycles,
-                      "checkpoint": effective_checkpoint}
-            next_frontier = []
-            for prefix, sleep in frontier:
-                outcome = call_guarded(
-                    run_node, (program_name, config_name),
-                    {"prefix": prefix, "sleep": sleep, **common}, timeout,
-                    partial(_failure_verdict, program_name, config_name,
-                            fault, seed, prefix))
-                if isinstance(outcome, ScheduleVerdict):
-                    outcome = NodeOutcome(prefix=prefix, verdict=outcome)
-                if outcome.pruned:
-                    out.pruned += 1
-                else:
-                    out.explored += 1
-                    out.verdicts.append(outcome.verdict)
-                    if report is not None:
-                        report(outcome.verdict)
-                next_frontier.extend(outcome.children)
-                if effective_checkpoint:
-                    stats = out.checkpoint_stats
-                    stats["peak_live"] = max(stats["peak_live"], len(cache))
-            out.generations.append(len(frontier))
-            frontier = next_frontier
-            generation += 1
-    finally:
-        if effective_checkpoint:
-            for key, value in before.items():
-                out.checkpoint_stats[key] = cache.stats[key] - value
-        cache.clear()
+                      target)
+    else:
+        _explore_generations(out, program_name, config_name, fault, seed,
+                             preemption_bound, max_depth, effective_prune,
+                             max_schedules, max_cycles, timeout, report,
+                             target)
     return out

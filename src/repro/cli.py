@@ -463,8 +463,10 @@ def cmd_explore(args):
     for result, failure in failures:
         print()
         print(failure)
-        if result.error:
-            # The search died as a whole: replay the pair's search.
+        if result.error or not failure.n_steps:
+            # The search, or a node of it, died before a schedule was
+            # judged: no deviation list names the failure, so replay
+            # the pair's search.
             print("  replay with:")
             print(f"    {_search_command(args, result)}")
             continue
@@ -672,12 +674,10 @@ def build_parser():
 
     p = sub.add_parser(
         "bench",
-        help="perf-regression bench: golden-cycle matrix + flagship "
-             "cycle accounting (writes BENCH_sim.json)")
+        help="golden-cycle gates: the cycle matrix + flagship cycle "
+             "accounting")
     p.add_argument("--smoke", action="store_true",
                    help="reduced matrix for CI (4-CPU column + flagship)")
-    p.add_argument("--out", default="BENCH_sim.json",
-                   help="result JSON path (default BENCH_sim.json)")
     p.add_argument("--update-golden", action="store_true",
                    help="rewrite the golden cycle counts from this run")
     p.add_argument("--jobs", type=int, default=1,

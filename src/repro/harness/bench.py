@@ -1,6 +1,6 @@
-"""Performance-regression bench: ``python -m repro bench``.
+"""Golden-cycle gates: ``python -m repro bench``.
 
-Two jobs in one harness (docs/performance.md):
+Two gates in one harness (docs/performance.md):
 
 1. **Cycle-equality regression.**  Every cell of a fixed workload matrix
    (kernels × lazy/eager detection × 2–16 CPUs) and the flagship cell —
@@ -15,11 +15,9 @@ Two jobs in one harness (docs/performance.md):
    profiler, whose books must close and whose cycle count must equal the
    unprofiled run's (the zero-perturbation guard).
 
-Wall-clock is measured per phase (setup / run / verify) and steps/sec is
-computed over the *run* phase only, from the engine's ``engine.steps``
-stat.  Results are written to ``BENCH_sim.json``.  They are reported,
-never gated: host-throughput regressions are the repo benchmark's job
-(``bench/run.py``), which compares whole runs of two commits.
+Host time is not measured here: throughput regressions are the repo
+benchmark's job (``bench/run.py``), which compares whole runs of two
+commits.
 
 ``--smoke`` runs a reduced matrix (the 4-CPU column plus the flagship)
 for CI; golden values are shared with the full matrix.  Regenerate the
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 from repro.common.params import functional_config, paper_config
 from repro.harness.parallel import CaseSpec, run_campaign
@@ -75,45 +72,24 @@ def matrix_cells(smoke=False):
 
 
 def run_cell(factory, config, max_cycles=2_000_000_000):
-    """Run one workload under ``config`` with per-phase timing.
-
-    Returns a dict with cycles, steps, per-phase seconds, and steps/sec
-    (over the run phase alone).
-    """
+    """Run and verify one workload under ``config``; returns its
+    simulated cycles and engine steps."""
     workload = factory()
     machine = Machine(config)
     runtime = Runtime(machine)
     arena = SharedArena(machine)
-
-    t0 = time.perf_counter()
     workload.setup(machine, runtime, arena)
-    t1 = time.perf_counter()
     machine.run(max_cycles=max_cycles)
-    t2 = time.perf_counter()
     workload.verify(machine)
-    t3 = time.perf_counter()
-
-    steps = machine.stats.get("engine.steps")
-    run_s = t2 - t1
-    return {
-        "cycles": machine.stats.get("cycles"),
-        "steps": steps,
-        "phases": {
-            "setup_s": round(t1 - t0, 6),
-            "run_s": round(run_s, 6),
-            "verify_s": round(t3 - t2, 6),
-        },
-        "steps_per_s": round(steps / run_s) if run_s > 0 else None,
-    }
+    return {"cycles": machine.stats.get("cycles"),
+            "steps": machine.stats.get("engine.steps")}
 
 
 def run_cell_by_id(cell_id):
     """Run one matrix cell named by its id (the parallel path's runner).
 
     The cell id fully determines the workload and config, so a worker
-    process reconstructs the cell from the name alone — and the
-    per-phase wall-clock numbers stay honest because :func:`run_cell`
-    times each phase inside the worker that runs it.
+    process reconstructs the cell from the name alone.
     """
     for candidate, factory, config_factory in matrix_cells(smoke=False):
         if candidate == cell_id:
@@ -124,8 +100,8 @@ def run_cell_by_id(cell_id):
 
 
 def _cell_failure(spec, message):
-    return {"id": spec.name, "cycles": None, "steps": None, "phases": {},
-            "steps_per_s": None, "error": message}
+    return {"id": spec.name, "cycles": None, "steps": None,
+            "error": message}
 
 
 def run_flagship():
@@ -182,9 +158,8 @@ def run_bench(smoke=False, update_golden=False, report=print, jobs=1):
     """Run the matrix + flagship; returns (results dict, list of errors).
 
     ``jobs`` fans the cells out across worker processes; cycle counts
-    are simulated, so parallelism cannot perturb them, and the per-cell
-    phase timings are taken inside each worker.  A cell that raises is
-    recorded as a failed cell, not a crashed bench.
+    are simulated, so parallelism cannot perturb them.  A cell that
+    raises is recorded as a failed cell, not a crashed bench.
 
     ``update_golden`` rewrites ``bench_golden.json`` from this run's
     cycle counts — but only when the run has no errors, so a failed cell
@@ -196,7 +171,6 @@ def run_bench(smoke=False, update_golden=False, report=print, jobs=1):
     def finish_cell(result):
         cell_id = result["id"]
         expected = golden.get(cell_id)
-        result["golden_cycles"] = expected
         if result.get("error"):
             result["ok"] = False
             errors.append(f"{cell_id}: {result['error']}")
@@ -209,7 +183,6 @@ def run_bench(smoke=False, update_golden=False, report=print, jobs=1):
             errors.append(
                 f"{cell_id}: {result['cycles']} cycles != golden {expected}")
         report(f"  {cell_id:<22} {result['cycles']:>9} cycles  "
-               f"{result['steps_per_s'] or 0:>8,} steps/s  "
                f"{'ok' if result['ok'] else 'MISMATCH'}")
 
     specs = [CaseSpec(runner="repro.harness.bench:run_cell_by_id",
@@ -225,7 +198,6 @@ def run_bench(smoke=False, update_golden=False, report=print, jobs=1):
         account, account_errors = run_flagship_accounting(
             expected_cycles=flagship["cycles"])
         errors.extend(account_errors)
-        flagship["accounting"] = account.as_dict()
         from repro.harness.report import format_cycle_accounting
         for line in format_cycle_accounting(
                 account,
@@ -233,7 +205,6 @@ def run_bench(smoke=False, update_golden=False, report=print, jobs=1):
             report(f"  {line}")
 
     results = {
-        "smoke": smoke,
         "cells": cells,
         "flagship": flagship,
         "ok": not errors,
@@ -254,12 +225,8 @@ def run_bench(smoke=False, update_golden=False, report=print, jobs=1):
 def cmd_bench(args):
     """Entry point for ``python -m repro bench``."""
     print("bench: golden-cycle matrix + flagship cycle accounting")
-    results, errors = run_bench(
+    _, errors = run_bench(
         smoke=args.smoke, update_golden=args.update_golden, jobs=args.jobs)
-    with open(args.out, "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
     for error in errors:
         print(f"bench FAILURE: {error}")
     return 1 if errors else 0

@@ -160,15 +160,12 @@ class ControlledPolicy(SchedulePolicy):
     prefix), the divergence is recorded in :attr:`divergences` and the
     default pick is used for that step.
 
-    ``branch_hook``, when set, is called as ``branch_hook(step)`` at
-    every unforced step with an in-window alternative to the pick that
-    is not asleep — the steps the explorer branches at.  It runs after
+    ``fork_hook(step)`` is called at each step index in ``fork_steps``
+    that a search can fork from: a forced step, or one with an
+    in-window alternative to the pick that is not asleep.  It runs after
     the pick is decided but before the step is recorded or executed, so
     the machine and this policy are still at the step boundary: the
-    explorer captures its fork-point checkpoints there.  ``fork_hook``
-    is called the same way at each step index in ``fork_steps``,
-    forced or not: the DPOR search names the boundaries it will fork
-    from in advance.
+    explorer captures its fork-point checkpoints there.
     """
 
     name = "controlled"
@@ -186,7 +183,6 @@ class ControlledPolicy(SchedulePolicy):
         #: (step, wanted_cpu_id) pairs where a forced choice was
         #: unavailable; empty on a faithful replay.
         self.divergences = []
-        self.branch_hook = None
         self.fork_steps = _NO_STEPS
         self.fork_hook = None
 
@@ -237,14 +233,12 @@ class ControlledPolicy(SchedulePolicy):
                     raise SchedulePruned(step, ids)
             else:
                 chosen = ids[0]
-        hook = self.branch_hook
-        if hook is not None and want is None and len(ids) > 1:
-            for cpu_id in ids:
-                if cpu_id != chosen and cpu_id not in sleep:
-                    hook(step)
-                    break
         if step in self.fork_steps:
-            self.fork_hook(step)
+            for cpu_id in ids:
+                if (want is not None
+                        or cpu_id != chosen and cpu_id not in sleep):
+                    self.fork_hook(step)
+                    break
         self.candidates.append(ids)
         self.choices.append(chosen)
         for cpu in order:

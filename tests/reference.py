@@ -35,7 +35,9 @@ from collections import OrderedDict
 from types import MethodType
 
 import repro.check.explore as explore_mod
-from repro.check.explore import ExploreReport, run_node
+from repro.check.explore import ExploreReport
+from repro.check.fuzz import build_config
+from repro.check.programs import make_program
 from repro.common.errors import IsaError, SimulationError
 from repro.htm.conflict import (
     PROCEED,
@@ -432,44 +434,21 @@ def explore_sleep_sets(program_name, config_name, seed=1, max_depth=None,
     of generation ``b - 1`` (:func:`repro.check.por.make_children`), and
     sleep sets abandon the runs a sibling covers.  Returns an
     :class:`~repro.check.explore.ExploreReport` with its verdicts in
-    enumeration order and the fork-point cache counters."""
+    enumeration order and the checkpoint counters; with ``checkpoint``,
+    the search carries its own fork-point checkpoints on its frontier
+    and restores them onto its own node context."""
+    config = build_config(config_name, make_program(program_name, seed=seed))
     out = ExploreReport(program=program_name, config=config_name,
                         seed=seed, preemption_bound=None,
                         max_depth=max_depth, checkpoint=checkpoint)
-    cache = explore_mod._CHECKPOINTS
-    before = dict(cache.stats)
-    peak_live = 0
-    frontier = [((), None)]
-    try:
-        while frontier:
-            if max_schedules is not None:
-                room = max_schedules - (out.explored + out.pruned)
-                if len(frontier) > room:
-                    frontier = frontier[:max(room, 0)]
-                    out.truncated = True
-                if not frontier:
-                    break
-            next_frontier = []
-            for prefix, sleep in frontier:
-                outcome = run_node(
-                    program_name, config_name, prefix=prefix, sleep=sleep,
-                    seed=seed, max_depth=max_depth, checkpoint=checkpoint)
-                if outcome.pruned:
-                    out.pruned += 1
-                else:
-                    out.explored += 1
-                    out.verdicts.append(outcome.verdict)
-                    if report is not None:
-                        report(outcome.verdict)
-                next_frontier.extend(outcome.children)
-                peak_live = max(peak_live, len(cache))
-            out.generations.append(len(frontier))
-            frontier = next_frontier
-    finally:
-        stats = {key: cache.stats[key] - value
-                 for key, value in before.items()}
-        cache.clear()
-    stats["peak_live"] = peak_live
+    target = None
     if checkpoint:
-        out.checkpoint_stats = stats
+        out.checkpoint_stats = {"hits": 0, "misses": 0, "deposits": 0,
+                                "fallbacks": 0, "peak_live": 0}
+        target = explore_mod._NodeContext(config)
+    explore_mod._explore_generations(
+        out, program_name, config_name, fault=None, seed=seed,
+        preemption_bound=None, max_depth=max_depth, prune=True,
+        max_schedules=max_schedules, max_cycles=None, timeout=None,
+        report=report, target=target)
     return out

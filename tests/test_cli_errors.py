@@ -63,6 +63,30 @@ class TestExploreErrors:
         assert main(["explore", "--replay", "just-one-part"]) == 2
         assert "deviations" in capsys.readouterr().err
 
+    def test_node_failure_replays_its_search(self, monkeypatch, capsys):
+        """A node that raised (or ran over ``--timeout``) has no
+        schedule to shrink: its replay line is the search's command, not
+        an ``--replay`` of the deterministic schedule, which passes."""
+        import repro.check.explore as explore_mod
+
+        run_node = explore_mod.run_node
+
+        def crash_on_one(*args, **kwargs):
+            if kwargs["prefix"] == (1,):
+                raise RuntimeError("boom")
+            return run_node(*args, **kwargs)
+
+        monkeypatch.setattr(explore_mod, "run_node", crash_on_one)
+        assert main(["explore", "--programs", "litmus-sb",
+                     "--preemption-bound", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "[run-failure] node prefix=[1]: RuntimeError: boom" in out
+        assert "shrunk" not in out and "--replay" not in out
+        assert out.rstrip().endswith(
+            "python -m repro explore --programs litmus-sb --configs "
+            "lazy-wb-assoc --preemption-bound 1 --max-depth 0 --seed 1 "
+            "--max-schedules 20000")
+
 
 class TestExploreVerbose:
     def test_verbose_prints_checkpoint_stats(self, capsys):

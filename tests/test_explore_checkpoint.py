@@ -1,28 +1,30 @@
-"""The explorer's fork-point checkpoint cache (repro.check.explore).
+"""The explorer's fork-point checkpoints (repro.check.explore).
 
 Checkpointing is a pure optimisation: every node must produce the exact
 verdict it would have produced when replayed from cycle 0.  These tests
-enforce that differentially — same campaign with the cache on and off,
-byte-identical reports — and with forced misses (a cache that drops
-every other deposit, so half the children replay from cycle 0).  They
-also pin the cache's lifetime rules: every deposit is consumed by its
-children, nothing outlives the campaign, and a search leaves the
-caller's GC thresholds as it found them however it ends.  A DPOR drain keeps its snapshots on its
-DFS stack instead of the cache; the same differentials (stateless
-control, injected restore failures) and lifetime rules cover it.
+enforce that differentially — same campaign with checkpoints on and
+off, byte-identical reports — and with forced misses (every other
+handed-down checkpoint dropped, so half the children replay from cycle
+0).  They also pin the checkpoints' lifetime rules: a generation search
+hands each capture down its frontier with one use per child and every
+child consumes one, a DPOR drain keeps its captures on its DFS stack,
+nothing outlives the search however it ends (normally, truncated, or
+raising from ``report``), and a search leaves the caller's GC
+thresholds as it found them.
 
 The snapshot layer itself (capture → restore → resume, bit-for-bit) is
-pinned in tests/test_snapshot.py; this file is about the *cache policy*
-staying invisible to exploration semantics.
+pinned in tests/test_snapshot.py; this file is about the *checkpoint
+policy* staying invisible to exploration semantics.
 """
 
 import gc
+import itertools
 import weakref
 
 import pytest
 
 import repro.check.explore as explore_mod
-from repro.check.explore import CheckpointCache, _Checkpoint, explore
+from repro.check.explore import explore
 from repro.check.programs import LITMUS_PROGRAMS
 from repro.sim.snapshot import SnapshotError
 from repro.spec.conform import LITMUS_DEPTHS
@@ -44,30 +46,60 @@ def _fingerprint(report):
     )
 
 
-def _fresh_cache(cache=None):
-    """Install a fresh worker-local cache; returns it for inspection."""
-    cache = cache if cache is not None else CheckpointCache()
-    explore_mod._CHECKPOINTS = cache
-    explore_mod._CONTEXTS.clear()
-    return cache
+def _spy_captures(monkeypatch):
+    """Weak references to every checkpoint captured from now on."""
+    captured = []
+    capture = explore_mod._capture
+
+    def spy(*args):
+        entry = capture(*args)
+        captured.append(weakref.ref(entry))
+        return entry
+
+    monkeypatch.setattr(explore_mod, "_capture", spy)
+    return captured
 
 
-@pytest.fixture(autouse=True)
-def _restore_cache():
-    yield
-    _fresh_cache()
+def _alive(refs):
+    return [ref for ref in refs if ref() is not None]
+
+
+@pytest.fixture
+def no_gc():
+    """The cyclic GC off, so a checkpoint is dead only if nothing holds
+    it: a search must drop its entries, not leave them to a collection."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("program", PROGRAMS)
 def test_checkpoint_matches_stateless(program):
     stateless = explore(program, CONFIG, preemption_bound=2,
                         checkpoint=False)
-    _fresh_cache()
     checkpointed = explore(program, CONFIG, preemption_bound=2,
                            checkpoint=True)
     assert _fingerprint(checkpointed) == _fingerprint(stateless)
     assert checkpointed.checkpoint
     assert not stateless.checkpoint
+
+
+def _fail_every_other_restore(monkeypatch):
+    """Make every other restore raise :class:`SnapshotError`; returns
+    the list that counts the restores attempted."""
+    resume = explore_mod._NodeContext.resume
+    calls = []
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) % 2:
+            raise SnapshotError("injected")
+        return resume(*args)
+
+    monkeypatch.setattr(explore_mod._NodeContext, "resume", flaky)
+    return calls
 
 
 @pytest.mark.parametrize("program", LITMUS_PROGRAMS)
@@ -90,16 +122,7 @@ def test_dpor_restore_failures_fall_back_to_stateless(monkeypatch):
     counted as a fallback, and changes no verdict."""
     kwargs = dict(preemption_bound=None, max_depth=36)
     stateless = explore("litmus-mp", CONFIG, checkpoint=False, **kwargs)
-    restore = explore_mod._restore_node
-    calls = []
-
-    def flaky(*args):
-        calls.append(None)
-        if len(calls) % 2:
-            raise SnapshotError("injected")
-        return restore(*args)
-
-    monkeypatch.setattr(explore_mod, "_restore_node", flaky)
+    calls = _fail_every_other_restore(monkeypatch)
     checkpointed = explore("litmus-mp", CONFIG, checkpoint=True, **kwargs)
     assert _fingerprint(checkpointed) == _fingerprint(stateless)
     stats = checkpointed.checkpoint_stats
@@ -107,8 +130,30 @@ def test_dpor_restore_failures_fall_back_to_stateless(monkeypatch):
     assert stats["hits"] == len(calls) // 2 > 0
 
 
-def test_checkpoint_cache_actually_used():
-    cache = _fresh_cache()
+def test_restore_failures_fall_back_to_stateless(monkeypatch):
+    """The generations count a failed restore as the DPOR drain does: a
+    miss and a fallback, with every verdict unchanged."""
+    stateless = explore("litmus-sb", CONFIG, preemption_bound=2,
+                        checkpoint=False)
+    calls = _fail_every_other_restore(monkeypatch)
+    checkpointed = explore("litmus-sb", CONFIG, preemption_bound=2,
+                           checkpoint=True)
+    assert _fingerprint(checkpointed) == _fingerprint(stateless)
+    stats = checkpointed.checkpoint_stats
+    assert stats["fallbacks"] == (len(calls) + 1) // 2 > 0
+    assert stats["hits"] == len(calls) // 2 > 0
+    assert stats["misses"] == 1 + stats["fallbacks"]
+
+
+def test_checkpoint_cache_actually_used(monkeypatch):
+    resume = explore_mod._NodeContext.resume
+    restores = []
+
+    def spy(*args):
+        restores.append(None)
+        return resume(*args)
+
+    monkeypatch.setattr(explore_mod._NodeContext, "resume", spy)
     report = explore("litmus-inc", CONFIG, preemption_bound=2,
                      checkpoint=True)
     stats = report.checkpoint_stats
@@ -119,69 +164,44 @@ def test_checkpoint_cache_actually_used():
     # from cycle 0 — allowed for safety, but it must never happen on
     # the supported litmus configs.
     assert stats["fallbacks"] == 0
-    assert cache.stats["hits"] == stats["hits"]
+    assert len(restores) == stats["hits"]
 
 
-class _DroppingCache(CheckpointCache):
-    """Discards every other deposit, so half the children miss."""
-
-    def __init__(self):
-        super().__init__()
-        self.dropped = 0
-
-    def deposit(self, key, entry):
-        if (self.stats["deposits"] + self.dropped) % 2:
-            self.dropped += 1
-            return
-        super().deposit(key, entry)
-
-
-def test_forced_misses_keep_verdicts_identical():
+def test_forced_misses_keep_verdicts_identical(monkeypatch):
     """Children whose checkpoint is gone replay from cycle 0; verdicts
-    must not notice."""
+    must not notice.  Every other captured entry is dropped before its
+    children run."""
     stateless = explore("litmus-sb", CONFIG, preemption_bound=2,
                         checkpoint=False)
-    cache = _fresh_cache(_DroppingCache())
+    run_node = explore_mod.run_node
+    handed = itertools.count()
+    dropped = []
+
+    def dropping(*args, **kwargs):
+        outcome = run_node(*args, **kwargs)
+        for step in list(outcome.checkpoints):
+            if next(handed) % 2:
+                dropped.append(outcome.checkpoints.pop(step))
+        return outcome
+
+    monkeypatch.setattr(explore_mod, "run_node", dropping)
     forced = explore("litmus-sb", CONFIG, preemption_bound=2,
                      checkpoint=True)
     assert _fingerprint(forced) == _fingerprint(stateless)
     stats = forced.checkpoint_stats
-    assert cache.dropped > 0
+    assert len(dropped) > 0
     # The root always misses; every dropped deposit's child misses too.
     assert stats["misses"] > 1
     assert stats["hits"] > 0
     assert stats["fallbacks"] == 0
 
 
-class _SpyCache(CheckpointCache):
-    """Records how many entries were still live when explore() emptied
-    the cache on its way out."""
-
-    def __init__(self):
-        super().__init__()
-        self.live_at_clear = []
-
-    def clear(self):
-        self.live_at_clear.append(len(self))
-        super().clear()
-
-
 @pytest.mark.parametrize("program", ("litmus-sb", "litmus-mp"))
-def test_serial_drain_consumes_every_deposit(monkeypatch, program):
+def test_serial_drain_consumes_every_deposit(monkeypatch, no_gc, program):
     """A DPOR drain keeps its snapshots on the DFS stack, at most one
     per state below ``max_depth``, and frees them with the stack: the
-    drain ends with nothing left alive and the fork-point cache
-    untouched."""
-    cache = _fresh_cache(_SpyCache())
-    captured = []
-    capture = explore_mod._capture
-
-    def spy(*args):
-        entry = capture(*args)
-        captured.append(weakref.ref(entry))
-        return entry
-
-    monkeypatch.setattr(explore_mod, "_capture", spy)
+    drain ends with nothing left alive, without a collection."""
+    captured = _spy_captures(monkeypatch)
     depth = LITMUS_DEPTHS[program]
     report = explore(program, CONFIG, preemption_bound=None,
                      max_depth=depth, checkpoint=True)
@@ -191,44 +211,62 @@ def test_serial_drain_consumes_every_deposit(monkeypatch, program):
     assert stats["hits"] > stats["deposits"]
     assert stats["fallbacks"] == 0
     assert 0 < stats["peak_live"] <= depth
-    gc.collect()
-    assert [ref for ref in captured if ref() is not None] == []
-    assert cache.stats["deposits"] == 0
-    assert len(explore_mod._CHECKPOINTS) == 0
+    assert _alive(captured) == []
 
 
-def test_truncated_campaign_leaves_cache_empty():
-    cache = _fresh_cache(_SpyCache())
+def _spy_handed(monkeypatch):
+    """The ``uses`` of every checkpoint a node hands down, as its outcome
+    leaves :func:`run_node` (the entries themselves are not held)."""
+    handed = []
+    run_node = explore_mod.run_node
+
+    def spy(*args, **kwargs):
+        outcome = run_node(*args, **kwargs)
+        handed.extend(entry.uses for entry in outcome.checkpoints.values())
+        return outcome
+
+    monkeypatch.setattr(explore_mod, "run_node", spy)
+    return handed
+
+
+def test_truncated_campaign_leaves_cache_empty(monkeypatch, no_gc):
+    captured = _spy_captures(monkeypatch)
+    handed = _spy_handed(monkeypatch)
     report = explore("litmus-sb", CONFIG, preemption_bound=2,
                      max_schedules=20, checkpoint=True)
     assert report.truncated
     # The cut frontier's checkpoints were never consumed ...
-    assert cache.live_at_clear[-1] > 0
-    # ... and explore() freed them anyway.
-    assert len(cache) == 0
+    assert sum(handed) > report.checkpoint_stats["hits"]
+    # ... and went with the search, without a collection.
+    assert captured and _alive(captured) == []
 
 
-def _entry(uses=1):
-    entry = _Checkpoint()
-    entry.uses = uses
-    return entry
+def test_cache_lookup_consumes_uses(monkeypatch):
+    """A node hands each capture down with one use per child forking at
+    its step; each child's restore consumes one, and the last use takes
+    the copies over.  The root never forks: its one miss."""
+    run_node = explore_mod.run_node
+    handed = []
 
+    def spy(*args, **kwargs):
+        outcome = run_node(*args, **kwargs)
+        for step, entry in outcome.checkpoints.items():
+            children = sum(len(child) - 1 == step
+                           for child, _ in outcome.children)
+            assert entry.uses == entry.snapshot.uses == children > 0
+            handed.append((entry, children))
+        return outcome
 
-def test_cache_lookup_consumes_uses():
-    cache = CheckpointCache()
-    base = ("p", "c", None, 1, True)
-    cache.deposit((base, (0,)), _entry(uses=2))
-    cache.deposit((base, (1,)), _entry())
-    # The fork point of prefix (0, 1) is the entry at choices (0,).
-    assert cache.lookup(base, (0, 1)) is not None
-    assert cache.lookup(base, (0, 0)) is not None
-    assert cache.lookup(base, (0, 1)) is None   # both uses spent
-    assert cache.lookup(base, ()) is None       # the root never forks
-    assert cache.stats == {"hits": 2, "misses": 2, "deposits": 2,
-                           "fallbacks": 0}
-    assert len(cache) == 1
-    assert cache.lookup(base, (1, 0)) is not None
-    assert len(cache) == 0
+    monkeypatch.setattr(explore_mod, "run_node", spy)
+    report = explore("litmus-sb", CONFIG, preemption_bound=2,
+                     checkpoint=True)
+    stats = report.checkpoint_stats
+    assert not report.truncated
+    assert stats["deposits"] == len(handed) > 0
+    assert stats["hits"] == sum(uses for _, uses in handed)
+    assert stats["misses"] == 1
+    assert all(entry.uses == 0 for entry, _ in handed)
+    assert all(entry.snapshot.state is None for entry, _ in handed)
 
 
 def test_gc_thresholds_restored_after_explore():
@@ -248,13 +286,14 @@ def test_gc_thresholds_restored_after_explore():
         gc.set_threshold(*saved)
 
 
-def test_gc_thresholds_restored_when_report_raises():
+def test_gc_thresholds_restored_when_report_raises(monkeypatch, no_gc):
     class Stop(Exception):
         pass
 
     def report(verdict):
         raise Stop()
 
+    captured = _spy_captures(monkeypatch)
     saved = gc.get_threshold()
     try:
         gc.set_threshold(777, 11, 12)
@@ -262,14 +301,16 @@ def test_gc_thresholds_restored_when_report_raises():
             explore("litmus-sb", CONFIG, preemption_bound=1,
                     report=report)
         assert gc.get_threshold() == (777, 11, 12)
-        assert len(explore_mod._CHECKPOINTS) == 0
+        # The root's captures were handed down to a frontier that never
+        # ran; they went with the search.
+        assert captured and _alive(captured) == []
     finally:
         gc.set_threshold(*saved)
 
 
 def test_checkpoint_matches_stateless_parallel():
-    """Searches sharded whole across workers, each with its own process
-    cache, reproduce the serial searches exactly: verdicts, the
+    """Searches sharded whole across workers, each owning its
+    checkpoints, reproduce the serial searches exactly: verdicts, the
     stateless control's fingerprint and the checkpoint counters."""
     from repro.check.explore import failed_search, search_spec
     from repro.harness.parallel import run_campaign
@@ -290,13 +331,14 @@ def test_checkpoint_matches_stateless_parallel():
         assert other.checkpoint_stats["hits"] > 0
 
 
-def test_stateless_mode_deposits_nothing():
-    cache = _fresh_cache()
+def test_stateless_mode_deposits_nothing(monkeypatch):
+    captured = _spy_captures(monkeypatch)
+    handed = _spy_handed(monkeypatch)
     report = explore("litmus-sb", CONFIG, preemption_bound=1,
                      checkpoint=False)
     assert report.checkpoint_stats is None
-    assert cache.stats["deposits"] == 0
-    assert not cache._entries
+    assert captured == []
+    assert handed == []
 
 
 def test_litmus_mp_drain_shape_is_pinned():
@@ -306,7 +348,6 @@ def test_litmus_mp_drain_shape_is_pinned():
     sleep-set enumeration it replaced.  A restore-cost change must
     leave every one of them where it is."""
     depth = LITMUS_DEPTHS["litmus-mp"]
-    _fresh_cache()
     report = explore("litmus-mp", CONFIG, seed=1, preemption_bound=None,
                      max_depth=depth, checkpoint=True)
     assert not report.truncated
@@ -317,7 +358,6 @@ def test_litmus_mp_drain_shape_is_pinned():
     assert report.checkpoint_stats == {
         "hits": 197, "misses": 2, "deposits": 13, "fallbacks": 0,
         "peak_live": 5}
-    _fresh_cache()
     reference = explore_sleep_sets("litmus-mp", CONFIG, seed=1,
                                    max_depth=depth, checkpoint=True)
     assert not reference.truncated
@@ -328,23 +368,30 @@ def test_litmus_mp_drain_shape_is_pinned():
         "peak_live": 216}
 
 
-def test_unbound_cpus_stay_pristine_through_a_drain():
+def test_unbound_cpus_stay_pristine_through_a_drain(monkeypatch):
     """The snapshot and the observers' books cover the bound CPUs only,
     which is exact because a CPU no program was bound to never leaves
-    its just-built state: after a whole drain on the pooled context,
-    every unbound CPU's Cpu, IsaState, TxState tree and profiler books
-    save equal to a fresh machine's."""
+    its just-built state: after a whole drain on the search's restore
+    context, every unbound CPU's Cpu, IsaState, TxState tree and
+    profiler books save equal to a fresh machine's."""
     from repro.check.fuzz import build_config
     from repro.check.programs import make_program
     from repro.obs.profiler import CycleProfiler
     from repro.sim.engine import Machine
     from repro.sim.snapshot import save
 
-    _fresh_cache()
+    contexts = []
+    init = explore_mod._NodeContext.__init__
+
+    def spy(self, config):
+        init(self, config)
+        contexts.append(self)
+
+    monkeypatch.setattr(explore_mod._NodeContext, "__init__", spy)
     report = explore("litmus-mp", CONFIG, preemption_bound=None,
                      max_depth=LITMUS_DEPTHS["litmus-mp"], checkpoint=True)
     assert report.checkpoint_stats["hits"] > 0
-    ctx = explore_mod._CONTEXTS[("litmus-mp", CONFIG)]
+    (ctx,) = contexts
     machine = ctx.machine
     fresh = Machine(build_config(CONFIG, make_program("litmus-mp", seed=1)))
     fresh_books = CycleProfiler(fresh)._cpu

@@ -206,9 +206,10 @@ class TestBenchParallel:
         assert serial_errors == parallel_errors == []
         assert ([c["id"] for c in parallel["cells"]]
                 == [c["id"] for c in serial["cells"]])
-        # simulated cycles are wall-clock-independent: exact equality
-        assert ([c["cycles"] for c in parallel["cells"]]
-                == [c["cycles"] for c in serial["cells"]])
+        # simulated cycles and steps are wall-clock-independent: exact
+        # equality
+        assert ([(c["cycles"], c["steps"]) for c in parallel["cells"]]
+                == [(c["cycles"], c["steps"]) for c in serial["cells"]])
         assert all(c["ok"] for c in parallel["cells"])
 
     def test_cell_runner_rejects_unknown_id(self):
