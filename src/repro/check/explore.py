@@ -85,12 +85,14 @@ Pruning is enabled only where it is sound:
 
 **Checkpoints.**  A run resumes from a mid-run snapshot instead of
 replaying its prefix from cycle 0 wherever :func:`_checkpoint_supported`
-allows.  Each search owns its snapshots, under one discipline for both
-drivers: a snapshot travels with the search structure that consumes it
-— a child's frontier entry in the generations, the DFS stack in a DPOR
-drain — and restores onto one :class:`_NodeContext` the search builds,
-so nothing outlives the search (see the comment block above
-:class:`_Checkpoint`).
+allows.  A checkpoint is a plain
+:class:`~repro.sim.snapshot.MachineSnapshot` that carries the node's
+observers and policy recordings as its books.  Each search owns its
+snapshots, under one discipline for both drivers: a snapshot travels
+with the search structure that consumes it — a child's frontier entry
+in the generations, the DFS stack in a DPOR drain — and restores onto
+one :class:`_NodeContext` the search builds, so nothing outlives the
+search (see the comment block above :class:`_NodeContext`).
 
 **Counterexamples.**  A failing schedule is reported as its *deviation
 list* — the ``(step, cpu)`` pairs where it departs from the
@@ -137,7 +139,7 @@ from repro.sim.schedule import (
     ControlledPolicy,
     SchedulePruned,
 )
-from repro.sim.snapshot import SnapshotError, copy_value, load, save
+from repro.sim.snapshot import SnapshotError
 
 from repro.obs.observer import Observer
 from repro.obs.profiler import CycleProfiler
@@ -194,6 +196,12 @@ class StepRecorder(Observer):
     ``machine.unobserve(recorder)``, so one pooled recorder can serve
     many restored nodes.
     """
+
+    #: Snapshot state (repro.sim.snapshot), as a book of the machine.
+    #: The policy, the sleep entries and ``sleep_before`` are each
+    #: node's own, installed by :meth:`_NodeContext.resume`.
+    _state = ("footprints", "deliveries", "_acc_reads", "_acc_writes",
+              "_acc_delivered", "_acc_global", "_cpu_reads", "_cpu_writes")
 
     def __init__(self, machine, policy, sleep_entries=None,
                  sleep_from=0):
@@ -373,7 +381,9 @@ class StepRecorder(Observer):
 # over.  Instead, a run captures mid-run machine snapshots
 # (:mod:`repro.sim.snapshot`) at the step boundaries its search will
 # fork children from, and a child restores one and runs on from there.
-# Each snapshot travels with the search structure that consumes it:
+# A checkpoint is just such a snapshot, carrying the node's observers
+# and policy recordings as its books (:func:`_books`).  Each snapshot
+# travels with the search structure that consumes it:
 #
 # * **Generations.**  A node with prefix ``P`` captures at each of its
 #   branch steps in ``[len(P), max_depth)`` — where
@@ -401,7 +411,7 @@ class StepRecorder(Observer):
 #   a checkpoint captured by any node serves any other node whose
 #   prefix extends the checkpoint's choices.  The recorded candidate
 #   lists, footprints, deliveries, histories and cycle books are equally
-#   choice-determined, so the observers restore from the same entry.
+#   choice-determined, so the books restore from the same snapshot.
 # * **The fork point is the branch step, never past it.**  A child's
 #   *new* sleep entries activate at the branch step ``len(prefix) - 1``
 #   (see :func:`repro.check.por.make_children`), and the recorder's
@@ -416,28 +426,29 @@ class StepRecorder(Observer):
 #   deliveries, entry).  A DPOR child that forces a gap after its entry
 #   is exact for the same reason: its inherited entries survived the
 #   gap in the run that recorded the state.
-# * **The policy is not in the snapshot.**  Each child runs its own
+# * **The policy is not in the machine.**  Each child runs its own
 #   :class:`ControlledPolicy` — sleep set, ``sleep_from``, and a forced
 #   map holding only the prefix choices the resumed run still makes —
-#   and the checkpoint carries only the recorded
-#   ``choices``/``candidates``/``divergences`` prefix (identical to what
-#   a faithful replay of the prefix would have recorded), which
-#   :meth:`_NodeContext.resume` preloads into it.
+#   and the snapshot carries only the policy's recorded
+#   ``choices``/``candidates``/``divergences`` (identical to what a
+#   faithful replay of the prefix would have recorded) as a book, which
+#   the restore loads into the child's policy.
 #
 # A node pays only for what its outcome reads:
 #
 # * **Hand-off on last use.**  Every capture is a copy; handing one down
 #   sets the snapshot's ``uses`` to its children's count, and the child
-#   that uses it up takes the copies over (machine containers, recorder
-#   sets, live history frames) instead of copying them again.  In the
-#   two-CPU litmus drains every entry has one child.
-# * **Bound CPUs only.**  The snapshot and the observer books cover the
-#   CPUs a program is bound to; the others never leave their just-built
-#   state (tests/test_explore_checkpoint.py pins that after a drain).
-# * **Books installed once.**  A restore re-runs setup and ghost replay
+#   that uses it up takes the copies over (machine containers and books
+#   alike) instead of copying them again.  In the two-CPU litmus drains
+#   every entry has one child.
+# * **Bound CPUs only.**  The snapshot and the profiler's books cover
+#   the CPUs a program is bound to; the others never leave their
+#   just-built state (tests/test_explore_checkpoint.py pins that after a
+#   drain).
+# * **Books loaded once.**  A restore re-runs setup and ghost replay
 #   with the context's observers attached, but no event fires until the
-#   engine steps, so :meth:`_NodeContext.resume` installs every book
-#   once, after the restore.
+#   engine steps, so the restore loads every book once, after the
+#   machine.
 # * **No trace ring on the node.**  Only a failing verdict reads the
 #   trace tail; :func:`_failure_trace` rebuilds it by replaying that one
 #   schedule with a tracer attached.
@@ -450,15 +461,6 @@ class StepRecorder(Observer):
 # checkpointing is an accelerator, never a semantic dependency.
 
 
-class _Checkpoint:
-    """One fork-point state: the machine snapshot plus the observer
-    state (recorder, history, profiler) that goes with it.  ``uses`` is
-    how many children will still restore it (None: unlimited)."""
-
-    __slots__ = ("snapshot", "policy", "recorder", "history", "profiler",
-                 "uses", "__weakref__")
-
-
 class _NodeContext:
     """One search's reusable restore target: a machine with the history
     recorder and profiler permanently attached, plus a
@@ -468,8 +470,8 @@ class _NodeContext:
     the idle subscription (no event fires while a checkpoint restores).
 
     Constructing the observers costs more than a short resumed run, so
-    a search's restored nodes share one context and overwrite its state
-    from the checkpoint instead of rebuilding it.  Only the restore path
+    a search's restored nodes share one context and load its books from
+    the checkpoint instead of rebuilding them.  Only the restore path
     may use a context: a restore leaves the data plane to
     :func:`repro.sim.snapshot.restore`'s final load, so a stateless run
     always builds fresh.
@@ -484,71 +486,31 @@ class _NodeContext:
         self.history = HistoryRecorder(self.machine)
         self.profiler = CycleProfiler(self.machine)
 
-    def resume(self, entry, setup_fn, policy, sleep_entries, sleep_from,
+    def resume(self, snapshot, setup_fn, policy, sleep_entries, sleep_from,
                record):
-        """Restore ``entry`` onto this context's machine (re-running
-        ``setup_fn``), install the node's ``policy`` and load the
-        observers' books from ``entry``; returns the program.  Raises
-        :class:`SnapshotError` before any book is touched.
-
-        This consumes one of the entry's ``uses``; the use that spends
-        the last takes its copied containers over.  Every book is
-        replaced or refilled, never left from the previous node; the
-        lists checkpoints share with a length bound are sliced, not
-        cleared.  The unbound CPUs' books are never touched (they stay
-        empty)."""
-        if entry.uses is not None:
-            entry.uses -= 1
+        """Restore ``snapshot`` onto this context's machine (re-running
+        ``setup_fn``) with the node's ``policy`` and this context's
+        observers as its books, then install the node's policy and sleep
+        set; returns the program.  A restore that raises
+        :class:`SnapshotError` consumes no use and touches no book."""
         machine = self.machine
-        program = machine.restore(entry.snapshot, setup_fn)
-        take = entry.uses is not None and entry.uses <= 0
-        machine.policy = policy
-        bound = machine._bound_cpus
-        (choices, n_choices, candidates, n_candidates,
-         divergences, n_divergences) = entry.policy
-        policy.choices = choices[:n_choices]
-        policy.candidates = candidates[:n_candidates]
-        policy.divergences = divergences[:n_divergences]
         recorder = self.recorder
+        books = _books(policy, self.history, self.profiler,
+                       recorder if record else None)
+        program = machine.restore(snapshot, setup_fn, books)
+        machine.policy = policy
         if record:
             # ``sleep_before`` is one shared view of the node's initial
             # entries per recorded step — exact, because no entry of
             # *this* node can be removed before the branch step (the
             # fork-point constraint above).
-            footprints, deliveries, n, cpu_reads, cpu_writes = (
-                entry.recorder)
             recorder.policy = policy
             recorder.sleep_from = sleep_from
             recorder._sleep = sleep_entries
-            recorder.footprints = footprints[:n]
-            recorder.deliveries = deliveries[:n]
-            recorder.sleep_before = [sleep_entries] * n
-            recorder._acc_reads.clear()
-            recorder._acc_writes.clear()
-            recorder._acc_delivered.clear()
-            recorder._acc_global = False
-            for cpu_id, reads, writes in zip(bound, cpu_reads, cpu_writes):
-                recorder._cpu_reads[cpu_id] = reads if take else set(reads)
-                recorder._cpu_writes[cpu_id] = (writes if take
-                                                else set(writes))
+            recorder.sleep_before = [sleep_entries] * len(recorder.footprints)
             machine.observe(recorder)
         else:
             machine.unobserve(recorder)
-        # Committed/aborted records are immutable once appended, so the
-        # lists are shared with a length bound; only the live frames
-        # were copied (see _capture).
-        committed, n_committed, aborted, n_aborted, frames, seq = (
-            entry.history)
-        history = self.history
-        history.history.committed = committed[:n_committed]
-        history.history.aborted = aborted[:n_aborted]
-        for cpu_id, live in zip(bound, frames):
-            history._frames[cpu_id] = live if take else copy_value(live)
-        history._seq = seq
-        profiler = self.profiler
-        profiler._account = None
-        for cpu_id, saved in zip(bound, entry.profiler):
-            load(profiler._cpu[cpu_id], saved)
         return program
 
 
@@ -576,61 +538,30 @@ def _node_setup(program_name, seed):
     return setup
 
 
-def _capture(machine, recorder, history_recorder, profiler):
-    """One :class:`_Checkpoint` of ``machine`` and its observers at the
-    current step boundary, where every observer is quiescent: the
-    recorder's accumulators are empty and the profiler's books are
-    settled.  Like the snapshot, the per-CPU observer books cover the
-    bound CPUs only."""
-    entry = _Checkpoint()
-    entry.uses = None
-    entry.snapshot = machine.snapshot()
-    bound = entry.snapshot.shape.bound
-    # The policy's recordings are append-only for the node's lifetime,
-    # so they are shared with a length bound (O(1)).
-    policy = machine.policy
-    entry.policy = (policy.choices, len(policy.choices),
-                    policy.candidates, len(policy.candidates),
-                    policy.divergences, len(policy.divergences))
-    entry.recorder = None
-    if recorder is not None:
-        # The per-step lists are append-only with immutable entries for
-        # the node's lifetime (the next restored node *replaces* them),
-        # so they are shared by reference with a length bound — same
-        # zero-copy discipline as the step journal.
-        cpu_reads = recorder._cpu_reads
-        cpu_writes = recorder._cpu_writes
-        entry.recorder = (
-            recorder.footprints, recorder.deliveries,
-            len(recorder.footprints),
-            [set(cpu_reads[cpu_id]) for cpu_id in bound],
-            [set(cpu_writes[cpu_id]) for cpu_id in bound])
-    # Committed/aborted records are immutable once appended (the
-    # recorder only mutates *live* frames, and a record leaves the frame
-    # stacks exactly when it enters one of those lists), so the lists
-    # are shared by reference; only the live frames are copied.
-    history = history_recorder.history
-    frames = history_recorder._frames
-    entry.history = (history.committed, len(history.committed),
-                     history.aborted, len(history.aborted),
-                     [copy_value(frames[cpu_id]) for cpu_id in bound],
-                     history_recorder._seq)
-    books = profiler._cpu
-    entry.profiler = [save(books[cpu_id]) for cpu_id in bound]
-    return entry
+def _books(policy, history_recorder, profiler, recorder):
+    """The books a checkpoint carries beside its machine, in the one
+    order capture and restore share: the policy's recordings, the
+    history, the cycle books and, on a pruning node, the step records."""
+    books = (policy, history_recorder, profiler)
+    return books if recorder is None else books + (recorder,)
 
 
-def _capture_hook(machine, steps, recorder, history_recorder, profiler,
-                  captured):
+def _capture(machine, books):
+    """One checkpoint: a snapshot of ``machine`` and its ``books``
+    (:func:`_books`) at the current step boundary, where every book is
+    quiescent."""
+    return machine.snapshot(books)
+
+
+def _capture_hook(machine, steps, books, captured):
     """The ``fork_hook`` capturing a node's checkpoints into ``captured``
-    (step -> entry) at the steps of ``steps`` (ascending) the policy
+    (step -> snapshot) at the steps of ``steps`` (ascending) the policy
     calls it at.  At the last one it retires itself and the step
     journal only captures read."""
     last = steps[-1]
 
     def hook(step):
-        captured[step] = _capture(machine, recorder, history_recorder,
-                                  profiler)
+        captured[step] = _capture(machine, books)
         if step == last:
             machine.policy.fork_steps = _EMPTY
             machine.disable_journal()
@@ -755,12 +686,12 @@ def _execute(program_name, config_name, forced, sleep_entries, sleep_from,
 
     ``checkpoint_ctx`` switches the node to checkpoints, in the one form
     both searches use: ``{"prefix", "target", "resume", "capture",
-    "captured"}``.  With ``resume = (step, entry)`` the run restores
-    ``entry`` onto the search's ``target`` (:class:`_NodeContext`) and
+    "captured"}``.  With ``resume = (step, snapshot)`` the run restores
+    ``snapshot`` onto the search's ``target`` (:class:`_NodeContext`) and
     forces the prefix from ``step`` on; it reports whether the restore
     happened as ``"restored"``.  It captures into ``captured`` (step ->
-    entry) at the steps of ``capture`` (ascending) a child can fork from
-    (see :class:`ControlledPolicy` and :func:`_capture_hook`).
+    snapshot) at the steps of ``capture`` (ascending) a child can fork
+    from (see :class:`ControlledPolicy` and :func:`_capture_hook`).
     ``forced`` may be None: it is the prefix's, built only for a
     stateless run.  Verdicts are identical either way — checkpoints only
     change where execution starts.
@@ -775,8 +706,8 @@ def _execute(program_name, config_name, forced, sleep_entries, sleep_from,
         if checkpoint_ctx["resume"] is not None:
             target = checkpoint_ctx["target"]
             # The resumed run makes only the prefix's choices from the
-            # resume step on (the earlier ones are preloaded).
-            start, entry = checkpoint_ctx["resume"]
+            # resume step on (the earlier ones load with the snapshot).
+            start, snapshot = checkpoint_ctx["resume"]
             policy = ControlledPolicy(
                 forced={step: prefix[step]
                         for step in range(start, len(prefix))},
@@ -786,7 +717,7 @@ def _execute(program_name, config_name, forced, sleep_entries, sleep_from,
                 True, fault, target.machine.config)
             try:
                 program = target.resume(
-                    entry, _node_setup(program_name, seed), policy,
+                    snapshot, _node_setup(program_name, seed), policy,
                     sleep_entries, sleep_from, recording)
             except SnapshotError:
                 target = None
@@ -829,7 +760,8 @@ def _execute(program_name, config_name, forced, sleep_entries, sleep_from,
         if capture:
             policy.fork_steps = capture
             policy.fork_hook = _capture_hook(
-                machine, capture, recorder, history_recorder, profiler,
+                machine, capture,
+                _books(policy, history_recorder, profiler, recorder),
                 checkpoint_ctx["captured"])
         else:
             machine.disable_journal()
@@ -944,7 +876,7 @@ def run_node(program_name, config_name, prefix=(), sleep=None,
         for step, entry in checkpoint["captured"].items():
             if step in uses:
                 # The last use takes the copies over (no copy on load).
-                entry.uses = entry.snapshot.uses = uses[step]
+                entry.uses = uses[step]
                 handed[step] = entry
     return NodeOutcome(prefix=prefix, pruned=pruned_at is not None,
                        verdict=verdict, children=tuple(children),

@@ -105,6 +105,9 @@ class History:
     """The committed (and, for diagnostics, aborted) transactions of one
     run, in commit order."""
 
+    #: Snapshot state (repro.sim.snapshot).
+    _state = ("committed", "aborted")
+
     def __init__(self):
         self.committed = []
         self.aborted = []
@@ -137,6 +140,9 @@ class HistoryRecorder(Observer):
     Attach before the workload's ``setup`` populates memory-writing
     threads; detach (or use as a context manager) before inspecting.
     """
+
+    #: Snapshot state (repro.sim.snapshot), as a book of the machine.
+    _state = ("history", "_frames", "_seq")
 
     def __init__(self, machine, record_nontx=True):
         self.machine = machine

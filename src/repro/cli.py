@@ -228,6 +228,19 @@ def cmd_trace(args):
     return 0 if account.balanced else 1
 
 
+def _pick(raw, universe, what):
+    """The comma-separated names in ``raw`` (None when it is empty),
+    exiting with the choices when one is not in ``universe``."""
+    if not raw:
+        return None
+    names = raw.split(",")
+    unknown = [n for n in names if n not in universe]
+    if unknown:
+        raise SystemExit(
+            f"unknown {what} {unknown}; choose from {sorted(universe)}")
+    return names
+
+
 def cmd_check(args):
     from repro.check.fuzz import (
         CONFIGS,
@@ -253,20 +266,10 @@ def cmd_check(args):
         print(result)
         return 1 if result.failed else 0
 
-    def pick(raw, universe, what):
-        if not raw:
-            return None
-        names = raw.split(",")
-        unknown = [n for n in names if n not in universe]
-        if unknown:
-            raise SystemExit(
-                f"unknown {what} {unknown}; choose from {sorted(universe)}")
-        return names
-
     results = sweep(
-        programs=pick(args.programs, PROGRAMS, "program"),
-        configs=pick(args.configs, CONFIGS, "config"),
-        policies=pick(args.policies, set(POLICIES), "policy") or POLICIES,
+        programs=_pick(args.programs, PROGRAMS, "program"),
+        configs=_pick(args.configs, CONFIGS, "config"),
+        policies=_pick(args.policies, set(POLICIES), "policy") or POLICIES,
         seeds=args.seeds,
         fault=fault,
         report=(print if args.verbose else None),
@@ -314,21 +317,11 @@ def cmd_chaos(args):
         print(result)
         return 1 if result.failed else 0
 
-    def pick(raw, universe, what):
-        if not raw:
-            return None
-        names = raw.split(",")
-        unknown = [n for n in names if n not in universe]
-        if unknown:
-            raise SystemExit(
-                f"unknown {what} {unknown}; choose from {sorted(universe)}")
-        return names
-
-    faults = pick(args.faults, set(FAULTS), "fault")
+    faults = _pick(args.faults, set(FAULTS), "fault")
     results = chaos_sweep(
         faults=faults,
-        programs=pick(args.programs, PROGRAMS, "program"),
-        configs=pick(args.configs, CONFIGS, "config"),
+        programs=_pick(args.programs, PROGRAMS, "program"),
+        configs=_pick(args.configs, CONFIGS, "config"),
         seeds=args.seeds,
         report=(print if args.verbose else None),
         jobs=args.jobs,
@@ -384,18 +377,9 @@ def cmd_explore(args):
         print(verdict)
         return 1 if verdict.failed else 0
 
-    def pick(raw, universe, what):
-        names = raw.split(",")
-        unknown = [n for n in names if n not in universe]
-        if unknown:
-            raise SystemExit(
-                f"unknown {what} {unknown}; choose from {sorted(universe)}")
-        return names
-
-    programs = (pick(args.programs, PROGRAMS, "program")
-                if args.programs else list(LITMUS_PROGRAMS))
-    configs = (pick(args.configs, CONFIGS, "config")
-               if args.configs else ["lazy-wb-assoc"])
+    programs = (_pick(args.programs, PROGRAMS, "program")
+                or list(LITMUS_PROGRAMS))
+    configs = _pick(args.configs, CONFIGS, "config") or ["lazy-wb-assoc"]
     bound = None if args.preemption_bound < 0 else args.preemption_bound
     if args.min_checkpoint_speedup and args.no_checkpoint:
         raise SystemExit(
@@ -551,16 +535,6 @@ def cmd_conform(args):
         raise SystemExit(
             "--litmus-only and --skip-litmus exclude each other")
 
-    def pick(raw, universe, what):
-        if not raw:
-            return None
-        names = raw.split(",")
-        unknown = [n for n in names if n not in universe]
-        if unknown:
-            raise SystemExit(
-                f"unknown {what} {unknown}; choose from {sorted(universe)}")
-        return names
-
     def progress(result):
         if args.verbose:
             status = ("skip" if result.get("skipped")
@@ -568,8 +542,8 @@ def cmd_conform(args):
             print(f"conform: {result['name']}: {status}")
 
     results = conform_sweep(
-        programs=pick(args.programs, PROGRAMS, "program"),
-        configs=pick(args.configs, CONFIGS, "config"),
+        programs=_pick(args.programs, PROGRAMS, "program"),
+        configs=_pick(args.configs, CONFIGS, "config"),
         seeds=args.seeds,
         litmus=not args.skip_litmus,
         cells=not args.litmus_only,

@@ -160,6 +160,11 @@ class CycleProfiler(Observer):
     Each CPU's ``execute`` slot is shadowed to charge cycles; the HTM
     events move speculative work between buckets."""
 
+    #: Snapshot state (repro.sim.snapshot), as a book of the machine;
+    #: the per-CPU books are kept for the bound CPUs only.
+    _state = ("_cpu", "_account")
+    _per_cpu = ("_cpu",)
+
     def __init__(self, machine):
         self.machine = machine
         self._cpu = [_CpuAccount() for _ in machine.cpus]

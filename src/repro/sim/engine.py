@@ -650,24 +650,28 @@ class Machine:
         their view of it.  Idempotent."""
         self._journal = None
 
-    def snapshot(self):
+    def snapshot(self, books=()):
         """Deep, deterministic capture of the whole machine mid-run.
 
-        Requires :meth:`enable_journal` to have been called before the
-        run started; see :mod:`repro.sim.snapshot` for the model."""
+        Each of ``books`` (components outside the machine that declare
+        ``_state``) is captured with it.  Requires
+        :meth:`enable_journal` to have been called before the run
+        started; see :mod:`repro.sim.snapshot` for the model."""
         from repro.sim.snapshot import capture
 
-        return capture(self)
+        return capture(self, books)
 
-    def restore(self, snapshot, setup_fn):
+    def restore(self, snapshot, setup_fn, books=()):
         """Restore this machine to ``snapshot`` so a subsequent
         :meth:`run` resumes mid-schedule.  ``setup_fn(machine)`` must
         re-run the original program setup (same program, same seed) and
-        return the program object.  ``self.policy`` is left as it is:
-        a caller resuming a stateful policy installs its own copy."""
+        return the program object.  ``books`` are the counterparts of
+        the captured ones, loaded after the machine.  ``self.policy`` is
+        left as it is: a caller resuming a stateful policy installs its
+        own copy."""
         from repro.sim.snapshot import restore
 
-        return restore(self, snapshot, setup_fn)
+        return restore(self, snapshot, setup_fn, books)
 
     # ------------------------------------------------------------------
     # Results

@@ -170,6 +170,11 @@ class ControlledPolicy(SchedulePolicy):
 
     name = "controlled"
 
+    #: Snapshot state (repro.sim.snapshot), as a book: the recordings.
+    #: The forced map, the sleep set and the fork hook are each run's
+    #: own, installed by whoever builds the policy.
+    _state = ("choices", "candidates", "divergences")
+
     def __init__(self, forced=None, sleep=(), sleep_from=0,
                  window=DEFAULT_WINDOW):
         self.forced = dict(forced) if forced else {}

@@ -9,8 +9,8 @@ with its parent skips the replay.
 **The data plane.**  Every long-lived component (the machine, CPUs, ISA
 registers, HTM parts, stats, memory, memory models, bus, caches)
 declares its mutable fields once, as a class attribute ``_state``, and
-:func:`save`/:func:`load` copy them by one rule set.  What a field holds
-the first time its tree is saved decides its kind:
+one generated save and load (below) copy them by one rule set.  What a
+field holds the first time its tree is saved decides its kind:
 
 * a component (an object with ``_state``), or a list of components, is
   saved recursively and loaded **in place**;
@@ -24,12 +24,23 @@ Inside containers, :func:`copy_value` copies ``dict`` (also
 recursively, keeping type and order, and non-frozen dataclass records
 (``LevelInfo``, ``UndoEntry``) field by field; everything else (scalars,
 tuples, frozensets, frozen ops, exceptions) is shared.  Derived caches
-are not state: :func:`load` calls a component's optional
+are not state: a load calls a component's optional
 ``_rederive()`` once its fields are back (``HierarchicalMemory``
 rebuilds the residency registry its caches alias as ``_registry``;
 ``WriteBufferVersioning`` its level list).  The scheduling policy is
 not in the snapshot: a caller resuming a stateful policy installs its
 own copy (the explorer gives each child its own ``ControlledPolicy``).
+
+**Books.**  Components outside the machine that record a run — the
+explorer's ``ControlledPolicy`` recordings, ``StepRecorder``,
+``HistoryRecorder`` (with its ``History``) and ``CycleProfiler`` —
+declare their books as ``_state`` too.  ``capture(machine, books)``
+saves each book by the same rules, with its own generated shape cut to
+the same bound CPUs, and ``restore(machine, snapshot, setup_fn, books)``
+loads them, in the same order, onto the target's books once the
+machine is back.  A book's links to the machine and its host-side
+wiring (the profiler's executor shadows) are not state, so each
+target keeps its own.
 
 **One generated save/load per machine shape.**  The rules are applied
 by code generated from the ``_state`` declarations, the way
@@ -42,16 +53,18 @@ keeps it for the next ones.
 
 **Bound CPUs only.**  A CPU no program was ever bound to
 (``Machine._bound_cpus``) never leaves its just-built state, so the
-machine's ``_per_cpu`` lists (its CPUs, the HTM's per-CPU states) are
-captured and loaded for the bound CPUs only.  :func:`restore` raises
-:class:`SnapshotError` unless the target ends up with exactly the
-snapshot's bound CPUs.
+``_per_cpu`` lists (the machine's CPUs, the HTM's per-CPU states, the
+profiler's per-CPU books) are captured and loaded for the bound CPUs
+only.  :func:`restore` raises :class:`SnapshotError` unless the target
+ends up with exactly the snapshot's bound CPUs.
 
 **Hand-off on last use.**  A capture deep-copies, so one snapshot can be
 restored any number of times.  A caller that knows how many restores a
-snapshot will serve sets :attr:`MachineSnapshot.uses`; the restore that
-uses it up takes the captured containers over instead of copying them
-again, and the spent snapshot refuses any further restore.
+snapshot will serve sets :attr:`MachineSnapshot.uses`, the one use
+counter; a restore that raises consumes no use.  The restore that uses
+it up takes the captured containers (machine and books alike) over
+instead of copying them again, and the spent snapshot refuses any
+further restore.
 
 **The control plane** — workloads, handlers and dispatchers — is Python
 generators, which cannot be copied or pickled.  ``Cpu.frames`` and
@@ -327,11 +340,6 @@ def save(component):
     return _shape(component).save(component)
 
 
-def load(component, saved):
-    """Write a :func:`save` capture back onto ``component`` in place."""
-    _shape(component).load(component, saved, False)
-
-
 # ----------------------------------------------------------------------
 # The step journal
 # ----------------------------------------------------------------------
@@ -486,26 +494,30 @@ class MachineSnapshot:
     ``state`` is the :class:`_Shape` capture of the machine with its
     per-CPU parts cut to the CPUs bound at capture (``shape.bound``):
     all copies, so a snapshot restores onto any machine with an equal
-    configuration and the same bound CPUs.  ``uses`` is how many more
-    restores it serves: None is unlimited, and the restore that brings
-    a count to zero takes the captured containers over instead of
-    copying them, after which the snapshot is spent.
+    configuration and the same bound CPUs.  ``books`` holds the
+    captures of the books passed to :func:`capture`, made by
+    ``book_shapes``.  ``uses`` is how many more restores it serves:
+    None is unlimited, and the restore that brings a count to zero
+    takes the captured containers over instead of copying them, after
+    which the snapshot is spent (``state`` and ``books`` are None).
     """
 
-    __slots__ = ("config", "shape", "state", "frames", "journal",
-                 "journal_len", "uses")
+    __slots__ = ("config", "shape", "state", "book_shapes", "books",
+                 "frames", "journal", "journal_len", "uses", "__weakref__")
 
     def steps(self):
         """Engine steps completed at capture time."""
         return self.journal_len
 
 
-def capture(machine):
-    """Capture ``machine`` at a step boundary.
+def capture(machine, books=()):
+    """Capture ``machine`` and its ``books`` at a step boundary.
 
     Must be called between engine steps (e.g. from a scheduling
     policy's ``choose``, before it returns the step's pick) of a run
-    started after :meth:`Machine.enable_journal`.
+    started after :meth:`Machine.enable_journal`.  ``books`` are
+    components outside the machine that declare ``_state`` (see the
+    module docstring); each is saved cut to the machine's bound CPUs.
     """
     journal = machine._journal
     if journal is None:
@@ -522,6 +534,9 @@ def capture(machine):
     snap.config = machine.config
     snap.shape = shape
     snap.state = shape.save(machine)
+    snap.book_shapes = tuple([_shape(book, bound) for book in books])
+    snap.books = tuple([book_shape.save(book) for book_shape, book
+                        in zip(snap.book_shapes, books)])
     snap.frames = [len(cpus[cpu_id].frames) for cpu_id in bound]
     # Zero-copy view: the journal is append-only and its entries are
     # immutable tuples, so sharing the live list plus a length bound is
@@ -538,19 +553,23 @@ def capture(machine):
 # ----------------------------------------------------------------------
 
 
-def restore(machine, snapshot, setup_fn):
+def restore(machine, snapshot, setup_fn, books=()):
     """Rebuild ``snapshot`` onto ``machine`` so ``run()`` resumes it.
 
     ``setup_fn(machine)`` must re-run the *original* program setup —
     same program, same seed — and return the program object.  The
-    machine's scheduling policy is left as it is.
+    machine's scheduling policy is left as it is.  ``books`` are the
+    target's counterparts of the books passed to :func:`capture`, in
+    the same order; they are loaded after the machine.
 
     Raises :class:`SnapshotError` when the snapshot is spent, when the
-    machine's configuration differs from the snapshot's, when the two
-    disagree on the bound CPUs, or when the ghost replay drifts from
-    the journal; after the last two the machine is in an undefined
-    state and must be reset before reuse (the explore layer simply
-    falls back to a stateless re-execution on a pooled machine).
+    machine's configuration differs from the snapshot's, when the books
+    are not the captured kinds, when the two disagree on the bound CPUs,
+    or when the ghost replay drifts from the journal.  A restore that
+    raises consumes no use and leaves the books untouched; after the
+    last two errors the machine is in an undefined state and must not
+    run until another restore succeeds (the explore layer falls back
+    to a stateless run on a fresh machine).
     """
     if snapshot.state is None:
         raise SnapshotError(
@@ -564,6 +583,11 @@ def restore(machine, snapshot, setup_fn):
             f"snapshot config differs from the machine's, as "
             f"field: (snapshot, machine): {diff}")
     bound = snapshot.shape.bound
+    book_shapes = tuple([_shape(book, bound) for book in books])
+    if book_shapes != snapshot.book_shapes:
+        raise SnapshotError(
+            f"books {[type(book).__name__ for book in books]} are not "
+            f"the {len(snapshot.book_shapes)} books the snapshot captured")
     if machine._bound_cpus != bound and not set(
             machine._bound_cpus) <= set(bound):
         raise SnapshotError(
@@ -581,32 +605,15 @@ def restore(machine, snapshot, setup_fn):
         snapshot.uses -= 1
         take = snapshot.uses <= 0
     snapshot.shape.load(machine, snapshot.state, take)
+    for book_shape, book, saved in zip(book_shapes, books, snapshot.books):
+        book_shape.load(book, saved, take)
     if take:
-        snapshot.state = None
+        snapshot.state = snapshot.books = None
     machine._journal.entries = snapshot.journal[:snapshot.journal_len]
     # Resumed runs report engine.steps as prefix + own steps, exactly
     # like the straight line would.
     machine._steps_base = snapshot.journal_len
     return program
-
-
-#: ``(cpu, stats, memory)`` captures of a just-built machine; see
-#: :func:`_pristine`.
-_PRISTINE = None
-
-
-def _pristine():
-    """Pristine CPU, stats and memory state, captured on first use from
-    a throwaway one-CPU machine (never while a real one is built)."""
-    global _PRISTINE
-    if _PRISTINE is None:
-        from repro.common.params import SystemConfig
-        from repro.sim.engine import Machine
-
-        bare = Machine(SystemConfig(n_cpus=1, timing=False))
-        _PRISTINE = (save(bare.cpus[0]), save(bare.stats),
-                     save(bare.memory))
-    return _PRISTINE
 
 
 def _reset_control_plane(machine):
@@ -634,23 +641,6 @@ def _reset_control_plane(machine):
     machine.fault_hooks = None
     machine._steps_base = 0
     machine._journal = StepJournal()
-
-
-def reset_machine(machine):
-    """Return a (possibly used) machine to its just-constructed state.
-
-    The CPUs, stats and memory load a pristine capture (program setup
-    *appends* to the stats and memory, so they must start empty).  The
-    rest of the data plane (caches, HTM) is left for :func:`restore`'s
-    final load to overwrite wholesale.
-    """
-    cpu_state, stats_state, memory_state = _pristine()
-    _reset_control_plane(machine)
-    for cpu in machine.cpus:
-        load(cpu, cpu_state)
-    load(machine.stats, stats_state)
-    load(machine.memory, memory_state)
-    machine._capacity_retries = [0] * machine.config.n_cpus
 
 
 def _ghost_replay(machine, snapshot):

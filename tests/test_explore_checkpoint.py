@@ -253,7 +253,7 @@ def test_cache_lookup_consumes_uses(monkeypatch):
         for step, entry in outcome.checkpoints.items():
             children = sum(len(child) - 1 == step
                            for child, _ in outcome.children)
-            assert entry.uses == entry.snapshot.uses == children > 0
+            assert entry.uses == children > 0
             handed.append((entry, children))
         return outcome
 
@@ -266,7 +266,7 @@ def test_cache_lookup_consumes_uses(monkeypatch):
     assert stats["hits"] == sum(uses for _, uses in handed)
     assert stats["misses"] == 1
     assert all(entry.uses == 0 for entry, _ in handed)
-    assert all(entry.snapshot.state is None for entry, _ in handed)
+    assert all(entry.state is None for entry, _ in handed)
 
 
 def test_gc_thresholds_restored_after_explore():
@@ -368,7 +368,7 @@ def test_litmus_mp_drain_shape_is_pinned():
         "peak_live": 216}
 
 
-def test_unbound_cpus_stay_pristine_through_a_drain(monkeypatch):
+def test_unbound_cpus_stay_as_built_through_a_drain(monkeypatch):
     """The snapshot and the observers' books cover the bound CPUs only,
     which is exact because a CPU no program was bound to never leaves
     its just-built state: after a whole drain on the search's restore

@@ -11,10 +11,13 @@ import copy
 
 import pytest
 
+from repro.check.explore import StepRecorder
 from repro.check.fuzz import CONFIGS, build_config
+from repro.check.history import HistoryRecorder
 from repro.check.programs import make_program
 from repro.mem.layout import SharedArena
 from repro.obs.observer import Observer
+from repro.obs.profiler import CycleProfiler
 from repro.runtime.core import Runtime
 from repro.sim.engine import Machine
 from repro.sim.schedule import (
@@ -27,7 +30,7 @@ from repro.sim.snapshot import (
     SnapshotError,
     capture,
     copy_value,
-    reset_machine,
+    save,
 )
 
 CONFIG = "lazy-wb-assoc"
@@ -336,18 +339,6 @@ def test_snapshot_requires_journal():
         capture(machine)
 
 
-def test_reset_machine_clears_control_plane():
-    config = build_config(CONFIG, make_program("litmus-sb", seed=1))
-    machine, _, _ = _run("litmus-sb", config, DeterministicPolicy())
-    reset_machine(machine)
-    assert machine.now == 0
-    assert machine.results() == {cpu.cpu_id: None
-                                 for cpu in machine.cpus}
-    assert all(not cpu.frames for cpu in machine.cpus)
-    assert machine.stats.as_dict() == {}
-    assert machine.memory.snapshot() == {}
-
-
 def test_ghost_replay_names_the_journal_index():
     """A journal that feeds a CPU with no frame left is rejected, and
     the error names the offending journal entry."""
@@ -434,6 +425,91 @@ def test_last_use_hands_the_capture_over():
         _run("litmus-inc", config, None, machine=(machine, checkpoint))
 
 
+def _with_books(machine):
+    """A :class:`ControlledPolicy` installed on ``machine`` plus an
+    attached history recorder and cycle profiler: the books the
+    explorer's checkpoints carry."""
+    policy = machine.policy = ControlledPolicy()
+    return (policy, HistoryRecorder(machine), CycleProfiler(machine))
+
+
+class _BookCapture(_CapturingPolicy):
+    """Captures the machine with ``books`` (the first is the policy it
+    delegates to) before step ``at``, next to each book's own save."""
+
+    def __init__(self, machine, at, books):
+        super().__init__(books[0], machine, at, [])
+        self.books = books
+
+    def choose(self, runnable):
+        if self.steps == self.at:
+            self.captured.append((self.machine.snapshot(self.books),
+                                  [save(book) for book in self.books]))
+        self.steps += 1
+        return self.inner.choose(runnable)
+
+
+def test_books_restore_with_the_machine():
+    """Books captured with a snapshot load onto the target's books: each
+    saves equal to the straight line's at the capture step and again at
+    the end of the resumed run, the unbound CPUs' profiler books are left
+    alone, the last use spends the books with the machine state, and a
+    rejected restore touches no book and consumes no use."""
+    program = make_program("litmus-sb", seed=1)
+    config = build_config(CONFIG, program)
+    setup_fn = _setup_fn("litmus-sb")
+    _, n_steps = _golden_steps("litmus-sb", config, ("det", 0))
+    machine = Machine(config)
+    books = _with_books(machine)
+    machine.enable_journal()
+    setup_fn(machine)
+    machine.policy = _BookCapture(machine, n_steps * 3 // 5, books)
+    machine.run(max_cycles=program.max_cycles)
+    final = [save(book) for book in books]
+    ((snapshot, at_capture),) = machine.policy.captured
+    assert snapshot.shape.bound == (0, 1)
+    # Non-trivial books: choices made, a commit recorded, a frame live.
+    choices, (committed, _, frames, _) = at_capture[0][0], at_capture[1]
+    assert choices and committed and any(frames)
+    snapshot.uses = 2
+
+    def rejected(target, target_books, match):
+        before = [save(book) for book in target_books]
+        with pytest.raises(SnapshotError, match=match):
+            target.restore(snapshot, setup_fn, target_books)
+        assert [save(book) for book in target_books] == before
+
+    eager = Machine(build_config("eager-wb", program))
+    rejected(eager, _with_books(eager), "config differs")
+    other = Machine(config)
+    rejected(other, _with_books(other)[:2], "books")
+    assert snapshot.uses == 2
+
+    first = Machine(config)
+    first_books = _with_books(first)
+    first.restore(snapshot, setup_fn, first_books)
+    assert [save(book) for book in first_books] == at_capture
+    first.run(max_cycles=program.max_cycles)
+    assert [save(book) for book in first_books] == final
+
+    last = Machine(config)
+    last_books = _with_books(last)
+    unbound = last_books[2]._cpu[2:]
+    for books_of_cpu in unbound:
+        books_of_cpu.idle = 77
+        books_of_cpu.marks.append(5)
+    untouched = [save(books_of_cpu) for books_of_cpu in unbound]
+    last.restore(snapshot, setup_fn, last_books)
+    assert snapshot.uses == 0
+    assert snapshot.books is None and snapshot.state is None
+    assert [save(books_of_cpu) for books_of_cpu in unbound] == untouched
+    for books_of_cpu in unbound:
+        books_of_cpu.__init__()
+    assert [save(book) for book in last_books] == at_capture
+    with pytest.raises(SnapshotError, match="spent"):
+        Machine(config).restore(snapshot, setup_fn, last_books)
+
+
 def _components(component, found):
     """``component`` and every component its ``_state`` reaches."""
     found.append(component)
@@ -474,13 +550,16 @@ class _UndeclaredWatch(Observer):
     an emptied table — is caught mid-run).  An alias of a declared or
     derived container (the detectors' index tables, each cache's
     residency registry) must stay the same object; its value is the
-    declared field's business."""
+    declared field's business.  ``books`` are watched with the machine,
+    except for the ``Type.field`` names in ``allowed``."""
 
-    def __init__(self, machine):
+    def __init__(self, machine, books=(), allowed=()):
         self.changed = set()
         self._recorded = []
         machine.observe(self)
         components = _components(machine, [])
+        for book in books:
+            _components(book, components)
         covered = {
             id(getattr(component, name))
             for component in components
@@ -490,7 +569,8 @@ class _UndeclaredWatch(Observer):
             is not getattr(component, name)}
         for component in components:
             for name in _attribute_names(component):
-                if name in type(component)._state or name in NOT_STATE:
+                if (name in type(component)._state or name in NOT_STATE
+                        or f"{type(component).__name__}.{name}" in allowed):
                     continue
                 value = getattr(component, name)
                 before = (_ALIAS if id(value) in covered
@@ -520,3 +600,37 @@ def test_declared_state_is_complete(config_name):
     assert machine.stats.get("engine.steps") > 0
     assert not watch.changed, (
         f"undeclared mutable state: {sorted(watch.changed)}")
+
+
+#: Book fields each explored node installs itself, so no checkpoint
+#: carries them: the policy's forced map, sleep set and fork hook, and
+#: the step recorder's policy link and sleep entries.
+NODE_FIELDS = {
+    "ControlledPolicy.forced", "ControlledPolicy.sleep",
+    "ControlledPolicy.sleep_from", "ControlledPolicy.fork_steps",
+    "ControlledPolicy.fork_hook", "StepRecorder.policy",
+    "StepRecorder.sleep_from", "StepRecorder._sleep",
+    "StepRecorder.sleep_before"}
+
+
+def test_declared_book_state_is_complete():
+    """The books a checkpoint carries declare everything a run changes:
+    through a whole ``litmus-sb`` run under a :class:`ControlledPolicy`,
+    every other attribute of the policy, the step and history recorders
+    and the profiler stays the same object with an equal value, except
+    the fields a node installs (:data:`NODE_FIELDS`)."""
+    program = make_program("litmus-sb", seed=1)
+    machine = Machine(build_config(CONFIG, program),
+                      policy=ControlledPolicy())
+    policy, history, profiler = _with_books(machine)
+    recorder = StepRecorder(machine, policy)
+    machine.observe(recorder)
+    watch = _UndeclaredWatch(
+        machine, books=(policy, recorder, history, profiler),
+        allowed=NODE_FIELDS)
+    program.setup(machine, Runtime(machine), SharedArena(machine))
+    machine.run(max_cycles=program.max_cycles)
+    watch.on_step(None)
+    assert recorder.footprints and history.history.committed
+    assert not watch.changed, (
+        f"undeclared mutable book state: {sorted(watch.changed)}")

@@ -5,11 +5,13 @@ Walks every module under ``repro``, extracts the module docstring's first
 paragraph and the public classes/functions with their signatures and
 summary lines, and writes a markdown API index.  Run from the repo root:
 
-    python tools/gen_api_docs.py
+    python tools/gen_api_docs.py          # rewrite docs/api.md
+    python tools/gen_api_docs.py --check  # exit 1 with a diff if stale
 """
 
 from __future__ import annotations
 
+import difflib
 import importlib
 import inspect
 import pkgutil
@@ -116,9 +118,25 @@ def generate():
     return "\n".join(lines) + "\n"
 
 
-def main():
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv not in ([], ["--check"]):
+        print("usage: gen_api_docs.py [--check]", file=sys.stderr)
+        return 2
     output = Path(__file__).resolve().parent.parent / "docs" / "api.md"
-    output.write_text(generate())
+    text = generate()
+    if argv:
+        current = output.read_text() if output.exists() else ""
+        if current == text:
+            return 0
+        sys.stdout.writelines(difflib.unified_diff(
+            current.splitlines(keepends=True),
+            text.splitlines(keepends=True),
+            "docs/api.md", "docs/api.md (generated)"))
+        print("docs/api.md is stale: run python tools/gen_api_docs.py",
+              file=sys.stderr)
+        return 1
+    output.write_text(text)
     print(f"wrote {output} ({output.stat().st_size} bytes)")
     return 0
 
