@@ -92,7 +92,11 @@ snapshots, under one discipline for both drivers: a snapshot travels
 with the search structure that consumes it — a child's frontier entry
 in the generations, the DFS stack in a DPOR drain — and restores onto
 one :class:`_NodeContext` the search builds, so nothing outlives the
-search (see the comment block above :class:`_NodeContext`).
+search (see the comment block above :class:`_NodeContext`).  Both
+drivers run their nodes through one step, :meth:`_Search.node`, which
+runs, judges and counts a node and returns what it captured; the
+generations hand captures down with :func:`_hand_down`, a DPOR drain
+puts them on its stack.
 
 **Counterexamples.**  A failing schedule is reported as its *deviation
 list* — the ``(step, cpu)`` pairs where it departs from the
@@ -388,9 +392,9 @@ class StepRecorder(Observer):
 # * **Generations.**  A node with prefix ``P`` captures at each of its
 #   branch steps in ``[len(P), max_depth)`` — where
 #   :class:`ControlledPolicy` calls its ``fork_hook``, by the rule
-#   :func:`repro.check.por.make_children` applies — and hands each
-#   capture down to the children that step produced, one use per child
-#   (:func:`run_node`).  A child forks at its branch step
+#   :func:`repro.check.por.make_children` applies — and the driver
+#   hands each capture down to the children that step produced, one use
+#   per child (:func:`_hand_down`).  A child forks at its branch step
 #   ``len(prefix) - 1``, and its frontier entry carries the capture.
 # * **DPOR.**  A drain (:func:`_explore_dpor`) keeps its captures on its
 #   DFS stack, one per state at most, taken by a run only at the states
@@ -569,17 +573,6 @@ def _capture_hook(machine, steps, books, captured):
     return hook
 
 
-def _count_restore(stats, ctx):
-    """Count a checkpointed node's start in ``stats``: a hit if it
-    restored, else a miss, and a fallback if its restore failed.  A run
-    that crashed before it started counts nowhere."""
-    if "restored" in ctx:
-        restored = ctx["restored"]
-        stats["hits"] += restored
-        stats["misses"] += not restored
-        stats["fallbacks"] += ctx["resume"] is not None and not restored
-
-
 # ----------------------------------------------------------------------
 # Running one node
 # ----------------------------------------------------------------------
@@ -652,20 +645,6 @@ class ScheduleVerdict:
             lines.append(f"  trace tail ({len(self.trace)} events):")
             lines += [f"    {event}" for event in self.trace]
         return "\n".join(lines)
-
-
-@dataclasses.dataclass
-class NodeOutcome:
-    """One explored node: its verdict (None if pruned) and children."""
-
-    prefix: tuple
-    pruned: bool = False
-    verdict: ScheduleVerdict = None
-    #: (child_prefix, sleep-set seed) pairs, in enumeration order.
-    children: tuple = ()
-    #: Fork step -> the checkpoint handed down to the children forking
-    #: there (checkpointed nodes only).
-    checkpoints: dict = dataclasses.field(default_factory=dict)
 
 
 def _should_prune(prune, fault, config):
@@ -837,22 +816,17 @@ def _make_verdict(program_name, config_name, fault, seed, program,
         outcome=outcome)
 
 
-def run_node(program_name, config_name, prefix=(), sleep=None,
-             fault=None, seed=1, max_depth=None, prune=True,
-             max_cycles=None, checkpoint=None):
+def run_node(program_name, config_name, prefix, sleep, fault, seed, prune,
+             max_cycles, checkpoint):
     """Run one exploration node: replay ``prefix``, complete the run
-    deterministically, judge it, and derive the child prefixes.
+    deterministically and judge it; returns ``(verdict, policy,
+    recorder)`` with ``verdict`` None when the sleep set pruned the run.
 
-    ``sleep`` is the sleep-set seed for this subtree (a child's, from
-    :func:`repro.check.por.make_children`); ``max_depth`` bounds the
-    step index at which new branches may be taken.  ``checkpoint`` is
-    the node's checkpoint context (see :func:`_execute`), or None for a
-    stateless run: the node forks from the checkpoint its parent handed
-    down, and hands its own captures down to its children
-    (:attr:`NodeOutcome.checkpoints`).  The node's verdict and children
-    are identical either way.
+    ``sleep`` is the sleep-set seed for this subtree (see
+    :func:`repro.check.por.sleep_seed`).  ``checkpoint`` is the node's
+    checkpoint context (see :func:`_execute`), or None for a stateless
+    run; the verdict is identical either way.
     """
-    prefix = tuple(prefix)
     program, machine, policy, history, error, pruned_at, recorder, obs = (
         _execute(program_name, config_name,
                  None if checkpoint else dict(enumerate(prefix)),
@@ -863,24 +837,78 @@ def run_node(program_name, config_name, prefix=(), sleep=None,
         verdict = _make_verdict(program_name, config_name, fault, seed,
                                 program, machine, policy, history, error,
                                 obs=obs, max_cycles=max_cycles)
-    children = make_children(prefix, policy, recorder, max_depth,
-                             machine.config.n_cpus)
-    handed = {}
-    if checkpoint is not None:
-        # Hand each capture to the children its step produced (a run
-        # that died mid-step produced none at its last step).
-        uses = {}
-        for child, _ in children:
-            step = len(child) - 1
-            uses[step] = uses.get(step, 0) + 1
-        for step, entry in checkpoint["captured"].items():
-            if step in uses:
-                # The last use takes the copies over (no copy on load).
-                entry.uses = uses[step]
-                handed[step] = entry
-    return NodeOutcome(prefix=prefix, pruned=pruned_at is not None,
-                       verdict=verdict, children=tuple(children),
-                       checkpoints=handed)
+    return verdict, policy, recorder
+
+
+class _Search:
+    """What every node of one search shares: its :class:`ExploreReport`
+    (``out``), the ``report`` callback, the restore target (a
+    :class:`_NodeContext` when ``out.checkpoint``, else None), the
+    per-node ``timeout`` and the :func:`run_node` kwargs."""
+
+    __slots__ = ("out", "report", "target", "timeout", "kwargs")
+
+    def __init__(self, out, config, report=None, timeout=None,
+                 max_cycles=None):
+        self.out = out
+        self.report = report
+        self.timeout = timeout
+        self.target = None
+        if out.checkpoint:
+            out.checkpoint_stats = {"hits": 0, "misses": 0, "deposits": 0,
+                                    "fallbacks": 0, "peak_live": 0}
+            self.target = _NodeContext(config)
+        self.kwargs = {"program_name": out.program,
+                       "config_name": out.config, "fault": out.fault,
+                       "seed": out.seed, "prune": out.prune,
+                       "max_cycles": max_cycles}
+
+    def node(self, prefix, sleep, generation, resume=None, capture=()):
+        """Run one node of ``generation`` and count it; returns
+        ``(policy, recorder, captured)``, with ``policy`` None for a node
+        that raised or timed out (its run-failure verdict is counted).
+
+        With a restore target the node resumes from ``resume`` (``(step,
+        snapshot)`` or None) and captures at the steps of ``capture``
+        into ``captured`` (step -> snapshot; see :func:`_execute`); a
+        run that started counts as a hit if it restored, else a miss,
+        and a fallback if its restore failed.
+        """
+        ctx = None
+        if self.target is not None:
+            ctx = {"prefix": prefix, "target": self.target,
+                   "resume": resume, "capture": capture, "captured": {}}
+        kwargs = self.kwargs
+        result = call_guarded(
+            run_node, (), dict(kwargs, prefix=prefix, sleep=sleep,
+                               checkpoint=ctx), self.timeout,
+            partial(_failure_verdict, kwargs["program_name"],
+                    kwargs["config_name"], kwargs["fault"], kwargs["seed"],
+                    prefix))
+        if isinstance(result, ScheduleVerdict):
+            verdict, policy, recorder = result, None, None
+        else:
+            verdict, policy, recorder = result
+        out = self.out
+        if verdict is None:
+            out.pruned += 1
+        else:
+            out.explored += 1
+            out.verdicts.append(verdict)
+            if self.report is not None:
+                self.report(verdict)
+        while len(out.generations) <= generation:
+            out.generations.append(0)
+        out.generations[generation] += 1
+        if ctx is None:
+            return policy, recorder, {}
+        if "restored" in ctx:
+            stats = out.checkpoint_stats
+            restored = ctx["restored"]
+            stats["hits"] += restored
+            stats["misses"] += not restored
+            stats["fallbacks"] += resume is not None and not restored
+        return policy, recorder, ctx["captured"]
 
 
 def replay(program_name, config_name, deviations, fault=None, seed=1,
@@ -904,23 +932,6 @@ def replay(program_name, config_name, deviations, fault=None, seed=1,
 # ----------------------------------------------------------------------
 # Source-set DPOR: the unbounded pruned search
 # ----------------------------------------------------------------------
-
-
-def _run_dpor_node(program_name, config_name, prefix, sleep_entries,
-                   seed, max_cycles, checkpoint_ctx):
-    """Run one DPOR node; returns ``(verdict, policy, recorder)`` with
-    ``verdict`` None when the sleep set pruned the run."""
-    program, machine, policy, history, error, pruned_at, recorder, obs = (
-        _execute(program_name, config_name,
-                 None if checkpoint_ctx else dict(enumerate(prefix)),
-                 sleep_entries, len(prefix), None, seed, max_cycles,
-                 record=True, checkpoint_ctx=checkpoint_ctx))
-    verdict = None
-    if pruned_at is None:
-        verdict = _make_verdict(program_name, config_name, None, seed,
-                                program, machine, policy, history, error,
-                                obs=obs, max_cycles=max_cycles)
-    return verdict, policy, recorder
 
 
 class _DporStack:
@@ -974,10 +985,9 @@ class _DporStack:
         return None
 
 
-def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
-                  max_schedules, max_cycles, timeout, report, target):
+def _explore_dpor(search, n_cpus, max_depth, max_schedules):
     """Drain the unbounded pruned schedule space of one (program,
-    config) by source-set DPOR, filling ``out``.
+    config) by source-set DPOR, filling ``search.out``.
 
     Depth-first: run a schedule, push its new states, add the backtrack
     points its races call for (:func:`repro.check.por.add_backtracks`),
@@ -986,12 +996,14 @@ def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
     set by Godefroid's rule from the state's sleep entries and explored
     siblings, and continues with the default pick.
 
-    With a ``target`` (:class:`_NodeContext`), snapshots live on the
-    stack: a child resumes from the nearest one at or before its fork,
-    forcing the gap, and captures on its way only at the boundaries a
-    later child is known to fork from (the states below its fork with a
-    CPU left to explore).  Popping a state releases its snapshot.
+    With a restore target (:class:`_NodeContext`), snapshots live on
+    the stack: a child resumes from the nearest one at or before its
+    fork, forcing the gap, and captures on its way only at the
+    boundaries a later child is known to fork from (the states below its
+    fork with a CPU left to explore).  Popping a state releases its
+    snapshot.
     """
+    out = search.out
     stack = _DporStack()
     stats = out.checkpoint_stats
     race_stats = RaceStats()
@@ -1004,9 +1016,9 @@ def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
                 and out.explored + out.pruned >= max_schedules):
             out.truncated = True
             break
-        ctx = None
-        if target is not None:
-            resume = None
+        resume = None
+        capture = ()
+        if search.target is not None:
             start = 0
             if fork is not None:
                 for k in range(fork, -1, -1):
@@ -1018,30 +1030,8 @@ def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
                 k for k in range(start + (resume is not None),
                                  0 if fork is None else fork)
                 if stack.snapshot[k] is None and stack.todo(k) is not None)
-            ctx = {"prefix": prefix, "target": target, "resume": resume,
-                   "capture": capture, "captured": {}}
-        result = call_guarded(
-            _run_dpor_node,
-            (program_name, config_name, prefix, sleep_entries, seed,
-             max_cycles, ctx), {}, timeout,
-            partial(_failure_verdict, program_name, config_name, None,
-                    seed, prefix))
-        if isinstance(result, ScheduleVerdict):
-            verdict, recorder = result, None
-        else:
-            verdict, policy, recorder = result
-        if verdict is None:
-            out.pruned += 1
-        else:
-            out.explored += 1
-            out.verdicts.append(verdict)
-            if report is not None:
-                report(verdict)
-        while len(out.generations) <= generation:
-            out.generations.append(0)
-        out.generations[generation] += 1
-        if ctx is not None:
-            _count_restore(stats, ctx)
+        policy, recorder, captured = search.node(
+            prefix, sleep_entries, generation, resume, capture)
 
         # Push the run's new states and analyse its new steps' races.
         lo = 0 if fork is None else fork
@@ -1058,9 +1048,9 @@ def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
                 stack.push(policy.choices[k], policy.candidates[k],
                            footprints[k], recorder.deliveries[k],
                            recorder.sleep_before[k], generation)
-            if ctx is not None:
-                stats["deposits"] += len(ctx["captured"])
-                for k, entry in ctx["captured"].items():
+            if stats is not None:
+                stats["deposits"] += len(captured)
+                for k, entry in captured.items():
                     stack.snapshot[k] = entry
             stack.clocks, races = vector_clocks(
                 stack.choices, stack.footprints, stack.deliveries, n_cpus,
@@ -1102,19 +1092,19 @@ def _explore_dpor(out, program_name, config_name, seed, n_cpus, max_depth,
 # ----------------------------------------------------------------------
 
 
-def _explore_generations(out, program_name, config_name, fault, seed,
-                         preemption_bound, max_depth, prune, max_schedules,
-                         max_cycles, timeout, report, target):
-    """Explore breadth-first over generations, filling ``out``:
-    generation ``b`` runs the children of generation ``b - 1``, through
-    generation ``preemption_bound`` (until the frontier drains when
-    None).
+def _explore_generations(search, n_cpus, preemption_bound, max_depth,
+                         max_schedules):
+    """Explore breadth-first over generations, filling ``search.out``:
+    generation ``b`` runs the children of generation ``b - 1``
+    (:func:`repro.check.por.make_children`), through generation
+    ``preemption_bound`` (until the frontier drains when None).
 
-    With a ``target`` (:class:`_NodeContext`), each frontier entry
+    With a restore target (:class:`_NodeContext`), each frontier entry
     carries the checkpoint its parent captured at the child's fork step
-    and handed down (:func:`run_node`); the child restores it onto
-    ``target``, and the child that uses it up takes its copies over.
+    and handed down (:func:`_hand_down`); the child restores it onto the
+    target, and the child that uses it up takes its copies over.
     """
+    out = search.out
     stats = out.checkpoint_stats
     live = 0  # handed-down checkpoints with uses left
     frontier = [((), None, None)]
@@ -1136,49 +1126,47 @@ def _explore_generations(out, program_name, config_name, fault, seed,
         # quadratic in memory for no benefit).
         depth = (0 if preemption_bound is not None
                  and generation == preemption_bound else max_depth)
-        common = {"fault": fault, "seed": seed, "max_depth": depth,
-                  "prune": prune, "max_cycles": max_cycles}
-        out.generations.append(len(frontier))
+        capture_end = sys.maxsize if depth is None else depth
         next_frontier = []
         # Popped in order, so an entry's checkpoint goes with its last
         # child rather than with the generation.
         frontier.reverse()
         while frontier:
             prefix, sleep, entry = frontier.pop()
-            ctx = None
-            if target is not None:
-                ctx = {"prefix": prefix, "target": target,
-                       "resume": (None if entry is None
-                                  else (len(prefix) - 1, entry)),
-                       "capture": range(len(prefix), sys.maxsize
-                                        if depth is None else depth),
-                       "captured": {}}
-            outcome = call_guarded(
-                run_node, (program_name, config_name),
-                {"prefix": prefix, "sleep": sleep, "checkpoint": ctx,
-                 **common}, timeout,
-                partial(_failure_verdict, program_name, config_name,
-                        fault, seed, prefix))
-            if isinstance(outcome, ScheduleVerdict):
-                outcome = NodeOutcome(prefix=prefix, verdict=outcome)
-            if outcome.pruned:
-                out.pruned += 1
-            else:
-                out.explored += 1
-                out.verdicts.append(outcome.verdict)
-                if report is not None:
-                    report(outcome.verdict)
-            handed = outcome.checkpoints
+            policy, recorder, captured = search.node(
+                prefix, sleep, generation,
+                None if entry is None else (len(prefix) - 1, entry),
+                range(len(prefix), capture_end))
+            children = () if policy is None else make_children(
+                prefix, policy, recorder, depth, n_cpus)
+            handed = _hand_down(children, captured)
             next_frontier.extend(
                 (child, child_sleep, handed.get(len(child) - 1))
-                for child, child_sleep in outcome.children)
-            if ctx is not None:
-                _count_restore(stats, ctx)
+                for child, child_sleep in children)
+            if stats is not None:
                 stats["deposits"] += len(handed)
                 live += len(handed) - (entry is not None and entry.uses == 0)
                 stats["peak_live"] = max(stats["peak_live"], live)
         frontier = next_frontier
         generation += 1
+
+
+def _hand_down(children, captured):
+    """Hand each of a node's captures (step -> snapshot) down to the
+    ``children`` forking at its step: set its ``uses`` to their count
+    (the last use takes the copies over, with no copy on load) and
+    return the captures handed down, by step.  A run that died mid-step
+    produced no children at its last step, so that capture is dropped."""
+    uses = {}
+    for child, _ in children:
+        step = len(child) - 1
+        uses[step] = uses.get(step, 0) + 1
+    handed = {}
+    for step, entry in captured.items():
+        if step in uses:
+            entry.uses = uses[step]
+            handed[step] = entry
+    return handed
 
 
 # ----------------------------------------------------------------------
@@ -1224,7 +1212,7 @@ class ExploreReport:
     verdicts: list = dataclasses.field(default_factory=list)
     #: True if ``max_schedules`` cut the frontier before it drained.
     truncated: bool = False
-    #: Whether the snapshot cache was requested for this campaign.
+    #: Whether the search resumed nodes from mid-run checkpoints.
     checkpoint: bool = False
     #: Checkpoint counters (hits/misses/deposits/fallbacks over the
     #: search; ``peak_live`` is the most entries held at once).  None
@@ -1346,18 +1334,10 @@ def explore(program_name, config_name, fault=None, seed=1,
     if not program.supports(config):
         out.skipped = True
         return out
-    target = None
-    if effective_checkpoint:
-        out.checkpoint_stats = {"hits": 0, "misses": 0, "deposits": 0,
-                                "fallbacks": 0, "peak_live": 0}
-        target = _NodeContext(config)
+    search = _Search(out, config, report, timeout, max_cycles)
     if out.dpor:
-        _explore_dpor(out, program_name, config_name, seed, config.n_cpus,
-                      max_depth, max_schedules, max_cycles, timeout, report,
-                      target)
+        _explore_dpor(search, config.n_cpus, max_depth, max_schedules)
     else:
-        _explore_generations(out, program_name, config_name, fault, seed,
-                             preemption_bound, max_depth, effective_prune,
-                             max_schedules, max_cycles, timeout, report,
-                             target)
+        _explore_generations(search, config.n_cpus, preemption_bound,
+                             max_depth, max_schedules)
     return out

@@ -115,9 +115,6 @@ class History:
     def commit_order(self):
         return [record.txid for record in self.committed]
 
-    def by_cpu(self, cpu_id):
-        return [r for r in self.committed if r.cpu == cpu_id]
-
     def of_kind(self, kind):
         return [r for r in self.committed if r.kind == kind]
 
@@ -144,10 +141,9 @@ class HistoryRecorder(Observer):
     #: Snapshot state (repro.sim.snapshot), as a book of the machine.
     _state = ("history", "_frames", "_seq")
 
-    def __init__(self, machine, record_nontx=True):
+    def __init__(self, machine):
         self.machine = machine
         self.history = History()
-        self.record_nontx = record_nontx
         #: Per CPU, the stack of live frames, parallel to
         #: ``htm.states[cpu].levels``.
         self._frames = [[] for _ in machine.cpus]
@@ -193,7 +189,7 @@ class HistoryRecorder(Observer):
             frames = self._frames[cpu_id]
             if frames:
                 frames[-1].note_read(unit, self._next_seq())
-            elif self.record_nontx:
+            else:
                 self._singleton(cpu_id, unit, is_write=False)
 
     def on_store(self, cpu_id, addr, unit, level, action):
@@ -202,7 +198,7 @@ class HistoryRecorder(Observer):
             if frames:
                 self._next_seq()
                 frames[-1].writes.add(unit)
-            elif self.record_nontx:
+            else:
                 self._singleton(cpu_id, unit, is_write=True)
 
     def on_release(self, cpu_id, addr, released):

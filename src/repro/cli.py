@@ -714,8 +714,9 @@ def build_parser():
 
     p = sub.add_parser(
         "explore",
-        help="exhaustive schedule-space model checker (sleep-set "
-             "pruning + iterative preemption bounding)")
+        help="exhaustive schedule-space model checker (iterative "
+             "preemption bounding with sleep sets; unbounded pruned "
+             "drains run source-set DPOR)")
     p.add_argument("--programs", default="",
                    help="comma-separated check programs "
                         "(default: the litmus family)")
@@ -723,7 +724,7 @@ def build_parser():
                    help="comma-separated configs (default: lazy-wb-assoc)")
     p.add_argument("--preemption-bound", type=int, default=2,
                    help="max forced deviations per schedule; "
-                        "negative = unbounded (run until the frontier "
+                        "negative = unbounded (run until the search "
                         "drains; combine with --max-depth)")
     p.add_argument("--max-depth", type=int, default=0,
                    help="branch only at steps below this index "
@@ -751,9 +752,9 @@ def build_parser():
                    help="per-node timeout in seconds; a node over it "
                         "becomes a run-failure verdict")
     p.add_argument("--no-checkpoint", action="store_true",
-                   help="disable the prefix checkpoint cache and replay "
-                        "every node from cycle 0 (the differential "
-                        "control; verdicts are identical either way)")
+                   help="disable mid-run checkpoints and replay every "
+                        "node from cycle 0 (the differential control; "
+                        "verdicts are identical either way)")
     p.add_argument("--min-checkpoint-speedup", type=float, default=0.0,
                    help="after the checkpointed sweep, rerun it with "
                         "--no-checkpoint in the same process, fail "

@@ -28,7 +28,6 @@ from repro.harness.txstats import (
 )
 from repro.harness.sweep import (
     SpeedupPoint,
-    config_sweep,
     format_speedup_curve,
     speedup_curve,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "scaling_to_dicts",
     "TxStatsCollector",
     "format_tx_character",
-    "config_sweep",
     "format_speedup_curve",
     "run_workload",
     "speedup_curve",

@@ -23,14 +23,10 @@ runs them across ``jobs`` worker processes:
   results in enumeration order (buffered until their turn), so serial
   and parallel campaigns stream identical progress.
 
-Workers resolve each spec's runner by its ``"module:function"`` name, so
-specs stay tiny and work under both ``fork`` and ``spawn`` start
-methods.  Campaign drivers whose cases capture unpicklable context
-(e.g. a workload-factory closure) can pass it via ``payload=``: the dict
-is installed in a module global *before* the workers fork and referenced
-by key through :func:`call_payload`.  That mechanism needs the ``fork``
-start method; where only ``spawn`` exists, payload campaigns degrade to
-serial execution.
+Every case names its runner as ``"module:function"``, and workers
+resolve it by that name: there is no channel for closures or other
+unpicklable context, so specs stay tiny and a campaign runs the same
+under the ``fork`` and ``spawn`` start methods.
 """
 
 from __future__ import annotations
@@ -51,10 +47,6 @@ _POLL_S = 0.05
 
 #: Placeholder for a result slot not yet filled (results may be None).
 _UNSET = object()
-
-#: Fork-inherited context for unpicklable campaign state; see
-#: :func:`call_payload`.
-_PAYLOAD = {}
 
 #: Gen-0 GC threshold inside :func:`batched_gc`, which every worker
 #: runs under.  Campaign cases allocate millions of short-lived
@@ -112,23 +104,6 @@ def resolve_runner(path):
         raise ValueError(f"runner {path!r} is not 'module:function'")
     module = importlib.import_module(module_name)
     return getattr(module, func_name)
-
-
-def call_payload(key, *args, **kwargs):
-    """Invoke an unpicklable callable shipped to workers by fork.
-
-    ``run_campaign(..., payload={key: fn})`` installs ``fn`` in
-    :data:`_PAYLOAD` before the workers fork; a spec whose runner is
-    ``"repro.harness.parallel:call_payload"`` with ``args=(key, ...)``
-    then reaches it in the child by inheritance.
-    """
-    try:
-        fn = _PAYLOAD[key]
-    except KeyError:
-        raise RuntimeError(
-            f"payload key {key!r} not installed (campaign payloads need "
-            "the fork start method)") from None
-    return fn(*args, **kwargs)
 
 
 def run_spec(spec):
@@ -254,7 +229,7 @@ def _context():
 
 
 def run_campaign(specs, jobs=1, timeout=None, report=None,
-                 failure_result=None, grace=5.0, payload=None):
+                 failure_result=None, grace=5.0):
     """Run a campaign's specs and return results in enumeration order.
 
     ``jobs`` <= 1 runs serially in-process (same classification, no
@@ -263,33 +238,22 @@ def run_campaign(specs, jobs=1, timeout=None, report=None,
     worker that ignored its alarm.  ``failure_result(spec, message)``
     builds the domain's failure record (default
     :class:`CampaignFailure`); ``report`` sees each result in
-    enumeration order.  ``payload`` ships unpicklable context to forked
-    workers — see :func:`call_payload`.
+    enumeration order.
     """
     specs = list(specs)
     if failure_result is None:
         failure_result = lambda spec, message: CampaignFailure(  # noqa: E731
             spec.name, message)
-    ctx = _context()
-    if payload is not None and ctx.get_start_method() != "fork":
-        jobs = 1  # payload callables only travel by fork inheritance
-    global _PAYLOAD
-    saved_payload = _PAYLOAD
-    if payload is not None:
-        _PAYLOAD = dict(payload)
-    try:
-        if jobs <= 1 or len(specs) <= 1:
-            results = []
-            for spec in specs:
-                result = _run_guarded(spec, timeout, failure_result)
-                results.append(result)
-                if report is not None:
-                    report(result)
-            return results
-        return _run_workers(specs, min(jobs, len(specs)), ctx, timeout,
-                            report, failure_result, grace)
-    finally:
-        _PAYLOAD = saved_payload
+    if jobs <= 1 or len(specs) <= 1:
+        results = []
+        for spec in specs:
+            result = _run_guarded(spec, timeout, failure_result)
+            results.append(result)
+            if report is not None:
+                report(result)
+        return results
+    return _run_workers(specs, min(jobs, len(specs)), _context(), timeout,
+                        report, failure_result, grace)
 
 
 def _run_workers(specs, jobs, ctx, timeout, report, failure_result, grace):

@@ -1,18 +1,11 @@
-"""Parameter sweeps: speedup curves over CPU counts and config axes.
+"""Speedup curves over CPU counts.
 
 The paper reports single 8-CPU points (with sequential-relative
 annotations); a downstream user of this simulator will want the whole
-curve and config cross-products.  ``speedup_curve`` runs a workload at
-several CPU counts against an explicit 1-CPU sequential baseline;
-``config_sweep`` runs one workload across arbitrary config overrides
-and returns digested :class:`~repro.harness.profile.Profile` objects.
-
-Both accept ``jobs``: each point is an independent deterministic
-simulation, so the curve fans out across worker processes without
-changing a single cycle (see :mod:`repro.harness.parallel`).  The
-workload factory is a closure, so the parallel path ships it to workers
-by fork inheritance (``payload=``); where forking is unavailable the
-sweep silently runs serially.
+curve.  ``speedup_curve`` runs a workload at several CPU counts against
+an explicit 1-CPU sequential baseline.  The points run serially,
+in-process: the workload factory is a closure, and no figure runs a
+curve wide enough to pay for worker processes.
 """
 
 from __future__ import annotations
@@ -20,8 +13,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.common.params import paper_config
-from repro.harness.parallel import CaseSpec, run_campaign
-from repro.harness.profile import profile_machine
 from repro.harness.report import format_table
 
 
@@ -41,26 +32,17 @@ class SpeedupPoint:
             self.actual_cpus = self.n_cpus
 
 
-class SweepCaseError(RuntimeError):
-    """A sweep point failed (crash, timeout, or workload error)."""
-
-
-def _sweep_failure(spec, message):
-    raise SweepCaseError(f"{spec.name}: {message}")
-
-
 def _run_speedup_point(workload_factory, n, overrides, max_cycles):
     workload = workload_factory(n)
     actual_cpus = max(n, workload.min_cpus())
     machine = workload.run(
         paper_config(n_cpus=actual_cpus, **overrides),
         max_cycles=max_cycles)
-    return n, actual_cpus, machine.stats.get("cycles")
+    return actual_cpus, machine.stats.get("cycles")
 
 
 def speedup_curve(workload_factory, cpu_counts=(1, 2, 4, 8, 16),
-                  config_overrides=None, max_cycles=2_000_000_000,
-                  jobs=1):
+                  config_overrides=None, max_cycles=2_000_000_000):
     """Speedup over 1-CPU sequential execution at each CPU count.
 
     ``workload_factory(n_threads)`` builds a fresh workload; the total
@@ -73,14 +55,9 @@ def speedup_curve(workload_factory, cpu_counts=(1, 2, 4, 8, 16),
     """
     overrides = dict(config_overrides or {})
     counts = [1] + [n for n in cpu_counts if n != 1]
-    specs = [CaseSpec(runner="repro.harness.parallel:call_payload",
-                      name=f"speedup:{n}cpu", args=("point", n))
-             for n in counts]
-    payload = {"point": lambda n: _run_speedup_point(
-        workload_factory, n, overrides, max_cycles)}
-    outcomes = run_campaign(specs, jobs=jobs, payload=payload,
-                            failure_result=_sweep_failure)
-    by_count = {n: (actual, cycles) for n, actual, cycles in outcomes}
+    by_count = {n: _run_speedup_point(workload_factory, n, overrides,
+                                      max_cycles)
+                for n in counts}
     base_cycles = by_count[1][1]
     return [SpeedupPoint(n_cpus=n, cycles=by_count[n][1],
                          speedup=base_cycles / by_count[n][1],
@@ -95,34 +72,3 @@ def format_speedup_curve(points, title):
              p.cycles, f"{p.speedup:.2f}x") for p in points]
     return format_table(["CPUs", "cycles", "speedup vs 1 CPU"], rows,
                         title=title)
-
-
-def _run_config_point(workload_factory, label, overrides, n_cpus,
-                      max_cycles):
-    workload = workload_factory(n_cpus)
-    machine = workload.run(
-        paper_config(n_cpus=max(n_cpus, workload.min_cpus()),
-                     **overrides),
-        max_cycles=max_cycles)
-    return label, profile_machine(machine)
-
-
-def config_sweep(workload_factory, axes, n_cpus=8,
-                 max_cycles=2_000_000_000, jobs=1):
-    """Run one workload across configuration variants.
-
-    ``axes`` is a list of (label, overrides-dict); returns
-    ``{label: Profile}`` — the digested per-run statistics, not the
-    machine itself, so a wide sweep holds no caches or histories in
-    memory and its results travel across process boundaries.
-    """
-    axes = list(axes)
-    specs = [CaseSpec(runner="repro.harness.parallel:call_payload",
-                      name=f"config:{label}", args=("axis", index))
-             for index, (label, _) in enumerate(axes)]
-    payload = {"axis": lambda index: _run_config_point(
-        workload_factory, axes[index][0], axes[index][1], n_cpus,
-        max_cycles)}
-    outcomes = run_campaign(specs, jobs=jobs, payload=payload,
-                            failure_result=_sweep_failure)
-    return dict(outcomes)

@@ -247,11 +247,6 @@ class Cpu:
         """Current hardware nesting level (0 = non-transactional)."""
         return self.machine.htm.depth(self.cpu_id)
 
-    def tx_is_open(self):
-        """True if the current (innermost) transaction is open-nested."""
-        state = self.machine.htm.states[self.cpu_id]
-        return state.in_tx() and state.current().open
-
     def commit_publishes(self):
         """True if committing the current transaction writes shared memory
         (outermost or open-nested; False for closed-nested and for

@@ -119,11 +119,6 @@ class IsaState:
         self._live[addr] = live | mask
         self._vqueue.append((mask, addr))
 
-    def queue_depth(self):
-        """Number of undelivered conflict records (diagnostics and the
-        fault-quiescence oracle)."""
-        return len(self._vqueue)
-
     def has_deliverable(self):
         """An *undelivered* conflict record is ready for handler dispatch.
 

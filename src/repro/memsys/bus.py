@@ -52,7 +52,3 @@ class Bus:
         """Acquire the bus for one cache-line transfer."""
         return self.acquire(now, self._line_cycles)
 
-    @property
-    def busy_until(self):
-        return self._busy_until
-

@@ -43,9 +43,6 @@ class RtState:
         """Record the tops at ``xbegin`` of ``level``."""
         self.bases[level] = (self.ch_top, self.vh_top, self.ah_top)
 
-    def ch_base_of(self, level):
-        return self.bases[level][0]
-
     def vh_base_of(self, level):
         return self.bases[level][1]
 

@@ -74,9 +74,9 @@ class Machine:
     #: Per-CPU parts a snapshot keeps for the bound CPUs only.
     _per_cpu = ("cpus",)
 
-    def __init__(self, config, stats=None, policy=None):
+    def __init__(self, config, policy=None):
         self.config = config
-        self.stats = stats if stats is not None else Stats()
+        self.stats = Stats()
         #: Ready-CPU selection strategy (repro.sim.schedule).  The default
         #: deterministic policy reproduces the historical schedule exactly.
         self.policy = policy if policy is not None else DeterministicPolicy()

@@ -29,27 +29,25 @@ from repro.spec.replay import freeze
 MAX_PREFIXES = 200_000
 
 
-def spec_outcomes(program_name, seed=1, config=None, max_prefixes=None):
+def spec_outcomes(program_name, seed=1):
     """The frozenset of admissible (frozen) outcomes of a program.
 
-    ``config`` only affects event granularity bookkeeping, never the
-    outcome set; the default functional config is fine for any program.
+    The spec runs on the default functional config: a config only
+    affects event granularity bookkeeping, never the outcome set.
     """
     from repro.check.programs import make_program
 
-    if config is None:
-        config = functional_config()
-    limit = max_prefixes or MAX_PREFIXES
+    config = functional_config()
     outcomes = set()
     stack = [()]  # prefixes of cpu-id choices still to expand
     explored = 0
     while stack:
         prefix = stack.pop()
         explored += 1
-        if explored > limit:
+        if explored > MAX_PREFIXES:
             raise SpecError(
                 f"{program_name}: outcome enumeration exceeded "
-                f"{limit} prefixes; not litmus-sized")
+                f"{MAX_PREFIXES} prefixes; not litmus-sized")
         program = make_program(program_name, seed=seed)
         machine, executor = build_spec_execution(program, config)
         # Replay the prefix.

@@ -441,14 +441,7 @@ def explore_sleep_sets(program_name, config_name, seed=1, max_depth=None,
     out = ExploreReport(program=program_name, config=config_name,
                         seed=seed, preemption_bound=None,
                         max_depth=max_depth, checkpoint=checkpoint)
-    target = None
-    if checkpoint:
-        out.checkpoint_stats = {"hits": 0, "misses": 0, "deposits": 0,
-                                "fallbacks": 0, "peak_live": 0}
-        target = explore_mod._NodeContext(config)
-    explore_mod._explore_generations(
-        out, program_name, config_name, fault=None, seed=seed,
-        preemption_bound=None, max_depth=max_depth, prune=True,
-        max_schedules=max_schedules, max_cycles=None, timeout=None,
-        report=report, target=target)
+    search = explore_mod._Search(out, config, report)
+    explore_mod._explore_generations(search, config.n_cpus, None, max_depth,
+                                     max_schedules)
     return out

@@ -232,6 +232,7 @@ def test_node_failure_has_no_children(monkeypatch):
     import repro.check.explore as explore_mod
 
     run_node = explore_mod.run_node
+    make_children = explore_mod.make_children
     ran = []
     children = {}
 
@@ -240,11 +241,15 @@ def test_node_failure_has_no_children(monkeypatch):
         ran.append(prefix)
         if prefix == crash:
             raise RuntimeError("boom")
-        outcome = run_node(*args, **kwargs)
-        children[prefix] = [child for child, _ in outcome.children]
-        return outcome
+        return run_node(*args, **kwargs)
+
+    def children_spy(prefix, *args):
+        made = make_children(prefix, *args)
+        children[prefix] = [child for child, _ in made]
+        return made
 
     monkeypatch.setattr(explore_mod, "run_node", spy)
+    monkeypatch.setattr(explore_mod, "make_children", children_spy)
     crash = None
     clean = explore("litmus-sb", CONFIG, preemption_bound=2)
     crash = next(prefix for prefix in ran if prefix and children[prefix])
@@ -286,16 +291,16 @@ def test_dpor_node_crash_is_a_failing_verdict(monkeypatch):
     on with the states it already has."""
     import repro.check.explore as explore_mod
 
-    run_dpor_node = explore_mod._run_dpor_node
+    run_node = explore_mod.run_node
     crashed = []
 
-    def crash_once(*args):
-        if not crashed and args[2]:
-            crashed.append(args[2])
+    def crash_once(*args, **kwargs):
+        if not crashed and kwargs["prefix"]:
+            crashed.append(kwargs["prefix"])
             raise RuntimeError("boom")
-        return run_dpor_node(*args)
+        return run_node(*args, **kwargs)
 
-    monkeypatch.setattr(explore_mod, "_run_dpor_node", crash_once)
+    monkeypatch.setattr(explore_mod, "run_node", crash_once)
     report = explore("litmus-sb", CONFIG, preemption_bound=None,
                      max_depth=24)
     (failure,) = report.failures

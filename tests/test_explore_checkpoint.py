@@ -173,18 +173,18 @@ def test_forced_misses_keep_verdicts_identical(monkeypatch):
     children run."""
     stateless = explore("litmus-sb", CONFIG, preemption_bound=2,
                         checkpoint=False)
-    run_node = explore_mod.run_node
+    hand_down = explore_mod._hand_down
     handed = itertools.count()
     dropped = []
 
-    def dropping(*args, **kwargs):
-        outcome = run_node(*args, **kwargs)
-        for step in list(outcome.checkpoints):
+    def dropping(children, captured):
+        kept = hand_down(children, captured)
+        for step in list(kept):
             if next(handed) % 2:
-                dropped.append(outcome.checkpoints.pop(step))
-        return outcome
+                dropped.append(kept.pop(step))
+        return kept
 
-    monkeypatch.setattr(explore_mod, "run_node", dropping)
+    monkeypatch.setattr(explore_mod, "_hand_down", dropping)
     forced = explore("litmus-sb", CONFIG, preemption_bound=2,
                      checkpoint=True)
     assert _fingerprint(forced) == _fingerprint(stateless)
@@ -215,17 +215,17 @@ def test_serial_drain_consumes_every_deposit(monkeypatch, no_gc, program):
 
 
 def _spy_handed(monkeypatch):
-    """The ``uses`` of every checkpoint a node hands down, as its outcome
-    leaves :func:`run_node` (the entries themselves are not held)."""
+    """The ``uses`` of every checkpoint a node hands down, as they leave
+    :func:`_hand_down` (the entries themselves are not held)."""
     handed = []
-    run_node = explore_mod.run_node
+    hand_down = explore_mod._hand_down
 
-    def spy(*args, **kwargs):
-        outcome = run_node(*args, **kwargs)
-        handed.extend(entry.uses for entry in outcome.checkpoints.values())
-        return outcome
+    def spy(children, captured):
+        kept = hand_down(children, captured)
+        handed.extend(entry.uses for entry in kept.values())
+        return kept
 
-    monkeypatch.setattr(explore_mod, "run_node", spy)
+    monkeypatch.setattr(explore_mod, "_hand_down", spy)
     return handed
 
 
@@ -245,19 +245,18 @@ def test_cache_lookup_consumes_uses(monkeypatch):
     """A node hands each capture down with one use per child forking at
     its step; each child's restore consumes one, and the last use takes
     the copies over.  The root never forks: its one miss."""
-    run_node = explore_mod.run_node
+    hand_down = explore_mod._hand_down
     handed = []
 
-    def spy(*args, **kwargs):
-        outcome = run_node(*args, **kwargs)
-        for step, entry in outcome.checkpoints.items():
-            children = sum(len(child) - 1 == step
-                           for child, _ in outcome.children)
-            assert entry.uses == children > 0
-            handed.append((entry, children))
-        return outcome
+    def spy(children, captured):
+        kept = hand_down(children, captured)
+        for step, entry in kept.items():
+            forking = sum(len(child) - 1 == step for child, _ in children)
+            assert entry.uses == forking > 0
+            handed.append((entry, forking))
+        return kept
 
-    monkeypatch.setattr(explore_mod, "run_node", spy)
+    monkeypatch.setattr(explore_mod, "_hand_down", spy)
     report = explore("litmus-sb", CONFIG, preemption_bound=2,
                      checkpoint=True)
     stats = report.checkpoint_stats

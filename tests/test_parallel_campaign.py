@@ -13,12 +13,14 @@ parallel"):
   enumeration order regardless of worker completion order.
 """
 
+import multiprocessing
 import os
 import signal
 import time
 
 import pytest
 
+import repro.harness.parallel as parallel
 from repro.check.fuzz import CaseResult, chaos_sweep, sweep
 from repro.harness.parallel import (
     CampaignFailure,
@@ -26,20 +28,29 @@ from repro.harness.parallel import (
     run_campaign,
     run_spec,
 )
-from repro.harness.sweep import SweepCaseError, config_sweep, speedup_curve
+from repro.harness.sweep import speedup_curve
 from repro.workloads import SwimKernel
 
 JOBS = 3
 
 
-def payload_spec(key, *args):
-    """A spec whose runner is a fork-inherited payload callable."""
-    return CaseSpec(runner="repro.harness.parallel:call_payload",
-                    name=f"{key}{args}", args=(key,) + args)
+def named_spec(runner, *args):
+    """A spec whose runner is a module-level function of this module."""
+    return CaseSpec(runner=f"{__name__}:{runner}",
+                    name=f"{runner}{args}", args=args)
 
 
 def plus_one(n):
     return n + 1
+
+
+def staggered(n):
+    time.sleep(0.3 if n == 0 else 0.0)  # first case finishes last
+    return n
+
+
+def boom():
+    raise KeyError("lost")
 
 
 def crash_hard():
@@ -58,59 +69,59 @@ def wedge():
         pass
 
 
-PAYLOAD = {"ok": plus_one, "crash": crash_hard, "hang": livelock,
-           "wedge": wedge}
-
-
 class TestExecutor:
     def test_serial_and_parallel_merge_identically(self):
-        specs = [payload_spec("ok", n) for n in range(8)]
-        serial = run_campaign(specs, jobs=1, payload=PAYLOAD)
-        parallel = run_campaign(specs, jobs=JOBS, payload=PAYLOAD)
+        specs = [named_spec("plus_one", n) for n in range(8)]
+        serial = run_campaign(specs, jobs=1)
+        parallel = run_campaign(specs, jobs=JOBS)
         assert serial == parallel == [n + 1 for n in range(8)]
 
     def test_worker_crash_is_isolated(self):
-        specs = [payload_spec("ok", 1), payload_spec("crash"),
-                 payload_spec("ok", 2)]
-        results = run_campaign(specs, jobs=2, payload=PAYLOAD)
+        specs = [named_spec("plus_one", 1), named_spec("crash_hard"),
+                 named_spec("plus_one", 2)]
+        results = run_campaign(specs, jobs=2)
         assert results[0] == 2 and results[2] == 3
         assert isinstance(results[1], CampaignFailure)
         assert "worker crashed (exit code 23)" in results[1].message
 
     def test_case_timeout_is_isolated(self):
-        specs = [payload_spec("ok", 1), payload_spec("hang"),
-                 payload_spec("ok", 2)]
-        results = run_campaign(specs, jobs=2, timeout=0.5, grace=0.5,
-                               payload=PAYLOAD)
+        specs = [named_spec("plus_one", 1), named_spec("livelock"),
+                 named_spec("plus_one", 2)]
+        results = run_campaign(specs, jobs=2, timeout=0.5, grace=0.5)
         assert results[0] == 2 and results[2] == 3
         assert "timeout after 0.5s" in results[1].message
 
     def test_signal_immune_hang_is_killed_after_grace(self):
-        specs = [payload_spec("wedge"), payload_spec("ok", 4)]
-        results = run_campaign(specs, jobs=2, timeout=0.3, grace=0.3,
-                               payload=PAYLOAD)
+        specs = [named_spec("wedge"), named_spec("plus_one", 4)]
+        results = run_campaign(specs, jobs=2, timeout=0.3, grace=0.3)
         assert "worker killed" in results[0].message
         assert results[1] == 5
 
     def test_report_streams_in_enumeration_order(self):
-        def staggered(n):
-            time.sleep(0.3 if n == 0 else 0.0)  # first case finishes last
-            return n
-
         seen = []
         results = run_campaign(
-            [payload_spec("slow", n) for n in range(4)], jobs=4,
-            payload={"slow": staggered}, report=seen.append)
+            [named_spec("staggered", n) for n in range(4)], jobs=4,
+            report=seen.append)
         assert seen == results == [0, 1, 2, 3]
 
     def test_serial_exception_is_classified_not_raised(self):
-        def boom():
-            raise KeyError("lost")
-
-        results = run_campaign([payload_spec("boom")], jobs=1,
-                               payload={"boom": boom})
+        results = run_campaign([named_spec("boom")], jobs=1)
         assert isinstance(results[0], CampaignFailure)
         assert "KeyError" in results[0].message
+
+    def test_named_specs_run_under_spawn(self, monkeypatch):
+        """Specs carry only names, so a campaign whose workers start by
+        ``spawn`` (no inherited state) merges as the serial run does."""
+        monkeypatch.setattr(parallel, "_context",
+                            lambda: multiprocessing.get_context("spawn"))
+        specs = [named_spec("plus_one", n) for n in range(3)] + [
+            CaseSpec(runner="repro.check.fuzz:run_case",
+                     name="counter:lazy-wb-assoc:det:1",
+                     args=("counter", "lazy-wb-assoc", "det", 1))]
+        spawned = run_campaign(specs, jobs=2)
+        assert spawned == run_campaign(specs)
+        assert spawned[:3] == [1, 2, 3]
+        assert isinstance(spawned[3], CaseResult) and not spawned[3].failed
 
     def test_run_spec_resolves_runner_by_name(self):
         spec = CaseSpec(runner="repro.check.fuzz:run_case",
@@ -249,38 +260,9 @@ class TestSpeedupCurveBaseline:
         assert [(p.n_cpus, p.actual_cpus) for p in points] == [(1, 2),
                                                                (2, 2)]
 
-    def test_parallel_curve_matches_serial(self):
-        kwargs = dict(cpu_counts=(2, 4))
-        factory = lambda n: SwimKernel(n_threads=n, scale=0.25)  # noqa
-        assert (speedup_curve(factory, jobs=JOBS, **kwargs)
-                == speedup_curve(factory, **kwargs))
-
     def test_sweep_point_failure_raises(self):
         def bad_factory(n):
             raise RuntimeError("no workload for you")
 
-        with pytest.raises(SweepCaseError):
+        with pytest.raises(RuntimeError, match="no workload for you"):
             speedup_curve(bad_factory, cpu_counts=(2,))
-
-
-class TestConfigSweepDigest:
-    def test_returns_profiles_not_machines(self):
-        results = config_sweep(
-            lambda n: SwimKernel(n_threads=n, scale=0.25),
-            axes=[("plain", {}), ("msi", {"coherence": "msi"})],
-            n_cpus=2)
-        assert set(results) == {"plain", "msi"}
-        for profile in results.values():
-            assert profile.cycles > 0
-            assert profile.commits_outer > 0
-            assert not hasattr(profile, "stats")   # digested, no Machine
-
-    def test_parallel_matches_serial_and_pickles(self):
-        import pickle
-
-        factory = lambda n: SwimKernel(n_threads=n, scale=0.25)  # noqa
-        axes = [("plain", {}), ("eager", {"detection": "eager"})]
-        serial = config_sweep(factory, axes=axes, n_cpus=2)
-        parallel = config_sweep(factory, axes=axes, n_cpus=2, jobs=2)
-        assert serial == parallel
-        assert pickle.loads(pickle.dumps(serial)) == serial

@@ -3,7 +3,6 @@
 
 from repro.common.params import functional_config, paper_config
 from repro.harness.sweep import (
-    config_sweep,
     format_speedup_curve,
     speedup_curve,
 )
@@ -151,19 +150,6 @@ class TestSweep:
         assert points[2].speedup > points[1].speedup
         text = format_speedup_curve(points, "swim")
         assert "swim" in text and "1.00x" in text
-
-    def test_config_sweep_runs_each_variant(self):
-        from repro.workloads import SwimKernel
-
-        results = config_sweep(
-            lambda n: SwimKernel(n_threads=n, scale=0.25),
-            axes=[("plain", {}), ("msi", {"coherence": "msi"})],
-            n_cpus=2)
-        assert set(results) == {"plain", "msi"}
-        # digested Profile objects, not live machines
-        for profile in results.values():
-            assert profile.cycles > 0
-            assert profile.total_commits > 0
 
 
 class TestExport:
