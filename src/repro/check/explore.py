@@ -820,7 +820,9 @@ def run_node(program_name, config_name, prefix, sleep, fault, seed, prune,
              max_cycles, checkpoint):
     """Run one exploration node: replay ``prefix``, complete the run
     deterministically and judge it; returns ``(verdict, policy,
-    recorder)`` with ``verdict`` None when the sleep set pruned the run.
+    recorder, steps)`` with ``verdict`` None when the sleep set pruned
+    the run, and ``steps`` the run's engine steps, a restored prefix
+    included.
 
     ``sleep`` is the sleep-set seed for this subtree (see
     :func:`repro.check.por.sleep_seed`).  ``checkpoint`` is the node's
@@ -837,7 +839,7 @@ def run_node(program_name, config_name, prefix, sleep, fault, seed, prune,
         verdict = _make_verdict(program_name, config_name, fault, seed,
                                 program, machine, policy, history, error,
                                 obs=obs, max_cycles=max_cycles)
-    return verdict, policy, recorder
+    return verdict, policy, recorder, machine.stats.get("engine.steps")
 
 
 class _Search:
@@ -885,11 +887,15 @@ class _Search:
             partial(_failure_verdict, kwargs["program_name"],
                     kwargs["config_name"], kwargs["fault"], kwargs["seed"],
                     prefix))
+        out = self.out
         if isinstance(result, ScheduleVerdict):
             verdict, policy, recorder = result, None, None
         else:
-            verdict, policy, recorder = result
-        out = self.out
+            verdict, policy, recorder, steps = result
+            restored = (resume[1].steps()
+                        if ctx is not None and ctx.get("restored") else 0)
+            out.restored_steps += restored
+            out.live_steps += steps - restored
         if verdict is None:
             out.pruned += 1
         else:
@@ -1224,6 +1230,12 @@ class ExploreReport:
     races: int = 0
     backtracks: int = 0
     window_fallbacks: int = 0
+    #: Engine steps the search's runs executed, and the steps they
+    #: skipped by resuming from a checkpoint (a restored prefix).  Both
+    #: are exact, so they show checkpoint reuse without a clock; a
+    #: stateless search restores nothing.
+    live_steps: int = 0
+    restored_steps: int = 0
 
     @property
     def dpor(self):

@@ -133,7 +133,11 @@ class StatsScope:
         return key
 
     def add(self, name, amount=1):
-        self._stats.add(self._key(name), amount)
+        # Inlines _key and Stats.add: scoped adds run on hot paths.
+        key = self._keys.get(name)
+        if key is None:
+            key = self._key(name)
+        self._stats._counters[key] += amount
 
     def set(self, name, value):
         self._stats.set(self._key(name), value)

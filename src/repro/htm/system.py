@@ -75,6 +75,10 @@ class TxState:
         self._add_read = self.rwsets.add_read_unit
         self._add_write = self.rwsets.add_write_unit
         self._note_access = self.nesting.note_access
+        # The rw-set tables themselves (level -> set of units; loaded in
+        # place by a snapshot restore), for the repeat-access fast path.
+        self._read_sets = self.rwsets._reads
+        self._write_sets = self.rwsets._writes
         self.levels = []          # stack of LevelInfo, index 0 = level 1
         self.flatten_extra = 0    # subsumed inner transactions when flattening
         self.timestamp = 0        # outermost xbegin cycle (eager priority)
@@ -91,7 +95,10 @@ class TxState:
         return self.levels[-1]
 
     def is_validated(self):
-        return any(info.status == VALIDATED for info in self.levels)
+        for info in self.levels:
+            if info.status == VALIDATED:
+                return True
+        return False
 
     def flush_stats(self):
         """Fold deferred per-access counts into the stats tree."""
@@ -199,7 +206,10 @@ class HtmSystem:
                 for fn in self._on_load:
                     fn(cpu_id, addr, unit, level, action)
                 return action, None
-        if level >= 1:
+        if level >= 1 and unit not in state._read_sets[level]:
+            # A unit already in this level's read-set was recorded, and
+            # noted by the nesting scheme, when it entered the set; both
+            # calls would be no-ops for it.
             state._add_read(level, unit)
             state._note_access(level, addr, NestingSchemeBase.READ)
         value = state._tx_load(level, addr)
@@ -220,8 +230,11 @@ class HtmSystem:
                     fn(cpu_id, addr, unit, level, action)
                 return action
         if level >= 1:
-            state._add_write(level, unit)
-            state._note_access(level, addr, NestingSchemeBase.WRITE)
+            if unit not in state._write_sets[level]:
+                # As for loads: a repeat store to a unit already in this
+                # level's write-set needs neither call.
+                state._add_write(level, unit)
+                state._note_access(level, addr, NestingSchemeBase.WRITE)
             state._tx_store(level, addr, value)
         else:
             # Non-transactional store: update memory and, in a lazy
@@ -493,7 +506,7 @@ class HtmSystem:
     # ------------------------------------------------------------------
 
     def depth(self, cpu_id):
-        return self.states[cpu_id].depth()
+        return len(self.states[cpu_id].levels)
 
     def xstatus(self, cpu_id):
         """The ``xstatus`` register view (paper Table 1)."""

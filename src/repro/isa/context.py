@@ -12,9 +12,11 @@ semantics and timing.
 Interpreter hot path (docs/performance.md)
 ------------------------------------------
 
-Every simulated instruction flows through :attr:`Cpu.execute`, so its
-constant factor decides the simulator's steps/s.  Two structures keep it
-cheap:
+Every simulated instruction is executed through the per-CPU dispatch
+table, so its constant factor decides the simulator's steps/s.  The
+engine probes the table itself while :attr:`Cpu.execute` is not
+shadowed; an instrument that shadows it (the cycle profiler) sees every
+op.  Two structures keep execution cheap:
 
 * **Dispatch table.**  Each op type maps to a bound handler method in a
   per-CPU dict built once in ``__init__`` from the
@@ -32,6 +34,19 @@ cheap:
 The table is the only interpreter.  The pre-table ``isinstance`` chain
 lives on in the test suite (``tests/reference.py``) as the differential
 reference it is checked against.
+
+Frames and call stacks
+----------------------
+
+The engine runs a CPU's software in :attr:`Cpu.frames`: the program,
+then one frame per active violation/abort dispatcher (an interrupt
+level).  Each frame has a call stack in :attr:`Cpu.calls`, whose bottom
+is the frame's own generator and whose top is the generator it runs
+now: a generator that yields :class:`~repro.sim.ops.Call` pushes its
+callee there (``Runtime.atomic`` runs each transaction body this way),
+so a step resumes that one generator whatever the nesting depth.  Both
+are control plane: the engine owns them, and a snapshot rebuilds them
+by ghost replay (:mod:`repro.sim.snapshot`).
 """
 
 from __future__ import annotations
@@ -121,7 +136,7 @@ def latency_outcome(latency):
 # of addresses and ALU widths constantly; handing back a shared
 # instance skips a dataclass construction per dynamic instruction.
 # (Value-carrying Store/ImStore ops are not interned: their value field
-# has unbounded variety.)
+# has unbounded variety.  They are cheap plain classes instead.)
 _OP_CACHE_LIMIT = 1 << 16
 _LOAD_CACHE = {}
 _IMLOAD_CACHE = {}
@@ -133,14 +148,16 @@ class Cpu:
 
     __slots__ = (
         "cpu_id", "machine", "isa", "stats", "icount", "handler_icount",
-        "_n_violations_received", "frames", "dispatch_depth", "send_value",
+        "_n_violations_received", "frames", "calls", "dispatch_depth",
+        "send_value",
         "throw_exc", "parked", "saved_sends", "saved_viol", "state",
         "resume_at", "daemon", "wake_tokens", "pending_abort", "result",
         "failure", "rt", "_htm", "_mem", "_dispatch", "execute",
+        "_table_execute",
     )
 
-    #: Snapshot state (repro.sim.snapshot); ``frames`` and ``rt`` are
-    #: rebuilt by ghost replay.
+    #: Snapshot state (repro.sim.snapshot); ``frames``, ``calls`` and
+    #: ``rt`` are rebuilt by ghost replay.
     _state = (
         "state", "resume_at", "daemon", "wake_tokens", "pending_abort",
         "icount", "handler_icount", "dispatch_depth", "send_value",
@@ -163,6 +180,10 @@ class Cpu:
 
         # --- thread/scheduler state (owned by the engine) -----------------
         self.frames = []          # generator stack: program, [dispatchers]
+        #: One call stack per frame: ``calls[i][0] is frames[i]``, and
+        #: ``calls[i][-1]`` is the generator frame ``i`` runs now (see
+        #: repro.sim.engine).
+        self.calls = []
         self.dispatch_depth = 0
         self.send_value = None
         self.throw_exc = None
@@ -196,8 +217,10 @@ class Cpu:
         self._dispatch = {op_cls: MethodType(func, self)
                           for op_cls, func in _CORE_HANDLERS.items()}
         #: The public executor, held in a slot so instruments (the cycle
-        #: profiler) can shadow it per-CPU and restore it exactly.
-        self.execute = self._execute_step
+        #: profiler) can shadow it per-CPU and restore it exactly.  The
+        #: engine compares it with ``_table_execute`` and, while it is
+        #: not shadowed, dispatches through ``_dispatch`` itself.
+        self.execute = self._table_execute = self._execute_step
 
     # ------------------------------------------------------------------
     # Program-facing op constructors (the "assembler")
@@ -211,8 +234,9 @@ class Cpu:
                 _LOAD_CACHE[addr] = op
         return op
 
-    def store(self, addr, value):
-        return O.Store(addr, value)
+    # The value-carrying constructors are the op classes themselves:
+    # ``t.store(addr, value)`` builds the op with no wrapper frame.
+    store = staticmethod(O.Store)
 
     def imld(self, addr):
         op = _IMLOAD_CACHE.get(addr)
@@ -222,11 +246,8 @@ class Cpu:
                 _IMLOAD_CACHE[addr] = op
         return op
 
-    def imst(self, addr, value):
-        return O.ImStore(addr, value)
-
-    def imstid(self, addr, value):
-        return O.ImStoreId(addr, value)
+    imst = staticmethod(O.ImStore)
+    imstid = staticmethod(O.ImStoreId)
 
     def release(self, addr):
         return O.Release(addr)
@@ -245,7 +266,7 @@ class Cpu:
 
     def depth(self):
         """Current hardware nesting level (0 = non-transactional)."""
-        return self.machine.htm.depth(self.cpu_id)
+        return len(self.machine.htm.states[self.cpu_id].levels)
 
     def commit_publishes(self):
         """True if committing the current transaction writes shared memory
@@ -306,7 +327,7 @@ class Cpu:
                 f"cpu {self.cpu_id}: not an operation: {op!r}")
         outcome = handler(op, now)
         if not outcome.stall:
-            count = op.cycles if isinstance(op, O.Alu) else 1
+            count = op.cycles if op.__class__ is O.Alu else 1
             self.icount += count
             if self.dispatch_depth:
                 # Work done inside violation/abort dispatchers (the paper's
@@ -356,7 +377,9 @@ class Cpu:
 
     def _exec_alu(self, op, now):
         cycles = op.cycles
-        return _UNIT if cycles <= 1 else latency_outcome(cycles)
+        if cycles <= 1:
+            return _UNIT
+        return _latency_cache.get(cycles) or latency_outcome(cycles)
 
     def _exec_xbegin(self, op, now):
         return ExecOutcome(value=self._htm.begin(self.cpu_id, op.open, now))

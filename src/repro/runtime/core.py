@@ -77,7 +77,7 @@ class Runtime:
         t.isa.xtcbptr_base = tcb.tcb_stack_base(t.cpu_id)
         t.isa.xtcbptr_top = t.isa.xtcbptr_base
         yield t.alu()  # thread initialization
-        result = yield from program(t, *args)
+        result = yield O.Call(program(t, *args))
         return result
 
     # ------------------------------------------------------------------
@@ -177,6 +177,13 @@ class Runtime:
         woken and then re-execute (condsync ``retry``), or ``"raise"``
         (default) to terminate the transaction and raise
         :class:`TxAborted` to the surrounding code.
+
+        The body runs as a :class:`~repro.sim.ops.Call`, on the engine's
+        call stack rather than under a ``yield from``: each of its steps
+        resumes the body's generator directly instead of every
+        ``atomic`` and body frame of the nesting chain.  The semantics
+        are those of ``yield from``: a rollback or exception the body
+        raises arrives here at the ``Call``.
         """
         old_depth = t.depth()
         hw_level = None
@@ -223,7 +230,7 @@ class Runtime:
                     scale = 1 if retries < 16 else min(retries, 128)
                     yield O.Alu((4 + 2 * t.cpu_id) * scale)
                 if mode == "run":
-                    result = yield from body(t, *args)
+                    result = yield O.Call(body(t, *args))
                     yield from self.commit_tx(t)
                     return result
                 # mode == "finish": terminate the restarted (empty)

@@ -22,6 +22,19 @@ architecture:
   the model of discarding the speculative register state and jumping to
   the restart PC.
 
+**Frames and call stacks.**  ``Cpu.frames`` is the interrupt-level stack:
+the program, then one frame per active dispatcher.  Each frame owns a
+*call stack*, ``Cpu.calls[i]``, whose bottom is ``frames[i]`` and whose
+top is the generator that frame is currently running.  A generator that
+yields :class:`~repro.sim.ops.Call` pushes the callee; when the callee
+returns or raises, :func:`_advance` pops it and hands the value or the
+exception to its caller — exactly the semantics of ``yield from``, but a
+step resumes one generator instead of every frame of a nesting chain.
+``Runtime.atomic`` runs each transaction body this way.  Whatever tears
+frames down (``_kill``, a finished or escaped dispatcher, a capacity
+abort) keeps ``calls`` aligned with ``frames``, and closes innermost
+first.
+
 Instruments subscribe through :meth:`Machine.observe`: the machine and
 its HTM emit the architectural events of :mod:`repro.obs.observer`.
 """
@@ -29,6 +42,7 @@ its HTM emit the architectural events of :mod:`repro.obs.observer`.
 from __future__ import annotations
 
 import heapq
+from types import GeneratorType
 
 from repro.common.errors import (
     CapacityAbort,
@@ -53,7 +67,7 @@ from repro.obs.observer import (
     clear_subscribers,
     subscriptions,
 )
-from repro.sim.ops import Op
+from repro.sim.ops import Alu, Call, Op
 from repro.sim.schedule import DeterministicPolicy
 
 #: Hard cap on consecutive capacity aborts of one transaction before the
@@ -62,6 +76,58 @@ CAPACITY_RETRY_LIMIT = 16
 
 #: Shared journal record for a parked-op re-issue (no generator call).
 _FEED_PARKED = ("p",)
+
+
+def _advance(stack, exc, value):
+    """Resume the call stack ``stack`` with ``value`` (or throw ``exc``)
+    and return the next thing its top generator yields that is not a
+    :class:`~repro.sim.ops.Call`.
+
+    A ``Call`` pushes its generator, which starts with ``None``.  A
+    callee that returns hands its value to its caller; one that raises
+    (``TxRollback`` included: it is a ``BaseException``) hands its
+    exception to its caller.  Both pop it.  ``stack[0]``, the frame's
+    own generator, is never popped here: its return (``StopIteration``)
+    and its exceptions propagate to the caller of ``_advance``, which
+    decides what they mean for the frame.  A ``Call`` of anything but a
+    generator raises :class:`SimulationError` at the yield, where a
+    ``yield from`` of a non-iterable would raise its ``TypeError``.
+    """
+    gen = stack[-1]
+    while True:
+        try:
+            if exc is None:
+                op = gen.send(value)
+            else:
+                op = gen.throw(exc)
+        except StopIteration as stop:
+            if len(stack) == 1:
+                raise
+            stack.pop()
+            gen = stack[-1]
+            value = stop.value
+            exc = None
+            continue
+        except BaseException as error:
+            if len(stack) == 1:
+                raise
+            stack.pop()
+            gen = stack[-1]
+            # Hand it over without this frame in its traceback, as
+            # ``yield from`` would: a traceback entry for this frame
+            # would hold its locals (the call stack, the exception
+            # itself) in a reference cycle.
+            exc = error.with_traceback(error.__traceback__.tb_next)
+            continue
+        if op.__class__ is not Call:
+            return op
+        callee = op.generator
+        if callee.__class__ is GeneratorType:
+            stack.append(callee)
+            gen = callee
+            value = exc = None
+        else:
+            exc = SimulationError(f"Call of a non-generator: {callee!r}")
 
 
 class Machine:
@@ -112,11 +178,14 @@ class Machine:
         #: ``engine.steps`` matches the straight-line run bit-for-bit.
         self._steps_base = 0
         self._capacity_retries = [0] * config.n_cpus
-        #: Heap-backed ready queue: (resume_at, cpu_id) entries, kept for
-        #: the deterministic policy so picking the next CPU is O(log n)
-        #: instead of a full scan.  Entries go stale when a CPU's state
-        #: or resume_at changes; _pop_ready discards them lazily.
+        #: Heap-backed ready queue, kept for the deterministic policy so
+        #: picking the next CPU is O(log n) instead of a full scan.  An
+        #: entry is the int ``resume_at * n_cpus + cpu_id``, which sorts
+        #: exactly like the tuple ``(resume_at, cpu_id)``.  Entries go
+        #: stale when a CPU's state or resume_at changes; the run loop
+        #: discards them lazily.
         self._ready = []
+        self._n_cpus = config.n_cpus
         self._use_heap = bool(getattr(self.policy, "uses_ready_heap", False))
         #: Non-daemon programs still bound to a CPU; the run loop ends
         #: when this reaches zero (replaces the per-step all-CPUs scan).
@@ -164,6 +233,7 @@ class Machine:
                 "program_factory must return a generator (did you forget "
                 "a yield?)")
         cpu.frames = [program]
+        cpu.calls = [[program]]
         cpu.state = RUNNABLE
         cpu.resume_at = 0
         cpu.daemon = daemon
@@ -180,7 +250,8 @@ class Machine:
         if cpu_id not in self._bound_cpus:
             self._bound_cpus = tuple(sorted((*self._bound_cpus, cpu_id)))
         if self._use_heap:
-            heapq.heappush(self._ready, (cpu.resume_at, cpu.cpu_id))
+            heapq.heappush(
+                self._ready, cpu.resume_at * self._n_cpus + cpu_id)
         return cpu
 
     # ------------------------------------------------------------------
@@ -237,7 +308,8 @@ class Machine:
             cpu.state = RUNNABLE
             cpu.resume_at = max(cpu.resume_at, self.now + 1)
             if self._use_heap:
-                heapq.heappush(self._ready, (cpu.resume_at, cpu.cpu_id))
+                heapq.heappush(
+                    self._ready, cpu.resume_at * self._n_cpus + cpu_id)
         elif cpu.state == RUNNABLE:
             cpu.wake_tokens += 1
 
@@ -258,8 +330,9 @@ class Machine:
         use_heap = self._use_heap = bool(
             getattr(self.policy, "uses_ready_heap", False))
         if use_heap:
+            n_cpus = self._n_cpus
             self._ready = [
-                (cpu.resume_at, cpu.cpu_id) for cpu in self.cpus
+                cpu.resume_at * n_cpus + cpu.cpu_id for cpu in self.cpus
                 if cpu.frames and cpu.state == RUNNABLE
             ]
             heapq.heapify(self._ready)
@@ -279,13 +352,31 @@ class Machine:
         # shadow, and the step subscribers) stay attribute probes so
         # anything attached mid-run takes effect.
         cpus = self.cpus
+        n_cpus = self._n_cpus
         heappush = heapq.heappush
+        heappop = heapq.heappop
         choose = self.policy.choose
         steps = 0
         try:
             while self._live_programs > 0:
                 if use_heap:
-                    cpu = self._pop_ready()
+                    # Pop the earliest valid ready entry.  Entries are
+                    # pushed whenever a CPU becomes runnable or changes
+                    # its resume_at; superseded ones (the CPU is no
+                    # longer runnable, or its resume_at moved) are
+                    # dropped here.  Every runnable CPU has an
+                    # up-to-date entry, so the first valid one is the
+                    # deterministic policy's choice.
+                    ready = self._ready
+                    cpu = None
+                    while ready:
+                        key = heappop(ready)
+                        candidate = cpus[key % n_cpus]
+                        if (candidate.state == RUNNABLE and candidate.frames
+                                and candidate.resume_at * n_cpus
+                                + candidate.cpu_id == key):
+                            cpu = candidate
+                            break
                 else:
                     runnable = [
                         cpu for cpu in cpus
@@ -327,7 +418,7 @@ class Machine:
                     # stale entry (same key = same cpu_id); anything
                     # smaller wins the pop, so park our entry and yield.
                     ready = self._ready
-                    entry = (cpu.resume_at, cpu.cpu_id)
+                    entry = cpu.resume_at * n_cpus + cpu.cpu_id
                     if ready and ready[0] < entry:
                         heappush(ready, entry)
                         break
@@ -344,27 +435,6 @@ class Machine:
             if failed.failure is not None:
                 raise failed.failure
         return self.now
-
-    def _pop_ready(self):
-        """Pop the earliest valid (resume_at, cpu_id) ready entry.
-
-        Entries are pushed whenever a CPU becomes runnable or changes
-        its resume_at; superseded entries are detected here (the CPU is
-        no longer runnable, or its resume_at moved) and dropped.  A
-        matching entry is always the deterministic policy's choice:
-        every runnable CPU has an up-to-date entry, so the heap minimum
-        that matches equals the minimum over all runnable CPUs.
-        Returns None when no runnable CPU remains.
-        """
-        ready = self._ready
-        cpus = self.cpus
-        while ready:
-            resume_at, cpu_id = heapq.heappop(ready)
-            cpu = cpus[cpu_id]
-            if (cpu.state == RUNNABLE and cpu.frames
-                    and cpu.resume_at == resume_at):
-                return cpu
-        return None
 
     # ------------------------------------------------------------------
 
@@ -393,9 +463,8 @@ class Machine:
                     # dropped by the rollback path.
                     self._push_dispatcher(cpu, kind="violation")
 
-        # Fetch the next operation (or retry this frame's stalled one).
-        # The generator resume (``_advance``) is inlined: it runs once
-        # per dynamic instruction and the call frame alone is measurable.
+        # Fetch the next operation (or retry this frame's stalled one)
+        # from the top generator of the top frame's call stack.
         parked = cpu.parked
         frame_index = len(cpu.frames) - 1
         if parked and frame_index in parked and cpu.throw_exc is None:
@@ -404,18 +473,18 @@ class Machine:
             op = parked.pop(frame_index)
         else:
             exc = cpu.throw_exc
+            if exc is not None:
+                cpu.throw_exc = None
+                value = None
+                if journal is not None:
+                    journal.stage_feed(("t", exc))
+            else:
+                value = cpu.send_value
+                cpu.send_value = None
+                if journal is not None:
+                    journal.stage_feed(("s", value))
             try:
-                if exc is not None:
-                    cpu.throw_exc = None
-                    if journal is not None:
-                        journal.stage_feed(("t", exc))
-                    op = cpu.frames[-1].throw(exc)
-                else:
-                    value = cpu.send_value
-                    cpu.send_value = None
-                    if journal is not None:
-                        journal.stage_feed(("s", value))
-                    op = cpu.frames[-1].send(value)
+                op = _advance(cpu.calls[-1], exc, value)
             except StopIteration as stop:
                 self._frame_finished(cpu, stop.value)
                 return
@@ -434,9 +503,18 @@ class Machine:
 
         # Execute.  The frame stack cannot change during execute, so the
         # fetched frame_index stays valid for the stall-park below.
+        # While no instrument shadows ``cpu.execute``, the engine looks
+        # the handler up itself and counts the instruction the way
+        # ``Cpu._execute_step`` does, saving the executor's frame.
         now = self.now
+        execute = cpu.execute
+        handler = (cpu._dispatch.get(op.__class__)
+                   if execute is cpu._table_execute else None)
         try:
-            outcome = cpu.execute(op, now)
+            if handler is None:
+                outcome = execute(op, now)
+            else:
+                outcome = handler(op, now)
         except CapacityAbort as overflow:
             self._handle_capacity_abort(cpu, overflow)
             return
@@ -447,7 +525,14 @@ class Machine:
             parked[frame_index] = op
             cpu.resume_at = now + 2
             return
-        self._capacity_retries[cpu.cpu_id] = 0
+        if handler is not None:
+            count = op.cycles if op.__class__ is Alu else 1
+            cpu.icount += count
+            if cpu.dispatch_depth:
+                cpu.handler_icount += count
+        retries = self._capacity_retries
+        if retries[cpu.cpu_id]:
+            retries[cpu.cpu_id] = 0
         cpu.send_value = outcome.value
         latency = outcome.latency
         cpu.resume_at = now + (latency if latency > 1 else 1)
@@ -483,6 +568,7 @@ class Machine:
             cpu.isa.requeue_current(rollback.level)
             cpu.parked.pop(len(cpu.frames) - 1, None)
             cpu.frames.pop()
+            cpu.calls.pop()
             cpu.dispatch_depth -= 1
             index = len(cpu.frames) - 1
             cpu.parked.pop(index, None)
@@ -502,6 +588,7 @@ class Machine:
         if len(cpu.frames) > 1:
             # A dispatcher returned its outcome.
             cpu.frames.pop()
+            cpu.calls.pop()
             cpu.dispatch_depth -= 1
             index = len(cpu.frames) - 1
             cpu.send_value = cpu.saved_sends.pop(index, None)
@@ -516,6 +603,7 @@ class Machine:
         # result, saved violation registers) belongs to the finished
         # program, and a CPU rebound via add_thread must not replay it.
         cpu.frames = []
+        cpu.calls = []
         cpu.parked.clear()
         cpu.saved_sends.clear()
         cpu.saved_viol.clear()
@@ -572,7 +660,9 @@ class Machine:
                        else default_abort_dispatcher)
         cpu.saved_sends[len(cpu.frames) - 1] = cpu.send_value
         cpu.send_value = None
-        cpu.frames.append(factory(cpu))
+        dispatcher = factory(cpu)
+        cpu.frames.append(dispatcher)
+        cpu.calls.append([dispatcher])
         cpu.dispatch_depth += 1
         self._n_dispatches[kind][cpu.cpu_id].add()
         if self._journal is not None:
@@ -596,9 +686,11 @@ class Machine:
         if self.htm.depth(cpu.cpu_id) >= 1:
             cpu.do_rollback(1)
         # Unwind any dispatcher frames, then the program, to level 1.
-        while len(cpu.frames) > 1:
-            cpu.frames.pop()
-            cpu.dispatch_depth -= 1
+        # The dropped dispatcher frames are not closed; the program's
+        # call stack stays, and the abort is thrown into its top.
+        cpu.dispatch_depth -= len(cpu.frames) - 1
+        del cpu.frames[1:]
+        del cpu.calls[1:]
         cpu.isa.viol_reporting = True
         cpu.pending_abort = False
         cpu.parked.clear()
@@ -616,9 +708,12 @@ class Machine:
     def _kill(self, cpu):
         if cpu.frames and not cpu.daemon:
             self._live_programs -= 1
-        for frame in reversed(cpu.frames):
-            frame.close()
+        # Innermost first: each frame's callees, then the frame.
+        for stack in reversed(cpu.calls):
+            for generator in reversed(stack):
+                generator.close()
         cpu.frames = []
+        cpu.calls = []
         cpu.parked.clear()
         cpu.saved_sends.clear()
         cpu.saved_viol.clear()

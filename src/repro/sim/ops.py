@@ -14,6 +14,10 @@ Programs normally do not construct these directly; the thread handle
 helpers.  Every yielded ``Op`` counts as one dynamic instruction, which is
 how the Section 7 overhead numbers (6-instruction ``xbegin`` etc.) are
 measured.
+
+A program may also yield a :class:`Call`, which is not an operation: it
+asks the engine to run a sub-generator on the CPU's call stack (see
+:mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations
@@ -27,6 +31,28 @@ class Op:
     __slots__ = ()
 
 
+class Call:
+    """``result = yield Call(gen)``: run ``gen`` as a callee.
+
+    Means exactly what ``result = yield from gen`` means: ``gen``'s
+    return value (or the exception it raises) comes back at the yield.
+    The difference is who holds the chain: with ``yield from`` every
+    resume passes through each delegating frame, while the engine keeps
+    a ``Call``'s callee on its own call stack and resumes it directly,
+    so a step's host cost does not grow with the nesting depth.  A
+    ``Call`` is not an :class:`Op`: it costs no step, no cycle and no
+    instruction, and the step journal never records it.
+    """
+
+    __slots__ = ("generator",)
+
+    def __init__(self, generator):
+        self.generator = generator
+
+    def __repr__(self):
+        return f"Call({self.generator!r})"
+
+
 # ---------------------------------------------------------------------------
 # Memory operations
 # ---------------------------------------------------------------------------
@@ -38,12 +64,41 @@ class Load(Op):
     addr: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Store(Op):
+class _ValueOp(Op):
+    """Base of the value-carrying stores.
+
+    A store's value has unbounded variety, so it cannot be interned
+    like ``Load``; a fresh one is built per dynamic store.  These are
+    plain slotted classes rather than frozen dataclasses because the
+    frozen ``__init__`` (an ``object.__setattr__`` call per field) cost
+    more than twice as much per store.  They are immutable by
+    convention: nothing mutates or hashes an op (``__hash__`` is None),
+    and :func:`repro.sim.snapshot.copy_value` shares them, parked ones
+    included.
+    """
+
+    __slots__ = ("addr", "value")
+
+    def __init__(self, addr, value):
+        self.addr = addr
+        self.value = value
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(addr={self.addr!r}, "
+                f"value={self.value!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.addr == other.addr and self.value == other.value
+
+    __hash__ = None
+
+
+class Store(_ValueOp):
     """Transactional store: buffered/logged, address added to write-set."""
 
-    addr: int
-    value: object
+    __slots__ = ()
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -56,22 +111,18 @@ class ImLoad(Op):
     addr: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class ImStore(Op):
+class ImStore(_ValueOp):
     """Immediate store (``imst``): writes memory now, bypasses the
     write-set, but keeps undo information so a rollback restores it."""
 
-    addr: int
-    value: object
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class ImStoreId(Op):
+class ImStoreId(_ValueOp):
     """Idempotent immediate store (``imstid``): like ``imst`` but keeps no
     undo information; survives rollbacks."""
 
-    addr: int
-    value: object
+    __slots__ = ()
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

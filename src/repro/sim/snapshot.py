@@ -23,7 +23,7 @@ Inside containers, :func:`copy_value` copies ``dict`` (also
 ``defaultdict``, ``OrderedDict``), ``list``, ``set`` and ``deque``
 recursively, keeping type and order, and non-frozen dataclass records
 (``LevelInfo``, ``UndoEntry``) field by field; everything else (scalars,
-tuples, frozensets, frozen ops, exceptions) is shared.  Derived caches
+tuples, frozensets, ops, exceptions) is shared.  Derived caches
 are not state: a load calls a component's optional
 ``_rederive()`` once its fields are back (``HierarchicalMemory``
 rebuilds the residency registry its caches alias as ``_registry``;
@@ -67,9 +67,9 @@ instead of copying them again, and the spent snapshot refuses any
 further restore.
 
 **The control plane** — workloads, handlers and dispatchers — is Python
-generators, which cannot be copied or pickled.  ``Cpu.frames`` and
-``Cpu.rt`` are therefore not declared state; restore rebuilds them by
-**ghost replay**:
+generators, which cannot be copied or pickled.  ``Cpu.frames``, their
+call stacks ``Cpu.calls`` and ``Cpu.rt`` are therefore not declared
+state; restore rebuilds them by **ghost replay**:
 
 1. Reset what program setup and ghost replay read — the bound CPUs'
    frames, runtime handles and run state, the code registry, the clock
@@ -81,14 +81,17 @@ generators, which cannot be copied or pickled.  ``Cpu.frames`` and
 2. Swap ``machine.htm`` for a :class:`GhostHtm` and re-feed the **step
    journal** — the per-step record of every engine↔generator
    interaction the original run made (recorded by the engine when
-   :meth:`Machine.enable_journal` is on).  Host code genuinely
-   re-executes, rebuilding its closures and runtime bookkeeping, but the
-   ops it yields are discarded: every value it *receives* (send values,
-   thrown exceptions, ISA registers, HTM status) comes from the journal,
-   so it retraces the original path exactly without touching the data
-   plane.
+   :meth:`Machine.enable_journal` is on).  Each feed goes through the
+   engine's own call-stack helper (``engine._advance``), so the calls
+   and returns of sub-generators are re-derived, never journaled.  Host
+   code genuinely re-executes, rebuilding its closures and runtime
+   bookkeeping, but the ops it yields are discarded: every value it
+   *receives* (send values, thrown exceptions, ISA registers, HTM
+   status) comes from the journal, so it retraces the original path
+   exactly without touching the data plane.
 3. Load the data plane from the snapshot and self-check that the
-   rebuilt frame stacks match the captured frame counts.
+   rebuilt frame stacks and each frame's call-stack depth match the
+   captured ones.
 
 A resumed run is then bit-for-bit identical to the original straight
 line — cycles, stats, results — which ``tests/test_snapshot.py`` pins
@@ -108,6 +111,7 @@ from repro.isa.dispatch import (
     default_abort_dispatcher,
     default_violation_dispatcher,
 )
+from repro.sim.engine import _advance
 
 
 class SnapshotError(ReproError):
@@ -500,10 +504,12 @@ class MachineSnapshot:
     None is unlimited, and the restore that brings a count to zero
     takes the captured containers over instead of copying them, after
     which the snapshot is spent (``state`` and ``books`` are None).
+    ``calls`` holds, per bound CPU, the depth of each frame's call
+    stack: ghost replay must rebuild exactly these.
     """
 
     __slots__ = ("config", "shape", "state", "book_shapes", "books",
-                 "frames", "journal", "journal_len", "uses", "__weakref__")
+                 "calls", "journal", "journal_len", "uses", "__weakref__")
 
     def steps(self):
         """Engine steps completed at capture time."""
@@ -537,7 +543,8 @@ def capture(machine, books=()):
     snap.book_shapes = tuple([_shape(book, bound) for book in books])
     snap.books = tuple([book_shape.save(book) for book_shape, book
                         in zip(snap.book_shapes, books)])
-    snap.frames = [len(cpus[cpu_id].frames) for cpu_id in bound]
+    snap.calls = [tuple([len(stack) for stack in cpus[cpu_id].calls])
+                  for cpu_id in bound]
     # Zero-copy view: the journal is append-only and its entries are
     # immutable tuples, so sharing the live list plus a length bound is
     # exact — and keeps capture O(1) in the journal instead of O(steps)
@@ -625,12 +632,7 @@ def _reset_control_plane(machine):
     cpus = machine.cpus
     for cpu_id in machine._bound_cpus:
         cpu = cpus[cpu_id]
-        for frame in reversed(cpu.frames):
-            try:
-                frame.close()
-            except Exception:  # noqa: BLE001 - cleanup must not fail
-                pass
-        cpu.frames = []
+        _close_all(cpu)
         cpu.rt = None
         cpu.state = DONE
         cpu.resume_at = 0
@@ -641,6 +643,19 @@ def _reset_control_plane(machine):
     machine.fault_hooks = None
     machine._steps_base = 0
     machine._journal = StepJournal()
+
+
+def _close_all(cpu):
+    """Close every generator of ``cpu``, innermost first, like
+    ``Machine._kill``, and drop its frames; cleanup must not fail."""
+    for stack in reversed(cpu.calls):
+        for generator in reversed(stack):
+            try:
+                generator.close()
+            except Exception:  # noqa: BLE001
+                pass
+    cpu.frames = []
+    cpu.calls = []
 
 
 def _ghost_replay(machine, snapshot):
@@ -685,7 +700,9 @@ def _ghost_replay(machine, snapshot):
                     factory = default_violation_dispatcher
                 else:
                     factory = default_abort_dispatcher
-                frames.append(factory(cpu))
+                dispatcher = factory(cpu)
+                frames.append(dispatcher)
+                cpu.calls.append([dispatcher])
                 cpu.dispatch_depth = len(frames) - 1
             if feed[0] != "p":
                 if not frames:
@@ -694,25 +711,23 @@ def _ghost_replay(machine, snapshot):
                         f"feed at step {index}")
                 try:
                     if feed[0] == "s":
-                        frames[-1].send(feed[1])
+                        _advance(cpu.calls[-1], None, feed[1])
                     else:
-                        frames[-1].throw(feed[1])
+                        _advance(cpu.calls[-1], feed[1], None)
                 except StopIteration:
                     frames.pop()
+                    cpu.calls.pop()
                     cpu.dispatch_depth = len(frames) - 1 if frames else 0
                 except TxRollback:
                     # Mirrors _rollback_escaped: drop the frame the
                     # rollback escaped (the generator is already
                     # exhausted by the propagation).
                     frames.pop()
+                    cpu.calls.pop()
                     cpu.dispatch_depth = len(frames) - 1 if frames else 0
                 except Exception:  # noqa: BLE001 - mirrors _kill
-                    for open_frame in reversed(frames):
-                        try:
-                            open_frame.close()
-                        except Exception:  # noqa: BLE001
-                            pass
-                    frames = cpu.frames = []
+                    _close_all(cpu)
+                    frames = cpu.frames
                     cpu.dispatch_depth = 0
             state = ghost_states[cpu_id]
             state.levels, state.flatten_extra, unwound = post
@@ -720,15 +735,17 @@ def _ghost_replay(machine, snapshot):
                 # Mirrors _handle_capacity_abort: dispatcher frames are
                 # dropped without close, the program frame survives.
                 del frames[1:]
+                del cpu.calls[1:]
                 cpu.dispatch_depth = 0
     except AttributeError as exc:
         # Host code touched machinery the ghost does not model.
         raise SnapshotError(f"ghost replay: {exc}") from exc
     finally:
         machine.htm = real_htm
-    for cpu_id, n_frames in zip(snapshot.shape.bound, snapshot.frames):
-        if len(cpus[cpu_id].frames) != n_frames:
+    for cpu_id, depths in zip(snapshot.shape.bound, snapshot.calls):
+        rebuilt = tuple([len(stack) for stack in cpus[cpu_id].calls])
+        if rebuilt != depths:
             raise SnapshotError(
-                f"ghost replay drift: cpu {cpu_id} rebuilt "
-                f"{len(cpus[cpu_id].frames)} frames, snapshot recorded "
-                f"{n_frames}")
+                f"ghost replay drift: cpu {cpu_id} rebuilt call stacks "
+                f"of depths {list(rebuilt)}, snapshot recorded "
+                f"{list(depths)}")

@@ -367,6 +367,40 @@ def test_litmus_mp_drain_shape_is_pinned():
         "peak_live": 216}
 
 
+#: (live_steps, restored_steps) of each seed-1 checkpointed search:
+#: the unbounded drains at their conformance depths, then the bound-2
+#: sweep (``explore --preemption-bound 2``).  A checkpoint captured or
+#: reused less often moves steps from the second number to the first.
+WORK = {
+    ("litmus-sb", None): (7657, 4679),
+    ("litmus-mp", None): (5961, 4077),
+    ("litmus-sb", 2): (1857, 2595),
+    ("litmus-mp", 2): (1834, 2877),
+    ("litmus-inc", 2): (2320, 2700),
+    ("litmus-lb", 2): (1955, 2689),
+    ("litmus-corr", 2): (2460, 2247),
+    ("litmus-token-handoff", 2): (140, 87),
+}
+
+
+@pytest.mark.parametrize("program, bound", sorted(
+    WORK, key=lambda key: (key[1] is not None, key)))
+def test_work_counters_are_pinned(program, bound):
+    """Exact work counters: checkpoint reuse shows as restored steps,
+    with no clock involved.  Live plus restored steps are the steps a
+    stateless search runs, all of them live."""
+    kwargs = dict(seed=1, preemption_bound=bound,
+                  max_depth=LITMUS_DEPTHS[program] if bound is None
+                  else None)
+    report = explore(program, CONFIG, checkpoint=True, **kwargs)
+    assert (report.live_steps, report.restored_steps) == WORK[
+        (program, bound)]
+    if bound is not None:
+        stateless = explore(program, CONFIG, checkpoint=False, **kwargs)
+        assert (stateless.live_steps, stateless.restored_steps) == (
+            sum(WORK[(program, bound)]), 0)
+
+
 def test_unbound_cpus_stay_as_built_through_a_drain(monkeypatch):
     """The snapshot and the observers' books cover the bound CPUs only,
     which is exact because a CPU no program was bound to never leaves

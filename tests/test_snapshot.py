@@ -15,6 +15,7 @@ from repro.check.explore import StepRecorder
 from repro.check.fuzz import CONFIGS, build_config
 from repro.check.history import HistoryRecorder
 from repro.check.programs import make_program
+from repro.common.params import functional_config
 from repro.mem.layout import SharedArena
 from repro.obs.observer import Observer
 from repro.obs.profiler import CycleProfiler
@@ -26,12 +27,14 @@ from repro.sim.schedule import (
     RandomPolicy,
     SchedulePolicy,
 )
+from repro.sim import snapshot as snapshot_mod
 from repro.sim.snapshot import (
     SnapshotError,
     capture,
     copy_value,
     save,
 )
+from repro.workloads import DetectionStressKernel
 
 CONFIG = "lazy-wb-assoc"
 
@@ -206,6 +209,126 @@ def _cache_view(machine):
     memmodel = machine.memmodel
     return [{index: list(lines) for index, lines in cache._sets.items()}
             for cache in memmodel.l1 + memmodel.l2]
+
+
+# A small eager detstress machine: eight nesting levels, so a program's
+# call stack runs ten generators deep, and conflicts on the shared
+# accumulator push violation dispatchers on top of it.
+DEEP_CPUS = 2
+DEEP_CONFIG = functional_config(
+    n_cpus=DEEP_CPUS, **DetectionStressKernel.config_overrides)
+
+
+def _deep_setup(machine):
+    workload = DetectionStressKernel(n_threads=DEEP_CPUS, seed=1,
+                                     scale=0.25)
+    workload.setup(machine, Runtime(machine), SharedArena(machine))
+    return workload
+
+
+def _deep_observables(machine, workload):
+    workload.verify(machine)
+    return (machine.now, machine.stats.as_dict(), machine.memory.snapshot(),
+            machine.results())
+
+
+def _in_violation_dispatch(machine):
+    """True when some CPU runs a violation dispatcher on top of a
+    program call stack at least three generators deep."""
+    return any(
+        len(cpu.frames) >= 2
+        and cpu.frames[-1].gi_code.co_name == "_violation_dispatcher"
+        and len(cpu.calls[0]) >= 3
+        for cpu in machine.cpus)
+
+
+class _ProbePolicy(SchedulePolicy):
+    """Deterministic picks; records each step at which ``_in_violation_
+    dispatch`` holds."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.inner = DeterministicPolicy()
+        self.hits = []
+        self.steps = 0
+
+    def choose(self, runnable):
+        if _in_violation_dispatch(self.machine):
+            self.hits.append(self.steps)
+        self.steps += 1
+        return self.inner.choose(runnable)
+
+
+def _deep_checkpoint():
+    """The straight-line observables of the deep machine, and a
+    checkpoint captured mid-burst with a violation dispatcher on top."""
+    probe = Machine(DEEP_CONFIG)
+    workload = _deep_setup(probe)
+    probe.policy = _ProbePolicy(probe)
+    probe.run()
+    golden = _deep_observables(probe, workload)
+    assert probe.policy.hits, "no violation dispatch at depth"
+    at = probe.policy.hits[0]
+
+    machine = Machine(DEEP_CONFIG, policy=DeterministicPolicy())
+    machine.enable_journal()
+    workload = _deep_setup(machine)
+    captured = []
+    _capture_at(machine, at, captured)
+    machine.run()
+    assert _deep_observables(machine, workload) == golden
+    (checkpoint,) = captured
+    return golden, checkpoint
+
+
+def test_restore_resumes_inside_deep_call_stacks():
+    """A capture taken while a violation dispatcher runs on top of a
+    ten-deep transaction call stack resumes bit-for-bit: ghost replay
+    rebuilds every callee through the engine's own call-stack code."""
+    golden, checkpoint = _deep_checkpoint()
+    snapshot = checkpoint[0]
+    assert any(len(depths) == 2 and depths[0] >= 3
+               for depths in snapshot.calls)
+    fresh = Machine(DEEP_CONFIG)
+    workload = _restore(fresh, checkpoint, _deep_setup)
+    assert [tuple(len(stack) for stack in fresh.cpus[cpu_id].calls)
+            for cpu_id in snapshot.shape.bound] == snapshot.calls
+    fresh.run()
+    assert _deep_observables(fresh, workload) == golden
+
+
+def test_ghost_replay_drift_in_call_stacks_is_an_error(monkeypatch):
+    """Restore compares every rebuilt call-stack depth with the
+    captured ones, and a ghost replay that feeds each frame's own
+    generator instead of the top of its call stack must raise, so the
+    explorer falls back to a stateless run instead of resuming."""
+    _, checkpoint = _deep_checkpoint()
+    snapshot = checkpoint[0]
+    index, depths = next((index, depths)
+                         for index, depths in enumerate(snapshot.calls)
+                         if len(depths) == 2)
+    cpu_id = snapshot.shape.bound[index]
+    snapshot.calls[index] = (depths[0] + 1, *depths[1:])
+    with pytest.raises(
+            SnapshotError,
+            match=rf"drift: cpu {cpu_id} rebuilt call stacks of depths "
+                  rf"\[{depths[0]}, 1\], snapshot recorded "
+                  rf"\[{depths[0] + 1}, 1\]"):
+        _restore(Machine(DEEP_CONFIG), checkpoint, _deep_setup)
+    snapshot.calls[index] = depths
+
+    def bypass(stack, exc, value):
+        if exc is None:
+            return stack[0].send(value)
+        return stack[0].throw(exc)
+
+    monkeypatch.setattr(snapshot_mod, "_advance", bypass)
+    with pytest.raises(SnapshotError, match="ghost replay"):
+        _restore(Machine(DEEP_CONFIG), checkpoint, _deep_setup)
+    monkeypatch.undo()
+    resumed = Machine(DEEP_CONFIG)
+    _restore(resumed, checkpoint, _deep_setup)
+    resumed.run()
 
 
 def test_restore_drops_cache_sets_the_capture_never_had():
@@ -532,12 +655,12 @@ def _attribute_names(obj):
 
 #: Mutable fields deliberately outside ``_state``: the derived caches
 #: ``_rederive`` rebuilds (HierarchicalMemory's residency registry and
-#: WriteBufferVersioning's level list), the generator frames and
-#: runtime handles ghost replay rebuilds, the ready heap every
-#: ``Machine.run`` rebuilds, and the bound-CPU set program setup
-#: rebuilds (restore checks it against the snapshot's).
-NOT_STATE = {"residency", "_levels_desc", "frames", "rt", "_ready",
-             "_bound_cpus"}
+#: WriteBufferVersioning's level list), the generator frames, their
+#: call stacks and the runtime handles ghost replay rebuilds, the ready
+#: heap every ``Machine.run`` rebuilds, and the bound-CPU set program
+#: setup rebuilds (restore checks it against the snapshot's).
+NOT_STATE = {"residency", "_levels_desc", "frames", "calls", "rt",
+             "_ready", "_bound_cpus"}
 
 #: Recorded in place of a value for an alias (identity-checked only).
 _ALIAS = object()

@@ -68,9 +68,13 @@ def signature_of(obj):
 def class_methods(cls):
     methods = []
     for name, member in vars(cls).items():
-        if name.startswith("_") or not inspect.isfunction(member):
+        if isinstance(member, staticmethod):
+            # Listed by what it wraps (``Cpu.store`` is the op class).
+            member = member.__func__
+        elif not inspect.isfunction(member):
             continue
-        methods.append((name, member))
+        if not name.startswith("_"):
+            methods.append((name, member))
     return sorted(methods)
 
 
