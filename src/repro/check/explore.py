@@ -11,32 +11,41 @@ explores the schedule space the way stateless model checkers do
 *prefix* of scheduling decisions and records the in-window alternatives
 at every choice point, then branch on the recorded alternatives.
 
-**Enumeration.**  A *bounded* search (finite ``preemption_bound``) and
-an unpruned one go breadth-first over generations.  The root node is
-the empty prefix — the deterministic schedule.  After running a node's
-prefix ``P`` to completion (trace ``T``), each step ``i >= len(P)``
-with an unexplored alternative ``a`` spawns the child prefix
-``T[:i] + (a,)``.  Every child deviates from its parent's continuation
-at exactly one new point, so generation ``b`` of the search contains
-exactly the schedules reachable with ``b`` forced deviations from the
-deterministic pick — and iterating the generations ``0, 1, .., bound``
-is *iterative preemption bounding* in the delay-bounding style of CHESS
-(Musuvathi & Qadeer): shallow bugs surface first, and ``bound = 0`` is
-precisely the fuzzer's ``det`` schedule.  Each complete schedule is
-visited exactly once (two distinct prefixes always complete to
-distinct choice sequences).
+**Enumeration.**  Every search runs depth-first on one stack
+(:func:`_explore`): run a schedule, push the states of its trace, then
+fork the deepest state with a CPU left to explore.  The root is the
+empty prefix — the deterministic schedule.  A child replays its
+parent's path up to the fork, forces the new CPU there and completes
+with the default pick.  Only the *enumeration rule* differs between
+searches, and :attr:`ExploreReport.dpor` chooses it:
 
-An *unbounded pruned* drain runs source-set DPOR instead (Abdulla,
-Aronis, Jonsson, Sagonas, POPL 2014; :func:`_explore_dpor` and
-:mod:`repro.check.por`).  It goes depth-first, one run at a time, and
-branches only where two dependent steps of a run race: at the state
-before the earlier step it adds a CPU whose first step reverses the
-race.  Branching on every alternative, as the generations do, completes
-each interleaving class several times over (1 176 judged runs for the
-175 classes of the seed-1 ``litmus-sb`` drain at depth 48); DPOR
-judges 228 runs there and abandons none.  DPOR and preemption bounds do
-not compose naively (Coons, Musuvathi, McKinley, OOPSLA 2013), so a
-bounded search keeps the generations.
+* A *bounded* search (finite ``preemption_bound``), or an unpruned one,
+  branches on every in-window alternative at every step of a run with
+  fewer than ``preemption_bound`` deviations, below ``max_depth``.
+  Every child deviates from its parent's continuation at exactly one
+  new point, so a run's generation — its depth in the tree — is its
+  number of forced deviations, and ``bound = 0`` is precisely the
+  fuzzer's ``det`` schedule.  This is preemption bounding in the
+  delay-bounding style of CHESS (Musuvathi & Qadeer).  Each complete
+  schedule is visited exactly once (two distinct prefixes always
+  complete to distinct choice sequences).
+* An *unbounded pruned* drain runs source-set DPOR (Abdulla, Aronis,
+  Jonsson, Sagonas, POPL 2014; :mod:`repro.check.por`).  It branches
+  only where two dependent steps of a run race: at the state before
+  the earlier step it adds a CPU whose first step reverses the race.
+  Branching on every alternative completes each interleaving class
+  several times over (1 176 judged runs for the 175 classes of the
+  seed-1 ``litmus-sb`` drain at depth 48); DPOR judges 228 runs there
+  and abandons none.  DPOR and preemption bounds do not compose
+  naively (Coons, Musuvathi, McKinley, OOPSLA 2013), so a bounded
+  search keeps the first rule.
+
+The tree is the breadth-first generation loop's
+(``tests/reference.py::explore_generations``), and so is every verdict
+and count; only the visiting order differs.  A search capped by
+``max_schedules`` therefore judges the first runs of a depth-first
+order: not every schedule with ``b`` deviations before any with
+``b + 1``.  Shallow-first coverage comes from the bound itself.
 
 **Pruning.**  Exploring both orders of two *independent* steps is
 wasted work (they commute), so each branch seeds its child with a
@@ -88,15 +97,11 @@ replaying its prefix from cycle 0 wherever :func:`_checkpoint_supported`
 allows.  A checkpoint is a plain
 :class:`~repro.sim.snapshot.MachineSnapshot` that carries the node's
 observers and policy recordings as its books.  Each search owns its
-snapshots, under one discipline for both drivers: a snapshot travels
-with the search structure that consumes it — a child's frontier entry
-in the generations, the DFS stack in a DPOR drain — and restores onto
-one :class:`_NodeContext` the search builds, so nothing outlives the
-search (see the comment block above :class:`_NodeContext`).  Both
-drivers run their nodes through one step, :meth:`_Search.node`, which
-runs, judges and counts a node and returns what it captured; the
-generations hand captures down with :func:`_hand_down`, a DPOR drain
-puts them on its stack.
+snapshots on its DFS stack, one per state at most, and restores them
+onto one :class:`_NodeContext` the search builds, so nothing outlives
+the search (see the comment block above :class:`_NodeContext`).  Every
+node runs through one step, :meth:`_Search.node`, which runs, judges
+and counts it and returns what it captured.
 
 **Counterexamples.**  A failing schedule is reported as its *deviation
 list* — the ``(step, cpu)`` pairs where it departs from the
@@ -111,9 +116,9 @@ whole search: one :class:`~repro.harness.parallel.CaseSpec` per pair
 through :func:`~repro.harness.parallel.run_campaign`, whose reports come
 back in enumeration order, so the output is the serial run's whatever
 ``N`` is (``conform`` shards its drains the same way).  Sharding one
-search node by node lost to serial: a node costs less than its pickling
-and the barrier at each generation.  A worker that crashes or hangs on
-a pair becomes that pair's report (:func:`failed_search`).
+search node by node lost to serial: a node costs less than its
+pickling.  A worker that crashes or hangs on a pair becomes that
+pair's report (:func:`failed_search`).
 
 The explorer uses the fuzzer's candidate window
 (:data:`~repro.sim.schedule.DEFAULT_WINDOW`): the explored space is
@@ -166,7 +171,6 @@ from repro.check.por import (
     RaceStats,
     add_backtracks,
     footprint as _footprint,
-    make_children,
     pending_footprints,
     sleep_seed,
     vector_clocks,
@@ -376,7 +380,7 @@ class StepRecorder(Observer):
 
 
 # ----------------------------------------------------------------------
-# Checkpointed exploration: fork-point checkpoints handed to children
+# Checkpointed exploration: fork-point checkpoints on the DFS stack
 # ----------------------------------------------------------------------
 #
 # A node run is a pure function of its choice prefix, and every child
@@ -386,24 +390,26 @@ class StepRecorder(Observer):
 # (:mod:`repro.sim.snapshot`) at the step boundaries its search will
 # fork children from, and a child restores one and runs on from there.
 # A checkpoint is just such a snapshot, carrying the node's observers
-# and policy recordings as its books (:func:`_books`).  Each snapshot
-# travels with the search structure that consumes it:
+# and policy recordings as its books (:func:`_books`).  The search keeps
+# its snapshots on its DFS stack (:class:`_Stack`), one per state at
+# most, and a child resumes from the nearest one at or before its fork,
+# forcing the gap.  Which states a run captures at is the enumeration
+# rule's:
 #
-# * **Generations.**  A node with prefix ``P`` captures at each of its
-#   branch steps in ``[len(P), max_depth)`` — where
-#   :class:`ControlledPolicy` calls its ``fork_hook``, by the rule
-#   :func:`repro.check.por.make_children` applies — and the driver
-#   hands each capture down to the children that step produced, one use
-#   per child (:func:`_hand_down`).  A child forks at its branch step
-#   ``len(prefix) - 1``, and its frontier entry carries the capture.
-# * **DPOR.**  A drain (:func:`_explore_dpor`) keeps its captures on its
-#   DFS stack, one per state at most, taken by a run only at the states
-#   below its fork that still have a CPU to explore, and released when
-#   the state is popped.  A child resumes from the nearest entry at or
-#   before its fork and forces the gap.
+# * **Bounded or unpruned.**  A node with prefix ``P`` captures at the
+#   states it will branch at, in ``[len(P), max_depth)`` — where
+#   :class:`ControlledPolicy` calls its ``fork_hook``, at a step with an
+#   in-window alternative that is not asleep.  Such a state knows its
+#   children when it is pushed, so its snapshot is deposited with one
+#   use per child: the children fork at it one after another, and the
+#   last takes the copies over and frees the slot.
+# * **DPOR.**  Races add a state's children only after later runs, so a
+#   run captures at the states below its fork that have a CPU left to
+#   explore and no snapshot yet; such a snapshot serves every later
+#   child until its state is popped.
 #
-# Either way a checkpoint lives as long as its search holds it: a
-# frontier cut by ``max_schedules``, or the subtree of a crashed node,
+# Either way a checkpoint lives as long as its state is on the stack: a
+# stack cut by ``max_schedules``, or the subtree of a crashed node,
 # drops its entries with it.  Restores go onto one :class:`_NodeContext`
 # the search builds and drops.
 #
@@ -418,7 +424,7 @@ class StepRecorder(Observer):
 #   choice-determined, so the books restore from the same snapshot.
 # * **The fork point is the branch step, never past it.**  A child's
 #   *new* sleep entries activate at the branch step ``len(prefix) - 1``
-#   (see :func:`repro.check.por.make_children`), and the recorder's
+#   (see :func:`_explore`), and the recorder's
 #   removal rule may fire at exactly that step — so restoring past it
 #   could skip a wake-up and prune a schedule the stateless run
 #   explores.  Forking at
@@ -440,11 +446,10 @@ class StepRecorder(Observer):
 #
 # A node pays only for what its outcome reads:
 #
-# * **Hand-off on last use.**  Every capture is a copy; handing one down
-#   sets the snapshot's ``uses`` to its children's count, and the child
-#   that uses it up takes the copies over (machine containers and books
-#   alike) instead of copying them again.  In the two-CPU litmus drains
-#   every entry has one child.
+# * **Hand-off on last use.**  Every capture is a copy; a bounded
+#   search deposits one with ``uses`` set to its state's child count,
+#   and the child that uses it up takes the copies over (machine
+#   containers and books alike) instead of copying them again.
 # * **Bound CPUs only.**  The snapshot and the profiler's books cover
 #   the CPUs a program is bound to; the others never leave their
 #   just-built state (tests/test_explore_checkpoint.py pins that after a
@@ -936,24 +941,26 @@ def replay(program_name, config_name, deviations, fault=None, seed=1,
 
 
 # ----------------------------------------------------------------------
-# Source-set DPOR: the unbounded pruned search
+# The depth-first search
 # ----------------------------------------------------------------------
 
 
-class _DporStack:
-    """The DFS stack of :func:`_explore_dpor`: one state per step of the
+class _Stack:
+    """The DFS stack of :func:`_explore`: one state per step of the
     current path (the latest run's trace), as parallel lists.
 
     Per state: the step the current path took there (choice, window,
     footprint, deliveries, vector clock), the sleep entries in effect,
-    the CPUs explored there with their exact footprints (``done``), the
-    ``backtrack`` set races put there, the generation of the run that
-    recorded it, and the checkpoint captured at its boundary (or None).
+    the CPUs explored there with the footprints their later siblings'
+    sleep sets see (``done``), the CPUs to branch on (``backtrack``), the
+    recording run's pending-footprint estimates (a bounded pruned search
+    only), the generation of the run that recorded it, and the
+    checkpoint captured at its boundary (or None).
     """
 
     __slots__ = ("choices", "candidates", "footprints", "deliveries",
-                 "sleep", "done", "backtrack", "generation", "snapshot",
-                 "clocks")
+                 "sleep", "done", "backtrack", "pending", "generation",
+                 "snapshot", "clocks")
 
     def __init__(self):
         for name in self.__slots__:
@@ -966,14 +973,16 @@ class _DporStack:
         for name in self.__slots__:
             del getattr(self, name)[height:]
 
-    def push(self, choice, candidates, fp, delivered, sleep, generation):
+    def push(self, choice, candidates, fp, delivered, sleep, generation,
+             backtrack, pending=None):
         self.choices.append(choice)
         self.candidates.append(candidates)
         self.footprints.append(fp)
         self.deliveries.append(delivered)
         self.sleep.append(sleep)
         self.done.append({choice: fp})
-        self.backtrack.append({choice})
+        self.backtrack.append(backtrack)
+        self.pending.append(pending)
         self.generation.append(generation)
         self.snapshot.append(None)
 
@@ -990,27 +999,53 @@ class _DporStack:
                 return cpu
         return None
 
+    def deposit(self, k, entry, counted):
+        """Keep ``entry`` as state ``k``'s checkpoint.  ``counted``: give
+        it one use per CPU left to explore there, so the child that uses
+        it up takes its copies over; else it serves every child."""
+        if counted:
+            backtrack = self.backtrack[k]
+            done = self.done[k]
+            asleep = self.sleep[k]
+            entry.uses = sum(cpu in backtrack and cpu not in done
+                             and cpu not in asleep
+                             for cpu in self.candidates[k])
+        self.snapshot[k] = entry
 
-def _explore_dpor(search, n_cpus, max_depth, max_schedules):
-    """Drain the unbounded pruned schedule space of one (program,
-    config) by source-set DPOR, filling ``search.out``.
 
-    Depth-first: run a schedule, push its new states, add the backtrack
-    points its races call for (:func:`repro.check.por.add_backtracks`),
-    then fork the deepest state with a CPU left to explore.  The child
-    replays the path up to that state, forces the CPU, seeds its sleep
-    set by Godefroid's rule from the state's sleep entries and explored
-    siblings, and continues with the default pick.
+def _explore(search, n_cpus, preemption_bound, max_depth, max_schedules):
+    """Explore one (program, config) depth-first, filling
+    ``search.out``.
+
+    Run a schedule, push its new states, then fork the deepest state
+    with a CPU left to explore.  The child replays the path up to that
+    state, forces the CPU, seeds its sleep set by Godefroid's rule from
+    the state's sleep entries and explored siblings, and continues with
+    the default pick.  The enumeration rule (``search.out.dpor``) says
+    which CPUs a state branches on and what the sleep sets see:
+
+    * **DPOR** (unbounded, pruned): the race reversals
+      :func:`repro.check.por.add_backtracks` adds once a run's races are
+      known; an explored sibling enters later sleep sets with its exact
+      footprint, a new one with its pending footprint on the current
+      path.
+    * **Bounded or unpruned**: every in-window alternative at each step
+      below ``max_depth`` of a run with fewer than ``preemption_bound``
+      deviations; siblings enter with the recording run's pending
+      footprints, stored on the state when it is pushed.
 
     With a restore target (:class:`_NodeContext`), snapshots live on
     the stack: a child resumes from the nearest one at or before its
-    fork, forcing the gap, and captures on its way only at the
-    boundaries a later child is known to fork from (the states below its
-    fork with a CPU left to explore).  Popping a state releases its
-    snapshot.
+    fork, forcing the gap.  A DPOR run captures at the states below its
+    fork with a CPU left to explore and none yet, a bounded run at the
+    new states it will branch at, each with one use per child (the last
+    takes the copies over and frees the slot).  Popping a state releases
+    its snapshot.
     """
     out = search.out
-    stack = _DporStack()
+    dpor = out.dpor
+    prune = out.prune
+    stack = _Stack()
     stats = out.checkpoint_stats
     race_stats = RaceStats()
     fork = None
@@ -1022,6 +1057,15 @@ def _explore_dpor(search, n_cpus, max_depth, max_schedules):
                 and out.explored + out.pruned >= max_schedules):
             out.truncated = True
             break
+        # The stack keeps this run's states below ``hi``: a DPOR drain
+        # all of them, for its race analysis; a bounded search those it
+        # branches at.
+        if dpor:
+            hi = sys.maxsize
+        elif preemption_bound is not None and generation >= preemption_bound:
+            hi = 0
+        else:
+            hi = sys.maxsize if max_depth is None else max_depth
         resume = None
         capture = ()
         if search.target is not None:
@@ -1032,38 +1076,68 @@ def _explore_dpor(search, n_cpus, max_depth, max_schedules):
                         resume = (k, stack.snapshot[k])
                         start = k
                         break
-            capture = tuple(
-                k for k in range(start + (resume is not None),
-                                 0 if fork is None else fork)
-                if stack.snapshot[k] is None and stack.todo(k) is not None)
+            if dpor:
+                capture = tuple(
+                    k for k in range(start + (resume is not None), fork or 0)
+                    if stack.snapshot[k] is None
+                    and stack.todo(k) is not None)
+            else:
+                capture = range(len(prefix), hi)
         policy, recorder, captured = search.node(
             prefix, sleep_entries, generation, resume, capture)
+        if resume is not None and resume[1].uses == 0:
+            stack.snapshot[resume[0]] = None
 
         # Push the run's new states and analyse its new steps' races.
         lo = 0 if fork is None else fork
         stack.truncate(0 if fork is None else fork + 1)
-        n = 0 if recorder is None else len(recorder.footprints)
+        n = 0
+        if policy is not None:
+            # A run that died mid-step chose its last step but never
+            # recorded it: a recorded run keeps only its closed steps.
+            n = (len(policy.choices) if recorder is None
+                 else len(recorder.footprints))
         if n > lo:
-            footprints = recorder.footprints
+            choices = policy.choices
             if fork is not None:
-                stack.choices[fork] = policy.choices[fork]
-                stack.footprints[fork] = footprints[fork]
-                stack.deliveries[fork] = recorder.deliveries[fork]
-                stack.done[fork][policy.choices[fork]] = footprints[fork]
-            for k in range(len(stack), n):
-                stack.push(policy.choices[k], policy.candidates[k],
-                           footprints[k], recorder.deliveries[k],
-                           recorder.sleep_before[k], generation)
+                stack.choices[fork] = choices[fork]
+                if dpor:
+                    fp = recorder.footprints[fork]
+                    stack.footprints[fork] = fp
+                    stack.deliveries[fork] = recorder.deliveries[fork]
+                    stack.done[fork][choices[fork]] = fp
+            top = min(n, hi)
+            height = len(stack)
+            if recorder is None:
+                for k in range(height, top):
+                    stack.push(choices[k], policy.candidates[k], None, None,
+                               _EMPTY, generation, set(policy.candidates[k]))
+            else:
+                pending = ()
+                if not dpor and height < top:
+                    pending = pending_footprints(
+                        choices[:n], recorder.footprints,
+                        recorder.deliveries, range(n_cpus), height)
+                for k in range(height, top):
+                    stack.push(choices[k], policy.candidates[k],
+                               recorder.footprints[k],
+                               recorder.deliveries[k],
+                               recorder.sleep_before[k], generation,
+                               {choices[k]} if dpor
+                               else set(policy.candidates[k]),
+                               pending[k - height] if pending else None)
             if stats is not None:
-                stats["deposits"] += len(captured)
                 for k, entry in captured.items():
-                    stack.snapshot[k] = entry
-            stack.clocks, races = vector_clocks(
-                stack.choices, stack.footprints, stack.deliveries, n_cpus,
-                lo, stack.clocks[:lo])
-            add_backtracks(stack.choices, stack.candidates, stack.clocks,
-                           races, stack.backtrack, stack.sleep, race_stats,
-                           hi=max_depth)
+                    if k < len(stack):
+                        stats["deposits"] += 1
+                        stack.deposit(k, entry, not dpor)
+            if dpor:
+                stack.clocks, races = vector_clocks(
+                    stack.choices, stack.footprints, stack.deliveries,
+                    n_cpus, lo, stack.clocks[:lo])
+                add_backtracks(stack.choices, stack.candidates, stack.clocks,
+                               races, stack.backtrack, stack.sleep,
+                               race_stats, hi=max_depth)
         if stats is not None:
             stats["peak_live"] = max(
                 stats["peak_live"],
@@ -1079,100 +1153,26 @@ def _explore_dpor(search, n_cpus, max_depth, max_schedules):
         else:
             break
         fork = k
-        alt_fp = pending_footprints(stack.choices, stack.footprints,
-                                    stack.deliveries, (alt,), k)[0][alt]
-        sleep_entries = sleep_seed(
-            list(stack.sleep[k].items())
-            + [(cpu, (fp, k)) for cpu, fp in stack.done[k].items()],
-            alt, alt_fp or GLOBAL_FOOTPRINT)
-        stack.done[k][alt] = None
+        alt_fp = None
+        if dpor:
+            alt_fp = pending_footprints(stack.choices, stack.footprints,
+                                        stack.deliveries, (alt,), k)[0][alt]
+        elif prune:
+            alt_fp = stack.pending[k].get(alt)
+        sleep_entries = None
+        if prune:
+            sleep_entries = sleep_seed(
+                list(stack.sleep[k].items())
+                + [(cpu, (fp, k)) for cpu, fp in stack.done[k].items()],
+                alt, alt_fp or GLOBAL_FOOTPRINT)
+        # A DPOR sibling enters later sleep sets with its exact
+        # footprint once it has run.
+        stack.done[k][alt] = None if dpor else alt_fp
         prefix = tuple(stack.choices[:k]) + (alt,)
         generation = stack.generation[k] + 1
     out.races = race_stats.races
     out.backtracks = race_stats.insertions
     out.window_fallbacks = race_stats.fallbacks
-
-
-# ----------------------------------------------------------------------
-# Generations: the bounded and unpruned searches
-# ----------------------------------------------------------------------
-
-
-def _explore_generations(search, n_cpus, preemption_bound, max_depth,
-                         max_schedules):
-    """Explore breadth-first over generations, filling ``search.out``:
-    generation ``b`` runs the children of generation ``b - 1``
-    (:func:`repro.check.por.make_children`), through generation
-    ``preemption_bound`` (until the frontier drains when None).
-
-    With a restore target (:class:`_NodeContext`), each frontier entry
-    carries the checkpoint its parent captured at the child's fork step
-    and handed down (:func:`_hand_down`); the child restores it onto the
-    target, and the child that uses it up takes its copies over.
-    """
-    out = search.out
-    stats = out.checkpoint_stats
-    live = 0  # handed-down checkpoints with uses left
-    frontier = [((), None, None)]
-    generation = 0
-    while frontier:
-        if preemption_bound is not None and generation > preemption_bound:
-            break
-        if max_schedules is not None:
-            room = max_schedules - (out.explored + out.pruned)
-            if room <= 0:
-                out.truncated = True
-                break
-            if len(frontier) > room:
-                frontier = frontier[:room]
-                out.truncated = True
-        # The last bounded generation's children can never run: suppress
-        # them at the source (a livelocked run has tens of thousands of
-        # steps, and materializing one child prefix per step is
-        # quadratic in memory for no benefit).
-        depth = (0 if preemption_bound is not None
-                 and generation == preemption_bound else max_depth)
-        capture_end = sys.maxsize if depth is None else depth
-        next_frontier = []
-        # Popped in order, so an entry's checkpoint goes with its last
-        # child rather than with the generation.
-        frontier.reverse()
-        while frontier:
-            prefix, sleep, entry = frontier.pop()
-            policy, recorder, captured = search.node(
-                prefix, sleep, generation,
-                None if entry is None else (len(prefix) - 1, entry),
-                range(len(prefix), capture_end))
-            children = () if policy is None else make_children(
-                prefix, policy, recorder, depth, n_cpus)
-            handed = _hand_down(children, captured)
-            next_frontier.extend(
-                (child, child_sleep, handed.get(len(child) - 1))
-                for child, child_sleep in children)
-            if stats is not None:
-                stats["deposits"] += len(handed)
-                live += len(handed) - (entry is not None and entry.uses == 0)
-                stats["peak_live"] = max(stats["peak_live"], live)
-        frontier = next_frontier
-        generation += 1
-
-
-def _hand_down(children, captured):
-    """Hand each of a node's captures (step -> snapshot) down to the
-    ``children`` forking at its step: set its ``uses`` to their count
-    (the last use takes the copies over, with no copy on load) and
-    return the captures handed down, by step.  A run that died mid-step
-    produced no children at its last step, so that capture is dropped."""
-    uses = {}
-    for child, _ in children:
-        step = len(child) - 1
-        uses[step] = uses.get(step, 0) + 1
-    handed = {}
-    for step, entry in captured.items():
-        if step in uses:
-            entry.uses = uses[step]
-            handed[step] = entry
-    return handed
 
 
 # ----------------------------------------------------------------------
@@ -1216,7 +1216,7 @@ class ExploreReport:
     generations: list = dataclasses.field(default_factory=list)
     #: One verdict per explored schedule, in enumeration order.
     verdicts: list = dataclasses.field(default_factory=list)
-    #: True if ``max_schedules`` cut the frontier before it drained.
+    #: True if ``max_schedules`` stopped the search before it drained.
     truncated: bool = False
     #: Whether the search resumed nodes from mid-run checkpoints.
     checkpoint: bool = False
@@ -1308,22 +1308,24 @@ def explore(program_name, config_name, fault=None, seed=1,
     The search runs in this process; ``explore --jobs`` shards whole
     searches (:func:`search_spec`).
 
-    With a ``preemption_bound``, or without pruning: breadth-first over
-    generations, where generation ``b`` holds the schedules with ``b``
-    forced deviations — iterative preemption bounding.  Unbounded
-    (``preemption_bound=None``) and pruned: a source-set DPOR drain
-    (:func:`_explore_dpor`).  ``report``, if given, sees every
+    Every search runs depth-first (:func:`_explore`).  With a
+    ``preemption_bound``, or without pruning, it branches on every
+    in-window alternative of the runs with fewer than
+    ``preemption_bound`` forced deviations — preemption bounding, where
+    generation ``b`` holds the schedules with ``b`` deviations.
+    Unbounded (``preemption_bound=None``) and pruned, it is a
+    source-set DPOR drain.  ``report``, if given, sees every
     :class:`ScheduleVerdict` in enumeration order.  ``timeout`` is the
     per-node budget in seconds: a node over it, or one that raises,
     becomes a run-failure verdict and the search goes on.
     ``max_schedules`` caps the total number of runs as a safety net and
-    marks the report ``truncated``.
+    marks the report ``truncated``; the capped search has judged the
+    first runs of its depth-first order.
 
     ``checkpoint`` (default on; gated per search by
     :func:`_checkpoint_supported`) lets a run resume from a snapshot
-    instead of replaying from cycle 0: each child of the generations
-    forks from the snapshot its parent captured at the branch step, and
-    a DPOR child from the nearest snapshot on the DFS stack.  Every
+    instead of replaying from cycle 0: a child forks from the nearest
+    snapshot at or before its fork state on the DFS stack.  Every
     verdict is identical with it on or off — ``--no-checkpoint`` is the
     differential control.  The search owns its checkpoints and restore
     target: none outlives it, however it ends.
@@ -1347,9 +1349,6 @@ def explore(program_name, config_name, fault=None, seed=1,
         out.skipped = True
         return out
     search = _Search(out, config, report, timeout, max_cycles)
-    if out.dpor:
-        _explore_dpor(search, config.n_cpus, max_depth, max_schedules)
-    else:
-        _explore_generations(search, config.n_cpus, preemption_bound,
-                             max_depth, max_schedules)
+    _explore(search, config.n_cpus, preemption_bound, max_depth,
+             max_schedules)
     return out

@@ -5,8 +5,8 @@ Everything here is machine-free.  It reads a recorded trace: per step,
 the CPU chosen, the in-window candidates, the step's
 :class:`Footprint` and the CPUs the step delivered to (a wake or a
 posted violation).  :mod:`repro.check.explore` records the traces and
-drives both searches; ``tests/test_por.py`` exercises this module on
-synthetic traces.
+runs every search on one depth-first stack; ``tests/test_por.py``
+exercises this module on synthetic traces.
 
 **Dependence.**  Two steps are dependent when their footprints overlap
 on a conflict unit with at least one write, or either is *global*
@@ -14,9 +14,10 @@ on a conflict unit with at least one write, or either is *global*
 
 **Sleep sets** (Godefroid).  A branch seeds its child with the siblings
 already explored at that state, filtered to those independent of the
-child's first step (:func:`sleep_seed`).  The bounded search branches
-on every in-window alternative at every step and prunes with sleep sets
-alone (:func:`make_children`).
+child's first step (:func:`sleep_seed`).  A sibling not yet run enters
+with its *pending* footprint (:func:`pending_footprints`).  The bounded
+search branches on every in-window alternative at every step and
+prunes with sleep sets alone.
 
 **Happens-before** (:func:`vector_clocks`) is the transitive closure of
 four edge kinds between steps ``a < b``:
@@ -144,54 +145,6 @@ def pending_footprints(choices, footprints, deliveries, cpu_ids, lo=0):
         cur[chosen] = footprints[i]
         pending[i - lo] = nxt = cur
     return pending
-
-
-def make_children(prefix, policy, recorder, max_depth, n_cpus):
-    """The child prefixes branching off a node's trace, with their
-    sleep-set seeds, in enumeration order: every in-window alternative
-    at every step in ``[len(prefix), max_depth)``.  Without a recorder
-    (unpruned runs) no child sleeps: its seed is None."""
-    choices = policy.choices
-    candidates = policy.candidates
-    n = len(choices)
-    hi = n if max_depth is None else min(n, max_depth)
-    lo = len(prefix)
-    children = []
-    if recorder is None:
-        for i in range(lo, hi):
-            for alt in candidates[i]:
-                if alt != choices[i]:
-                    children.append((tuple(choices[:i]) + (alt,), None))
-        return children
-    # A run that died mid-step (e.g. the cycle limit) chose its last
-    # step but never closed it: branch only over fully recorded steps.
-    n = min(n, len(recorder.footprints))
-    hi = min(hi, n)
-    pending = None
-    for i in range(lo, hi):
-        if len(candidates[i]) < 2:
-            continue  # a lone candidate has no sibling
-        if pending is None:
-            pending = pending_footprints(
-                choices[:n], recorder.footprints, recorder.deliveries,
-                range(n_cpus), lo)
-        sleep_i = recorder.sleep_before[i]
-        pending_i = pending[i - lo]
-        # The already-run sibling (this trace's choice) enters with its
-        # *exact* footprint; earlier alternatives with their pending
-        # estimates.  New sibling entries become active at the branch
-        # step itself, so the child run's removal logic sees the branch
-        # action's own deliveries and dependences.
-        explored = [(choices[i], (recorder.footprints[i], i))]
-        for alt in candidates[i]:
-            if alt == choices[i] or alt in sleep_i:
-                continue
-            alt_fp = pending_i.get(alt) or GLOBAL_FOOTPRINT
-            seed = sleep_seed(list(sleep_i.items()) + explored, alt,
-                              alt_fp)
-            children.append((tuple(choices[:i]) + (alt,), seed))
-            explored.append((alt, (pending_i.get(alt), i)))
-    return children
 
 
 # ----------------------------------------------------------------------

@@ -442,8 +442,10 @@ def cmd_explore(args):
             gate_failed = True
         gate_failed |= bool(mismatches)
     if truncated:
-        print("explore: schedule cap hit; raise --max-schedules or set "
-              "--max-depth for a drainable space", file=sys.stderr)
+        print("explore: schedule cap hit; a capped search is depth-first, "
+              "not shallow-first: raise --max-schedules, set --max-depth "
+              "for a drainable space, or lower --preemption-bound for "
+              "shallow-first coverage", file=sys.stderr)
     for result, failure in failures:
         print()
         print(failure)
@@ -714,7 +716,7 @@ def build_parser():
 
     p = sub.add_parser(
         "explore",
-        help="exhaustive schedule-space model checker (iterative "
+        help="exhaustive schedule-space model checker (depth-first "
              "preemption bounding with sleep sets; unbounded pruned "
              "drains run source-set DPOR)")
     p.add_argument("--programs", default="",
@@ -723,9 +725,11 @@ def build_parser():
     p.add_argument("--configs", default="",
                    help="comma-separated configs (default: lazy-wb-assoc)")
     p.add_argument("--preemption-bound", type=int, default=2,
-                   help="max forced deviations per schedule; "
-                        "negative = unbounded (run until the search "
-                        "drains; combine with --max-depth)")
+                   help="max forced deviations per schedule; every "
+                        "search runs depth-first, so a low bound is how "
+                        "to cover shallow schedules first; negative = "
+                        "unbounded (run until the search drains; "
+                        "combine with --max-depth)")
     p.add_argument("--max-depth", type=int, default=0,
                    help="branch only at steps below this index "
                         "(0 = no depth bound)")

@@ -14,21 +14,34 @@ from __future__ import annotations
 class Bus:
     """Single shared bus with FCFS arbitration."""
 
-    #: Snapshot state (repro.sim.snapshot): occupancy is the bus's only
-    #: non-counter state.
-    _state = ("_busy_until",)
+    #: Snapshot state (repro.sim.snapshot): occupancy and the counts
+    #: not yet flushed into the stats tree.
+    _state = ("_busy_until", "n_transactions", "n_busy", "n_wait")
 
     def __init__(self, config, stats):
         self._config = config
         self._stats = stats.scope("bus")
         self._busy_until = 0
         # acquire() runs per cache miss and per commit broadcast; bind
-        # the counters and arbitration constants once.
+        # the arbitration constants once and count in plain ints, which
+        # :meth:`flush_stats` folds into the stats tree at run end.
         self._arbitration = config.bus_arbitration
         self._line_cycles = config.line_transfer_cycles
-        self._n_transactions = self._stats.counter("transactions")
-        self._n_busy = self._stats.counter("busy_cycles")
-        self._n_wait = self._stats.counter("wait_cycles")
+        self.n_transactions = 0
+        self.n_busy = 0
+        self.n_wait = 0
+
+    def flush_stats(self):
+        """Fold the counts into the stats tree and reset them.  A bus
+        that carried a transaction since the last flush grows all three
+        keys, zero waits included, as per-transaction ``add`` calls
+        would."""
+        if self.n_transactions:
+            stats = self._stats
+            stats.add("transactions", self.n_transactions)
+            stats.add("busy_cycles", self.n_busy)
+            stats.add("wait_cycles", self.n_wait)
+            self.n_transactions = self.n_busy = self.n_wait = 0
 
     def acquire(self, now, hold_cycles):
         """Request the bus at ``now`` for ``hold_cycles``.
@@ -43,9 +56,9 @@ class Bus:
             grant = busy
         done = grant + hold_cycles
         self._busy_until = done
-        self._n_transactions.add()
-        self._n_busy.add(hold_cycles)
-        self._n_wait.add(grant - now)
+        self.n_transactions += 1
+        self.n_busy += hold_cycles
+        self.n_wait += grant - now
         return done
 
     def line_transfer(self, now):

@@ -154,6 +154,7 @@ class HierarchicalMemory(MemoryModel):
         return done - now
 
     def flush_stats(self):
+        self.bus.flush_stats()
         for cache in self.l1:
             cache.flush_stats()
         for cache in self.l2:

@@ -23,20 +23,29 @@ attaches (instruments capture the executor and the violation sink).
 The eager caches do not snapshot: ``HierarchicalMemory._rederive``
 walks the lazy cache's set dict.
 
-The explorer drains unbounded pruned schedule spaces by source-set
-DPOR.  :func:`explore_sleep_sets` keeps the enumeration it replaced:
-breadth-first over generations, branching on every in-window
-alternative at every step, pruned by sleep sets alone.
+The explorer runs every search depth-first on one stack, and drains
+unbounded pruned schedule spaces by source-set DPOR.  Two enumerations
+it replaced stay here:
+
+* :func:`explore_generations` — the breadth-first generation loop that
+  ran bounded and unpruned searches: the same tree of runs, visited
+  generation by generation, each child's checkpoint handed down its
+  frontier (:func:`hand_down`, :func:`make_children`).
+* :func:`explore_sleep_sets` — that loop with no bound: the unbounded
+  enumeration DPOR replaced, branching on every in-window alternative
+  at every step, pruned by sleep sets alone.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
 from types import MethodType
 
 import repro.check.explore as explore_mod
 from repro.check.explore import ExploreReport
 from repro.check.fuzz import build_config
+from repro.check.por import GLOBAL_FOOTPRINT, pending_footprints, sleep_seed
 from repro.check.programs import make_program
 from repro.common.errors import IsaError, SimulationError
 from repro.htm.conflict import (
@@ -424,24 +433,164 @@ def install_eager_caches(machine):
 
 
 # ---------------------------------------------------------------------------
-# The sleep-set-only unbounded enumeration
+# The breadth-first generation loop
 # ---------------------------------------------------------------------------
+
+def make_children(prefix, policy, recorder, max_depth, n_cpus):
+    """The child prefixes branching off a node's trace, with their
+    sleep-set seeds, in enumeration order: every in-window alternative
+    at every step in ``[len(prefix), max_depth)``.  Without a recorder
+    (unpruned runs) no child sleeps: its seed is None."""
+    choices = policy.choices
+    candidates = policy.candidates
+    n = len(choices)
+    hi = n if max_depth is None else min(n, max_depth)
+    lo = len(prefix)
+    children = []
+    if recorder is None:
+        for i in range(lo, hi):
+            for alt in candidates[i]:
+                if alt != choices[i]:
+                    children.append((tuple(choices[:i]) + (alt,), None))
+        return children
+    # A run that died mid-step (e.g. the cycle limit) chose its last
+    # step but never closed it: branch only over fully recorded steps.
+    n = min(n, len(recorder.footprints))
+    hi = min(hi, n)
+    pending = None
+    for i in range(lo, hi):
+        if len(candidates[i]) < 2:
+            continue  # a lone candidate has no sibling
+        if pending is None:
+            pending = pending_footprints(
+                choices[:n], recorder.footprints, recorder.deliveries,
+                range(n_cpus), lo)
+        sleep_i = recorder.sleep_before[i]
+        pending_i = pending[i - lo]
+        # The already-run sibling (this trace's choice) enters with its
+        # *exact* footprint; earlier alternatives with their pending
+        # estimates.  New sibling entries become active at the branch
+        # step itself, so the child run's removal logic sees the branch
+        # action's own deliveries and dependences.
+        explored = [(choices[i], (recorder.footprints[i], i))]
+        for alt in candidates[i]:
+            if alt == choices[i] or alt in sleep_i:
+                continue
+            alt_fp = pending_i.get(alt) or GLOBAL_FOOTPRINT
+            seed = sleep_seed(list(sleep_i.items()) + explored, alt,
+                              alt_fp)
+            children.append((tuple(choices[:i]) + (alt,), seed))
+            explored.append((alt, (pending_i.get(alt), i)))
+    return children
+
+
+def hand_down(children, captured):
+    """Hand each of a node's captures (step -> snapshot) down to the
+    ``children`` forking at its step: set its ``uses`` to their count
+    (the last use takes the copies over, with no copy on load) and
+    return the captures handed down, by step.  A run that died mid-step
+    produced no children at its last step, so that capture is dropped."""
+    uses = {}
+    for child, _ in children:
+        step = len(child) - 1
+        uses[step] = uses.get(step, 0) + 1
+    handed = {}
+    for step, entry in captured.items():
+        if step in uses:
+            entry.uses = uses[step]
+            handed[step] = entry
+    return handed
+
+
+def _generations(search, n_cpus, preemption_bound, max_depth,
+                 max_schedules):
+    """Explore breadth-first over generations, filling ``search.out``:
+    generation ``b`` runs the children of generation ``b - 1``
+    (:func:`make_children`), through generation ``preemption_bound``
+    (until the frontier drains when None).
+
+    With a restore target, each frontier entry carries the checkpoint
+    its parent captured at the child's fork step and handed down
+    (:func:`hand_down`); the child restores it onto the target, and the
+    child that uses it up takes its copies over.
+    """
+    out = search.out
+    stats = out.checkpoint_stats
+    live = 0  # handed-down checkpoints with uses left
+    frontier = [((), None, None)]
+    generation = 0
+    while frontier:
+        if preemption_bound is not None and generation > preemption_bound:
+            break
+        if max_schedules is not None:
+            room = max_schedules - (out.explored + out.pruned)
+            if room <= 0:
+                out.truncated = True
+                break
+            if len(frontier) > room:
+                frontier = frontier[:room]
+                out.truncated = True
+        # The last bounded generation's children can never run: suppress
+        # them at the source.
+        depth = (0 if preemption_bound is not None
+                 and generation == preemption_bound else max_depth)
+        capture_end = sys.maxsize if depth is None else depth
+        next_frontier = []
+        # Popped in order, so an entry's checkpoint goes with its last
+        # child rather than with the generation.
+        frontier.reverse()
+        while frontier:
+            prefix, sleep, entry = frontier.pop()
+            policy, recorder, captured = search.node(
+                prefix, sleep, generation,
+                None if entry is None else (len(prefix) - 1, entry),
+                range(len(prefix), capture_end))
+            children = () if policy is None else make_children(
+                prefix, policy, recorder, depth, n_cpus)
+            handed = hand_down(children, captured)
+            next_frontier.extend(
+                (child, child_sleep, handed.get(len(child) - 1))
+                for child, child_sleep in children)
+            if stats is not None:
+                stats["deposits"] += len(handed)
+                live += len(handed) - (entry is not None and entry.uses == 0)
+                stats["peak_live"] = max(stats["peak_live"], live)
+        frontier = next_frontier
+        generation += 1
+
+
+def explore_generations(program_name, config_name, fault=None, seed=1,
+                        preemption_bound=2, max_depth=None, prune=True,
+                        max_schedules=None, checkpoint=True, report=None):
+    """:func:`repro.check.explore.explore` as it ran before every search
+    went depth-first: breadth-first over generations, where generation
+    ``b`` runs every child prefix of generation ``b - 1`` and so holds
+    the schedules with ``b`` forced deviations, through generation
+    ``preemption_bound`` (until the frontier drains when None).  The
+    same pruning and checkpoint gates as ``explore``; with
+    ``max_schedules``, the frontier is cut at the cap.  Returns an
+    :class:`~repro.check.explore.ExploreReport` with its verdicts in
+    breadth-first order and the checkpoint counters."""
+    config = build_config(config_name, make_program(program_name, seed=seed))
+    out = ExploreReport(
+        program=program_name, config=config_name, fault=fault, seed=seed,
+        preemption_bound=preemption_bound, max_depth=max_depth,
+        prune=explore_mod._should_prune(prune, fault, config),
+        checkpoint=bool(checkpoint and explore_mod._checkpoint_supported(
+            program_name, config_name, fault)))
+    search = explore_mod._Search(out, config, report)
+    _generations(search, config.n_cpus, preemption_bound, max_depth,
+                 max_schedules)
+    return out
+
 
 def explore_sleep_sets(program_name, config_name, seed=1, max_depth=None,
                        max_schedules=None, checkpoint=True, report=None):
     """Drain ``(program, config)``'s unbounded schedule space the way the
-    explorer did before DPOR: generation ``b`` runs every child prefix
-    of generation ``b - 1`` (:func:`repro.check.por.make_children`), and
-    sleep sets abandon the runs a sibling covers.  Returns an
-    :class:`~repro.check.explore.ExploreReport` with its verdicts in
-    enumeration order and the checkpoint counters; with ``checkpoint``,
-    the search carries its own fork-point checkpoints on its frontier
-    and restores them onto its own node context."""
-    config = build_config(config_name, make_program(program_name, seed=seed))
-    out = ExploreReport(program=program_name, config=config_name,
-                        seed=seed, preemption_bound=None,
-                        max_depth=max_depth, checkpoint=checkpoint)
-    search = explore_mod._Search(out, config, report)
-    explore_mod._explore_generations(search, config.n_cpus, None, max_depth,
-                                     max_schedules)
-    return out
+    explorer did before DPOR: :func:`explore_generations` with no bound,
+    branching on every in-window alternative at every step, so sleep
+    sets alone abandon the runs a sibling covers."""
+    return explore_generations(program_name, config_name, seed=seed,
+                               preemption_bound=None, max_depth=max_depth,
+                               max_schedules=max_schedules,
+                               checkpoint=checkpoint, report=report)

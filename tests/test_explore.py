@@ -3,7 +3,7 @@
 Covers the tentpole acceptance criteria:
 
 * bounded-exhaustive enumeration of a 2-CPU litmus program drains its
-  frontier and reports explored-vs-pruned counts;
+  search and reports explored-vs-pruned counts;
 * sleep-set pruning agrees with plain enumeration where the latter is
   tractable;
 * a known DESIGN.md §6b schedule-dependent bug is rediscovered without
@@ -227,14 +227,15 @@ def test_explorer_counterexample_shrinks_through_shared_loop():
 
 
 def test_node_failure_has_no_children(monkeypatch):
-    """A crashed node's subtree is lost: none of the children it has
-    when it runs clean is run, and the search goes on."""
+    """A crashed node's subtree is lost: none of the nodes below it in
+    the clean search is run, every other node is, and the search goes
+    on.  A node's descendants are the nodes whose prefixes extend its
+    own, since a child's prefix is its parent's path up to the fork plus
+    the forced CPU."""
     import repro.check.explore as explore_mod
 
     run_node = explore_mod.run_node
-    make_children = explore_mod.make_children
     ran = []
-    children = {}
 
     def spy(*args, **kwargs):
         prefix = kwargs["prefix"]
@@ -243,21 +244,21 @@ def test_node_failure_has_no_children(monkeypatch):
             raise RuntimeError("boom")
         return run_node(*args, **kwargs)
 
-    def children_spy(prefix, *args):
-        made = make_children(prefix, *args)
-        children[prefix] = [child for child, _ in made]
-        return made
+    def below(node, nodes):
+        return {other for other in nodes
+                if len(other) > len(node) and other[:len(node)] == node}
 
     monkeypatch.setattr(explore_mod, "run_node", spy)
-    monkeypatch.setattr(explore_mod, "make_children", children_spy)
     crash = None
     clean = explore("litmus-sb", CONFIG, preemption_bound=2)
-    crash = next(prefix for prefix in ran if prefix and children[prefix])
-    lost = set(children[crash])
-    assert lost <= set(ran)
+    clean_ran = list(ran)
+    crash = next(prefix for prefix in clean_ran
+                 if prefix and below(prefix, clean_ran))
+    lost = below(crash, clean_ran)
     ran.clear()
     report = explore("litmus-sb", CONFIG, preemption_bound=2)
     assert crash in ran and not lost & set(ran)
+    assert sorted(ran) == sorted(set(clean_ran) - lost)
     (failure,) = report.failures
     assert failure.violations[0].oracle == "run-failure"
     assert failure.deviations == ()
@@ -286,8 +287,8 @@ def test_in_process_node_crash_is_a_failing_verdict(monkeypatch):
 
 
 def test_dpor_node_crash_is_a_failing_verdict(monkeypatch):
-    """A DPOR run that raises is classified like one in the generation
-    loop: a run-failure verdict naming its prefix, and the drain goes
+    """A DPOR run that raises is classified like one in a bounded
+    search: a run-failure verdict naming its prefix, and the drain goes
     on with the states it already has."""
     import repro.check.explore as explore_mod
 

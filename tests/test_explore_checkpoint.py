@@ -4,10 +4,11 @@ Checkpointing is a pure optimisation: every node must produce the exact
 verdict it would have produced when replayed from cycle 0.  These tests
 enforce that differentially — same campaign with checkpoints on and
 off, byte-identical reports — and with forced misses (every other
-handed-down checkpoint dropped, so half the children replay from cycle
-0).  They also pin the checkpoints' lifetime rules: a generation search
-hands each capture down its frontier with one use per child and every
-child consumes one, a DPOR drain keeps its captures on its DFS stack,
+checkpoint dropped before it reaches the stack, so its children resume
+from an earlier one or replay from cycle 0).  They also pin the
+checkpoints' lifetime rules: every search keeps its captures on its DFS
+stack; a bounded search deposits each with one use per child forking
+there and every child consumes one, a DPOR drain's serve every child;
 nothing outlives the search however it ends (normally, truncated, or
 raising from ``report``), and a search leaves the caller's GC
 thresholds as it found them.
@@ -131,7 +132,7 @@ def test_dpor_restore_failures_fall_back_to_stateless(monkeypatch):
 
 
 def test_restore_failures_fall_back_to_stateless(monkeypatch):
-    """The generations count a failed restore as the DPOR drain does: a
+    """A bounded search counts a failed restore as a DPOR drain does: a
     miss and a fallback, with every verdict unchanged."""
     stateless = explore("litmus-sb", CONFIG, preemption_bound=2,
                         checkpoint=False)
@@ -167,30 +168,54 @@ def test_checkpoint_cache_actually_used(monkeypatch):
     assert len(restores) == stats["hits"]
 
 
+def _spy_deposits(monkeypatch, keep=None, hold=True):
+    """``(path, entry, uses)`` of every checkpoint deposited on a search
+    stack from now on: the choices leading to its state, the snapshot
+    (None unless ``hold``) and its ``uses`` as deposited.
+    ``keep(index)``, if given, says whether the deposit numbered
+    ``index`` reaches the stack at all."""
+    deposits = []
+    deposit = explore_mod._Stack.deposit
+    count = itertools.count()
+
+    def spy(stack, k, entry, counted):
+        if keep is not None and not keep(next(count)):
+            return
+        deposit(stack, k, entry, counted)
+        deposits.append((tuple(stack.choices[:k]), entry if hold else None,
+                         entry.uses))
+
+    monkeypatch.setattr(explore_mod._Stack, "deposit", spy)
+    return deposits
+
+
+def _spy_prefixes(monkeypatch):
+    """The prefix of every node run from now on."""
+    prefixes = []
+    run_node = explore_mod.run_node
+
+    def spy(*args, **kwargs):
+        prefixes.append(kwargs["prefix"])
+        return run_node(*args, **kwargs)
+
+    monkeypatch.setattr(explore_mod, "run_node", spy)
+    return prefixes
+
+
 def test_forced_misses_keep_verdicts_identical(monkeypatch):
-    """Children whose checkpoint is gone replay from cycle 0; verdicts
-    must not notice.  Every other captured entry is dropped before its
-    children run."""
+    """Children whose checkpoint is gone resume from an earlier one or
+    replay from cycle 0; verdicts must not notice.  Every other captured
+    entry is dropped before it reaches the stack."""
     stateless = explore("litmus-sb", CONFIG, preemption_bound=2,
                         checkpoint=False)
-    hand_down = explore_mod._hand_down
-    handed = itertools.count()
-    dropped = []
-
-    def dropping(children, captured):
-        kept = hand_down(children, captured)
-        for step in list(kept):
-            if next(handed) % 2:
-                dropped.append(kept.pop(step))
-        return kept
-
-    monkeypatch.setattr(explore_mod, "_hand_down", dropping)
+    kept = _spy_deposits(monkeypatch, keep=lambda index: index % 2 == 0)
     forced = explore("litmus-sb", CONFIG, preemption_bound=2,
                      checkpoint=True)
     assert _fingerprint(forced) == _fingerprint(stateless)
     stats = forced.checkpoint_stats
-    assert len(dropped) > 0
-    # The root always misses; every dropped deposit's child misses too.
+    assert 0 < len(kept) < stats["deposits"]
+    # The root always misses; a dropped deposit's children miss too
+    # unless an earlier state's snapshot serves them.
     assert stats["misses"] > 1
     assert stats["hits"] > 0
     assert stats["fallbacks"] == 0
@@ -214,63 +239,61 @@ def test_serial_drain_consumes_every_deposit(monkeypatch, no_gc, program):
     assert _alive(captured) == []
 
 
-def _spy_handed(monkeypatch):
-    """The ``uses`` of every checkpoint a node hands down, as they leave
-    :func:`_hand_down` (the entries themselves are not held)."""
-    handed = []
-    hand_down = explore_mod._hand_down
-
-    def spy(children, captured):
-        kept = hand_down(children, captured)
-        handed.extend(entry.uses for entry in kept.values())
-        return kept
-
-    monkeypatch.setattr(explore_mod, "_hand_down", spy)
-    return handed
-
-
 def test_truncated_campaign_leaves_cache_empty(monkeypatch, no_gc):
     captured = _spy_captures(monkeypatch)
-    handed = _spy_handed(monkeypatch)
+    deposits = _spy_deposits(monkeypatch, hold=False)
     report = explore("litmus-sb", CONFIG, preemption_bound=2,
                      max_schedules=20, checkpoint=True)
     assert report.truncated
-    # The cut frontier's checkpoints were never consumed ...
-    assert sum(handed) > report.checkpoint_stats["hits"]
+    # The cut stack's checkpoints were never consumed ...
+    assert sum(uses for _, _, uses in deposits) > report.checkpoint_stats[
+        "hits"]
     # ... and went with the search, without a collection.
     assert captured and _alive(captured) == []
 
 
 def test_cache_lookup_consumes_uses(monkeypatch):
-    """A node hands each capture down with one use per child forking at
-    its step; each child's restore consumes one, and the last use takes
-    the copies over.  The root never forks: its one miss."""
-    hand_down = explore_mod._hand_down
-    handed = []
-
-    def spy(children, captured):
-        kept = hand_down(children, captured)
-        for step, entry in kept.items():
-            forking = sum(len(child) - 1 == step for child, _ in children)
-            assert entry.uses == forking > 0
-            handed.append((entry, forking))
-        return kept
-
-    monkeypatch.setattr(explore_mod, "_hand_down", spy)
+    """A bounded search deposits each capture on the stack with one use
+    per child forking at its state; each child's restore consumes one,
+    and the last use takes the copies over.  The root never forks: its
+    one miss."""
+    deposits = _spy_deposits(monkeypatch)
+    prefixes = _spy_prefixes(monkeypatch)
     report = explore("litmus-sb", CONFIG, preemption_bound=2,
                      checkpoint=True)
     stats = report.checkpoint_stats
     assert not report.truncated
-    assert stats["deposits"] == len(handed) > 0
-    assert stats["hits"] == sum(uses for _, uses in handed)
+    assert stats["deposits"] == len(deposits) > 0
+    for path, _, uses in deposits:
+        forking = sum(len(prefix) == len(path) + 1
+                      and prefix[:len(path)] == path for prefix in prefixes)
+        assert uses == forking > 0
+    assert stats["hits"] == sum(uses for _, _, uses in deposits)
     assert stats["misses"] == 1
-    assert all(entry.uses == 0 for entry, _ in handed)
-    assert all(entry.state is None for entry, _ in handed)
+    assert all(entry.uses == 0 for _, entry, _ in deposits)
+    assert all(entry.state is None for _, entry, _ in deposits)
+
+
+#: ``peak_live`` of each seed-1 bound-2 search (``explore
+#: --preemption-bound 2``): the most snapshots one stack held at once.
+PEAK_LIVE = {"litmus-sb": 31, "litmus-mp": 33, "litmus-inc": 31,
+             "litmus-lb": 31, "litmus-corr": 32, "litmus-token-handoff": 5}
+
+
+@pytest.mark.parametrize("program", sorted(PEAK_LIVE))
+def test_bounded_search_holds_one_path(program):
+    """A bounded search holds at most one snapshot per state of its
+    current path, never a whole generation."""
+    report = explore(program, CONFIG, seed=1, preemption_bound=2,
+                     checkpoint=True)
+    peak = report.checkpoint_stats["peak_live"]
+    assert peak == PEAK_LIVE[program]
+    assert peak <= max(verdict.n_steps for verdict in report.verdicts)
 
 
 def test_gc_thresholds_restored_after_explore():
-    """Both searches (bounded generations, DPOR drain) run under the
-    caller's GC thresholds and leave them untouched."""
+    """Both kinds of search (bounded, DPOR drain) run under the caller's
+    GC thresholds and leave them untouched."""
     saved = gc.get_threshold()
     try:
         gc.set_threshold(777, 11, 12)
@@ -300,8 +323,8 @@ def test_gc_thresholds_restored_when_report_raises(monkeypatch, no_gc):
             explore("litmus-sb", CONFIG, preemption_bound=1,
                     report=report)
         assert gc.get_threshold() == (777, 11, 12)
-        # The root's captures were handed down to a frontier that never
-        # ran; they went with the search.
+        # The root's captures were deposited on a stack that never
+        # forked; they went with the search.
         assert captured and _alive(captured) == []
     finally:
         gc.set_threshold(*saved)
@@ -332,12 +355,12 @@ def test_checkpoint_matches_stateless_parallel():
 
 def test_stateless_mode_deposits_nothing(monkeypatch):
     captured = _spy_captures(monkeypatch)
-    handed = _spy_handed(monkeypatch)
+    deposits = _spy_deposits(monkeypatch, hold=False)
     report = explore("litmus-sb", CONFIG, preemption_bound=1,
                      checkpoint=False)
     assert report.checkpoint_stats is None
     assert captured == []
-    assert handed == []
+    assert deposits == []
 
 
 def test_litmus_mp_drain_shape_is_pinned():

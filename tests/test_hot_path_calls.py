@@ -91,8 +91,8 @@ def count_calls(build):
 
 @pytest.mark.parametrize("build, pinned", [
     (_detstress, (55581, 5294)),
-    (_matrix, (191898, 15380)),
-    (_iolog, (126081, 9126)),
+    (_matrix, (190642, 15380)),
+    (_iolog, (124444, 9126)),
 ], ids=["detstress", "matrix", "iolog"])
 def test_calls_per_step_are_pinned(build, pinned):
     assert count_calls(build) == pinned

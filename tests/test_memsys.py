@@ -68,8 +68,24 @@ class TestBus:
         stats = Stats()
         bus = Bus(paper_config(), stats)
         bus.acquire(0, 4)
+        bus.flush_stats()
         assert stats.get("bus.transactions") == 1
         assert stats.get("bus.busy_cycles") == 4
+
+    def test_flush_grows_every_key_once(self):
+        """Counts reach the stats tree on flush: all three keys on the
+        first transaction, a zero count included, and never twice."""
+        stats = Stats()
+        bus = Bus(paper_config(), stats)
+        bus.flush_stats()
+        assert stats.matching("bus") == {}
+        bus.acquire(0, 0)
+        assert stats.matching("bus") == {}
+        bus.flush_stats()
+        bus.flush_stats()
+        assert stats.matching("bus") == {
+            "bus.transactions": 1, "bus.busy_cycles": 0,
+            "bus.wait_cycles": paper_config().bus_arbitration}
 
 
 class TestCache:
