@@ -8,6 +8,9 @@ See ``docs/checking.md``.  Entry points:
   :func:`~repro.check.oracles.check_lost_wakeups` — the oracles.
 * :func:`~repro.check.fuzz.run_case` / :func:`~repro.check.fuzz.sweep` —
   the schedule-exploration fuzzer (CLI: ``python -m repro check``).
+* :func:`~repro.check.fuzz.shrink` — shrink any fuzz or explorer failure
+  to a 1-minimal deviation list (CLI: ``python -m repro explore
+  --replay``).
 """
 
 from repro.check.history import History, HistoryRecorder, TxRecord
@@ -26,7 +29,7 @@ from repro.check.fuzz import (
     CaseResult,
     chaos_sweep,
     run_case,
-    shrink_change_points,
+    shrink,
     summarize,
     sweep,
 )
@@ -49,7 +52,7 @@ __all__ = [
     "make_program",
     "precedence_graph",
     "run_case",
-    "shrink_change_points",
+    "shrink",
     "summarize",
     "sweep",
 ]

@@ -106,9 +106,11 @@ and counts it and returns what it captured.
 **Counterexamples.**  A failing schedule is reported as its *deviation
 list* — the ``(step, cpu)`` pairs where it departs from the
 deterministic pick — which replays exactly (:func:`replay`, CLI
-``python -m repro explore --replay prog:config:3@1,7@0``) and shrinks
-through the same greedy loop as the fuzzer's change-points
-(:func:`repro.check.fuzz.shrink_change_points`).
+``python -m repro explore --replay prog:config:3@1,7@0 --seed 1``).
+It is the one counterexample form: the fuzzer's randomized runs record
+theirs as they go, and every failure of ``check``, ``chaos`` and
+``explore`` shrinks through the same ddmin loop
+(:func:`repro.check.fuzz.shrink`) and prints the same replay line.
 
 **Parallelism.**  :func:`explore` runs one (program, config) search
 serially, in-process.  The unit that ``explore --jobs N`` shards is a

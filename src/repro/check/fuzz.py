@@ -7,13 +7,13 @@ nesting, functional and timing (simple and MSI) memory models — under the
 schedule policies of :mod:`repro.sim.schedule`, and checks every run with
 the oracles of :mod:`repro.check.oracles`.
 
-Every case is a pure function of its ``(program, config, policy, seed)``
-quadruple — the engine is deterministic given the policy's seed — so a
-failure is *replayable* by re-running the same quadruple (exposed on the
-CLI as ``python -m repro check --replay prog:config:policy:seed``).  For
-PCT (``pct``) failures, :func:`shrink_change_points` greedily minimises
-the set of priority change-points needed to reproduce the failure, which
-usually pins the bug to one or two scheduling decisions.
+Every case is a pure function of its name (:func:`case_name`) and so of
+the scheduling choices it made.  A randomized policy records them
+(:class:`~repro.sim.schedule.RecordingPolicy`), so any failure is an
+explorer *deviation list*: :func:`shrink` minimises it with ddmin, and
+every ``check``, ``chaos`` or ``explore`` failure prints one line,
+``python -m repro explore --replay [fault:]program:config:deviations
+--seed S``.
 
 Fault injection (:mod:`repro.faults`): every case takes an optional
 ``fault`` axis naming a :class:`~repro.faults.plan.FaultPlan` — one of
@@ -21,11 +21,9 @@ the eight recoverable chaos kinds (``spurious-violation``, ...,
 ``alloc-pressure``), its deliberately mis-recovered ``+broken`` variant,
 or the legacy ``drop-requeue`` (which disables the §6b.2
 violation-record re-queue, re-introducing the lost-wakeup bug the design
-fixed; the ``requeue`` and ``condsync`` programs catch it).  A
-fault-injected case is replayable from ``(fault, program, config,
-seed)`` — the plan pre-draws all its decisions from that seed — exposed
-on the CLI as ``python -m repro chaos --replay
-fault:program:config:seed``.  Recoverable kinds additionally run the
+fixed; the ``requeue`` and ``condsync`` programs catch it).  The plan
+pre-draws all its decisions from the seed, so a fault-injected failure
+replays like any other.  Recoverable kinds additionally run the
 fault-quiescence oracle: the hardware must end the run with no open or
 half-committed transaction left behind.
 """
@@ -46,7 +44,11 @@ from repro.harness.parallel import CaseSpec, run_campaign
 from repro.mem.layout import SharedArena
 from repro.runtime.core import Runtime
 from repro.sim.engine import Machine
-from repro.sim.schedule import PriorityPolicy, make_policy
+from repro.sim.schedule import (
+    RecordingPolicy,
+    make_policy,
+    schedule_deviations,
+)
 
 from repro.obs.profiler import CycleProfiler
 from repro.obs.sinks import RingSink
@@ -94,6 +96,12 @@ FAULTS = FAULT_NAMES
 CHAOS_FAULTS = FAULT_KINDS
 
 
+def case_name(program_name, config_name, policy_name, seed, fault=None):
+    """A case's name, ``[fault:]program:config:policy:seed``."""
+    name = f"{program_name}:{config_name}:{policy_name}:{seed}"
+    return f"{fault}:{name}" if fault else name
+
+
 @dataclasses.dataclass
 class CaseResult:
     """Outcome of one fuzz case."""
@@ -107,40 +115,44 @@ class CaseResult:
     n_committed: int = 0
     commit_cpus: tuple = ()      # committing CPU per commit, in order
     error: str = None
-    fired_points: list = None    # pct: (step, demoted cpu) pairs that fired
     fault: str = None            # fault name, if one was injected
     n_injections: int = 0        # how many times the plan fired
     fired: tuple = ()            # (opportunity, cpu, detail) per injection
     #: Last-K trace ring of a *failing* run (empty on a pass), shipped
     #: back picklable from campaign workers.
     trace: tuple = ()
+    #: The recorded schedule of a *failing* randomized run (empty on a
+    #: pass and under ``det``); see
+    #: :class:`~repro.sim.schedule.RecordingPolicy`.
+    schedule: bytes = b""
+    #: Engine steps the run took; 0 for a case that never ran.
+    n_steps: int = 0
 
     @property
     def failed(self):
         return bool(self.violations)
 
     @property
-    def triple(self):
-        """The replayable name of this case."""
-        return f"{self.program}:{self.config}:{self.policy}:{self.seed}"
+    def name(self):
+        """The case's name (see :func:`case_name`)."""
+        return case_name(self.program, self.config, self.policy,
+                         self.seed, self.fault)
 
     @property
-    def chaos_triple(self):
-        """The replayable chaos name: ``fault:program:config:seed``."""
-        return f"{self.fault}:{self.program}:{self.config}:{self.seed}"
+    def deviations(self):
+        """The ``(step, cpu)`` deviation list that replays the run."""
+        return schedule_deviations(self.schedule)
 
     def __str__(self):
-        name = self.chaos_triple if self.fault else self.triple
         if self.skipped:
-            return f"{name}: skipped (scenario needs another config)"
+            return f"{self.name}: skipped (scenario needs another config)"
         injected = (f", {self.n_injections} injections"
                     if self.fault else "")
         if not self.failed:
-            return f"{name}: ok ({self.n_committed} commits{injected})"
-        lines = [f"{name}: FAILED ({self.n_committed} commits{injected})"]
+            return f"{self.name}: ok ({self.n_committed} commits{injected})"
+        lines = [f"{self.name}: FAILED "
+                 f"({self.n_committed} commits{injected})"]
         lines += [f"  {violation}" for violation in self.violations]
-        if self.fired_points:
-            lines.append(f"  pct change-points fired: {self.fired_points}")
         if self.trace:
             lines.append(f"  trace tail ({len(self.trace)} events):")
             lines += [f"    {event}" for event in self.trace]
@@ -184,7 +196,7 @@ def collect_violations(program, machine, history, error, fault):
 
 
 def run_case(program_name, config_name, policy_name, seed,
-             fault=None, change_points=None, max_cycles=None):
+             fault=None, max_cycles=None):
     """Run one case and return its :class:`CaseResult`.
 
     Deterministic in its arguments: the seed fixes the program's
@@ -200,10 +212,7 @@ def run_case(program_name, config_name, policy_name, seed,
     if not program.supports(config):
         return CaseResult(program_name, config_name, policy_name, seed,
                           skipped=True, fault=fault)
-    policy_kwargs = {}
-    if change_points is not None:
-        policy_kwargs["change_points"] = change_points
-    policy = make_policy(policy_name, seed=seed, **policy_kwargs)
+    policy = make_policy(policy_name, seed=seed)
     machine = Machine(config, policy=policy)
     injector = None
     if fault is not None:
@@ -239,25 +248,26 @@ def run_case(program_name, config_name, policy_name, seed,
         n_committed=len(history),
         commit_cpus=tuple(r.cpu for r in history.committed),
         error=str(error) if error else None,
-        fired_points=(list(policy.fired)
-                      if isinstance(policy, PriorityPolicy) else None),
         fault=fault,
         n_injections=injector.n_injections if injector else 0,
         fired=tuple(injector.plan.fired) if injector else (),
+        schedule=(policy.schedule
+                  if violations and isinstance(policy, RecordingPolicy)
+                  else b""),
+        n_steps=machine.stats.get("engine.steps"),
     )
 
 
 def case_spec(program_name, config_name, policy_name, seed, fault=None):
     """The picklable :class:`CaseSpec` for one fuzz/chaos case.
 
-    Carries exactly the replayable quadruple (plus the fault axis), so a
+    Carries exactly the case's name (see :func:`case_name`), so a
     campaign can be sharded across processes without changing any
     result — each worker re-derives everything from the name.
     """
-    name = (f"{fault}:{program_name}:{config_name}:{seed}" if fault
-            else f"{program_name}:{config_name}:{policy_name}:{seed}")
     return CaseSpec(
-        runner="repro.check.fuzz:run_case", name=name,
+        runner="repro.check.fuzz:run_case",
+        name=case_name(program_name, config_name, policy_name, seed, fault),
         args=(program_name, config_name, policy_name, seed),
         kwargs=((("fault", fault),) if fault is not None else ()))
 
@@ -333,8 +343,8 @@ def chaos_sweep(faults=None, programs=None, configs=None, seeds=2,
 
     Defaults to the recoverable :data:`CHAOS_FAULTS` over the fast
     configs — the acceptance bar is *zero* oracle violations.  The
-    schedule policy is pinned to ``det`` so a chaos case is replayable
-    from its ``fault:program:config:seed`` name alone.  ``jobs`` and
+    schedule policy is pinned to ``det``, so a failing case replays
+    from the empty deviation list under its fault and seed.  ``jobs`` and
     ``timeout`` behave as in :func:`sweep`.
     """
     return run_campaign(
@@ -359,67 +369,57 @@ def injection_totals(results):
     return totals
 
 
-def greedy_minimize(points, rerun, fallback):
-    """Greedy drop-one minimisation of a failing schedule's decisions.
+def shrink(failure):
+    """Shrink a failure to a 1-minimal deviation list.
 
-    The one shrinking loop both failure flavours go through: re-run with
-    subsets of ``points``, drop any point whose removal keeps the
-    failure, until no single removal does.  ``rerun(points)`` must
-    return a result with a ``failed`` property.  Returns ``(points,
-    final_result)``; if even the full point set no longer reproduces the
-    failure, returns ``(points, fallback)`` untouched.
+    ``failure`` is a failing :class:`CaseResult` or explorer
+    :class:`~repro.check.explore.ScheduleVerdict`.  After the empty
+    list, runs ddmin (Zeller and Hildebrandt, TSE 2002) on the failure's
+    deviations: remove chunks of them, halving the chunk size down to
+    single deviations and repeating that pass until no removal keeps
+    the failure.  Every trial replays through
+    :func:`repro.check.explore.replay` and counts only if the replay
+    fails under one of the failure's own oracles.  Returns
+    ``(deviations, verdict)``: the shrunk list and its replay's verdict,
+    or the full list and None if even it does not reproduce the failure.
     """
-    points = list(points)
-    result = rerun(points)
-    if not result.failed:
-        # The failure depends on decisions these points don't capture
-        # (e.g. pct change-points that never fired); nothing to shrink.
-        return points, fallback
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for index in range(len(points)):
-            trial = points[:index] + points[index + 1:]
-            attempt = rerun(trial)
-            if attempt.failed:
-                points, result = trial, attempt
-                shrinking = True
-                break
-    return points, result
+    from repro.check.explore import replay
 
+    oracles = {violation.oracle for violation in failure.violations}
 
-def shrink_change_points(failure, fault=None):
-    """Greedy minimisation of a failing case's scheduling decisions.
+    def reproduce(deviations):
+        verdict = replay(failure.program, failure.config, deviations,
+                         fault=failure.fault, seed=failure.seed)
+        if any(v.oracle in oracles for v in verdict.violations):
+            return verdict
+        return None
 
-    Accepts either a failing ``pct`` :class:`CaseResult` — minimised
-    over the priority change-points that fired — or a failing explorer
-    :class:`~repro.check.explore.ScheduleVerdict` — minimised over its
-    forced deviations — and routes both through
-    :func:`greedy_minimize`, so fuzz and explore counterexamples shrink
-    on one code path.  Returns ``(points, final_result)``: the minimal
-    decision list and the re-run showing the failure under exactly
-    those decisions.
-    """
-    if hasattr(failure, "deviations"):
-        # Explorer counterexample: points are (step, cpu) deviations.
-        from repro.check.explore import replay
-
-        def rerun(points):
-            return replay(failure.program, failure.config, points,
-                          fault=failure.fault if fault is None else fault,
-                          seed=failure.seed)
-
-        return greedy_minimize(list(failure.deviations), rerun, failure)
-
-    if failure.policy != "pct":
-        raise ValueError("shrinking applies to pct failures only")
-
-    def rerun(points):
-        return run_case(failure.program, failure.config, "pct",
-                        failure.seed, fault=fault, change_points=points)
-
-    points = sorted({step for step, _cpu in (failure.fired_points or [])})
-    return greedy_minimize(points, rerun, failure)
+    # The empty list first: most failures need no deviation, and a
+    # livelock's full list forces millions of steps.
+    verdict = reproduce([])
+    if verdict is not None:
+        return [], verdict
+    deviations = list(failure.deviations)
+    if deviations:
+        verdict = reproduce(deviations)
+    if verdict is None:
+        return deviations, None
+    chunk = len(deviations) // 2
+    while chunk:
+        removed = False
+        start = 0
+        while start < len(deviations):
+            trial = deviations[:start] + deviations[start + chunk:]
+            attempt = reproduce(trial)
+            if attempt is None:
+                start += chunk
+            else:
+                deviations, verdict, removed = trial, attempt, True
+        if chunk > 1:
+            chunk //= 2
+        elif not removed:
+            break
+    return deviations, verdict
 
 
 def summarize(results):

@@ -241,31 +241,43 @@ def _pick(raw, universe, what):
     return names
 
 
+def _print_failures(failures, command):
+    """Print each failure and the line that reproduces it: the replay
+    of its shrunk deviation list, else ``command(failure)``, which
+    reruns its cell."""
+    from repro.check.fuzz import shrink
+
+    for failure in failures:
+        print()
+        print(failure)
+        deviations, verdict = (shrink(failure) if failure.n_steps
+                               else ([], None))
+        if verdict is None:
+            print("  replay with:")
+            print(f"    {command(failure)}")
+            continue
+        print(f"  shrunk to deviations {list(deviations)}; replay with:")
+        print(f"    python -m repro explore --replay {verdict.name} "
+              f"--seed {verdict.seed}")
+
+
+def _cell_command(args, failure):
+    """The ``check`` command line that reruns ``failure``'s cell."""
+    words = ["python -m repro check", f"--programs {failure.program}",
+             f"--configs {failure.config}", f"--policies {failure.policy}",
+             f"--seeds {failure.seed}"]
+    if failure.fault:
+        words.append(f"--inject-fault {failure.fault}")
+    if args.timeout:
+        words.append(f"--timeout {args.timeout:g}")
+    return " ".join(words)
+
+
 def cmd_check(args):
-    from repro.check.fuzz import (
-        CONFIGS,
-        POLICIES,
-        run_case,
-        shrink_change_points,
-        summarize,
-        sweep,
-    )
+    from repro.check.fuzz import CONFIGS, POLICIES, summarize, sweep
     from repro.check.programs import PROGRAMS
 
     fault = args.inject_fault or None
-
-    if args.replay:
-        try:
-            program, config, policy, seed = args.replay.split(":")
-            seed = int(seed)
-        except ValueError:
-            print("--replay wants program:config:policy:seed",
-                  file=sys.stderr)
-            return 2
-        result = run_case(program, config, policy, seed, fault=fault)
-        print(result)
-        return 1 if result.failed else 0
-
     results = sweep(
         programs=_pick(args.programs, PROGRAMS, "program"),
         configs=_pick(args.configs, CONFIGS, "config"),
@@ -280,16 +292,7 @@ def cmd_check(args):
     print(f"check: {n_run} cases run, {n_skipped} skipped, "
           f"{len(failures)} failed"
           + (f" (fault injected: {fault})" if fault else ""))
-    for failure in failures:
-        print()
-        print(failure)
-        if failure.policy == "pct" and failure.fired_points:
-            points, _ = shrink_change_points(failure, fault=fault)
-            print(f"  shrunk to change-points {points}; replay with:")
-        else:
-            print("  replay with:")
-        print(f"    python -m repro check --replay {failure.triple}"
-              + (f" --inject-fault {fault}" if fault else ""))
+    _print_failures(failures, lambda failure: _cell_command(args, failure))
     return 1 if failures else 0
 
 
@@ -300,22 +303,9 @@ def cmd_chaos(args):
         FAULTS,
         chaos_sweep,
         injection_totals,
-        run_case,
         summarize,
     )
     from repro.check.programs import PROGRAMS
-
-    if args.replay:
-        try:
-            fault, program, config, seed = args.replay.split(":")
-            seed = int(seed)
-        except ValueError:
-            print("--replay wants fault:program:config:seed",
-                  file=sys.stderr)
-            return 2
-        result = run_case(program, config, "det", seed, fault=fault)
-        print(result)
-        return 1 if result.failed else 0
 
     faults = _pick(args.faults, set(FAULTS), "fault")
     results = chaos_sweep(
@@ -337,11 +327,7 @@ def cmd_chaos(args):
         print(f"  {fault}: {count} injections")
         if not count:
             unreachable.append(fault)
-    for failure in failures:
-        print()
-        print(failure)
-        print("  replay with:")
-        print(f"    python -m repro chaos --replay {failure.chaos_triple}")
+    _print_failures(failures, lambda failure: _cell_command(args, failure))
     if unreachable:
         print(f"chaos: fault kinds never fired: {unreachable}",
               file=sys.stderr)
@@ -350,13 +336,12 @@ def cmd_chaos(args):
 
 def cmd_explore(args):
     from repro.check.explore import (
-        deviations_to_str,
         failed_search,
         parse_deviations,
         replay,
         search_spec,
     )
-    from repro.check.fuzz import CONFIGS, shrink_change_points
+    from repro.check.fuzz import CONFIGS
     from repro.check.programs import LITMUS_PROGRAMS, PROGRAMS
     from repro.harness.parallel import run_campaign
 
@@ -421,7 +406,7 @@ def cmd_explore(args):
             stats = result.checkpoint_stats
             print("  checkpoint: "
                   + ", ".join(f"{k}={stats[k]}" for k in sorted(stats)))
-        failures.extend((result, failure) for failure in result.failures)
+        failures.extend(result.failures)
         truncated |= result.truncated
     if args.min_checkpoint_speedup:
         # Differential gate: the stateless control must agree
@@ -446,31 +431,16 @@ def cmd_explore(args):
               "not shallow-first: raise --max-schedules, set --max-depth "
               "for a drainable space, or lower --preemption-bound for "
               "shallow-first coverage", file=sys.stderr)
-    for result, failure in failures:
-        print()
-        print(failure)
-        if result.error or not failure.n_steps:
-            # The search, or a node of it, died before a schedule was
-            # judged: no deviation list names the failure, so replay
-            # the pair's search.
-            print("  replay with:")
-            print(f"    {_search_command(args, result)}")
-            continue
-        deviations, _ = shrink_change_points(failure, fault=fault)
-        devstr = deviations_to_str(deviations)
-        name = f"{failure.program}:{failure.config}:{devstr}"
-        if failure.fault:
-            name = f"{failure.fault}:{name}"
-        print(f"  shrunk to deviations {list(deviations)}; replay with:")
-        print(f"    python -m repro explore --replay {name}")
+    _print_failures(failures,
+                    lambda failure: _search_command(args, failure))
     return 1 if failures or gate_failed else 0
 
 
-def _search_command(args, report):
-    """The ``explore`` command line that reruns ``report``'s search
+def _search_command(args, failure):
+    """The ``explore`` command line that reruns ``failure``'s search
     alone, with the sweep's search options."""
-    words = ["python -m repro explore", f"--programs {report.program}",
-             f"--configs {report.config}",
+    words = ["python -m repro explore", f"--programs {failure.program}",
+             f"--configs {failure.config}",
              f"--preemption-bound {args.preemption_bound}",
              f"--max-depth {args.max_depth}", f"--seed {args.seed}",
              f"--max-schedules {args.max_schedules}"]
@@ -677,8 +647,6 @@ def build_parser():
                    help="inject a seeded fault (a bare kind must survive "
                         "the oracles; a '+broken' variant re-introduces a "
                         "known bug the oracles must catch)")
-    p.add_argument("--replay", default="",
-                   help="re-run one case as program:config:policy:seed")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the sweep (default 1; "
                         "results are identical at any job count)")
@@ -702,8 +670,6 @@ def build_parser():
     p.add_argument("--configs", default="",
                    help="comma-separated config names (default: the fast "
                         "four)")
-    p.add_argument("--replay", default="",
-                   help="re-run one case as fault:program:config:seed")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the matrix (default 1; "
                         "results are identical at any job count)")

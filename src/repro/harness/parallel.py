@@ -2,10 +2,10 @@
 
 The checking, chaos, and bench subsystems all drive the simulator
 through embarrassingly-parallel case matrices, and every case is a pure
-function of a small replayable name (``program:config:policy:seed``,
-``fault:program:config:seed``, a bench cell id).  This module turns such
-a campaign into a list of small picklable :class:`CaseSpec` tuples and
-runs them across ``jobs`` worker processes:
+function of a small replayable name (``[fault:]program:config:policy:seed``,
+a bench cell id).  This module turns such a campaign into a list of
+small picklable :class:`CaseSpec` tuples and runs them across ``jobs``
+worker processes:
 
 * **Determinism.**  Results are merged in enumeration order, so the
   merged list is identical to the serial run's no matter how the cases

@@ -19,6 +19,10 @@ explore other interleavings:
   Bugs"): each CPU gets a random static priority, and at ``depth`` random
   change-points the currently-chosen CPU is demoted below everyone else.
 
+Both randomized policies record where each pick departs from the
+deterministic one (:class:`RecordingPolicy`): the deviation list that
+:class:`ControlledPolicy` forces to replay the run.
+
 Every policy other than the deterministic one restricts its choice to
 CPUs whose ``resume_at`` lies within ``window`` cycles of the earliest
 runnable ``resume_at``.  The window is what guarantees progress under
@@ -38,6 +42,7 @@ hash ordering or encounter order).
 from __future__ import annotations
 
 import random
+import zlib
 
 #: Default bound (cycles) on how far ahead of the earliest runnable CPU a
 #: randomized policy may schedule.  Small enough that spin loops make
@@ -71,10 +76,6 @@ class SchedulePolicy:
         """Return one CPU from the non-empty list ``runnable``."""
         raise NotImplementedError
 
-    def describe(self):
-        """Replayable description, e.g. ``pct(seed=3, depth=3)``."""
-        return self.name
-
 
 class DeterministicPolicy(SchedulePolicy):
     """The engine's historical schedule: smallest local time wins, ties
@@ -93,22 +94,69 @@ class DeterministicPolicy(SchedulePolicy):
         return min(runnable, key=lambda cpu: (cpu.resume_at, cpu.cpu_id))
 
 
-class RandomPolicy(SchedulePolicy):
+#: Steps of a recorded schedule buffered before they are compressed.
+RECORD_BLOCK = 1 << 16
+
+
+class RecordingPolicy(SchedulePolicy):
+    """A randomized policy that records its schedule as it runs.
+
+    :meth:`choose` takes the in-window candidates and calls the
+    subclass's own :meth:`pick` among them.  The record holds one byte
+    per step: 0 where the pick was the first candidate (the
+    deterministic pick), else the chosen CPU id plus one.  It is
+    zlib-compressed a block of :data:`RECORD_BLOCK` steps at a time,
+    because a livelocked run deviates at millions of steps.
+    """
+
+    def __init__(self, window=DEFAULT_WINDOW):
+        self.window = window
+        self._tail = bytearray()
+        self._zip = zlib.compressobj()
+        self._packed = []
+
+    def pick(self, candidates):
+        """Return one CPU from the in-window ``candidates``."""
+        raise NotImplementedError
+
+    def choose(self, runnable):
+        candidates = window_candidates(runnable, self.window)
+        chosen = self.pick(candidates)
+        tail = self._tail
+        tail.append(0 if chosen is candidates[0] else chosen.cpu_id + 1)
+        if len(tail) == RECORD_BLOCK:
+            self._packed.append(self._zip.compress(tail))
+            tail.clear()
+        return chosen
+
+    @property
+    def schedule(self):
+        """The schedule recorded so far, as one zlib stream."""
+        zipper = self._zip.copy()
+        return (b"".join(self._packed) + zipper.compress(self._tail)
+                + zipper.flush())
+
+
+def schedule_deviations(schedule):
+    """The ``(step, cpu)`` deviation list of a recorded schedule.
+
+    ``schedule`` is a :attr:`RecordingPolicy.schedule`."""
+    codes = zlib.decompress(schedule) if schedule else b""
+    return tuple((step, code - 1)
+                 for step, code in enumerate(codes) if code)
+
+
+class RandomPolicy(RecordingPolicy):
     """Seeded uniform choice among the in-window candidates."""
 
     name = "random"
 
     def __init__(self, seed=0, window=DEFAULT_WINDOW):
-        self.seed = seed
-        self.window = window
+        super().__init__(window)
         self._rng = random.Random(seed)
 
-    def choose(self, runnable):
-        candidates = window_candidates(runnable, self.window)
+    def pick(self, candidates):
         return self._rng.choice(candidates)
-
-    def describe(self):
-        return f"random(seed={self.seed})"
 
 
 class SchedulePruned(Exception):
@@ -250,12 +298,8 @@ class ControlledPolicy(SchedulePolicy):
             if cpu.cpu_id == chosen:
                 return cpu
 
-    def describe(self):
-        forced = sorted(self.forced.items())
-        return f"controlled(forced={forced})"
 
-
-class PriorityPolicy(SchedulePolicy):
+class PriorityPolicy(RecordingPolicy):
     """PCT-style priority scheduling with ``depth`` change-points.
 
     Each CPU gets a static pseudo-random priority derived from
@@ -263,30 +307,19 @@ class PriorityPolicy(SchedulePolicy):
     of ``depth`` change-points (scheduling-step indices drawn from
     ``range(1, horizon)``), the CPU chosen at that step is demoted below
     every static priority — the PCT move that forces the "wrong" thread
-    to run at a critical moment.
-
-    ``change_points`` may be passed explicitly (a sequence of step
-    indices) to replay or *shrink* a failing schedule: the fuzz driver
-    re-runs with subsets of the original points to find a minimal set
-    that still fails.  The points that actually fired are recorded in
-    :attr:`fired` (as ``(step, demoted_cpu_id)`` pairs).
+    to run at a critical moment.  A failing run replays and shrinks
+    through its recorded :attr:`schedule`, like any randomized run.
     """
 
     name = "pct"
 
-    def __init__(self, seed=0, depth=3, horizon=50_000, change_points=None,
+    def __init__(self, seed=0, depth=3, horizon=50_000,
                  window=DEFAULT_WINDOW):
+        super().__init__(window)
         self.seed = seed
-        self.depth = depth
-        self.horizon = horizon
-        self.window = window
-        if change_points is None:
-            rng = random.Random(seed)
-            span = range(1, max(2, horizon))
-            change_points = sorted(
-                rng.sample(span, min(depth, len(span))))
-        self.change_points = sorted(change_points)
-        self.fired = []
+        rng = random.Random(seed)
+        span = range(1, max(2, horizon))
+        self.change_points = sorted(rng.sample(span, min(depth, len(span))))
         self._next_point = 0
         self._steps = 0
         #: cpu_id -> demotion ordinal; the most recently demoted CPU has
@@ -296,8 +329,7 @@ class PriorityPolicy(SchedulePolicy):
 
     def _static_priority(self, cpu_id):
         # Derived from (seed, cpu_id) alone: stable across runs and
-        # independent of encounter order, so replays and shrinks see the
-        # same priorities.
+        # independent of encounter order.
         return random.Random(self.seed * 1_000_003 + cpu_id).random()
 
     def _rank(self, cpu):
@@ -307,9 +339,8 @@ class PriorityPolicy(SchedulePolicy):
             return (1, self._demote_seq - self._demoted[cpu.cpu_id])
         return (0, self._static_priority(cpu.cpu_id))
 
-    def choose(self, runnable):
+    def pick(self, candidates):
         self._steps += 1
-        candidates = window_candidates(runnable, self.window)
         chosen = min(candidates,
                      key=lambda cpu: (self._rank(cpu),
                                       cpu.resume_at, cpu.cpu_id))
@@ -318,12 +349,7 @@ class PriorityPolicy(SchedulePolicy):
             self._next_point += 1
             self._demote_seq += 1
             self._demoted[chosen.cpu_id] = self._demote_seq
-            self.fired.append((self._steps, chosen.cpu_id))
         return chosen
-
-    def describe(self):
-        return (f"pct(seed={self.seed}, depth={self.depth}, "
-                f"change_points={list(self.change_points)})")
 
 
 #: name -> constructor accepting (seed, **kwargs).

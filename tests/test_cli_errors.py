@@ -39,10 +39,6 @@ class TestCheckErrors:
             main(["check", "--inject-fault", "cosmic-ray"])
         assert "cosmic-ray" in capsys.readouterr().err
 
-    def test_malformed_replay_triple(self, capsys):
-        assert main(["check", "--replay", "counter:lazy-wb-assoc"]) == 2
-        assert "program:config:policy:seed" in capsys.readouterr().err
-
 
 class TestChaosErrors:
     def test_bad_fault_name(self):

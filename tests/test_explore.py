@@ -22,7 +22,7 @@ from repro.check.explore import (
     parse_deviations,
     replay,
 )
-from repro.check.fuzz import run_case, shrink_change_points
+from repro.check.fuzz import run_case, shrink
 from repro.check.programs import LITMUS_PROGRAMS, PROGRAMS
 from repro.sim.schedule import ControlledPolicy, SchedulePruned
 from tests.reference import explore_sleep_sets
@@ -211,15 +211,15 @@ def test_replay_round_trip():
 
 
 def test_explorer_counterexample_shrinks_through_shared_loop():
-    """Satellite: explorer counterexamples route through the same
-    shrink_change_points greedy loop as the fuzzer's change-points."""
+    """Explorer counterexamples route through the same ddmin loop
+    (shrink) as the fuzzer's failures."""
     report = explore("requeue", CONFIG, fault="drop-requeue",
                      preemption_bound=1, max_schedules=30)
     deviating = [v for v in report.failures if v.deviations]
     assert deviating, "bound-1 exploration found no deviating failure"
     failure = deviating[0]
-    shrunk, result = shrink_change_points(failure)
-    # The det schedule already fails under this fault, so the greedy
+    shrunk, result = shrink(failure)
+    # The det schedule already fails under this fault, so the ddmin
     # loop must drop every deviation — pinning the fully-shrunk trace.
     assert shrunk == []
     assert result.failed

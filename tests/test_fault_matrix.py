@@ -7,7 +7,7 @@ zero oracle violations.
 Three further guarantees, per the fault-injection design (docs/faults.md):
 
 * determinism — a chaos case is a pure function of its
-  ``(fault, program, config, seed)`` name: identical seeds give
+  ``fault:program:config:det:seed`` name: identical seeds give
   bit-identical commit streams and injection streams;
 * reachability — every kind actually fires somewhere in the matrix
   (an injection count of zero would make the clean sweep vacuous);
@@ -19,6 +19,7 @@ Three further guarantees, per the fault-injection design (docs/faults.md):
 
 import pytest
 
+from repro.check.explore import replay
 from repro.check.fuzz import CHAOS_FAULTS, injection_totals, run_case
 from repro.check.programs import PROGRAMS
 from repro.faults import FaultInjector, make_plan
@@ -62,13 +63,20 @@ def test_identical_seeds_give_identical_streams(fault):
 
 
 def test_chaos_case_replays_from_its_triple():
+    """A chaos case reruns from its name, and its schedule replays
+    through the explorer to the same verdict."""
     result = run_case("counter", "lazy-wb-assoc", "det", 2,
                       fault="spurious-violation")
-    assert result.chaos_triple == "spurious-violation:counter:lazy-wb-assoc:2"
-    fault, program, config, seed = result.chaos_triple.split(":")
-    replay = run_case(program, config, "det", int(seed), fault=fault)
-    assert replay.commit_cpus == result.commit_cpus
-    assert replay.fired == result.fired
+    assert result.name == "spurious-violation:counter:lazy-wb-assoc:det:2"
+    fault, program, config, policy, seed = result.name.split(":")
+    rerun = run_case(program, config, policy, int(seed), fault=fault)
+    assert rerun.commit_cpus == result.commit_cpus
+    assert rerun.fired == result.fired
+    verdict = replay(program, config, result.deviations, fault=fault,
+                     seed=int(seed))
+    assert verdict.n_committed == result.n_committed
+    assert verdict.violations == result.violations
+    assert verdict.divergences == ()
 
 
 def test_detached_injector_restores_golden_flagship_cycles():

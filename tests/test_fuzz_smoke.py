@@ -8,16 +8,16 @@ Two guarantees, per the checking design (docs/checking.md):
   inside a minute, with zero oracle violations;
 * the oracles have *teeth*: re-introducing the DESIGN.md §6b.2
   violation-record re-queue bug (via the ``requeue_enabled`` test hook)
-  is caught by the lost-wakeup oracle, deterministically, with a
-  replayable ``(program, config, policy, seed)`` case.
+  is caught by the lost-wakeup oracle, deterministically, and the
+  failure replays as an explorer deviation list.
 """
 
 import time
 
 import pytest
 
-from repro.check import PROGRAMS, run_case, summarize, sweep
-from repro.check.fuzz import shrink_change_points
+from repro.check import PROGRAMS, run_case, shrink, summarize, sweep
+from repro.check.explore import replay
 
 SMOKE_BUDGET_SECONDS = 60
 
@@ -53,11 +53,11 @@ def test_drop_requeue_fault_is_caught_with_a_replayable_case():
     assert result.failed
     assert [v.oracle for v in result.violations] == ["lost-wakeup"]
     assert "cpu(s) [0]" in str(result.violations[0])
-    assert result.triple == "requeue:lazy-wb-assoc:det:1"
-    # Replaying the advertised case reproduces the identical failure.
-    replay = run_case("requeue", "lazy-wb-assoc", "det", 1,
-                      fault="drop-requeue")
-    assert ([str(v) for v in replay.violations]
+    assert result.name == "drop-requeue:requeue:lazy-wb-assoc:det:1"
+    # Replaying the advertised schedule reproduces the identical failure.
+    again = replay("requeue", "lazy-wb-assoc", result.deviations,
+                   fault="drop-requeue", seed=1)
+    assert ([str(v) for v in again.violations]
             == [str(v) for v in result.violations])
 
 
@@ -67,16 +67,16 @@ def test_requeue_program_passes_without_the_fault():
     assert not result.error
 
 
-def test_pct_failures_shrink_to_replayable_change_points():
+def test_pct_failures_shrink_to_replayable_deviations():
     failure = run_case("requeue", "lazy-wb-assoc", "pct", 1,
                        fault="drop-requeue")
     assert failure.failed
-    points, minimal = shrink_change_points(failure, fault="drop-requeue")
+    deviations, minimal = shrink(failure)
     assert minimal.failed
-    # The shrunk point set replays the failure on its own.
-    replay = run_case("requeue", "lazy-wb-assoc", "pct", 1,
-                      fault="drop-requeue", change_points=points)
-    assert replay.failed
+    # The shrunk deviation list replays the failure on its own.
+    again = replay("requeue", "lazy-wb-assoc", deviations,
+                   fault="drop-requeue", seed=1)
+    assert again.failed
 
 
 def test_unknown_fault_and_program_are_rejected():

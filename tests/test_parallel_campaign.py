@@ -193,7 +193,7 @@ class TestCampaignEquivalence:
         assert results[0].failed
         assert results[0].violations[0].oracle == "run-failure"
         assert "worker crashed" in results[0].error
-        assert results[0].triple == "counter:lazy-wb-assoc:det:1"
+        assert results[0].name == "counter:lazy-wb-assoc:det:1"
         assert not results[1].failed
 
     def test_cli_check_jobs_flag(self, capsys):

@@ -19,10 +19,12 @@ from repro.mem.layout import SharedArena
 from repro.runtime.core import Runtime
 from repro.sim.engine import Machine
 from repro.sim.schedule import (
+    ControlledPolicy,
     DeterministicPolicy,
     PriorityPolicy,
     RandomPolicy,
     make_policy,
+    schedule_deviations,
     window_candidates,
 )
 from repro.workloads import Mp3dKernel
@@ -109,8 +111,6 @@ def test_controlled_policy_candidates_match_window_candidates():
     it must record exactly window_candidates' ids and pick the first."""
     import random
 
-    from repro.sim.schedule import ControlledPolicy
-
     rng = random.Random(5)
     for _ in range(500):
         cpus = [FakeCpu(cpu_id, rng.choice((0, 10, 249, 250, 251, 600)))
@@ -160,19 +160,34 @@ def test_every_policy_preserves_the_counter_invariant():
         assert len(history) == 2 * 4
 
 
-def test_pct_replays_with_explicit_change_points():
+def test_pct_replays_from_its_recorded_schedule():
     original = PriorityPolicy(seed=11, depth=3)
     first = _counter_history(original).signature()
-    points = sorted({step for step, _cpu in original.fired})
-    replay = PriorityPolicy(seed=11, change_points=points)
+    deviations = schedule_deviations(original.schedule)
+    assert deviations
+    replay = ControlledPolicy(forced=dict(deviations))
     assert _counter_history(replay).signature() == first
+    assert replay.divergences == []
+
+
+def test_recorded_schedule_marks_each_departure_from_the_first_candidate():
+    cpus = [FakeCpu(0, 0), FakeCpu(1, 0), FakeCpu(2, 400)]
+    policy = RandomPolicy(seed=3)
+    picks = [policy.choose(cpus).cpu_id for _ in range(20)]
+    assert set(picks) == {0, 1}
+    assert schedule_deviations(policy.schedule) == tuple(
+        (step, cpu) for step, cpu in enumerate(picks) if cpu != 0)
 
 
 def test_pct_change_points_demote_the_running_cpu():
-    policy = PriorityPolicy(seed=2, change_points=[1])
+    policy = PriorityPolicy(seed=2, depth=1, horizon=2)
+    assert policy.change_points == [1]
     cpus = [FakeCpu(0, 0), FakeCpu(1, 0)]
     victim = policy.choose(cpus)
-    assert policy.fired == [(1, victim.cpu_id)]
+    # Without the change point the static priorities keep the victim.
+    static = PriorityPolicy(seed=2, depth=0)
+    assert [static.choose(cpus).cpu_id for _ in range(2)] == [
+        victim.cpu_id] * 2
     # The demoted CPU now ranks below the other while both are in-window.
     assert policy.choose(cpus).cpu_id != victim.cpu_id
 
