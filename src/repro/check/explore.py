@@ -128,7 +128,9 @@ exactly the interleavings the randomized policies can reach, and the
 finite window doubles as the termination guarantee under sleep sets —
 a CPU spinning on units independent of every sleep entry advances its
 local time until the sleeper is the only in-window candidate, at which
-point the run prunes instead of starving it forever.
+point the run prunes instead of starving it forever.  The deterministic
+pick does not depend on the window, so bound 0 is the fuzzer's ``det``
+schedule.
 """
 
 from __future__ import annotations
@@ -136,36 +138,32 @@ from __future__ import annotations
 import dataclasses
 import sys
 from functools import partial
+from itertools import islice
 
-from repro.common.errors import ReproError
 from repro.common.params import LAZY
 from repro.htm.conflict import PROCEED
-from repro.faults import FaultInjector, make_plan
 from repro.harness.parallel import CaseSpec, call_guarded
-from repro.mem.layout import SharedArena
-from repro.runtime.core import Runtime
 from repro.sim.engine import Machine
 from repro.sim.schedule import (
-    DEFAULT_WINDOW,
     ControlledPolicy,
+    ReplayPolicy,
     SchedulePruned,
 )
 from repro.sim.snapshot import SnapshotError
 
 from repro.obs.observer import Observer
 from repro.obs.profiler import CycleProfiler
-from repro.obs.sinks import RingSink
-from repro.sim.trace import Tracer
 
 from repro.check.fuzz import (
     CONFIGS,
     FAULTS,
-    TRACE_RING,
+    FailureTrace,
     build_config,
     collect_violations,
+    faulted,
 )
 from repro.check.history import HistoryRecorder
-from repro.check.oracles import OracleViolation, check_cycle_conservation
+from repro.check.oracles import OracleViolation
 from repro.check.por import (
     EMPTY_FOOTPRINT,
     GLOBAL_FOOTPRINT,
@@ -179,16 +177,8 @@ from repro.check.por import (
 )
 from repro.check.programs import make_program
 from repro.spec.replay import freeze
+from repro.workloads.base import Run, caught
 
-#: The explorer's candidate window (cycles) — the fuzzer's default.  A
-#: *finite* window is what guarantees termination under sleep sets: a
-#: CPU spinning on a unit independent of every sleep entry advances its
-#: local time until the sleeper is the only in-window candidate, at
-#: which point the run prunes instead of livelocking.  (An infinite
-#: window starves the sleeper forever and hits the cycle limit.)  The
-#: deterministic pick is window-independent, so bound 0 still equals
-#: the fuzzer's ``det`` schedule.
-EXPLORE_WINDOW = DEFAULT_WINDOW
 
 _EMPTY = frozenset()
 
@@ -201,10 +191,8 @@ class StepRecorder(Observer):
     ``queued`` events; each ``step`` event closes one footprint.  While
     running, any step dependent on a sleep entry — or delivering to it —
     wakes that entry (``policy.sleep``), keeping the pruning sound.
-    Unlike the other observers it does not attach itself: the caller
-    brackets the run with ``machine.observe(recorder)`` and
-    ``machine.unobserve(recorder)``, so one pooled recorder can serve
-    many restored nodes.
+    A search's restore target keeps one recorder and subscribes it only
+    while pruning nodes run.
     """
 
     #: Snapshot state (repro.sim.snapshot), as a book of the machine.
@@ -237,6 +225,7 @@ class StepRecorder(Observer):
         #: rollback, cleared only when the CPU leaves transactional mode.
         self._cpu_reads = {cpu.cpu_id: set() for cpu in machine.cpus}
         self._cpu_writes = {cpu.cpu_id: set() for cpu in machine.cpus}
+        machine.observe(self)
 
     # ------------------------------------------------------------------
 
@@ -391,12 +380,13 @@ class StepRecorder(Observer):
 # over.  Instead, a run captures mid-run machine snapshots
 # (:mod:`repro.sim.snapshot`) at the step boundaries its search will
 # fork children from, and a child restores one and runs on from there.
-# A checkpoint is just such a snapshot, carrying the node's observers
-# and policy recordings as its books (:func:`_books`).  The search keeps
-# its snapshots on its DFS stack (:class:`_Stack`), one per state at
-# most, and a child resumes from the nearest one at or before its fork,
-# forcing the gap.  Which states a run captures at is the enumeration
-# rule's:
+# A checkpoint is just such a snapshot, carrying the node's *books*, in
+# the one order capture and restore share: its policy's recordings, the
+# history, the cycle books and, on a pruning node, the step records.
+# The search keeps its snapshots on its DFS stack (:class:`_Stack`), one
+# per state at most, and a child resumes from the nearest one at or
+# before its fork, forcing the gap.  Which states a run captures at is
+# the enumeration rule's:
 #
 # * **Bounded or unpruned.**  A node with prefix ``P`` captures at the
 #   states it will branch at, in ``[len(P), max_depth)`` — where
@@ -460,9 +450,9 @@ class StepRecorder(Observer):
 #   with the context's observers attached, but no event fires until the
 #   engine steps, so the restore loads every book once, after the
 #   machine.
-# * **No trace ring on the node.**  Only a failing verdict reads the
-#   trace tail; :func:`_failure_trace` rebuilds it by replaying that one
-#   schedule with a tracer attached.
+# * **No trace ring on the node.**  Only a printed failure reads the
+#   trace tail; :class:`~repro.check.fuzz.FailureTrace` rebuilds it then
+#   by replaying that one schedule with a tracer attached.
 #
 # Checkpointing is verified differentially: ``--no-checkpoint`` keeps
 # the stateless path, and the conformance gate asserts
@@ -491,23 +481,23 @@ class _NodeContext:
     __slots__ = ("machine", "recorder", "history", "profiler")
 
     def __init__(self, config):
-        placeholder = ControlledPolicy(window=EXPLORE_WINDOW)
+        placeholder = ControlledPolicy()
         self.machine = Machine(config, policy=placeholder)
-        self.recorder = StepRecorder(self.machine, placeholder)
         self.history = HistoryRecorder(self.machine)
         self.profiler = CycleProfiler(self.machine)
+        self.recorder = StepRecorder(self.machine, placeholder)
 
     def resume(self, snapshot, setup_fn, policy, sleep_entries, sleep_from,
                record):
         """Restore ``snapshot`` onto this context's machine (re-running
         ``setup_fn``) with the node's ``policy`` and this context's
         observers as its books, then install the node's policy and sleep
-        set; returns the program.  A restore that raises
+        set; returns the program and the books.  A restore that raises
         :class:`SnapshotError` consumes no use and touches no book."""
         machine = self.machine
         recorder = self.recorder
-        books = _books(policy, self.history, self.profiler,
-                       recorder if record else None)
+        books = (policy, self.history, self.profiler) + (
+            (recorder,) if record else ())
         program = machine.restore(snapshot, setup_fn, books)
         machine.policy = policy
         if record:
@@ -522,7 +512,7 @@ class _NodeContext:
             machine.observe(recorder)
         else:
             machine.unobserve(recorder)
-        return program
+        return program, books
 
 
 def _checkpoint_supported(program_name, config_name, fault):
@@ -536,48 +526,42 @@ def _checkpoint_supported(program_name, config_name, fault):
             and CONFIGS.get(config_name, {}).get("detection", LAZY) == LAZY)
 
 
-def _node_setup(program_name, seed):
-    """The ``setup_fn`` a restore re-runs to rebuild coroutine frames
-    (identical to the stateless path's bring-up; programs derive all
-    randomness from ``seed``, so the rebuild is deterministic)."""
-    def setup(machine):
-        runtime = Runtime(machine)
-        arena = SharedArena(machine)
-        program = make_program(program_name, seed=seed)
-        program.setup(machine, runtime, arena)
-        return program
-    return setup
-
-
-def _books(policy, history_recorder, profiler, recorder):
-    """The books a checkpoint carries beside its machine, in the one
-    order capture and restore share: the policy's recordings, the
-    history, the cycle books and, on a pruning node, the step records."""
-    books = (policy, history_recorder, profiler)
-    return books if recorder is None else books + (recorder,)
-
-
 def _capture(machine, books):
-    """One checkpoint: a snapshot of ``machine`` and its ``books``
-    (:func:`_books`) at the current step boundary, where every book is
-    quiescent."""
+    """One checkpoint: a snapshot of ``machine`` and its ``books`` at
+    the current step boundary, where every book is quiescent."""
     return machine.snapshot(books)
 
 
-def _capture_hook(machine, steps, books, captured):
-    """The ``fork_hook`` capturing a node's checkpoints into ``captured``
-    (step -> snapshot) at the steps of ``steps`` (ascending) the policy
-    calls it at.  At the last one it retires itself and the step
-    journal only captures read."""
-    last = steps[-1]
+class _Capture:
+    """The fork-point capture hook and the step journal it reads, as an
+    instrument: while attached, ``policy`` calls it at the steps of
+    ``steps`` (ascending) a child can fork from, and it captures a
+    checkpoint of the machine and ``books`` into ``captured`` (step ->
+    snapshot).  At the last step, or at once with no steps, it retires
+    itself and the journal."""
 
-    def hook(step):
-        captured[step] = _capture(machine, books)
-        if step == last:
-            machine.policy.fork_steps = _EMPTY
+    def __init__(self, policy, steps, books, captured, machine):
+        self.machine = machine
+        self.policy = policy
+        self.books = books
+        self.captured = captured
+        self.last = steps[-1] if steps else None
+        if steps:
+            machine.enable_journal()
+            policy.fork_steps = steps
+            policy.fork_hook = self
+        else:
             machine.disable_journal()
 
-    return hook
+    def __call__(self, step):
+        self.captured[step] = _capture(self.machine, tuple(self.books))
+        if step == self.last:
+            self.policy.fork_steps = _EMPTY
+            self.machine.disable_journal()
+
+    def detach(self):
+        self.policy.fork_hook = None
+        self.machine.disable_journal()
 
 
 # ----------------------------------------------------------------------
@@ -606,7 +590,7 @@ def parse_deviations(text):
 
 
 @dataclasses.dataclass
-class ScheduleVerdict:
+class ScheduleVerdict(FailureTrace):
     """The oracles' verdict on one completely executed schedule."""
 
     program: str
@@ -624,16 +608,12 @@ class ScheduleVerdict:
     signature: tuple = ()
     #: Forced choices that were unavailable on replay (normally empty).
     divergences: tuple = ()
-    #: Last-K trace ring of a *failing* schedule (empty on a pass).
-    trace: tuple = ()
     #: The program's frozen final observation (None on an errored run);
     #: an exhaustive drain's outcome set is gated against the spec's
     #: admissible set (:func:`repro.spec.outcomes.spec_outcomes`).
     outcome: object = None
-
-    @property
-    def failed(self):
-        return bool(self.violations)
+    #: The cycle budget the schedule ran under (None: the program's).
+    max_cycles: int = None
 
     @property
     def name(self):
@@ -646,181 +626,100 @@ class ScheduleVerdict:
         if not self.failed:
             return (f"{self.name}: ok ({self.n_committed} commits, "
                     f"{self.n_steps} steps)")
-        lines = [f"{self.name}: FAILED ({self.n_committed} commits)"]
-        lines += [f"  {violation}" for violation in self.violations]
-        if self.trace:
-            lines.append(f"  trace tail ({len(self.trace)} events):")
-            lines += [f"    {event}" for event in self.trace]
-        return "\n".join(lines)
+        return self._failure_lines(
+            f"{self.name}: FAILED ({self.n_committed} commits)")
 
 
 def _should_prune(prune, fault, config):
     return bool(prune) and fault is None and config.detection == LAZY
 
 
-def _execute(program_name, config_name, forced, sleep_entries, sleep_from,
-             fault, seed, max_cycles, record, checkpoint_ctx=None,
-             trace=False):
-    """Run one controlled schedule; returns the post-run state tuple
-    ``(program, machine, policy, history, error, pruned_at, recorder,
-    obs)`` where ``obs`` is the ``(tracer, profiler)`` pair: the
-    cycle-conservation books every node carries, and the trace-on-failure
-    ring when ``trace`` asks for it (else None; a node's verdict reads a
-    trace only when it fails, see :func:`_failure_trace`).
-    ``sleep_entries`` is the sleep-set seed (see
-    :func:`repro.check.por.sleep_seed`).
+def _fresh(program_name, config_name, prefix, sleep, fault, seed, record,
+           max_cycles, checkpoint):
+    """Run one node (see :func:`run_node`) from cycle 0 through
+    :meth:`~repro.workloads.base.Workload.run`; returns ``(program,
+    machine, error, books)``."""
+    policy = ControlledPolicy(
+        forced=dict(enumerate(prefix)), sleep=sleep,
+        sleep_from=len(prefix))
+    program = make_program(program_name, seed=seed)
+    config = build_config(config_name, program)
+    # The books fill up as their instruments attach, before any capture.
+    books = [policy]
 
-    ``checkpoint_ctx`` switches the node to checkpoints, in the one form
-    both searches use: ``{"prefix", "target", "resume", "capture",
-    "captured"}``.  With ``resume = (step, snapshot)`` the run restores
-    ``snapshot`` onto the search's ``target`` (:class:`_NodeContext`) and
-    forces the prefix from ``step`` on; it reports whether the restore
-    happened as ``"restored"``.  It captures into ``captured`` (step ->
-    snapshot) at the steps of ``capture`` (ascending) a child can fork
-    from (see :class:`ControlledPolicy` and :func:`_capture_hook`).
-    ``forced`` may be None: it is the prefix's, built only for a
-    stateless run.  Verdicts are identical either way — checkpoints only
-    change where execution starts.
-    """
-    if fault is not None and fault not in FAULTS:
-        raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
-    target = None
-    if checkpoint_ctx is not None:
-        prefix = checkpoint_ctx["prefix"]
-        if forced is None:
-            forced = dict(enumerate(prefix))
-        if checkpoint_ctx["resume"] is not None:
-            target = checkpoint_ctx["target"]
-            # The resumed run makes only the prefix's choices from the
-            # resume step on (the earlier ones load with the snapshot).
-            start, snapshot = checkpoint_ctx["resume"]
-            policy = ControlledPolicy(
-                forced={step: prefix[step]
-                        for step in range(start, len(prefix))},
-                sleep=sleep_entries, sleep_from=sleep_from,
-                window=EXPLORE_WINDOW)
-            recording = record and _should_prune(
-                True, fault, target.machine.config)
-            try:
-                program = target.resume(
-                    snapshot, _node_setup(program_name, seed), policy,
-                    sleep_entries, sleep_from, recording)
-            except SnapshotError:
-                target = None
-        checkpoint_ctx["restored"] = target is not None
-    injector = None
-    if target is not None:
-        # Restored: the context's observers are already attached and
-        # loaded (checkpointing never runs under a fault plan, so no
-        # injector here).
-        machine = target.machine
-        recorder = target.recorder if recording else None
-        history_recorder = target.history
-        profiler = target.profiler
-        tracer = None
-    else:
-        policy = ControlledPolicy(
-            forced=forced, sleep=sleep_entries, sleep_from=sleep_from,
-            window=EXPLORE_WINDOW)
-        program = make_program(program_name, seed=seed)
-        config = build_config(config_name, program)
-        machine = Machine(config, policy=policy)
-        if checkpoint_ctx is not None:
-            machine.enable_journal()
-        recorder = None
-        if record and _should_prune(True, fault, config):
-            recorder = StepRecorder(machine, policy,
-                                    sleep_entries=sleep_entries,
-                                    sleep_from=sleep_from)
-            machine.observe(recorder)
-        if fault is not None:
-            injector = FaultInjector(make_plan(fault, seed), machine)
-        runtime = Runtime(machine)
-        arena = SharedArena(machine)
-        history_recorder = HistoryRecorder(machine)
-        profiler = CycleProfiler(machine)
-        tracer = (Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
-                  if trace else None)
-    if checkpoint_ctx is not None:
-        capture = checkpoint_ctx["capture"]
-        if capture:
-            policy.fork_steps = capture
-            policy.fork_hook = _capture_hook(
-                machine, capture,
-                _books(policy, history_recorder, profiler, recorder),
-                checkpoint_ctx["captured"])
-        else:
-            machine.disable_journal()
-    error = None
-    pruned_at = None
+    def book(factory):
+        def attach(machine):
+            books.append(factory(machine))
+            return books[-1]
+        return attach
+
+    instruments = [book(HistoryRecorder), book(CycleProfiler)]
+    if _should_prune(record, fault, config):
+        instruments.append(book(lambda machine: StepRecorder(
+            machine, policy, sleep, len(prefix))))
+    if checkpoint is not None:
+        instruments.append(partial(_Capture, policy, checkpoint["capture"],
+                                   books, checkpoint["captured"]))
+    machine, _, error = program.run(
+        config, max_cycles or program.max_cycles, policy,
+        faulted(fault, seed, instruments), judge=Run)
+    return program, machine, error, tuple(books)
+
+
+def _resumed(program_name, prefix, sleep, fault, seed, record, max_cycles,
+             checkpoint):
+    """Run one node from the checkpoint it resumes from, as
+    :func:`_fresh` does from cycle 0; None when there is none or the
+    restore raised :class:`SnapshotError`."""
+    if checkpoint["resume"] is None:
+        return None
+    target = checkpoint["target"]
+    machine = target.machine
+    start, snapshot = checkpoint["resume"]
+    # The resumed run makes only the prefix's choices from the resume
+    # step on (the earlier ones load with the snapshot).
+    policy = ControlledPolicy(
+        forced={step: prefix[step] for step in range(start, len(prefix))},
+        sleep=sleep, sleep_from=len(prefix))
+    recording = _should_prune(record, fault, machine.config)
     try:
-        if target is None:
-            program.setup(machine, runtime, arena)
-        machine.run(max_cycles=max_cycles or program.max_cycles)
-    except SchedulePruned as exc:
-        pruned_at = exc.step
-    except ReproError as exc:
-        error = exc
+        # The restore re-runs the set-up half of a fresh run; programs
+        # derive all randomness from ``seed``, so it is deterministic.
+        program, books = target.resume(
+            snapshot, lambda machine: make_program(
+                program_name, seed=seed).prepare(machine),
+            policy, sleep, len(prefix), recording)
+    except SnapshotError:
+        return None
+    capture = _Capture(policy, checkpoint["capture"], books,
+                       checkpoint["captured"], machine)
+    try:
+        error = caught(machine.run,
+                       max_cycles=max_cycles or program.max_cycles)
     finally:
-        policy.fork_hook = None
-        if target is None:
-            if tracer is not None:
-                tracer.detach()
-            profiler.detach()
-            history_recorder.detach()
-            if injector is not None:
-                injector.detach()
-            if recorder is not None:
-                machine.unobserve(recorder)
-    return (program, machine, policy, history_recorder.history, error,
-            pruned_at, recorder, (tracer, profiler))
+        capture.detach()
+    return program, machine, error, books
 
 
-def _trace_deviations(policy):
-    return tuple(
-        (step, chosen)
-        for step, (chosen, cands) in enumerate(
-            zip(policy.choices, policy.candidates))
-        if cands and chosen != cands[0])
-
-
-def _failure_trace(program_name, config_name, fault, seed, max_cycles,
-                   deviations):
-    """The last-K trace ring of the schedule ``deviations`` names, from a
-    replay with a tracer attached.  Runs are a pure function of their
-    choices, so the replay records exactly the events the explored run
-    made; only a failing schedule pays for it."""
-    obs = _execute(program_name, config_name, dict(deviations), {}, 0,
-                   fault, seed, max_cycles, record=False, trace=True)[-1]
-    return tuple(obs[0].events)
-
-
-def _make_verdict(program_name, config_name, fault, seed, program,
-                  machine, policy, history, error, obs=None,
-                  max_cycles=None):
+def _make_verdict(program_name, config_name, fault, seed, max_cycles,
+                  program, machine, error, books):
+    """Judge a finished run into its :class:`ScheduleVerdict`."""
+    policy, history_recorder, profiler = books[:3]
+    history = history_recorder.history
     violations, error = collect_violations(
-        program, machine, history, error, fault)
-    deviations = _trace_deviations(policy)
-    trace = ()
-    if obs is not None:
-        tracer, profiler = obs
-        violations += check_cycle_conservation(profiler.account())
-        if violations:
-            trace = (tuple(tracer.events) if tracer is not None
-                     else _failure_trace(program_name, config_name, fault,
-                                         seed, max_cycles, deviations))
+        program, machine, history, profiler, error, fault)
     outcome = None if error else freeze(program.outcome(machine))
     return ScheduleVerdict(
         program=program_name, config=config_name, fault=fault, seed=seed,
-        deviations=deviations,
+        deviations=policy.deviations,
         violations=violations,
         error=str(error) if error else None,
         n_committed=len(history),
-        n_steps=len(policy.choices),
+        n_steps=policy.n_steps,
         signature=history.signature(),
         divergences=tuple(policy.divergences),
-        trace=trace,
-        outcome=outcome)
+        outcome=outcome,
+        max_cycles=max_cycles)
 
 
 def run_node(program_name, config_name, prefix, sleep, fault, seed, prune,
@@ -833,20 +732,25 @@ def run_node(program_name, config_name, prefix, sleep, fault, seed, prune,
 
     ``sleep`` is the sleep-set seed for this subtree (see
     :func:`repro.check.por.sleep_seed`).  ``checkpoint`` is the node's
-    checkpoint context (see :func:`_execute`), or None for a stateless
-    run; the verdict is identical either way.
+    checkpoint context (``{"target", "resume", "capture", "captured"}``,
+    see :meth:`_Search.node`; this adds ``"restored"``), or None for a
+    stateless run; the verdict is identical either way.
     """
-    program, machine, policy, history, error, pruned_at, recorder, obs = (
-        _execute(program_name, config_name,
-                 None if checkpoint else dict(enumerate(prefix)),
-                 sleep or {}, len(prefix), fault, seed, max_cycles,
-                 record=prune, checkpoint_ctx=checkpoint))
+    sleep = sleep or {}
+    args = (prefix, sleep, fault, seed, prune, max_cycles, checkpoint)
+    node = None
+    if checkpoint is not None:
+        node = _resumed(program_name, *args)
+        checkpoint["restored"] = node is not None
+    if node is None:
+        node = _fresh(program_name, config_name, *args)
+    program, machine, error, books = node
     verdict = None
-    if pruned_at is None:
+    if not isinstance(error, SchedulePruned):
         verdict = _make_verdict(program_name, config_name, fault, seed,
-                                program, machine, policy, history, error,
-                                obs=obs, max_cycles=max_cycles)
-    return verdict, policy, recorder, machine.stats.get("engine.steps")
+                                max_cycles, program, machine, error, books)
+    recorder = books[3] if len(books) > 3 else None
+    return verdict, books[0], recorder, machine.stats.get("engine.steps")
 
 
 class _Search:
@@ -879,14 +783,14 @@ class _Search:
 
         With a restore target the node resumes from ``resume`` (``(step,
         snapshot)`` or None) and captures at the steps of ``capture``
-        into ``captured`` (step -> snapshot; see :func:`_execute`); a
+        into ``captured`` (step -> snapshot; see :func:`run_node`); a
         run that started counts as a hit if it restored, else a miss,
         and a fallback if its restore failed.
         """
         ctx = None
         if self.target is not None:
-            ctx = {"prefix": prefix, "target": self.target,
-                   "resume": resume, "capture": capture, "captured": {}}
+            ctx = {"target": self.target, "resume": resume,
+                   "capture": capture, "captured": {}}
         kwargs = self.kwargs
         result = call_guarded(
             run_node, (), dict(kwargs, prefix=prefix, sleep=sleep,
@@ -931,15 +835,22 @@ def replay(program_name, config_name, deviations, fault=None, seed=1,
 
     Forcing exactly the deviating steps (every other step takes the
     deterministic pick) reconstructs the original schedule bit-for-bit,
-    so a counterexample replays from its name alone.
+    so a counterexample replays from its name alone.  The replay
+    records no step (:class:`~repro.sim.schedule.ReplayPolicy`), so a
+    livelock's long schedule is held once, in the caller's list.
     """
-    deviations = tuple(sorted(tuple(d) for d in deviations))
-    program, machine, policy, history, error, _pruned, _rec, obs = (
-        _execute(program_name, config_name, dict(deviations), {}, 0,
-                 fault, seed, max_cycles, record=False, trace=True))
+    if any(a[0] >= b[0] for a, b in zip(deviations,
+                                        islice(deviations, 1, None))):
+        deviations = sorted(dict(deviations).items())
+    policy = ReplayPolicy(deviations)
+    program = make_program(program_name, seed=seed)
+    machine, attached, error = program.run(
+        build_config(config_name, program),
+        max_cycles or program.max_cycles, policy,
+        faulted(fault, seed, [HistoryRecorder, CycleProfiler]), judge=Run)
     return _make_verdict(program_name, config_name, fault, seed,
-                         program, machine, policy, history, error,
-                         obs=obs)
+                         max_cycles, program, machine, error,
+                         (policy, *attached[-2:]))
 
 
 # ----------------------------------------------------------------------

@@ -31,8 +31,8 @@ half-committed transaction left behind.
 from __future__ import annotations
 
 import dataclasses
+from functools import cached_property
 
-from repro.common.errors import ReproError
 from repro.common.params import (
     EAGER,
     MULTI_TRACKING,
@@ -41,11 +41,9 @@ from repro.common.params import (
 )
 from repro.faults import FAULT_KINDS, FAULT_NAMES, FaultInjector, make_plan
 from repro.harness.parallel import CaseSpec, run_campaign
-from repro.mem.layout import SharedArena
-from repro.runtime.core import Runtime
-from repro.sim.engine import Machine
 from repro.sim.schedule import (
     RecordingPolicy,
+    ReplayPolicy,
     make_policy,
     schedule_deviations,
 )
@@ -64,9 +62,9 @@ from repro.check.oracles import (
 )
 from repro.check.programs import PROGRAMS, make_program
 from repro.spec.replay import check_conformance
+from repro.workloads.base import Run
 
-#: Events kept in each case's trace-on-failure ring (the last K; a
-#: failing case ships them home attached to its result).
+#: Events kept in a failure's trace tail (the last K of its run).
 TRACE_RING = 64
 
 #: The configuration matrix, named so failures replay by name.
@@ -102,8 +100,35 @@ def case_name(program_name, config_name, policy_name, seed, fault=None):
     return f"{fault}:{name}" if fault else name
 
 
+class FailureTrace:
+    """A failure and its trace tail, rebuilt (:func:`failure_trace`) when
+    first read: the part of :class:`CaseResult` and the explorer's
+    ``ScheduleVerdict`` they share."""
+
+    @property
+    def failed(self):
+        return bool(self.violations)
+
+    @cached_property
+    def trace(self):
+        """The last :data:`TRACE_RING` events of a failing run that
+        stepped, else empty."""
+        if not (self.failed and self.n_steps):
+            return ()
+        return failure_trace(self.program, self.config, self.deviations,
+                             self.fault, self.seed, self.max_cycles)
+
+    def _failure_lines(self, header):
+        """``header``, then the violations and the trace tail."""
+        lines = [header] + [f"  {violation}" for violation in self.violations]
+        if self.trace:
+            lines.append(f"  trace tail ({len(self.trace)} events):")
+            lines += [f"    {event}" for event in self.trace]
+        return "\n".join(lines)
+
+
 @dataclasses.dataclass
-class CaseResult:
+class CaseResult(FailureTrace):
     """Outcome of one fuzz case."""
 
     program: str
@@ -118,19 +143,14 @@ class CaseResult:
     fault: str = None            # fault name, if one was injected
     n_injections: int = 0        # how many times the plan fired
     fired: tuple = ()            # (opportunity, cpu, detail) per injection
-    #: Last-K trace ring of a *failing* run (empty on a pass), shipped
-    #: back picklable from campaign workers.
-    trace: tuple = ()
     #: The recorded schedule of a *failing* randomized run (empty on a
     #: pass and under ``det``); see
     #: :class:`~repro.sim.schedule.RecordingPolicy`.
     schedule: bytes = b""
     #: Engine steps the run took; 0 for a case that never ran.
     n_steps: int = 0
-
-    @property
-    def failed(self):
-        return bool(self.violations)
+    #: The cycle budget the case ran under (None: the program's own).
+    max_cycles: int = None
 
     @property
     def name(self):
@@ -150,13 +170,8 @@ class CaseResult:
                     if self.fault else "")
         if not self.failed:
             return f"{self.name}: ok ({self.n_committed} commits{injected})"
-        lines = [f"{self.name}: FAILED "
-                 f"({self.n_committed} commits{injected})"]
-        lines += [f"  {violation}" for violation in self.violations]
-        if self.trace:
-            lines.append(f"  trace tail ({len(self.trace)} events):")
-            lines += [f"    {event}" for event in self.trace]
-        return "\n".join(lines)
+        return self._failure_lines(
+            f"{self.name}: FAILED ({self.n_committed} commits{injected})")
 
 
 def build_config(config_name, program):
@@ -165,18 +180,26 @@ def build_config(config_name, program):
     return functional_config(n_cpus=n_cpus, **overrides)
 
 
-def collect_violations(program, machine, history, error, fault):
-    """Final-state verification plus the oracle battery for one finished
-    run; shared by :func:`run_case` and the explorer
+def faulted(fault, seed, instruments):
+    """``instruments`` (``Workload.run`` factories) behind the injector
+    of fault ``fault`` at ``seed``, if any: first to attach, last off."""
+    if fault is None:
+        return list(instruments)
+    if fault not in FAULTS:
+        raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
+    return [lambda machine: FaultInjector(make_plan(fault, seed), machine),
+            *instruments]
+
+
+def collect_violations(program, machine, history, profiler, error, fault):
+    """The one judge of a finished run: final-state verification, the
+    oracle battery and cycle conservation over ``profiler``'s books;
+    shared by :func:`run_case` and the explorer
     (:mod:`repro.check.explore`), so both drivers judge a schedule by
     exactly the same rules.  Returns ``(violations, error)`` — ``error``
     may have been raised by ``program.verify``.
     """
-    if error is None:
-        try:
-            program.verify(machine)
-        except ReproError as exc:
-            error = exc
+    error = program.checked(machine, error)
     violations = list(check_serializability(history))
     violations += check_lost_wakeups(machine, error, program.waiter_cpus)
     if error is None:
@@ -188,11 +211,29 @@ def collect_violations(program, machine, history, error, fault):
         # it rather than letting a crash read as a pass.
         violations.append(OracleViolation(
             "run-failure", f"{type(error).__name__}: {error}"))
-    # The strongest oracle last: differential replay against the
+    # The strongest oracle next: differential replay against the
     # abstract reference semantics (repro.spec).
     violations += check_conformance(program, machine, history, error,
                                     fault)
+    violations += check_cycle_conservation(profiler.account())
     return violations, error
+
+
+def failure_trace(program_name, config_name, deviations, fault=None,
+                  seed=1, max_cycles=None):
+    """The last :data:`TRACE_RING` events of the run ``deviations`` names,
+    from a replay with a tracer attached: a run is a pure function of
+    its scheduling choices, so the replay makes the original's events."""
+    program = make_program(program_name, seed=seed)
+
+    def tracer(machine):
+        return Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
+
+    return program.run(
+        build_config(config_name, program),
+        max_cycles or program.max_cycles, ReplayPolicy(deviations),
+        faulted(fault, seed, [tracer]),
+        judge=lambda machine, attached, error: tuple(attached[-1].events))
 
 
 def run_case(program_name, config_name, policy_name, seed,
@@ -205,56 +246,34 @@ def run_case(program_name, config_name, policy_name, seed,
     overrides the program's budget (the broken-fault self-tests use a
     small budget so a deliberate livelock fails fast).
     """
-    if fault is not None and fault not in FAULTS:
-        raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
+    instruments = faulted(fault, seed, [HistoryRecorder, CycleProfiler])
     program = make_program(program_name, seed=seed)
     config = build_config(config_name, program)
     if not program.supports(config):
         return CaseResult(program_name, config_name, policy_name, seed,
                           skipped=True, fault=fault)
     policy = make_policy(policy_name, seed=seed)
-    machine = Machine(config, policy=policy)
-    injector = None
-    if fault is not None:
-        injector = FaultInjector(make_plan(fault, seed), machine)
-    runtime = Runtime(machine)
-    arena = SharedArena(machine)
-    recorder = HistoryRecorder(machine)
-    # Observability rides along on every case: the profiler's books are
-    # checked by the conservation oracle, and the last-K trace ring is
-    # attached to the result if the case fails.
-    profiler = CycleProfiler(machine)
-    tracer = Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
-    error = None
-    try:
-        program.setup(machine, runtime, arena)
-        machine.run(max_cycles=max_cycles or program.max_cycles)
-    except ReproError as exc:
-        error = exc
-    finally:
-        tracer.detach()
-        profiler.detach()
-        recorder.detach()
-        if injector is not None:
-            injector.detach()
+    machine, attached, error = program.run(
+        config, max_cycles or program.max_cycles, policy, instruments,
+        judge=Run)
+    *injector, recorder, profiler = attached
     history = recorder.history
     violations, error = collect_violations(
-        program, machine, history, error, fault)
-    violations += check_cycle_conservation(profiler.account())
+        program, machine, history, profiler, error, fault)
     return CaseResult(
         program_name, config_name, policy_name, seed,
         violations=violations,
-        trace=tuple(tracer.events) if violations else (),
         n_committed=len(history),
         commit_cpus=tuple(r.cpu for r in history.committed),
         error=str(error) if error else None,
         fault=fault,
-        n_injections=injector.n_injections if injector else 0,
-        fired=tuple(injector.plan.fired) if injector else (),
+        n_injections=injector[0].n_injections if injector else 0,
+        fired=tuple(injector[0].plan.fired) if injector else (),
         schedule=(policy.schedule
                   if violations and isinstance(policy, RecordingPolicy)
                   else b""),
         n_steps=machine.stats.get("engine.steps"),
+        max_cycles=max_cycles,
     )
 
 

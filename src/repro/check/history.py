@@ -241,14 +241,3 @@ class HistoryRecorder(Observer):
             # promise (the condsync scheduler's RESUME, §5).
             for frame in self._frames[cpu.cpu_id]:
                 frame.resumed = True
-
-    def detach(self):
-        """Unsubscribe; exact and idempotent."""
-        self.machine.unobserve(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.detach()
-        return False

@@ -565,8 +565,9 @@ class RequeueWakeupProgram(CheckProgram):
             raise ReproError("requeue: the waiter was never woken")
 
 
-class CondSyncProgram(CheckProgram):
-    """One producer/consumer pair under the full watch/retry scheduler."""
+class CondSyncProgram(CheckProgram, CondSyncWorkload):
+    """One producer/consumer pair under the full watch/retry scheduler:
+    the condsync workload itself, with the checking metadata."""
 
     name = "condsync"
     max_cycles = 1_200_000
@@ -576,23 +577,13 @@ class CondSyncProgram(CheckProgram):
     spec_supported = False
 
     def __init__(self, n_threads=2, seed=1, scale=0.5):
-        self._inner = CondSyncWorkload(n_pairs=1, seed=seed, scale=scale)
-        super().__init__(self._inner.n_threads, seed=seed, scale=scale)
-
-    def min_cpus(self):
-        return self._inner.min_cpus()
+        CondSyncWorkload.__init__(self, n_pairs=1, seed=seed, scale=scale)
 
     def supports(self, config):
         # The scheduler transaction never commits; under eager detection
         # every producer targeting a watched line stalls against it
         # forever.  The paper's condsync runtime presumes lazy detection.
         return config.detection == LAZY
-
-    def setup(self, machine, runtime, arena):
-        self._inner.setup(machine, runtime, arena)
-
-    def verify(self, machine):
-        self._inner.verify(machine)
 
 
 class IoChaosProgram(CheckProgram):

@@ -153,9 +153,8 @@ def cmd_profile(args):
 
 def cmd_trace(args):
     from repro.check.fuzz import build_config
-    from repro.check.programs import PROGRAMS, make_program
+    from repro.check.programs import make_program
     from repro.harness.report import format_cycle_accounting
-    from repro.mem.layout import SharedArena
     from repro.obs import (
         ChromeTraceSink,
         CycleProfiler,
@@ -165,9 +164,8 @@ def cmd_trace(args):
         account_metrics,
         machine_metrics,
     )
-    from repro.runtime.core import Runtime
-    from repro.sim.engine import Machine
     from repro.sim.trace import ALL_KINDS, Tracer
+    from repro.workloads.base import Run
 
     kinds = (frozenset(args.kinds.split(",")) if args.kinds
              else ALL_KINDS)
@@ -187,22 +185,13 @@ def cmd_trace(args):
         sinks.append(ChromeTraceSink(args.chrome))
     sink = sinks[0] if len(sinks) == 1 else TeeSink(*sinks)
 
-    machine = Machine(config)
-    runtime = Runtime(machine)
-    arena = SharedArena(machine)
-    profiler = CycleProfiler(machine)
-    tracer = Tracer(machine, kinds=kinds, sink=sink)
-    error = None
     try:
-        workload.setup(machine, runtime, arena)
-        machine.run(max_cycles=2_000_000_000)
-        workload.verify(machine)
-    except Exception as exc:
-        error = exc
+        machine, (profiler, tracer), error = workload.run(config, instruments=[
+            CycleProfiler, lambda m: Tracer(m, kinds=kinds, sink=sink)],
+            judge=Run)
     finally:
-        tracer.detach()
-        profiler.detach()
         sink.close()
+    error = workload.checked(machine, error)
     account = profiler.account()
 
     print(tracer.format())

@@ -115,13 +115,6 @@ class FaultInjector:
                 cpu.isa.requeue_enabled = enabled
         self._saved = {}
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.detach()
-        return False
-
     # ------------------------------------------------------------------
     # Shared wrapping helpers
     # ------------------------------------------------------------------

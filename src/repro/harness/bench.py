@@ -32,10 +32,8 @@ import os
 
 from repro.common.params import functional_config, paper_config
 from repro.harness.parallel import CaseSpec, run_campaign
-from repro.mem.layout import SharedArena
-from repro.runtime.core import Runtime
-from repro.sim.engine import Machine
 from repro.workloads import DetectionStressKernel, Mp3dKernel, SwimKernel
+from repro.workloads.base import Run
 
 #: Path of the golden cycle counts, next to this module.
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "bench_golden.json")
@@ -74,13 +72,7 @@ def matrix_cells(smoke=False):
 def run_cell(factory, config, max_cycles=2_000_000_000):
     """Run and verify one workload under ``config``; returns its
     simulated cycles and engine steps."""
-    workload = factory()
-    machine = Machine(config)
-    runtime = Runtime(machine)
-    arena = SharedArena(machine)
-    workload.setup(machine, runtime, arena)
-    machine.run(max_cycles=max_cycles)
-    workload.verify(machine)
+    machine = factory().run(config, max_cycles=max_cycles)
     return {"cycles": machine.stats.get("cycles"),
             "steps": machine.stats.get("engine.steps")}
 
@@ -124,16 +116,11 @@ def run_flagship_accounting(expected_cycles=None):
     from repro.obs.profiler import CycleProfiler
 
     workload = DetectionStressKernel(n_threads=FLAGSHIP_CPUS)
-    machine = Machine(_flagship_config())
-    runtime = Runtime(machine)
-    arena = SharedArena(machine)
-    workload.setup(machine, runtime, arena)
-    profiler = CycleProfiler(machine)
-    try:
-        machine.run(max_cycles=2_000_000_000)
-        workload.verify(machine)
-    finally:
-        profiler.detach()
+    machine, (profiler,), error = workload.run(
+        _flagship_config(), instruments=[CycleProfiler], judge=Run)
+    error = workload.checked(machine, error)
+    if error is not None:
+        raise error
     account = profiler.account()
 
     errors = []

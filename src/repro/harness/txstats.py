@@ -68,16 +68,6 @@ class TxStatsCollector(Observer):
                 duration=self.machine.now - began_at,
             ))
 
-    def detach(self):
-        """Unsubscribe; exact and idempotent."""
-        self.machine.unobserve(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.detach()
-        return False
 
     # ------------------------------------------------------------------
 

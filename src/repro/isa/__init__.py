@@ -12,7 +12,7 @@ from repro.isa.context import (
     WAITING,
     Cpu,
     ExecOutcome,
-    latency_outcome,
+    OpCache,
 )
 from repro.isa.dispatch import (
     HandlerOutcome,
@@ -29,11 +29,11 @@ __all__ = [
     "ExecOutcome",
     "HandlerOutcome",
     "IsaState",
+    "OpCache",
     "RUNNABLE",
     "WAITING",
     "default_abort_dispatcher",
     "default_violation_dispatcher",
-    "latency_outcome",
     "lowest_level_in_mask",
     "tcb",
 ]

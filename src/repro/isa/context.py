@@ -112,35 +112,41 @@ _STALL = _intern(stall=True)
 _UNIT = _intern()
 _DESCHEDULE = _intern(deschedule=True)
 
-#: Interned no-value outcomes keyed by latency.  Latencies come from the
-#: memory model (cache/memory/bus constants plus bounded queueing), so
-#: the working set is small; anything past the cap — pathological custom
-#: configs — falls back to a fresh allocation.
+#: Latencies come from the memory model (cache/memory/bus constants
+#: plus bounded queueing), so the working set is small; past the cap —
+#: pathological custom configs — an outcome is allocated fresh.
 _LATENCY_CACHE_LIMIT = 4096
-_latency_cache = {1: _UNIT}
-
-
-def latency_outcome(latency):
-    """A no-value :class:`ExecOutcome` with ``latency``, interned."""
-    outcome = _latency_cache.get(latency)
-    if outcome is None:
-        if latency <= _LATENCY_CACHE_LIMIT:
-            outcome = _latency_cache[latency] = _intern(latency=latency)
-        else:
-            outcome = ExecOutcome(latency=latency)
-    return outcome
-
-
-# Interned program-facing ops.  Load/ImLoad/Alu are frozen dataclasses
-# fully determined by one field, and programs re-issue the same handful
-# of addresses and ALU widths constantly; handing back a shared
-# instance skips a dataclass construction per dynamic instruction.
-# (Value-carrying Store/ImStore ops are not interned: their value field
-# has unbounded variety.  They are cheap plain classes instead.)
 _OP_CACHE_LIMIT = 1 << 16
-_LOAD_CACHE = {}
-_IMLOAD_CACHE = {}
-_ALU_CACHE = {}
+
+
+class OpCache:
+    """One machine's interned ops and no-value outcomes (per machine, so
+    a run's host work does not depend on what ran before it).
+
+    Load/ImLoad/Alu are frozen dataclasses fully determined by one
+    field, and programs re-issue the same handful of addresses and ALU
+    widths constantly; handing back a shared instance skips a dataclass
+    construction per dynamic instruction.  (Value-carrying Store/ImStore
+    ops are cheap plain classes instead: their values vary without
+    bound.)"""
+
+    __slots__ = ("loads", "imloads", "alus", "outcomes")
+
+    def __init__(self):
+        self.loads = {}
+        self.imloads = {}
+        self.alus = {}
+        self.outcomes = {1: _UNIT}
+
+    def outcome(self, latency):
+        """A no-value :class:`ExecOutcome` with ``latency``, interned."""
+        outcome = self.outcomes.get(latency)
+        if outcome is None:
+            if latency <= _LATENCY_CACHE_LIMIT:
+                outcome = self.outcomes[latency] = _intern(latency=latency)
+            else:
+                outcome = ExecOutcome(latency=latency)
+        return outcome
 
 
 class Cpu:
@@ -152,7 +158,7 @@ class Cpu:
         "send_value",
         "throw_exc", "parked", "saved_sends", "saved_viol", "state",
         "resume_at", "daemon", "wake_tokens", "pending_abort", "result",
-        "failure", "rt", "_htm", "_mem", "_dispatch", "execute",
+        "failure", "rt", "_htm", "_mem", "_ops", "_dispatch", "execute",
         "_table_execute",
     )
 
@@ -214,6 +220,7 @@ class Cpu:
         # (e.g. of ``htm.validate``) working.
         self._htm = machine.htm
         self._mem = machine.memmodel
+        self._ops = machine.ops
         self._dispatch = {op_cls: MethodType(func, self)
                           for op_cls, func in _CORE_HANDLERS.items()}
         #: The public executor, held in a slot so instruments (the cycle
@@ -227,11 +234,12 @@ class Cpu:
     # ------------------------------------------------------------------
 
     def load(self, addr):
-        op = _LOAD_CACHE.get(addr)
+        loads = self._ops.loads
+        op = loads.get(addr)
         if op is None:
             op = O.Load(addr)
-            if len(_LOAD_CACHE) < _OP_CACHE_LIMIT:
-                _LOAD_CACHE[addr] = op
+            if len(loads) < _OP_CACHE_LIMIT:
+                loads[addr] = op
         return op
 
     # The value-carrying constructors are the op classes themselves:
@@ -239,11 +247,12 @@ class Cpu:
     store = staticmethod(O.Store)
 
     def imld(self, addr):
-        op = _IMLOAD_CACHE.get(addr)
+        imloads = self._ops.imloads
+        op = imloads.get(addr)
         if op is None:
             op = O.ImLoad(addr)
-            if len(_IMLOAD_CACHE) < _OP_CACHE_LIMIT:
-                _IMLOAD_CACHE[addr] = op
+            if len(imloads) < _OP_CACHE_LIMIT:
+                imloads[addr] = op
         return op
 
     imst = staticmethod(O.ImStore)
@@ -253,11 +262,12 @@ class Cpu:
         return O.Release(addr)
 
     def alu(self, cycles=1):
-        op = _ALU_CACHE.get(cycles)
+        alus = self._ops.alus
+        op = alus.get(cycles)
         if op is None:
             op = O.Alu(cycles)
-            if len(_ALU_CACHE) < _OP_CACHE_LIMIT:
-                _ALU_CACHE[cycles] = op
+            if len(alus) < _OP_CACHE_LIMIT:
+                alus[cycles] = op
         return op
 
     # ------------------------------------------------------------------
@@ -355,7 +365,7 @@ class Cpu:
             self._self_abort(op.addr)
             return _STALL
         latency = self._mem.access(self.cpu_id, op.addr, True, now)
-        return _UNIT if latency == 1 else latency_outcome(latency)
+        return _UNIT if latency == 1 else self._ops.outcome(latency)
 
     def _exec_imload(self, op, now):
         value = self._htm.im_load(self.cpu_id, op.addr)
@@ -365,12 +375,12 @@ class Cpu:
     def _exec_imstore(self, op, now):
         self._htm.im_store(self.cpu_id, op.addr, op.value)
         latency = self._mem.access(self.cpu_id, op.addr, True, now)
-        return _UNIT if latency == 1 else latency_outcome(latency)
+        return _UNIT if latency == 1 else self._ops.outcome(latency)
 
     def _exec_imstoreid(self, op, now):
         self._htm.im_store_id(self.cpu_id, op.addr, op.value)
         latency = self._mem.access(self.cpu_id, op.addr, True, now)
-        return _UNIT if latency == 1 else latency_outcome(latency)
+        return _UNIT if latency == 1 else self._ops.outcome(latency)
 
     def _exec_release(self, op, now):
         return ExecOutcome(value=self._htm.release(self.cpu_id, op.addr))
@@ -379,7 +389,8 @@ class Cpu:
         cycles = op.cycles
         if cycles <= 1:
             return _UNIT
-        return _latency_cache.get(cycles) or latency_outcome(cycles)
+        ops = self._ops
+        return ops.outcomes.get(cycles) or ops.outcome(cycles)
 
     def _exec_xbegin(self, op, now):
         return ExecOutcome(value=self._htm.begin(self.cpu_id, op.open, now))
@@ -393,7 +404,7 @@ class Cpu:
             # Validation announces the write-set on the bus so other
             # validators can check against it.
             latency = self._mem.arbitrate_commit(now)
-        return latency_outcome(latency)
+        return self._ops.outcome(latency)
 
     def _exec_xcommit(self, op, now):
         committed_level = self.depth()
@@ -429,7 +440,7 @@ class Cpu:
         work = self.do_rollback(target)
         latency = 1 + work * self.machine.config.undo_cycles_per_entry
         self.stats.add("htm.rollback_cycles", latency)
-        return latency_outcome(latency)
+        return self._ops.outcome(latency)
 
     def _exec_xregrestore(self, op, now):
         # The architectural restore; the engine performs the actual

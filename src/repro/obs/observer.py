@@ -59,7 +59,21 @@ MACHINE_EVENTS = (
 
 
 class Observer:
-    """Base class of every machine observer; all events are no-ops."""
+    """Base class of every machine observer; all events are no-ops.
+
+    An observer keeps its ``machine``, subscribes on construction and
+    unsubscribes on :meth:`detach` or on leaving a ``with`` block."""
+
+    def detach(self):
+        """Unsubscribe; exact and idempotent."""
+        self.machine.unobserve(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.detach()
+        return False
 
     # -- HtmSystem ------------------------------------------------------
 

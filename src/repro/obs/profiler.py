@@ -267,12 +267,6 @@ class CycleProfiler(Observer):
                 cpu.execute = prev
         self._saved_execute = []
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.detach()
-        return False
 
     # ------------------------------------------------------------------
 

@@ -52,7 +52,7 @@ from repro.common.errors import (
 )
 from repro.htm.system import HtmSystem
 from repro.isa.codereg import CodeRegistry
-from repro.isa.context import DONE, RUNNABLE, WAITING, Cpu
+from repro.isa.context import DONE, RUNNABLE, WAITING, Cpu, OpCache
 from repro.isa.dispatch import (
     HandlerOutcome,
     default_abort_dispatcher,
@@ -150,6 +150,8 @@ class Machine:
         self.memmodel = make_memory_model(config, self.stats)
         self.htm = HtmSystem(config, self.memory, self.stats)
         self.codereg = CodeRegistry()
+        #: Interned ops and outcomes (host-side, not simulated state).
+        self.ops = OpCache()
         self.cpus = [Cpu(cpu_id, self) for cpu_id in range(config.n_cpus)]
         self.htm.attach_violation_sink(self._post)
         self.now = 0

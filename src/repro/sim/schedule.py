@@ -298,6 +298,65 @@ class ControlledPolicy(SchedulePolicy):
             if cpu.cpu_id == chosen:
                 return cpu
 
+    @property
+    def n_steps(self):
+        return len(self.choices)
+
+    @property
+    def deviations(self):
+        """The ``(step, cpu)`` pairs off the deterministic pick."""
+        return tuple(
+            (step, chosen)
+            for step, (chosen, cands) in enumerate(
+                zip(self.choices, self.candidates))
+            if cands and chosen != cands[0])
+
+
+class ReplayPolicy(SchedulePolicy):
+    """Replay a deviation list (ascending, one pair per step) like a
+    :class:`ControlledPolicy`, recording only the step count, the
+    divergences and the pairs that did not deviate: the caller's list
+    stays the one copy of the schedule, and is :attr:`deviations` when
+    every pair took effect."""
+
+    name = "replay"
+
+    def __init__(self, deviations, window=DEFAULT_WINDOW):
+        self.source = deviations
+        self.window = window
+        self.n_steps = 0
+        self.divergences = []
+        self._next = 0
+        self._idle = set()
+
+    def choose(self, runnable):
+        step = self.n_steps
+        self.n_steps = step + 1
+        candidates = window_candidates(runnable, self.window)
+        index = self._next
+        if index == len(self.source) or self.source[index][0] != step:
+            return candidates[0]
+        self._next = index + 1
+        want = self.source[index][1]
+        for cpu in candidates[1:]:
+            if cpu.cpu_id == want:
+                return cpu
+        self._idle.add(index)
+        if want != candidates[0].cpu_id:
+            self.divergences.append((step, want))
+        return candidates[0]
+
+    @property
+    def deviations(self):
+        """The pairs that took effect, as a tuple."""
+        taken = self.source
+        if self._next < len(taken):
+            taken = taken[:self._next]
+        if self._idle:
+            return tuple(pair for index, pair in enumerate(taken)
+                         if index not in self._idle)
+        return taken if type(taken) is tuple else tuple(taken)
+
 
 class PriorityPolicy(RecordingPolicy):
     """PCT-style priority scheduling with ``depth`` change-points.

@@ -130,16 +130,6 @@ class Tracer(Observer):
     def on_fault(self, kind, cpu_id, detail):
         self._emit("fault", cpu_id, what=kind, **detail)
 
-    def detach(self):
-        """Unsubscribe; exact and idempotent."""
-        self.machine.unobserve(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.detach()
-        return False
 
     # ------------------------------------------------------------------
     # Queries

@@ -20,7 +20,6 @@ from repro.common.errors import SimulationError
 from repro.common.params import functional_config, paper_config
 from repro.htm.conflict import SELF_ABORT, STALL
 from repro.isa import context as ctx
-from repro.isa.context import latency_outcome
 from repro.runtime.core import Runtime
 from repro.sim import ops as O
 from repro.sim.engine import Machine
@@ -187,9 +186,9 @@ def test_core_op_subclass_is_rejected():
 # ---------------------------------------------------------------------------
 
 def test_interned_outcomes_are_shared_and_frozen():
-    assert latency_outcome(1) is ctx._UNIT
-    assert latency_outcome(17) is latency_outcome(17)
     cpu = fresh_cpu()
+    assert cpu._ops.outcome(1) is ctx._UNIT
+    assert cpu._ops.outcome(17) is cpu._ops.outcome(17)
     stall_a = cpu.execute(O.Alu(1), 0)
     stall_b = cpu.execute(O.Fence(), 0)
     assert stall_a is stall_b is ctx._UNIT
@@ -209,6 +208,17 @@ def test_op_constructors_intern_single_field_ops():
     assert cpu.alu(3) == O.Alu(3)
     # Value-carrying stores are never interned.
     assert cpu.store(WORD, 1) is not cpu.store(WORD, 1)
+
+
+def test_interning_is_per_machine():
+    """Each machine interns its own ops and outcomes, shared by its CPUs
+    and by no other machine, so a run's host work does not depend on
+    what ran before it in the process."""
+    cpu, other = fresh_cpu(), fresh_cpu()
+    assert cpu.machine.cpus[1].load(WORD) is cpu.load(WORD)
+    assert other.load(WORD) is not cpu.load(WORD)
+    assert other._ops.outcome(17) is not cpu._ops.outcome(17)
+    assert not Machine(functional_config(n_cpus=2)).ops.loads
 
 
 # ---------------------------------------------------------------------------

@@ -229,23 +229,23 @@ def _classes(monkeypatch, search, *args, **kwargs):
     """The normal forms of every judged run of ``search`` and the set of
     its outcomes."""
     keys = set()
-    execute = explore_mod._execute
+    run_node = explore_mod.run_node
 
     def spy(*a, **kw):
-        result = execute(*a, **kw)
-        policy, pruned_at, recorder = result[2], result[5], result[6]
-        if pruned_at is None and recorder is not None:
+        result = run_node(*a, **kw)
+        verdict, policy, recorder = result[:3]
+        if verdict is not None and recorder is not None:
             n = len(recorder.footprints)
             keys.add(normal_form(policy.choices[:n],
                                  list(recorder.footprints),
                                  list(recorder.deliveries)))
         return result
 
-    monkeypatch.setattr(explore_mod, "_execute", spy)
+    monkeypatch.setattr(explore_mod, "run_node", spy)
     outcomes = set()
     report = search(*args, report=lambda v: outcomes.add(v.outcome),
                     **kwargs)
-    monkeypatch.setattr(explore_mod, "_execute", execute)
+    monkeypatch.setattr(explore_mod, "run_node", run_node)
     assert not report.truncated and not report.failures
     return keys, outcomes
 

@@ -1,29 +1,38 @@
 """Trace-on-failure and the campaign-wide conservation property.
 
-Every check/chaos case runs with a cycle profiler and a last-K trace
-ring attached (an explore node with the profiler only; a failing
-explored schedule gets its ring by replay).  A failing case must carry
-its trace tail —
-including when the campaign fans out across worker processes, where the
-ring has to pickle back — and a passing case must carry none (the rings
-would bloat result lists).  On top sits the Hypothesis property: cycle
+Every check/chaos case and explore node runs with a cycle profiler and
+no tracer; a failure's last-K trace ring is rebuilt the first time it is
+read, by replaying its deviation list with a tracer attached.  A failing
+case must carry its trace tail — including when the campaign fans out
+across worker processes, where the result pickles back — and a passing
+case must carry none.  On top sits the Hypothesis property: cycle
 conservation holds across the whole program × config × policy × fault
 space, not just the hand-picked matrix cells.
 """
 
+import hashlib
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.check.explore import replay
+from repro.check.explore import explore, replay
 from repro.check.fuzz import (
     CONFIGS,
     POLICIES,
     TRACE_RING,
+    build_config,
+    faulted,
     run_case,
     summarize,
     sweep,
 )
-from repro.sim.trace import TraceEvent
+from repro.check.history import HistoryRecorder
+from repro.check.programs import make_program
+from repro.obs.profiler import CycleProfiler
+from repro.obs.sinks import RingSink
+from repro.sim.schedule import ControlledPolicy
+from repro.sim.trace import TraceEvent, Tracer
+from repro.workloads.base import Run
 
 #: A reliably failing coordinate: the broken spurious-violation variant
 #: loses increments on the counter program (see the oracle self-tests).
@@ -95,6 +104,52 @@ class TestTraceOnFailure:
         verdict = replay("litmus-sb", "lazy-wb-assoc", (), seed=1)
         assert not verdict.failed
         assert verdict.trace == ()
+
+
+def _eager_tail(verdict):
+    """The trace tail of ``verdict``'s schedule recorded the way every
+    run once recorded it: a ring tracer attached up front beside the
+    judge's instruments, under the explorer's own policy."""
+    program = make_program(verdict.program, seed=verdict.seed)
+
+    def tracer(machine):
+        return Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
+
+    _, attached, _ = program.run(
+        build_config(verdict.config, program), program.max_cycles,
+        ControlledPolicy(forced=dict(verdict.deviations)),
+        faulted(verdict.fault, verdict.seed,
+                [HistoryRecorder, CycleProfiler, tracer]), judge=Run)
+    return tuple(attached[-1].events)
+
+
+def test_explore_builds_no_tracer_until_a_trace_is_read(monkeypatch):
+    """A search whose runs nearly all fail attaches no tracer to any of
+    them; reading one verdict's trace builds exactly one, once, and its
+    tail is the eager tail event for event (the sampled failure's tail
+    as the explorer recorded it before traces were rebuilt on demand is
+    pinned by its digest)."""
+    built = []
+    init = Tracer.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tracer, "__init__", counting)
+    report = explore("requeue", "lazy-wb-assoc", fault="drop-requeue",
+                     preemption_bound=1)
+    failures = report.failures
+    assert (report.explored, len(failures)) == (617, 616)
+    assert built == []
+    sample = failures[len(failures) // 2]
+    assert sample.name == "drop-requeue:requeue:lazy-wb-assoc:147@1"
+    tail = sample.trace
+    assert len(built) == 1 and sample.trace is tail
+    text = "\n".join(str(event) for event in tail)
+    assert len(tail) == 18 and hashlib.sha256(text.encode()).hexdigest() == (
+        "ff7469c5b3ad5d03e4cc2adae46fd2722a3bbd4536d80a66c2f04070c8627b87")
+    assert tail == _eager_tail(sample)
 
 
 # ----------------------------------------------------------------------
