@@ -94,33 +94,22 @@ Pruning is enabled only where it is sound:
 
 **Checkpoints.**  A run resumes from a mid-run snapshot instead of
 replaying its prefix from cycle 0 wherever :func:`_checkpoint_supported`
-allows.  A checkpoint is a plain
-:class:`~repro.sim.snapshot.MachineSnapshot` that carries the node's
-observers and policy recordings as its books.  Each search owns its
-snapshots on its DFS stack, one per state at most, and restores them
-onto one :class:`_NodeContext` the search builds, so nothing outlives
-the search (see the comment block above :class:`_NodeContext`).  Every
-node runs through one step, :meth:`_Search.node`, which runs, judges
-and counts it and returns what it captured.
+allows (see the comment block above :class:`_NodeContext`).
 
-**Counterexamples.**  A failing schedule is reported as its *deviation
-list* — the ``(step, cpu)`` pairs where it departs from the
-deterministic pick — which replays exactly (:func:`replay`, CLI
-``python -m repro explore --replay prog:config:3@1,7@0 --seed 1``).
-It is the one counterexample form: the fuzzer's randomized runs record
-theirs as they go, and every failure of ``check``, ``chaos`` and
-``explore`` shrinks through the same ddmin loop
-(:func:`repro.check.fuzz.shrink`) and prints the same replay line.
+**One runner, one verdict.**  Every run — an explored node, a sampled
+``check`` or ``chaos`` case (a one-run search, ``explore(...,
+policy=...)``), a replay — goes through :func:`run_node` into one
+:class:`ScheduleVerdict`.  A failure's *deviation list*, the ``(step,
+cpu)`` pairs off the deterministic pick, replays exactly
+(:func:`replay`; CLI ``explore --replay prog:config:3@1,7@0 --seed 1``)
+and shrinks through one ddmin loop (:func:`repro.check.fuzz.shrink`).
 
-**Parallelism.**  :func:`explore` runs one (program, config) search
-serially, in-process.  The unit that ``explore --jobs N`` shards is a
-whole search: one :class:`~repro.harness.parallel.CaseSpec` per pair
-through :func:`~repro.harness.parallel.run_campaign`, whose reports come
-back in enumeration order, so the output is the serial run's whatever
-``N`` is (``conform`` shards its drains the same way).  Sharding one
-search node by node lost to serial: a node costs less than its
-pickling.  A worker that crashes or hangs on a pair becomes that
-pair's report (:func:`failed_search`).
+**Parallelism.**  A campaign's unit is one search (:func:`search_spec`),
+which :func:`~repro.harness.parallel.run_campaign` shards and returns
+in enumeration order, so output is the serial run's at any ``--jobs``;
+a node costs less than its pickling, so no search spans workers.  A
+unit that raises, crashes or hangs becomes its run-failure report
+(:func:`search_failure`).
 
 The explorer uses the fuzzer's candidate window
 (:data:`~repro.sim.schedule.DEFAULT_WINDOW`): the explored space is
@@ -137,7 +126,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
 
 from repro.common.params import LAZY
@@ -146,18 +135,24 @@ from repro.harness.parallel import CaseSpec, call_guarded
 from repro.sim.engine import Machine
 from repro.sim.schedule import (
     ControlledPolicy,
+    RecordingPolicy,
     ReplayPolicy,
     SchedulePruned,
+    make_policy,
+    schedule_deviations,
 )
 from repro.sim.snapshot import SnapshotError
 
 from repro.obs.observer import Observer
 from repro.obs.profiler import CycleProfiler
+from repro.obs.sinks import RingSink
+from repro.sim.trace import Tracer
 
 from repro.check.fuzz import (
     CONFIGS,
     FAULTS,
-    FailureTrace,
+    POLICIES,
+    TRACE_RING,
     build_config,
     collect_violations,
     faulted,
@@ -451,8 +446,8 @@ class StepRecorder(Observer):
 #   engine steps, so the restore loads every book once, after the
 #   machine.
 # * **No trace ring on the node.**  Only a printed failure reads the
-#   trace tail; :class:`~repro.check.fuzz.FailureTrace` rebuilds it then
-#   by replaying that one schedule with a tracer attached.
+#   trace tail; :attr:`ScheduleVerdict.trace` rebuilds it then by
+#   replaying that one schedule with a tracer attached.
 #
 # Checkpointing is verified differentially: ``--no-checkpoint`` keeps
 # the stateless path, and the conformance gate asserts
@@ -575,34 +570,47 @@ def deviations_to_str(deviations):
 
 
 def parse_deviations(text):
-    """Inverse of :func:`deviations_to_str` (used by ``--replay``)."""
+    """Inverse of :func:`deviations_to_str` (used by ``--replay``).
+
+    A pair that is not ``step@cpu`` with both non-negative, or a step
+    named twice, is a :class:`ValueError`."""
     text = (text or "").strip()
     if not text or text == "det":
         return ()
-    out = []
+    out = {}
     for part in text.split(","):
         step, sep, cpu = part.partition("@")
-        if not sep:
-            raise ValueError(
-                f"bad deviation {part!r}: expected step@cpu")
-        out.append((int(step), int(cpu)))
-    return tuple(sorted(out))
+        if not (sep and step.isdigit() and cpu.isdigit()):
+            raise ValueError(f"bad deviation {part!r}: expected step@cpu "
+                             f"(non-negative integers)")
+        if int(step) in out:
+            raise ValueError(f"step {step} is named twice")
+        out[int(step)] = int(cpu)
+    return tuple(sorted(out.items()))
 
 
 @dataclasses.dataclass
-class ScheduleVerdict(FailureTrace):
-    """The oracles' verdict on one completely executed schedule."""
+class ScheduleVerdict:
+    """The oracles' verdict on one run, sampled, explored or replayed."""
 
     program: str
     config: str
-    fault: str
-    seed: int
-    #: (step, cpu) pairs where the schedule departs from the
-    #: deterministic pick — the replayable counterexample encoding.
-    deviations: tuple = ()
+    fault: str = None
+    seed: int = 1
+    #: The policy that sampled the run (``det``, ``random`` or ``pct``),
+    #: or None for a forced (enumerated or replayed) schedule.
+    policy: str = None
+    #: The ``(step, cpu)`` pairs where a forced run departs from the
+    #: deterministic pick, or a randomized run's zlib-compressed record
+    #: (:class:`~repro.sim.schedule.RecordingPolicy`; ``b""`` if passed).
+    schedule: object = ()
+    #: The program needs another config; the run never started.
+    skipped: bool = False
     violations: list = dataclasses.field(default_factory=list)
     error: str = None
     n_committed: int = 0
+    #: Engine steps the run took (``engine.steps``, a restored prefix
+    #: included); 0 for a run that never started.
     n_steps: int = 0
     #: The committed history's fingerprint (History.signature()).
     signature: tuple = ()
@@ -612,64 +620,77 @@ class ScheduleVerdict(FailureTrace):
     #: an exhaustive drain's outcome set is gated against the spec's
     #: admissible set (:func:`repro.spec.outcomes.spec_outcomes`).
     outcome: object = None
-    #: The cycle budget the schedule ran under (None: the program's).
+    #: The cycle budget the run had (None: the program's).
     max_cycles: int = None
+    #: How many times the fault plan fired, and ``(opportunity, cpu,
+    #: detail)`` per injection.
+    n_injections: int = 0
+    fired: tuple = ()
 
     @property
     def name(self):
-        """The replayable name: ``program:config:deviations``."""
-        base = (f"{self.program}:{self.config}:"
-                f"{deviations_to_str(self.deviations)}")
+        """The replayable name, ``[fault:]program:config:<schedule>``."""
+        label = (f"{self.policy}:{self.seed}" if self.policy
+                 else deviations_to_str(self.schedule))
+        base = f"{self.program}:{self.config}:{label}"
         return f"{self.fault}:{base}" if self.fault else base
 
+    @property
+    def deviations(self):
+        """The ``(step, cpu)`` deviation list that replays the run."""
+        if isinstance(self.schedule, bytes):
+            return schedule_deviations(self.schedule)
+        return self.schedule
+
+    @property
+    def failed(self):
+        return bool(self.violations)
+
+    @cached_property
+    def trace(self):
+        """The last :data:`~repro.check.fuzz.TRACE_RING` events of a
+        failing run that stepped, else empty: rebuilt when first read,
+        by replaying the run with a tracer attached (a run is a pure
+        function of its scheduling choices)."""
+        if not (self.failed and self.n_steps):
+            return ()
+        program = make_program(self.program, seed=self.seed)
+
+        def tracer(machine):
+            return Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
+
+        return program.run(
+            build_config(self.config, program),
+            self.max_cycles or program.max_cycles,
+            ReplayPolicy(self.deviations),
+            faulted(self.fault, self.seed, [tracer]),
+            judge=lambda machine, attached, error: tuple(
+                attached[-1].events))
+
     def __str__(self):
+        if self.skipped:
+            return f"{self.name}: skipped (scenario needs another config)"
+        injected = f", {self.n_injections} injections" if self.fault else ""
         if not self.failed:
             return (f"{self.name}: ok ({self.n_committed} commits, "
-                    f"{self.n_steps} steps)")
-        return self._failure_lines(
-            f"{self.name}: FAILED ({self.n_committed} commits)")
+                    f"{self.n_steps} steps{injected})")
+        lines = [f"{self.name}: FAILED ({self.n_committed} commits"
+                 f"{injected})"]
+        lines += [f"  {violation}" for violation in self.violations]
+        if self.trace:
+            lines.append(f"  trace tail ({len(self.trace)} events):")
+            lines += [f"    {event}" for event in self.trace]
+        return "\n".join(lines)
 
 
 def _should_prune(prune, fault, config):
     return bool(prune) and fault is None and config.detection == LAZY
 
 
-def _fresh(program_name, config_name, prefix, sleep, fault, seed, record,
-           max_cycles, checkpoint):
-    """Run one node (see :func:`run_node`) from cycle 0 through
-    :meth:`~repro.workloads.base.Workload.run`; returns ``(program,
-    machine, error, books)``."""
-    policy = ControlledPolicy(
-        forced=dict(enumerate(prefix)), sleep=sleep,
-        sleep_from=len(prefix))
-    program = make_program(program_name, seed=seed)
-    config = build_config(config_name, program)
-    # The books fill up as their instruments attach, before any capture.
-    books = [policy]
-
-    def book(factory):
-        def attach(machine):
-            books.append(factory(machine))
-            return books[-1]
-        return attach
-
-    instruments = [book(HistoryRecorder), book(CycleProfiler)]
-    if _should_prune(record, fault, config):
-        instruments.append(book(lambda machine: StepRecorder(
-            machine, policy, sleep, len(prefix))))
-    if checkpoint is not None:
-        instruments.append(partial(_Capture, policy, checkpoint["capture"],
-                                   books, checkpoint["captured"]))
-    machine, _, error = program.run(
-        config, max_cycles or program.max_cycles, policy,
-        faulted(fault, seed, instruments), judge=Run)
-    return program, machine, error, tuple(books)
-
-
 def _resumed(program_name, prefix, sleep, fault, seed, record, max_cycles,
              checkpoint):
     """Run one node from the checkpoint it resumes from, as
-    :func:`_fresh` does from cycle 0; None when there is none or the
+    :func:`run_node` does from cycle 0; None when there is none or the
     restore raised :class:`SnapshotError`."""
     if checkpoint["resume"] is None:
         return None
@@ -701,56 +722,84 @@ def _resumed(program_name, prefix, sleep, fault, seed, record, max_cycles,
     return program, machine, error, books
 
 
-def _make_verdict(program_name, config_name, fault, seed, max_cycles,
-                  program, machine, error, books):
-    """Judge a finished run into its :class:`ScheduleVerdict`."""
-    policy, history_recorder, profiler = books[:3]
-    history = history_recorder.history
-    violations, error = collect_violations(
-        program, machine, history, profiler, error, fault)
-    outcome = None if error else freeze(program.outcome(machine))
-    return ScheduleVerdict(
-        program=program_name, config=config_name, fault=fault, seed=seed,
-        deviations=policy.deviations,
-        violations=violations,
-        error=str(error) if error else None,
-        n_committed=len(history),
-        n_steps=policy.n_steps,
-        signature=history.signature(),
-        divergences=tuple(policy.divergences),
-        outcome=outcome,
-        max_cycles=max_cycles)
+def run_node(program_name, config_name, prefix=(), sleep=None, fault=None,
+             seed=1, prune=False, max_cycles=None, checkpoint=None,
+             policy=None):
+    """Run one node and judge it, whether sampled, explored or replayed.
 
-
-def run_node(program_name, config_name, prefix, sleep, fault, seed, prune,
-             max_cycles, checkpoint):
-    """Run one exploration node: replay ``prefix``, complete the run
-    deterministically and judge it; returns ``(verdict, policy,
-    recorder, steps)`` with ``verdict`` None when the sleep set pruned
-    the run, and ``steps`` the run's engine steps, a restored prefix
-    included.
-
-    ``sleep`` is the sleep-set seed for this subtree (see
-    :func:`repro.check.por.sleep_seed`).  ``checkpoint`` is the node's
-    checkpoint context (``{"target", "resume", "capture", "captured"}``,
-    see :meth:`_Search.node`; this adds ``"restored"``), or None for a
-    stateless run; the verdict is identical either way.
+    Returns ``(verdict, policy, recorder, steps)``: ``verdict`` is None
+    when the sleep set pruned the run, ``steps`` counts engine steps, a
+    restored prefix included.  ``policy`` None forces ``prefix`` under
+    sleep-set seed ``sleep`` (:func:`repro.check.por.sleep_seed`); a
+    sampling or replay policy runs as given.  ``checkpoint`` is a forced
+    node's context (``{"target", "resume", "capture", "captured"}``, see
+    :meth:`_Search.node`; this adds ``"restored"``), or None for a run
+    from cycle 0; the verdict is identical either way.
     """
     sleep = sleep or {}
-    args = (prefix, sleep, fault, seed, prune, max_cycles, checkpoint)
-    node = None
+    node = injector = None
     if checkpoint is not None:
-        node = _resumed(program_name, *args)
+        node = _resumed(program_name, prefix, sleep, fault, seed, prune,
+                        max_cycles, checkpoint)
         checkpoint["restored"] = node is not None
     if node is None:
-        node = _fresh(program_name, config_name, *args)
+        if policy is None:
+            policy = ControlledPolicy(
+                forced=dict(enumerate(prefix)), sleep=sleep,
+                sleep_from=len(prefix))
+        program = make_program(program_name, seed=seed)
+        config = build_config(config_name, program)
+        # The books fill up as their instruments attach, before any
+        # capture.
+        books = [policy]
+
+        def book(factory):
+            def attach(machine):
+                books.append(factory(machine))
+                return books[-1]
+            return attach
+
+        instruments = [book(HistoryRecorder), book(CycleProfiler)]
+        if _should_prune(prune, fault, config):
+            instruments.append(book(lambda machine: StepRecorder(
+                machine, policy, sleep, len(prefix))))
+        if checkpoint is not None:
+            instruments.append(partial(_Capture, policy,
+                                       checkpoint["capture"], books,
+                                       checkpoint["captured"]))
+        machine, attached, error = program.run(
+            config, max_cycles or program.max_cycles, policy,
+            faulted(fault, seed, instruments), judge=Run)
+        if fault is not None:
+            injector = attached[0]
+        node = program, machine, error, tuple(books)
     program, machine, error, books = node
+    policy = books[0]
+    steps = machine.stats.get("engine.steps")
     verdict = None
     if not isinstance(error, SchedulePruned):
-        verdict = _make_verdict(program_name, config_name, fault, seed,
-                                max_cycles, program, machine, error, books)
+        history = books[1].history
+        violations, error = collect_violations(
+            program, machine, history, books[2], error, fault)
+        if isinstance(policy, RecordingPolicy):
+            # Only a failure keeps its (compressed) record.
+            schedule = policy.schedule if violations else b""
+        else:
+            schedule = policy.deviations
+        verdict = ScheduleVerdict(
+            program_name, config_name, fault, seed,
+            policy=policy.name if policy.name in POLICIES else None,
+            schedule=schedule, violations=violations,
+            error=str(error) if error else None,
+            n_committed=len(history), n_steps=steps,
+            signature=history.signature(),
+            divergences=tuple(policy.divergences),
+            outcome=None if error else freeze(program.outcome(machine)),
+            max_cycles=max_cycles,
+            n_injections=injector.n_injections if injector else 0,
+            fired=tuple(injector.plan.fired) if injector else ())
     recorder = books[3] if len(books) > 3 else None
-    return verdict, books[0], recorder, machine.stats.get("engine.steps")
+    return verdict, policy, recorder, steps
 
 
 class _Search:
@@ -776,11 +825,13 @@ class _Search:
                        "seed": out.seed, "prune": out.prune,
                        "max_cycles": max_cycles}
 
-    def node(self, prefix, sleep, generation, resume=None, capture=()):
+    def node(self, prefix, sleep, generation, resume=None, capture=(),
+             policy=None):
         """Run one node of ``generation`` and count it; returns
         ``(policy, recorder, captured)``, with ``policy`` None for a node
         that raised or timed out (its run-failure verdict is counted).
 
+        ``policy`` is a sampled node's policy (see :func:`run_node`).
         With a restore target the node resumes from ``resume`` (``(step,
         snapshot)`` or None) and captures at the steps of ``capture``
         into ``captured`` (step -> snapshot; see :func:`run_node`); a
@@ -791,13 +842,10 @@ class _Search:
         if self.target is not None:
             ctx = {"target": self.target, "resume": resume,
                    "capture": capture, "captured": {}}
-        kwargs = self.kwargs
         result = call_guarded(
-            run_node, (), dict(kwargs, prefix=prefix, sleep=sleep,
-                               checkpoint=ctx), self.timeout,
-            partial(_failure_verdict, kwargs["program_name"],
-                    kwargs["config_name"], kwargs["fault"], kwargs["seed"],
-                    prefix))
+            run_node, (), dict(self.kwargs, prefix=prefix, sleep=sleep,
+                               checkpoint=ctx, policy=policy),
+            self.timeout, partial(self.out.run_failure, prefix=prefix))
         out = self.out
         if isinstance(result, ScheduleVerdict):
             verdict, policy, recorder = result, None, None
@@ -842,15 +890,10 @@ def replay(program_name, config_name, deviations, fault=None, seed=1,
     if any(a[0] >= b[0] for a, b in zip(deviations,
                                         islice(deviations, 1, None))):
         deviations = sorted(dict(deviations).items())
-    policy = ReplayPolicy(deviations)
-    program = make_program(program_name, seed=seed)
-    machine, attached, error = program.run(
-        build_config(config_name, program),
-        max_cycles or program.max_cycles, policy,
-        faulted(fault, seed, [HistoryRecorder, CycleProfiler]), judge=Run)
-    return _make_verdict(program_name, config_name, fault, seed,
-                         max_cycles, program, machine, error,
-                         (policy, *attached[-2:]))
+    verdict, _, _, _ = run_node(program_name, config_name, fault=fault,
+                                seed=seed, max_cycles=max_cycles,
+                                policy=ReplayPolicy(deviations))
+    return verdict
 
 
 # ----------------------------------------------------------------------
@@ -928,32 +971,16 @@ class _Stack:
 
 def _explore(search, n_cpus, preemption_bound, max_depth, max_schedules):
     """Explore one (program, config) depth-first, filling
-    ``search.out``.
+    ``search.out`` (the module docstring's "Enumeration").
 
-    Run a schedule, push its new states, then fork the deepest state
-    with a CPU left to explore.  The child replays the path up to that
-    state, forces the CPU, seeds its sleep set by Godefroid's rule from
-    the state's sleep entries and explored siblings, and continues with
-    the default pick.  The enumeration rule (``search.out.dpor``) says
-    which CPUs a state branches on and what the sleep sets see:
-
-    * **DPOR** (unbounded, pruned): the race reversals
-      :func:`repro.check.por.add_backtracks` adds once a run's races are
-      known; an explored sibling enters later sleep sets with its exact
-      footprint, a new one with its pending footprint on the current
-      path.
-    * **Bounded or unpruned**: every in-window alternative at each step
-      below ``max_depth`` of a run with fewer than ``preemption_bound``
-      deviations; siblings enter with the recording run's pending
-      footprints, stored on the state when it is pushed.
-
-    With a restore target (:class:`_NodeContext`), snapshots live on
-    the stack: a child resumes from the nearest one at or before its
-    fork, forcing the gap.  A DPOR run captures at the states below its
-    fork with a CPU left to explore and none yet, a bounded run at the
-    new states it will branch at, each with one use per child (the last
-    takes the copies over and frees the slot).  Popping a state releases
-    its snapshot.
+    A forked child seeds its sleep set by Godefroid's rule from the
+    state's sleep entries and explored siblings.  Under DPOR an
+    explored sibling enters later sleep sets with its exact footprint,
+    a new one with its pending footprint on the current path; in a
+    bounded or unpruned search siblings enter with the recording run's
+    pending footprints, stored on the state when it is pushed.
+    Snapshots live on the stack (the comment block above
+    :class:`_NodeContext`); popping a state releases its snapshot.
     """
     out = search.out
     dpor = out.dpor
@@ -1093,22 +1120,10 @@ def _explore(search, n_cpus, preemption_bound, max_depth, max_schedules):
 # ----------------------------------------------------------------------
 
 
-def _failure_verdict(program_name, config_name, fault, seed, prefix,
-                     message):
-    """The run-failure verdict of a node (``prefix``) or, with ``prefix``
-    None, of a whole search that crashed or hung with ``message``."""
-    where = (f"search {program_name}:{config_name}" if prefix is None
-             else f"node prefix={list(prefix)}")
-    return ScheduleVerdict(
-        program=program_name, config=config_name, fault=fault, seed=seed,
-        deviations=(),
-        violations=[OracleViolation("run-failure", f"{where}: {message}")],
-        error=message)
-
-
 @dataclasses.dataclass
 class ExploreReport:
-    """The outcome of one exploration campaign."""
+    """The outcome of one search unit, an exploration or a sampled case
+    (a one-run search under a sampling ``policy``)."""
 
     program: str
     config: str
@@ -1117,6 +1132,7 @@ class ExploreReport:
     preemption_bound: int = None
     max_depth: int = None
     prune: bool = True
+    #: The program needs another config; the one verdict is skipped.
     skipped: bool = False
     #: Why the whole search failed (its worker crashed or hung), else
     #: None; such a report holds just the search's run-failure verdict.
@@ -1149,6 +1165,16 @@ class ExploreReport:
     #: stateless search restores nothing.
     live_steps: int = 0
     restored_steps: int = 0
+    #: The sampling policy of a one-run search, else None.
+    policy: str = None
+
+    @property
+    def name(self):
+        """``[fault:]program:config``, plus ``:policy:seed`` if sampled."""
+        name = f"{self.program}:{self.config}"
+        if self.policy:
+            name = f"{name}:{self.policy}:{self.seed}"
+        return f"{self.fault}:{name}" if self.fault else name
 
     @property
     def dpor(self):
@@ -1169,99 +1195,111 @@ class ExploreReport:
     def distinct_histories(self):
         return len({v.signature for v in self.verdicts})
 
+    def run_failure(self, message, prefix=None):
+        """The run-failure verdict of node ``prefix``, or of the unit.
+
+        The one classification of a node or (``prefix`` None) a whole
+        unit that raised, crashed or hung with ``message``."""
+        where = (f"search {self.program}:{self.config}" if prefix is None
+                 else f"node prefix={list(prefix)}")
+        return ScheduleVerdict(
+            self.program, self.config, self.fault, self.seed,
+            policy=self.policy, error=message,
+            violations=[OracleViolation("run-failure", f"{where}: {message}")])
+
     def summary(self):
-        name = f"{self.program}:{self.config}"
-        if self.fault:
-            name = f"{self.fault}:{name}"
         if self.skipped:
-            return f"{name}: skipped (scenario needs another config)"
+            return f"{self.name}: skipped (scenario needs another config)"
         if self.error:
-            return f"{name}: search failed ({self.error})"
+            return f"{self.name}: search failed ({self.error})"
         bound = ("unbounded" if self.preemption_bound is None
                  else f"bound {self.preemption_bound}")
         scope = "exhaustive" if self.exhaustive else bound
         tail = " [truncated]" if self.truncated else ""
-        return (f"{name}: {self.explored} schedules explored, "
+        return (f"{self.name}: {self.explored} schedules explored, "
                 f"{self.pruned} pruned ({scope}, "
                 f"{self.distinct_histories} distinct histories, "
                 f"{len(self.failures)} failing){tail}")
 
 
+def _unit(program_name, config_name, kwargs, **fields):
+    """The empty report of unit ``explore(program_name, config_name,
+    **kwargs)``."""
+    return ExploreReport(
+        program=program_name, config=config_name,
+        fault=kwargs.get("fault"), seed=kwargs.get("seed", 1),
+        preemption_bound=kwargs.get("preemption_bound", 2),
+        max_depth=kwargs.get("max_depth"), policy=kwargs.get("policy"),
+        **fields)
+
+
 def search_spec(program_name, config_name, **kwargs):
-    """The :class:`CaseSpec` of one whole search,
-    ``explore(program_name, config_name, **kwargs)``: the unit
-    ``explore --jobs`` shards across workers."""
+    """The :class:`CaseSpec` of one search unit, a search or a case.
+
+    The unit is ``explore(program_name, config_name, **kwargs)``, what
+    :func:`~repro.harness.parallel.run_campaign` shards."""
     return CaseSpec(runner="repro.check.explore:explore",
-                    name=f"{program_name}:{config_name}",
+                    name=_unit(program_name, config_name, kwargs).name,
                     args=(program_name, config_name),
                     kwargs=tuple(kwargs.items()))
 
 
-def failed_search(spec, message):
-    """The report of a :func:`search_spec` whose run crashed or hung as
-    a whole: its one verdict is a run-failure naming the pair."""
-    program_name, config_name = spec.args
-    kwargs = dict(spec.kwargs)
-    out = ExploreReport(
-        program=program_name, config=config_name,
-        fault=kwargs.get("fault"), seed=kwargs.get("seed", 1),
-        preemption_bound=kwargs.get("preemption_bound", 2),
-        max_depth=kwargs.get("max_depth"), error=message)
-    out.verdicts.append(_failure_verdict(
-        program_name, config_name, out.fault, out.seed, None, message))
+def search_failure(spec, message):
+    """The report of a :func:`search_spec` unit that raised or hung:
+    its one verdict is the unit's run-failure."""
+    out = _unit(*spec.args, dict(spec.kwargs), error=message)
+    out.verdicts.append(out.run_failure(message))
     return out
 
 
 def explore(program_name, config_name, fault=None, seed=1,
             preemption_bound=2, max_depth=None, prune=True,
             max_schedules=None, max_cycles=None, timeout=None,
-            report=None, checkpoint=True):
+            report=None, checkpoint=True, policy=None):
     """Explore one (program, config[, fault]) schedule space serially.
 
-    The search runs in this process; ``explore --jobs`` shards whole
-    searches (:func:`search_spec`).
+    The search runs depth-first in this process (:func:`_explore`): a
+    preemption-bounded (or unpruned) enumeration, or with
+    ``preemption_bound=None`` and pruning a source-set DPOR drain.
+    ``report``, if given, sees every :class:`ScheduleVerdict` in
+    enumeration order.  ``timeout`` is the per-node budget in seconds:
+    a node over it, or one that raises, becomes a run-failure verdict
+    and the search goes on.  ``max_schedules`` caps the total number of
+    runs and marks the report ``truncated``.  ``checkpoint`` (gated by
+    :func:`_checkpoint_supported`) resumes runs from snapshots the
+    search owns; every verdict is identical with it off.
 
-    Every search runs depth-first (:func:`_explore`).  With a
-    ``preemption_bound``, or without pruning, it branches on every
-    in-window alternative of the runs with fewer than
-    ``preemption_bound`` forced deviations — preemption bounding, where
-    generation ``b`` holds the schedules with ``b`` deviations.
-    Unbounded (``preemption_bound=None``) and pruned, it is a
-    source-set DPOR drain.  ``report``, if given, sees every
-    :class:`ScheduleVerdict` in enumeration order.  ``timeout`` is the
-    per-node budget in seconds: a node over it, or one that raises,
-    becomes a run-failure verdict and the search goes on.
-    ``max_schedules`` caps the total number of runs as a safety net and
-    marks the report ``truncated``; the capped search has judged the
-    first runs of its depth-first order.
-
-    ``checkpoint`` (default on; gated per search by
-    :func:`_checkpoint_supported`) lets a run resume from a snapshot
-    instead of replaying from cycle 0: a child forks from the nearest
-    snapshot at or before its fork state on the DFS stack.  Every
-    verdict is identical with it on or off — ``--no-checkpoint`` is the
-    differential control.  The search owns its checkpoints and restore
-    target: none outlives it, however it ends.
+    ``policy`` (``det``, ``random`` or ``pct``) makes it a one-run
+    search instead: a ``check`` or ``chaos`` case, whose one node the
+    policy samples rather than forces (no branching, pruning or
+    checkpoints).  A program that needs another config yields one
+    skipped verdict.
     """
     if config_name not in CONFIGS:
         raise ValueError(f"unknown config {config_name!r}; "
                          f"choose from {sorted(CONFIGS)}")
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
+    if policy is not None:
+        preemption_bound, prune, checkpoint = 0, False, False
     program = make_program(program_name, seed=seed)
     config = build_config(config_name, program)
-    effective_prune = _should_prune(prune, fault, config)
-    effective_checkpoint = bool(
-        checkpoint and _checkpoint_supported(program_name, config_name,
-                                             fault))
     out = ExploreReport(
         program=program_name, config=config_name, fault=fault, seed=seed,
         preemption_bound=preemption_bound, max_depth=max_depth,
-        prune=effective_prune, checkpoint=effective_checkpoint)
+        prune=_should_prune(prune, fault, config),
+        checkpoint=bool(checkpoint and _checkpoint_supported(
+            program_name, config_name, fault)),
+        policy=policy)
     if not program.supports(config):
         out.skipped = True
+        out.verdicts.append(ScheduleVerdict(
+            program_name, config_name, fault, seed, policy, skipped=True))
         return out
     search = _Search(out, config, report, timeout, max_cycles)
-    _explore(search, config.n_cpus, preemption_bound, max_depth,
-             max_schedules)
+    if policy is not None:
+        search.node((), None, 0, policy=make_policy(policy, seed=seed))
+    else:
+        _explore(search, config.n_cpus, preemption_bound, max_depth,
+                 max_schedules)
     return out

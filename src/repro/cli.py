@@ -217,23 +217,28 @@ def cmd_trace(args):
     return 0 if account.balanced else 1
 
 
+class UsageError(Exception):
+    """A command line that names something unknown or contradicts itself
+    (exit 2, so exit 1 means only that a failure was found)."""
+
+
 def _pick(raw, universe, what):
     """The comma-separated names in ``raw`` (None when it is empty),
-    exiting with the choices when one is not in ``universe``."""
+    a :class:`UsageError` with the choices when one is not in
+    ``universe``."""
     if not raw:
         return None
     names = raw.split(",")
     unknown = [n for n in names if n not in universe]
     if unknown:
-        raise SystemExit(
+        raise UsageError(
             f"unknown {what} {unknown}; choose from {sorted(universe)}")
     return names
 
 
-def _print_failures(failures, command):
+def _print_failures(args, failures):
     """Print each failure and the line that reproduces it: the replay
-    of its shrunk deviation list, else ``command(failure)``, which
-    reruns its cell."""
+    of its shrunk deviation list, else the command that reruns its unit."""
     from repro.check.fuzz import shrink
 
     for failure in failures:
@@ -243,120 +248,137 @@ def _print_failures(failures, command):
                                else ([], None))
         if verdict is None:
             print("  replay with:")
-            print(f"    {command(failure)}")
+            print(f"    {_rerun_command(args, failure)}")
             continue
         print(f"  shrunk to deviations {list(deviations)}; replay with:")
         print(f"    python -m repro explore --replay {verdict.name} "
               f"--seed {verdict.seed}")
 
 
-def _cell_command(args, failure):
-    """The ``check`` command line that reruns ``failure``'s cell."""
-    words = ["python -m repro check", f"--programs {failure.program}",
-             f"--configs {failure.config}", f"--policies {failure.policy}",
-             f"--seeds {failure.seed}"]
+def _rerun_command(args, failure):
+    """The command line that reruns ``failure``'s unit alone: its
+    ``check`` case, or its search with the sweep's search options."""
+    if failure.policy:
+        words = ["python -m repro check", f"--programs {failure.program}",
+                 f"--configs {failure.config}",
+                 f"--policies {failure.policy}", f"--seeds {failure.seed}"]
+    else:
+        words = ["python -m repro explore", f"--programs {failure.program}",
+                 f"--configs {failure.config}",
+                 f"--preemption-bound {args.preemption_bound}",
+                 f"--max-depth {args.max_depth}", f"--seed {args.seed}",
+                 f"--max-schedules {args.max_schedules}"]
     if failure.fault:
         words.append(f"--inject-fault {failure.fault}")
     if args.timeout:
         words.append(f"--timeout {args.timeout:g}")
+    for flag in ("no_prune", "no_checkpoint"):
+        if getattr(args, flag, False):
+            words.append("--" + flag.replace("_", "-"))
     return " ".join(words)
 
 
-def cmd_check(args):
-    from repro.check.fuzz import CONFIGS, POLICIES, summarize, sweep
-    from repro.check.programs import PROGRAMS
+def cmd_sweep(args):
+    """Run ``check`` or ``chaos``: a sweep of sampled cases.
 
-    fault = args.inject_fault or None
-    results = sweep(
-        programs=_pick(args.programs, PROGRAMS, "program"),
-        configs=_pick(args.configs, CONFIGS, "config"),
-        policies=_pick(args.policies, set(POLICIES), "policy") or POLICIES,
-        seeds=args.seeds,
-        fault=fault,
-        report=(print if args.verbose else None),
-        jobs=args.jobs,
-        timeout=args.timeout or None,
-    )
-    n_run, n_skipped, failures = summarize(results)
-    print(f"check: {n_run} cases run, {n_skipped} skipped, "
-          f"{len(failures)} failed"
-          + (f" (fault injected: {fault})" if fault else ""))
-    _print_failures(failures, lambda failure: _cell_command(args, failure))
-    return 1 if failures else 0
-
-
-def cmd_chaos(args):
+    ``check`` injects one fault (or none) under every policy; ``chaos``
+    every recoverable kind under ``det`` on the fast configs, and fails
+    unless each kind fired."""
     from repro.check.fuzz import (
         CHAOS_FAULTS,
         CONFIGS,
+        FAST_CONFIGS,
         FAULTS,
-        chaos_sweep,
+        POLICIES,
         injection_totals,
         summarize,
+        sweep,
     )
     from repro.check.programs import PROGRAMS
 
-    faults = _pick(args.faults, set(FAULTS), "fault")
-    results = chaos_sweep(
+    chaos = args.command == "chaos"
+    if chaos:
+        faults = _pick(args.faults, FAULTS, "fault") or CHAOS_FAULTS
+        policies = ("det",)
+    else:
+        faults = [args.inject_fault or None]
+        policies = _pick(args.policies, POLICIES, "policy") or POLICIES
+    results = sweep(
         faults=faults,
         programs=_pick(args.programs, PROGRAMS, "program"),
-        configs=_pick(args.configs, CONFIGS, "config"),
+        configs=(_pick(args.configs, CONFIGS, "config")
+                 or (FAST_CONFIGS if chaos else None)),
+        policies=policies,
         seeds=args.seeds,
+        timing_seeds=args.seeds if chaos else 1,
         report=(print if args.verbose else None),
         jobs=args.jobs,
         timeout=args.timeout or None,
     )
     n_run, n_skipped, failures = summarize(results)
+    injected = (f" (fault injected: {faults[0]})"
+                if faults[0] and not chaos else "")
+    print(f"{args.command}: {n_run} cases run, {n_skipped} skipped, "
+          f"{len(failures)} failed{injected}")
     totals = injection_totals(results)
-    print(f"chaos: {n_run} cases run, {n_skipped} skipped, "
-          f"{len(failures)} failed")
-    unreachable = []
-    for fault in faults or CHAOS_FAULTS:
-        count = totals.get(fault, 0)
-        print(f"  {fault}: {count} injections")
-        if not count:
-            unreachable.append(fault)
-    _print_failures(failures, lambda failure: _cell_command(args, failure))
+    for fault in faults if chaos else ():
+        print(f"  {fault}: {totals.get(fault, 0)} injections")
+    unreachable = [fault for fault in faults
+                   if chaos and not totals.get(fault)]
+    _print_failures(args, failures)
     if unreachable:
         print(f"chaos: fault kinds never fired: {unreachable}",
               file=sys.stderr)
     return 1 if failures or unreachable else 0
 
 
+def _replay(args):
+    """``explore --replay``: run one named schedule; exit 1 iff it fails,
+    and 2 (a usage error) unless it takes effect as written."""
+    from repro.check.explore import deviations_to_str, parse_deviations, replay
+    from repro.check.fuzz import CONFIGS, FAULTS
+    from repro.check.programs import PROGRAMS
+
+    parts = args.replay.split(":")
+    if len(parts) not in (3, 4):
+        raise UsageError("--replay wants [fault:]program:config:deviations "
+                         "(deviations like 3@1,7@0, or det)")
+    fault = parts.pop(0) if len(parts) == 4 else args.inject_fault or None
+    program, config, devstr = parts
+    _pick(program, PROGRAMS, "program")
+    _pick(config, CONFIGS, "config")
+    _pick(fault, FAULTS, "fault")
+    try:
+        deviations = parse_deviations(devstr)
+    except ValueError as exc:
+        raise UsageError(f"--replay: {exc}") from None
+    verdict = replay(program, config, deviations, fault=fault,
+                     seed=args.seed)
+    idle = sorted(set(deviations) - set(verdict.deviations))
+    if idle:
+        raise UsageError(
+            f"--replay pairs {deviations_to_str(idle)} never take effect "
+            f"(no such step, or that CPU is not a choice there)")
+    print(verdict)
+    return 1 if verdict.failed else 0
+
+
 def cmd_explore(args):
-    from repro.check.explore import (
-        failed_search,
-        parse_deviations,
-        replay,
-        search_spec,
-    )
+    from repro.check.explore import search_failure, search_spec
     from repro.check.fuzz import CONFIGS
     from repro.check.programs import LITMUS_PROGRAMS, PROGRAMS
     from repro.harness.parallel import run_campaign
 
-    fault = args.inject_fault or None
-
     if args.replay:
-        parts = args.replay.split(":")
-        if len(parts) == 4:
-            fault, program, config, devstr = parts
-        elif len(parts) == 3:
-            program, config, devstr = parts
-        else:
-            print("--replay wants [fault:]program:config:deviations "
-                  "(deviations like 3@1,7@0, or det)", file=sys.stderr)
-            return 2
-        verdict = replay(program, config, parse_deviations(devstr),
-                         fault=fault, seed=args.seed)
-        print(verdict)
-        return 1 if verdict.failed else 0
+        return _replay(args)
 
+    fault = args.inject_fault or None
     programs = (_pick(args.programs, PROGRAMS, "program")
                 or list(LITMUS_PROGRAMS))
     configs = _pick(args.configs, CONFIGS, "config") or ["lazy-wb-assoc"]
     bound = None if args.preemption_bound < 0 else args.preemption_bound
     if args.min_checkpoint_speedup and args.no_checkpoint:
-        raise SystemExit(
+        raise UsageError(
             "--min-checkpoint-speedup needs checkpointing on; "
             "drop --no-checkpoint")
 
@@ -377,7 +399,7 @@ def cmd_explore(args):
             for program in programs for config in configs]
         start = time.perf_counter()
         reports = run_campaign(
-            specs, jobs=args.jobs, failure_result=failed_search,
+            specs, jobs=args.jobs, failure_result=search_failure,
             report=show_verdicts if args.verbose else None)
         return reports, time.perf_counter() - start
 
@@ -420,28 +442,8 @@ def cmd_explore(args):
               "not shallow-first: raise --max-schedules, set --max-depth "
               "for a drainable space, or lower --preemption-bound for "
               "shallow-first coverage", file=sys.stderr)
-    _print_failures(failures,
-                    lambda failure: _search_command(args, failure))
+    _print_failures(args, failures)
     return 1 if failures or gate_failed else 0
-
-
-def _search_command(args, failure):
-    """The ``explore`` command line that reruns ``failure``'s search
-    alone, with the sweep's search options."""
-    words = ["python -m repro explore", f"--programs {failure.program}",
-             f"--configs {failure.config}",
-             f"--preemption-bound {args.preemption_bound}",
-             f"--max-depth {args.max_depth}", f"--seed {args.seed}",
-             f"--max-schedules {args.max_schedules}"]
-    if args.inject_fault:
-        words.append(f"--inject-fault {args.inject_fault}")
-    if args.timeout:
-        words.append(f"--timeout {args.timeout:g}")
-    if args.no_prune:
-        words.append("--no-prune")
-    if args.no_checkpoint:
-        words.append("--no-checkpoint")
-    return " ".join(words)
 
 
 #: Report fields the checkpointed and stateless sweeps must agree on.
@@ -493,7 +495,7 @@ def cmd_conform(args):
     from repro.spec.conform import conform_sweep, summarize_conform
 
     if args.litmus_only and args.skip_litmus:
-        raise SystemExit(
+        raise UsageError(
             "--litmus-only and --skip-litmus exclude each other")
 
     def progress(result):
@@ -619,55 +621,47 @@ def build_parser():
                    help="worker processes for the golden-cycle matrix")
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser(
-        "check",
-        help="schedule-exploration fuzzer + serializability oracle")
-    p.add_argument("--seeds", type=int, default=3,
-                   help="seeds per (program, config, policy) cell")
-    p.add_argument("--programs", default="",
-                   help="comma-separated program names (default: all)")
-    p.add_argument("--configs", default="",
-                   help="comma-separated config names (default: all)")
+    from repro.check.fuzz import FAULTS
+
+    def sweep_parser(name, help, cell, configs):
+        """``check`` or ``chaos``: the one sweep of sampled cases."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--seeds", type=int, default=3,
+                       help=f"seeds per ({cell}) cell")
+        p.add_argument("--programs", default="",
+                       help="comma-separated program names (default: all)")
+        p.add_argument("--configs", default="",
+                       help=f"comma-separated config names (default: "
+                            f"{configs})")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (default 1; results are "
+                            "identical at any job count)")
+        p.add_argument("--timeout", type=float, default=0.0,
+                       help="per-case budget in seconds; a case over "
+                            "budget becomes a run-failure result "
+                            "(default: none)")
+        p.add_argument("--verbose", action="store_true",
+                       help="print every case as it finishes")
+        p.set_defaults(fn=cmd_sweep)
+        return p
+
+    p = sweep_parser(
+        "check", "schedule-exploration fuzzer + serializability oracle",
+        "program, config, policy", "all")
     p.add_argument("--policies", default="",
                    help="comma-separated policies from det,random,pct")
-    from repro.check.fuzz import FAULTS
     p.add_argument("--inject-fault", default="", choices=("",) + FAULTS,
                    metavar="FAULT",
                    help="inject a seeded fault (a bare kind must survive "
                         "the oracles; a '+broken' variant re-introduces a "
                         "known bug the oracles must catch)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the sweep (default 1; "
-                        "results are identical at any job count)")
-    p.add_argument("--timeout", type=float, default=0.0,
-                   help="per-case budget in seconds; a case over budget "
-                        "becomes a run-failure result (default: none)")
-    p.add_argument("--verbose", action="store_true",
-                   help="print every case as it finishes")
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser(
-        "chaos",
-        help="fault-injection matrix: every recoverable fault kind "
-             "across the oracle programs and configs")
-    p.add_argument("--seeds", type=int, default=3,
-                   help="seeds per (fault, program, config) cell")
+    p = sweep_parser(
+        "chaos", "fault-injection matrix: every recoverable fault kind "
+                 "across the oracle programs and configs",
+        "fault, program, config", "the fast four")
     p.add_argument("--faults", default="",
                    help="comma-separated fault kinds (default: all eight)")
-    p.add_argument("--programs", default="",
-                   help="comma-separated program names (default: all)")
-    p.add_argument("--configs", default="",
-                   help="comma-separated config names (default: the fast "
-                        "four)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the matrix (default 1; "
-                        "results are identical at any job count)")
-    p.add_argument("--timeout", type=float, default=0.0,
-                   help="per-case budget in seconds; a case over budget "
-                        "becomes a run-failure result (default: none)")
-    p.add_argument("--verbose", action="store_true",
-                   help="print every case as it finishes")
-    p.set_defaults(fn=cmd_chaos)
 
     p = sub.add_parser(
         "explore",
@@ -760,7 +754,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -152,6 +152,8 @@ def call_guarded(fn, args, kwargs, timeout, on_failure):
         with _time_limit(timeout):
             return fn(*args, **kwargs)
     except CaseTimeout:
+        if not timeout:
+            raise  # an enclosing guard's alarm: its budget, its failure
         return on_failure(f"timeout after {timeout:g}s")
     except Exception as exc:
         return on_failure(_describe(exc))

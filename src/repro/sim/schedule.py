@@ -72,6 +72,10 @@ class SchedulePolicy:
     #: exactly min-(resume_at, cpu_id) — the heap's order.
     uses_ready_heap = False
 
+    #: Forced choices that were unavailable on replay: only a policy
+    #: that forces choices has any.
+    divergences = ()
+
     def choose(self, runnable):
         """Return one CPU from the non-empty list ``runnable``."""
         raise NotImplementedError
@@ -89,6 +93,9 @@ class DeterministicPolicy(SchedulePolicy):
 
     name = "det"
     uses_ready_heap = True
+
+    #: The deterministic pick never departs from itself.
+    deviations = ()
 
     def choose(self, runnable):
         return min(runnable, key=lambda cpu: (cpu.resume_at, cpu.cpu_id))
@@ -385,11 +392,17 @@ class PriorityPolicy(RecordingPolicy):
         #: the lowest priority of all.
         self._demoted = {}
         self._demote_seq = 0
+        #: cpu_id -> static priority, drawn once per CPU.
+        self._priorities = {}
 
     def _static_priority(self, cpu_id):
         # Derived from (seed, cpu_id) alone: stable across runs and
         # independent of encounter order.
-        return random.Random(self.seed * 1_000_003 + cpu_id).random()
+        priority = self._priorities.get(cpu_id)
+        if priority is None:
+            priority = self._priorities[cpu_id] = random.Random(
+                self.seed * 1_000_003 + cpu_id).random()
+        return priority
 
     def _rank(self, cpu):
         if cpu.cpu_id in self._demoted:

@@ -1,10 +1,12 @@
 """CLI error paths: bad names, bad policies, conflicting flags.
 
 Every checking subcommand validates its comma-separated selectors with
-a loud ``SystemExit`` naming the unknown entry and the universe to pick
-from — a typo must never silently run an empty (vacuously green)
-campaign.  The ``conform`` subcommand additionally rejects flag
-combinations that would select nothing.
+a loud usage error (exit 2) naming the unknown entry and the universe to
+pick from — a typo must never silently run an empty (vacuously green)
+campaign, and exit 1 stays reserved for "a failure was found".  The
+``conform`` subcommand additionally rejects flag combinations that
+would select nothing, and ``explore --replay`` a schedule name that does
+not take effect.
 """
 
 import pytest
@@ -12,25 +14,25 @@ import pytest
 from repro.cli import main
 
 
-def _exit_message(argv):
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    code = excinfo.value.code
-    return code if isinstance(code, str) else ""
+def _exit_message(argv, capsys):
+    """The usage error ``argv`` exits with (status 2)."""
+    assert main(argv) == 2
+    return capsys.readouterr().err
 
 
 class TestCheckErrors:
-    def test_bad_program_name(self):
-        message = _exit_message(["check", "--programs", "no-such-prog"])
+    def test_bad_program_name(self, capsys):
+        message = _exit_message(["check", "--programs", "no-such-prog"],
+                                capsys)
         assert "no-such-prog" in message
         assert "counter" in message  # the universe is named
 
-    def test_bad_config_name(self):
-        message = _exit_message(["check", "--configs", "sparc-v9"])
+    def test_bad_config_name(self, capsys):
+        message = _exit_message(["check", "--configs", "sparc-v9"], capsys)
         assert "sparc-v9" in message
 
-    def test_bad_policy_name(self):
-        message = _exit_message(["check", "--policies", "fifo"])
+    def test_bad_policy_name(self, capsys):
+        message = _exit_message(["check", "--policies", "fifo"], capsys)
         assert "fifo" in message
         assert "det" in message
 
@@ -41,23 +43,54 @@ class TestCheckErrors:
 
 
 class TestChaosErrors:
-    def test_bad_fault_name(self):
-        message = _exit_message(["chaos", "--faults", "gremlins"])
+    def test_bad_fault_name(self, capsys):
+        message = _exit_message(["chaos", "--faults", "gremlins"], capsys)
         assert "gremlins" in message
 
-    def test_bad_program_name(self):
-        message = _exit_message(["chaos", "--programs", "no-such-prog"])
+    def test_bad_program_name(self, capsys):
+        message = _exit_message(["chaos", "--programs", "no-such-prog"],
+                                capsys)
         assert "no-such-prog" in message
 
 
 class TestExploreErrors:
-    def test_bad_program_name(self):
-        message = _exit_message(["explore", "--programs", "nope"])
+    def test_bad_program_name(self, capsys):
+        message = _exit_message(["explore", "--programs", "nope"], capsys)
         assert "nope" in message
 
     def test_malformed_replay(self, capsys):
         assert main(["explore", "--replay", "just-one-part"]) == 2
         assert "deviations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,named", [
+        ("no-such:lazy-wb-assoc:det", "no-such"),
+        ("litmus-sb:z80:det", "z80"),
+        ("gremlins:litmus-sb:lazy-wb-assoc:det", "gremlins"),
+    ])
+    def test_replay_of_an_unknown_name(self, capsys, name, named):
+        message = _exit_message(["explore", "--replay", name], capsys)
+        assert named in message
+
+    @pytest.mark.parametrize("deviations,named", [
+        ("3@99", "3@99"),              # no CPU 99 to choose
+        ("-2@1", "-2@1"),              # no step -2
+        ("999999@1", "999999@1"),      # the run ends long before
+        ("3@1,3@0", "step 3"),         # one step, two choices
+        ("23@1,999999@0", "999999@0"),  # one pair takes effect
+    ])
+    def test_replay_of_pairs_that_never_take_effect(self, capsys,
+                                                    deviations, named):
+        message = _exit_message(
+            ["explore", "--replay", f"litmus-sb:lazy-wb-assoc:{deviations}",
+             "--seed", "1"], capsys)
+        assert named in message
+        assert "23@1" not in message
+
+    def test_replay_of_effective_pairs_prints_them(self, capsys):
+        assert main(["explore", "--replay", "litmus-sb:lazy-wb-assoc:23@1",
+                     "--seed", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "litmus-sb:lazy-wb-assoc:23@1: ok (2 commits, 44 steps)\n")
 
     def test_node_failure_replays_its_search(self, monkeypatch, capsys):
         """A node that raised (or ran over ``--timeout``) has no
@@ -113,17 +146,18 @@ class TestExploreVerbose:
 
 
 class TestConformErrors:
-    def test_bad_program_name(self):
-        message = _exit_message(["conform", "--programs", "no-such-prog"])
+    def test_bad_program_name(self, capsys):
+        message = _exit_message(["conform", "--programs", "no-such-prog"],
+                                capsys)
         assert "no-such-prog" in message
 
-    def test_bad_config_name(self):
-        message = _exit_message(["conform", "--configs", "z80"])
+    def test_bad_config_name(self, capsys):
+        message = _exit_message(["conform", "--configs", "z80"], capsys)
         assert "z80" in message
 
-    def test_conflicting_litmus_flags(self):
+    def test_conflicting_litmus_flags(self, capsys):
         message = _exit_message(
-            ["conform", "--litmus-only", "--skip-litmus"])
+            ["conform", "--litmus-only", "--skip-litmus"], capsys)
         assert "exclude each other" in message
 
 
@@ -167,7 +201,7 @@ class TestExploreDifferentialGate:
 
         return ScheduleVerdict(
             program="litmus-sb", config="lazy-wb-assoc", fault=None,
-            seed=1, deviations=deviations, n_committed=2, n_steps=9,
+            seed=1, schedule=deviations, n_committed=2, n_steps=9,
             signature=signature, outcome=outcome)
 
     def test_identical_sweeps_agree(self):

@@ -325,9 +325,9 @@ def test_dpor_drain_respects_the_schedule_cap():
 
 
 def _sharded(specs, jobs):
-    from repro.check.explore import failed_search
+    from repro.check.explore import search_failure
     from repro.harness.parallel import run_campaign
-    return run_campaign(specs, jobs=jobs, failure_result=failed_search)
+    return run_campaign(specs, jobs=jobs, failure_result=search_failure)
 
 
 def test_parallel_exploration_matches_serial():
@@ -423,7 +423,7 @@ def test_explore_finds_every_det_fuzz_violation(fault, program, seed,
 
 def test_verdict_str_formats():
     verdict = ScheduleVerdict(program="litmus-sb", config=CONFIG,
-                              fault=None, seed=1, deviations=((3, 1),))
+                              fault=None, seed=1, schedule=((3, 1),))
     assert "3@1" in verdict.name
     assert "ok" in str(verdict)
 

@@ -334,7 +334,7 @@ def test_checkpoint_matches_stateless_parallel():
     """Searches sharded whole across workers, each owning its
     checkpoints, reproduce the serial searches exactly: verdicts, the
     stateless control's fingerprint and the checkpoint counters."""
-    from repro.check.explore import failed_search, search_spec
+    from repro.check.explore import search_failure, search_spec
     from repro.harness.parallel import run_campaign
 
     kwargs = dict(preemption_bound=2, max_schedules=2000)
@@ -344,7 +344,7 @@ def test_checkpoint_matches_stateless_parallel():
               for program in PROGRAMS]
     sharded = run_campaign(
         [search_spec(program, CONFIG, checkpoint=True, **kwargs)
-         for program in PROGRAMS], jobs=2, failure_result=failed_search)
+         for program in PROGRAMS], jobs=2, failure_result=search_failure)
     for control, one, other in zip(stateless, serial, sharded,
                                    strict=True):
         assert _fingerprint(other) == _fingerprint(control)
@@ -405,6 +405,11 @@ WORK = {
     ("litmus-token-handoff", 2): (140, 87),
 }
 
+#: The drains' summed verdict ``n_steps``: engine steps, a restored
+#: prefix included (what the verdicts read when they counted policy
+#: choices, which every run of a drain matches).
+VERDICT_STEPS = {("litmus-sb", None): 12_336, ("litmus-mp", None): 10_038}
+
 
 @pytest.mark.parametrize("program, bound", sorted(
     WORK, key=lambda key: (key[1] is not None, key)))
@@ -418,6 +423,9 @@ def test_work_counters_are_pinned(program, bound):
     report = explore(program, CONFIG, checkpoint=True, **kwargs)
     assert (report.live_steps, report.restored_steps) == WORK[
         (program, bound)]
+    if (program, bound) in VERDICT_STEPS:
+        assert sum(verdict.n_steps for verdict in report.verdicts) == (
+            VERDICT_STEPS[(program, bound)])
     if bound is not None:
         stateless = explore(program, CONFIG, checkpoint=False, **kwargs)
         assert (stateless.live_steps, stateless.restored_steps) == (

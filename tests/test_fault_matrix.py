@@ -55,7 +55,7 @@ def test_identical_seeds_give_identical_streams(fault):
     first = run_case("iochaos", "eager-wb", "det", 5, fault=fault)
     second = run_case("iochaos", "eager-wb", "det", 5, fault=fault)
     assert first.n_committed == second.n_committed
-    assert first.commit_cpus == second.commit_cpus
+    assert first.signature == second.signature
     assert first.n_injections == second.n_injections
     assert first.fired == second.fired
     assert [str(v) for v in first.violations] == [
@@ -70,7 +70,7 @@ def test_chaos_case_replays_from_its_triple():
     assert result.name == "spurious-violation:counter:lazy-wb-assoc:det:2"
     fault, program, config, policy, seed = result.name.split(":")
     rerun = run_case(program, config, policy, int(seed), fault=fault)
-    assert rerun.commit_cpus == result.commit_cpus
+    assert rerun.signature == result.signature
     assert rerun.fired == result.fired
     verdict = replay(program, config, result.deviations, fault=fault,
                      seed=int(seed))

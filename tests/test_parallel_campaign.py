@@ -21,7 +21,8 @@ import time
 import pytest
 
 import repro.harness.parallel as parallel
-from repro.check.fuzz import CaseResult, chaos_sweep, sweep
+from repro.check.explore import ScheduleVerdict
+from repro.check.fuzz import sweep
 from repro.harness.parallel import (
     CampaignFailure,
     CaseSpec,
@@ -121,14 +122,15 @@ class TestExecutor:
         spawned = run_campaign(specs, jobs=2)
         assert spawned == run_campaign(specs)
         assert spawned[:3] == [1, 2, 3]
-        assert isinstance(spawned[3], CaseResult) and not spawned[3].failed
+        assert isinstance(spawned[3], ScheduleVerdict)
+        assert not spawned[3].failed
 
     def test_run_spec_resolves_runner_by_name(self):
         spec = CaseSpec(runner="repro.check.fuzz:run_case",
                         name="counter:lazy-wb-assoc:det:1",
                         args=("counter", "lazy-wb-assoc", "det", 1))
         result = run_spec(spec)
-        assert isinstance(result, CaseResult) and not result.failed
+        assert isinstance(result, ScheduleVerdict) and not result.failed
 
     def test_bad_runner_name_rejected(self):
         with pytest.raises(ValueError):
@@ -148,16 +150,16 @@ class TestCampaignEquivalence:
 
     def test_chaos_parallel_equals_serial(self):
         kwargs = dict(faults=["spurious-violation", "token-loss"],
-                      programs=["counter"],
+                      programs=["counter"], policies=("det",),
                       configs=["lazy-wb-assoc", "eager-wb"], seeds=2)
-        serial = chaos_sweep(**kwargs)
-        parallel = chaos_sweep(jobs=JOBS, **kwargs)
+        serial = sweep(**kwargs)
+        parallel = sweep(jobs=JOBS, **kwargs)
         assert len(serial) == 8
         assert parallel == serial
         assert any(r.n_injections for r in parallel)
 
     def test_unexpected_exception_becomes_run_failure(self, monkeypatch):
-        # run_case only handles ReproError; a buggy program's KeyError
+        # A case's run only handles ReproError; a buggy program's KeyError
         # must be classified at the campaign boundary, serial or not,
         # without losing the other cases' results.
         import repro.check.programs as programs
@@ -176,18 +178,28 @@ class TestCampaignEquivalence:
         assert "KeyError" in results[0].error
         assert not results[1].failed       # the campaign kept going
 
+    def test_case_over_budget_is_a_timeout(self):
+        """A case's budget is the campaign's, not its node guard's: a
+        livelock over ``timeout`` fails as that timeout."""
+        (result,) = sweep(faults=["validated-abort+broken"],
+                          programs=["iochaos"], configs=["lazy-wb-assoc"],
+                          policies=("pct",), seeds=1, timeout=0.5)
+        assert result.failed and result.error == "timeout after 0.5s"
+        assert result.name == (
+            "validated-abort+broken:iochaos:lazy-wb-assoc:pct:1")
+
     def test_crashing_case_yields_run_failure_in_parallel(self, monkeypatch):
-        import repro.check.fuzz as fuzz
+        import repro.check.explore as explore_mod
 
-        real_run_case = fuzz.run_case
+        real_run_node = explore_mod.run_node
 
-        def sabotaged(program, config, policy, seed, **kwargs):
-            if seed == 1:
+        def sabotaged(*args, **kwargs):
+            if kwargs["seed"] == 1:
                 os._exit(40)
-            return real_run_case(program, config, policy, seed, **kwargs)
+            return real_run_node(*args, **kwargs)
 
         # fork inherits the monkeypatched module, so workers crash too
-        monkeypatch.setattr(fuzz, "run_case", sabotaged)
+        monkeypatch.setattr(explore_mod, "run_node", sabotaged)
         results = sweep(programs=["counter"], configs=["lazy-wb-assoc"],
                         policies=("det",), seeds=2, jobs=2)
         assert results[0].failed

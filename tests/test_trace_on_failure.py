@@ -69,7 +69,7 @@ class TestTraceOnFailure:
         kwargs = dict(
             programs=["counter"], configs=["lazy-wb-assoc"],
             policies=["det"], seeds=1,
-            fault="spurious-violation+broken")
+            faults=["spurious-violation+broken"])
         serial = sweep(jobs=1, **kwargs)
         parallel = sweep(jobs=2, **kwargs)
         _, _, serial_failures = summarize(serial)
