@@ -257,8 +257,14 @@ def _print_failures(args, failures):
 
 def _rerun_command(args, failure):
     """The command line that reruns ``failure``'s unit alone: its
-    ``check`` case, or its search with the sweep's search options."""
-    if failure.policy:
+    ``conform`` unit, its ``check`` case, or its search with the sweep's
+    search options."""
+    if args.command == "conform":
+        words = ["python -m repro conform", f"--programs {failure.program}",
+                 f"--configs {failure.config}",
+                 f"--skip-litmus --seeds {failure.seed}" if failure.policy
+                 else "--litmus-only"]
+    elif failure.policy:
         words = ["python -m repro check", f"--programs {failure.program}",
                  f"--configs {failure.config}",
                  f"--policies {failure.policy}", f"--seeds {failure.seed}"]
@@ -276,6 +282,18 @@ def _rerun_command(args, failure):
         if getattr(args, flag, False):
             words.append("--" + flag.replace("_", "-"))
     return " ".join(words)
+
+
+def _check_numbers(args):
+    """A :class:`UsageError` for a numeric option below its least value,
+    rather than an empty, vacuously green campaign or one whose every
+    unit is a run-failure."""
+    for option, least in (("seeds", 1), ("jobs", 1), ("max_depth", 0),
+                          ("max_schedules", 0), ("timeout", 0)):
+        value = getattr(args, option, least)
+        if value < least:
+            raise UsageError(f"--{option.replace('_', '-')} must be at "
+                             f"least {least}, not {value:g}")
 
 
 def cmd_sweep(args):
@@ -490,39 +508,48 @@ def _diff_explore_reports(checked, control):
 
 
 def cmd_conform(args):
+    from repro.check.explore import search_failure
     from repro.check.fuzz import CONFIGS
     from repro.check.programs import PROGRAMS
-    from repro.spec.conform import conform_sweep, summarize_conform
+    from repro.harness.parallel import run_campaign
+    from repro.spec.conform import conform_specs, gate_drain
 
     if args.litmus_only and args.skip_litmus:
         raise UsageError(
             "--litmus-only and --skip-litmus exclude each other")
 
-    def progress(result):
+    def gate(report):
+        # Each drain is gated as it arrives, so that --verbose prints
+        # FAIL for a drain only the gate fails.
+        failure = gate_drain(report)
+        if failure:
+            report.verdicts.append(failure)
         if args.verbose:
-            status = ("skip" if result.get("skipped")
-                      else "ok" if result["ok"] else "FAIL")
-            print(f"conform: {result['name']}: {status}")
+            status = ("skip" if report.skipped
+                      else "FAIL" if report.failures else "ok")
+            print(f"conform: {report.program}:{report.config}:"
+                  f"{report.seed}: {status}")
 
-    results = conform_sweep(
+    specs = conform_specs(
         programs=_pick(args.programs, PROGRAMS, "program"),
         configs=_pick(args.configs, CONFIGS, "config"),
         seeds=args.seeds,
         litmus=not args.skip_litmus,
         cells=not args.litmus_only,
-        jobs=args.jobs,
-        timeout=args.timeout or None,
-        report=progress,
     )
-    n_run, n_skipped, failures = summarize_conform(results)
-    n_drains = sum(1 for r in results if r.get("kind") == "drain")
-    print(f"conform: {n_run} cells run ({n_drains} litmus drains), "
-          f"{n_skipped} skipped, {len(failures)} failed")
-    for failure in failures:
-        print()
-        print(f"conform FAILURE {failure['name']}:")
-        for detail in failure["violations"]:
-            print(f"  {detail}")
+    if not specs:
+        # A skipped cell still counts as run; an empty selection does not.
+        raise UsageError("the options select nothing to run")
+    reports = run_campaign(specs, jobs=args.jobs,
+                           timeout=args.timeout or None,
+                           failure_result=search_failure, report=gate)
+    failures = [verdict for report in reports for verdict in report.failures]
+    n_skipped = sum(report.skipped for report in reports)
+    n_drains = sum(report.policy is None for report in reports)
+    print(f"conform: {len(reports) - n_skipped} cells run "
+          f"({n_drains} litmus drains), {n_skipped} skipped, "
+          f"{len(failures)} failed")
+    _print_failures(args, failures)
     return 1 if failures else 0
 
 
@@ -623,10 +650,10 @@ def build_parser():
 
     from repro.check.fuzz import FAULTS
 
-    def sweep_parser(name, help, cell, configs):
-        """``check`` or ``chaos``: the one sweep of sampled cases."""
+    def sweep_parser(name, help, cell, configs, seeds=3, fn=cmd_sweep):
+        """``check``, ``chaos`` or ``conform``: a sweep of search units."""
         p = sub.add_parser(name, help=help)
-        p.add_argument("--seeds", type=int, default=3,
+        p.add_argument("--seeds", type=int, default=seeds,
                        help=f"seeds per ({cell}) cell")
         p.add_argument("--programs", default="",
                        help="comma-separated program names (default: all)")
@@ -642,7 +669,7 @@ def build_parser():
                             "(default: none)")
         p.add_argument("--verbose", action="store_true",
                        help="print every case as it finishes")
-        p.set_defaults(fn=cmd_sweep)
+        p.set_defaults(fn=fn)
         return p
 
     p = sweep_parser(
@@ -718,29 +745,15 @@ def build_parser():
                    help="print every schedule verdict")
     p.set_defaults(fn=cmd_explore)
 
-    p = sub.add_parser(
-        "conform",
-        help="differential conformance: simulator outcomes vs the "
-             "abstract reference semantics (repro.spec)")
-    p.add_argument("--programs", default="",
-                   help="comma-separated check programs (default: all)")
-    p.add_argument("--configs", default="",
-                   help="comma-separated configs for the replay cells "
-                        "and, where lazy, the litmus drains (default: "
-                        "the functional design-space matrix)")
-    p.add_argument("--seeds", type=int, default=1,
-                   help="seeds per (program, config) replay cell")
+    p = sweep_parser(
+        "conform", "differential conformance: simulator outcomes vs the "
+                   "abstract reference semantics (repro.spec)",
+        "program, config", "the functional four; litmus drains "
+        "run on the lazy ones", seeds=1, fn=cmd_conform)
     p.add_argument("--litmus-only", action="store_true",
                    help="run only the exhaustive litmus drains")
     p.add_argument("--skip-litmus", action="store_true",
                    help="run only the replay cells")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (deterministic at any value)")
-    p.add_argument("--timeout", type=float, default=0.0,
-                   help="per-cell timeout in seconds")
-    p.add_argument("--verbose", action="store_true",
-                   help="print every cell verdict")
-    p.set_defaults(fn=cmd_conform)
 
     p = sub.add_parser("all", help="the whole evaluation")
     common(p)
@@ -755,6 +768,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)

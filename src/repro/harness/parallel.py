@@ -93,8 +93,15 @@ class CampaignFailure:
     message: str
 
 
-class CaseTimeout(Exception):
-    """A case exceeded the campaign's per-case time budget."""
+class CaseTimeout(BaseException):
+    """A case exceeded the campaign's per-case time budget.
+
+    Derived from ``BaseException``, like ``KeyboardInterrupt``: the alarm
+    lands wherever the case happens to be, and the engine records an
+    ``Exception`` raised in a thread's program as that thread's failure
+    and runs the other threads on, so a timeout that landed there ran
+    the case to its cycle budget and was reported as whatever ended it.
+    """
 
 
 def resolve_runner(path):

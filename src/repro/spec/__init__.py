@@ -14,7 +14,8 @@ which is what makes it usable as an oracle:
   history and flag any disagreement (:func:`check_conformance`).
 * :mod:`repro.spec.outcomes` — exhaustive enumeration of the admissible
   serial outcomes of a program (used to gate the explorer's drains).
-* :mod:`repro.spec.conform` — the ``python -m repro conform`` sweep.
+* :mod:`repro.spec.conform` — the ``python -m repro conform`` sweep of
+  explorer search units, and the outcome-set gate over its drains.
 """
 
 from repro.spec.model import (  # noqa: F401

@@ -161,6 +161,80 @@ class TestConformErrors:
         assert "exclude each other" in message
 
 
+class TestNumbersAndEmptyCampaigns:
+    """A numeric option out of range, or a selection of no units, is a
+    usage error: never an empty, vacuously green campaign, and never
+    every unit failing as a run-failure."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["check", "--seeds", "0"], "--seeds"),
+        (["conform", "--seeds", "0", "--skip-litmus"], "--seeds"),
+        (["check", "--programs", "counter", "--jobs", "0"], "--jobs"),
+        (["chaos", "--programs", "counter", "--jobs", "-1"], "--jobs"),
+        (["explore", "--max-schedules", "-1"], "--max-schedules"),
+        (["explore", "--max-depth", "-5"], "--max-depth"),
+        (["check", "--programs", "counter", "--timeout", "-1"],
+         "--timeout"),
+        (["explore", "--timeout", "-1"], "--timeout"),
+        (["conform", "--litmus-only", "--timeout", "-1"], "--timeout"),
+    ])
+    def test_out_of_range(self, capsys, argv, named):
+        message = _exit_message(argv, capsys)
+        assert f"{named} must be at least" in message
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        # Drains run on lazy configs only.
+        ["conform", "--litmus-only", "--configs", "eager-wb"],
+        # counter is no litmus program.
+        ["conform", "--litmus-only", "--programs", "counter"],
+    ])
+    def test_a_campaign_of_no_units(self, capsys, argv):
+        assert "select nothing" in _exit_message(argv, capsys)
+
+    def test_all_skipped_units_still_run(self, capsys):
+        # requeue needs lazy detection: its one case is skipped, and a
+        # skipped case counts as run.
+        assert main(["check", "--programs", "requeue", "--configs",
+                     "eager-wb", "--policies", "det", "--seeds", "1"]) == 0
+        assert "0 cases run, 1 skipped, 0 failed" in capsys.readouterr().out
+
+
+class TestConformFailures:
+    """A failing ``conform`` unit prints the line that reproduces it."""
+
+    def test_failing_drain_prints_a_rerun_line(self, capsys, monkeypatch):
+        from repro.spec import conform
+
+        # Too shallow to reach sb's race: an outcome is never observed.
+        monkeypatch.setitem(conform.LITMUS_DEPTHS, "litmus-sb", 2)
+        code = main(["conform", "--programs", "litmus-sb", "--configs",
+                     "lazy-wb-assoc", "--litmus-only", "--verbose"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "conform: litmus-sb:lazy-wb-assoc:1: FAIL" in out
+        assert "1 failed" in out
+        # The header names no schedule to replay: the detail says the
+        # whole drain failed, and the rerun line reruns it.
+        assert ("litmus-sb:lazy-wb-assoc:det: FAILED (0 commits)\n"
+                "  [conformance] drain litmus-sb:lazy-wb-assoc: "
+                "admissible outcome never observed") in out
+        assert ("python -m repro conform --programs litmus-sb "
+                "--configs lazy-wb-assoc --litmus-only") in out
+
+    def test_failing_cell_prints_a_replay_line(self, capsys):
+        from repro.spec.model import mutated
+
+        with mutated("torn-commit"):
+            code = main(["conform", "--programs", "bank", "--configs",
+                         "lazy-wb-assoc", "--skip-litmus"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "bank:lazy-wb-assoc:det:1: FAILED" in out
+        assert ("python -m repro explore --replay bank:lazy-wb-assoc:det "
+                "--seed 1") in out
+
+
 class TestConformSmoke:
     def test_single_cell_runs_clean(self, capsys):
         code = main(["conform", "--programs", "counter",

@@ -10,7 +10,7 @@ costs no step.
 
 import pytest
 
-from repro.common.errors import CapacityAbort, SimulationError, TxRollback
+from repro.common.errors import CapacityAbort, SimulationError
 from repro.common.params import functional_config
 from repro.runtime.core import Runtime
 from repro.sim import ops as O

@@ -22,17 +22,40 @@ import pytest
 
 import repro.harness.parallel as parallel
 from repro.check.explore import ScheduleVerdict
-from repro.check.fuzz import sweep
+from repro.check.fuzz import build_config, sweep
+from repro.check.programs import CounterProgram
 from repro.harness.parallel import (
     CampaignFailure,
     CaseSpec,
+    CaseTimeout,
+    call_guarded,
     run_campaign,
     run_spec,
 )
 from repro.harness.sweep import speedup_curve
 from repro.workloads import SwimKernel
+from repro.workloads.base import Run
 
 JOBS = 3
+
+
+class AlarmInBody(CounterProgram):
+    """The counter program, with the campaign's alarm landing in the
+    first transaction body to run (before any increment commits)."""
+
+    def setup(self, machine, runtime, arena):
+        super().setup(machine, runtime, arena)
+        self.machine, self.fired_at = machine, None
+
+    def _worker(self, t, jitter):
+        def body(t):
+            yield t.load(self.addr)
+            if self.fired_at is None:
+                self.fired_at = self.machine.now
+                raise CaseTimeout()
+
+        yield from self._rt.atomic(t, body)
+        yield from super()._worker(t, jitter)
 
 
 def named_spec(runner, *args):
@@ -187,6 +210,19 @@ class TestCampaignEquivalence:
         assert result.failed and result.error == "timeout after 0.5s"
         assert result.name == (
             "validated-abort+broken:iochaos:lazy-wb-assoc:pct:1")
+
+    def test_an_alarm_in_a_thread_program_ends_the_run(self):
+        """The alarm lands wherever the case is, here inside a
+        transaction body: the run stops there, instead of the engine
+        recording a thread failure and running the other threads on (a
+        livelock then ran to its cycle budget and failed as that)."""
+        program = AlarmInBody()
+        result = call_guarded(
+            program.run, (build_config("lazy-wb-assoc", program),),
+            {"judge": Run}, 60, lambda message: message)
+        assert result == "timeout after 60s"
+        assert program.fired_at is not None
+        assert program.machine.memory.read(program.addr) == 0
 
     def test_crashing_case_yields_run_failure_in_parallel(self, monkeypatch):
         import repro.check.explore as explore_mod

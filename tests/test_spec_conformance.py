@@ -18,9 +18,11 @@ This file pins the three contracts the spec adds to the oracle battery:
 
 import pytest
 
+from repro.check.explore import explore, search_failure, search_spec
 from repro.check.fuzz import FAST_CONFIGS, run_case
 from repro.check.programs import LITMUS_PROGRAMS, PROGRAMS
-from repro.spec.conform import LITMUS_DEPTHS, run_drain_cell
+from repro.spec import conform
+from repro.spec.conform import LITMUS_DEPTHS, gate_drain
 from repro.spec.outcomes import spec_outcomes
 from repro.spec.replay import freeze
 
@@ -175,8 +177,63 @@ def test_litmus_token_handoff_admissible_set():
 DRAIN_SAMPLE = ("litmus-token-handoff", "litmus-mp")
 
 
+def _drain(program, **kwargs):
+    """``program``'s conform drain on lazy-wb-assoc (seed 1)."""
+    kwargs.setdefault("max_depth", LITMUS_DEPTHS[program])
+    return explore(program, "lazy-wb-assoc", preemption_bound=None,
+                   **kwargs)
+
+
 @pytest.mark.parametrize("program", DRAIN_SAMPLE)
 def test_exhaustive_drain_equals_admissible_set(program):
-    cell = run_drain_cell(program)
-    assert cell["ok"], cell["violations"]
-    assert cell["n_outcomes"] == len(spec_outcomes(program))
+    report = _drain(program)
+    assert gate_drain(report) is None
+    assert not report.failures, report.summary()
+    outcomes = {v.outcome for v in report.verdicts}
+    assert len(outcomes) == len(spec_outcomes(program))
+
+
+def _gated(report):
+    """The gate's problem lines on ``report``, checked to form one
+    ``conformance`` verdict of no steps that names the drain."""
+    failure = gate_drain(report)
+    assert failure.n_steps == 0 and failure.policy is None
+    where = f"drain {report.program}:{report.config}: "
+    assert all(v.oracle == "conformance" and v.detail.startswith(where)
+               for v in failure.violations)
+    return [v.detail[len(where):] for v in failure.violations]
+
+
+def test_gate_flags_a_drain_too_shallow_to_cover_the_outcomes():
+    # At depth 2 no branch reaches the point where sb's threads race,
+    # so one admissible outcome is never observed.
+    problems = _gated(_drain("litmus-sb", max_depth=2))
+    assert problems
+    assert all(p.startswith("admissible outcome never observed: ")
+               for p in problems)
+
+
+def test_gate_flags_a_truncated_drain():
+    problems = _gated(_drain("litmus-sb", max_schedules=3))
+    assert problems[0] == "drain truncated; not exhaustive"
+
+
+def test_gate_flags_an_outcome_outside_the_admissible_set(monkeypatch):
+    real = spec_outcomes("litmus-sb")
+    dropped = min(real, key=repr)
+    monkeypatch.setattr(conform, "spec_outcomes",
+                        lambda program, seed=1: real - {dropped})
+    problems = _gated(_drain("litmus-sb"))
+    assert problems == [
+        f"outcome outside the admissible set: {dropped!r}"]
+
+
+def test_gate_skips_cells_and_failed_units():
+    # A crashed drain is judged by its run-failure verdict alone, not
+    # also by the outcomes it never got to see.
+    cell = explore("litmus-sb", "lazy-wb-assoc", policy="det")
+    crashed = search_failure(
+        search_spec("litmus-sb", "lazy-wb-assoc", preemption_bound=None,
+                    max_depth=LITMUS_DEPTHS["litmus-sb"]),
+        "worker crashed (exit code -9)")
+    assert gate_drain(cell) is gate_drain(crashed) is None
