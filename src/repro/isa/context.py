@@ -355,7 +355,7 @@ class Cpu:
             self._self_abort(op.addr)
             return _STALL
         latency = self._mem.access(self.cpu_id, op.addr, False, now)
-        return ExecOutcome(latency=latency, value=value)
+        return ExecOutcome(latency, value)
 
     def _exec_store(self, op, now):
         action = self._htm.store(self.cpu_id, op.addr, op.value)
@@ -370,7 +370,7 @@ class Cpu:
     def _exec_imload(self, op, now):
         value = self._htm.im_load(self.cpu_id, op.addr)
         latency = self._mem.access(self.cpu_id, op.addr, False, now)
-        return ExecOutcome(latency=latency, value=value)
+        return ExecOutcome(latency, value)
 
     def _exec_imstore(self, op, now):
         self._htm.im_store(self.cpu_id, op.addr, op.value)

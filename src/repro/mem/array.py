@@ -46,15 +46,6 @@ class WordArray:
         yield t.store(addr, value)
         return value
 
-    # -- immediate accessors (private/read-only data, §4.7) ---------------------
-
-    def im_get(self, t, index):
-        value = yield t.imld(self.addr(index))
-        return value
-
-    def im_set(self, t, index, value):
-        yield t.imst(self.addr(index), value)
-
 
 class LineArray(WordArray):
     """A word array placing each element on its own cache line.

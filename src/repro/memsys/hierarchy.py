@@ -119,10 +119,13 @@ class HierarchicalMemory(MemoryModel):
         holders = self.residency.get(addr - addr % self._line_size)
         if not holders:
             return 0
-        remote = [c for c in holders if c.owner != cpu_id]
-        if not remote:
+        for cache in holders:
+            if cache.owner != cpu_id:
+                break
+        else:
             return 0
-        for cache in remote:
+        # Invalidating edits ``holders``: walk a copy.
+        for cache in [c for c in holders if c.owner != cpu_id]:
             cache.invalidate(addr)
         return self.bus.acquire(now, 1) - now
 

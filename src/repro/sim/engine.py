@@ -77,57 +77,84 @@ CAPACITY_RETRY_LIMIT = 16
 #: Shared journal record for a parked-op re-issue (no generator call).
 _FEED_PARKED = ("p",)
 
+#: What the lean step fetches when the frame's own generator ended the
+#: step (returned, or raised); it executes nothing.
+_ENDED = object()
+
 
 def _advance(stack, exc, value):
     """Resume the call stack ``stack`` with ``value`` (or throw ``exc``)
     and return the next thing its top generator yields that is not a
     :class:`~repro.sim.ops.Call`.
 
+    ``stack[0]``, the frame's own generator, is never popped: its return
+    (``StopIteration``) and its exceptions propagate to the caller of
+    ``_advance``, which decides what they mean for the frame.  A
+    ``Call``, or a callee's return or exception, goes on through
+    :func:`_settle`.
+    """
+    try:
+        if exc is None:
+            op = stack[-1].send(value)
+        else:
+            op = stack[-1].throw(exc)
+    except BaseException as error:
+        if len(stack) == 1:
+            raise
+        return _settle(stack, None, error)
+    if op.__class__ is not Call:
+        return op
+    return _settle(stack, op, None)
+
+
+def _settle(stack, op, error):
+    """Go on with a resume of ``stack`` whose top generator yielded the
+    :class:`~repro.sim.ops.Call` ``op``, or raised ``error`` although it
+    is not ``stack[0]``; return the next thing the stack yields that is
+    not a ``Call``.
+
     A ``Call`` pushes its generator, which starts with ``None``.  A
     callee that returns hands its value to its caller; one that raises
     (``TxRollback`` included: it is a ``BaseException``) hands its
-    exception to its caller.  Both pop it.  ``stack[0]``, the frame's
-    own generator, is never popped here: its return (``StopIteration``)
-    and its exceptions propagate to the caller of ``_advance``, which
-    decides what they mean for the frame.  A ``Call`` of anything but a
-    generator raises :class:`SimulationError` at the yield, where a
-    ``yield from`` of a non-iterable would raise its ``TypeError``.
+    exception to its caller.  Both pop it.  As in :func:`_advance`,
+    ``stack[0]``'s return and exceptions propagate.  A ``Call`` of
+    anything but a generator raises :class:`SimulationError` at the
+    yield, where a ``yield from`` of a non-iterable would raise its
+    ``TypeError``.
     """
-    gen = stack[-1]
     while True:
+        if error is None:
+            callee = op.generator
+            value = exc = None
+            if callee.__class__ is GeneratorType:
+                stack.append(callee)
+            else:
+                exc = SimulationError(f"Call of a non-generator: {callee!r}")
+        else:
+            stack.pop()
+            value = exc = None
+            if isinstance(error, StopIteration):
+                value = error.value
+            else:
+                # Hand it over without the resuming frame in its
+                # traceback, as ``yield from`` would: a traceback entry
+                # for that frame would hold its locals (the call stack,
+                # the exception itself) in a reference cycle.
+                exc = error.with_traceback(error.__traceback__.tb_next)
+        gen = stack[-1]
         try:
             if exc is None:
                 op = gen.send(value)
             else:
                 op = gen.throw(exc)
-        except StopIteration as stop:
+        except BaseException as raised:
             if len(stack) == 1:
                 raise
-            stack.pop()
-            gen = stack[-1]
-            value = stop.value
-            exc = None
-            continue
-        except BaseException as error:
-            if len(stack) == 1:
-                raise
-            stack.pop()
-            gen = stack[-1]
-            # Hand it over without this frame in its traceback, as
-            # ``yield from`` would: a traceback entry for this frame
-            # would hold its locals (the call stack, the exception
-            # itself) in a reference cycle.
-            exc = error.with_traceback(error.__traceback__.tb_next)
+            error = raised
             continue
         if op.__class__ is not Call:
             return op
-        callee = op.generator
-        if callee.__class__ is GeneratorType:
-            stack.append(callee)
-            gen = callee
-            value = exc = None
-        else:
-            exc = SimulationError(f"Call of a non-generator: {callee!r}")
+        error = None
 
 
 class Machine:
@@ -338,8 +365,13 @@ class Machine:
                 if cpu.frames and cpu.state == RUNNABLE
             ]
             heapq.heapify(self._ready)
+        # The lean step (see _run_loop) serves the heap's schedule with
+        # nothing per step to honour: no step limit, no journal, no step
+        # subscriber, no ``_step`` shadow (a fault injector's).
+        lean = (use_heap and max_steps is None and self._journal is None
+                and not self._on_step and "_step" not in vars(self))
         try:
-            return self._run_loop(use_heap, max_cycles, max_steps)
+            return self._run_loop(use_heap, lean, max_cycles, max_steps)
         finally:
             # Plain-attribute hot counters become visible stats even when
             # the run ends in DeadlockError/SimulationError.
@@ -348,16 +380,18 @@ class Machine:
             self.memmodel.flush_stats()
             self.htm.flush_stats()
 
-    def _run_loop(self, use_heap, max_cycles, max_steps):
-        # Loop-invariant lookups hoisted out of the per-step path; the
+    def _run_loop(self, use_heap, lean, max_cycles, max_steps):
+        # Loop-invariant lookups hoisted out of the per-step path.  The
         # per-step callables (self._step, which a fault injector may
-        # shadow, and the step subscribers) stay attribute probes so
-        # anything attached mid-run takes effect.
+        # shadow, and the step subscribers) stay attribute probes, so
+        # outside a lean run anything attached mid-run takes effect; a
+        # lean run honours the ones attached when it started (none).
         cpus = self.cpus
         n_cpus = self._n_cpus
-        heappush = heapq.heappush
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         choose = self.policy.choose
+        retries = self._capacity_retries
         steps = 0
         try:
             while self._live_programs > 0:
@@ -394,21 +428,81 @@ class Machine:
                     raise DeadlockError(
                         f"all threads waiting at cycle {self.now}: {waiting}")
                 while True:
-                    if cpu.resume_at > self.now:
-                        self.now = cpu.resume_at
-                    if self.now > max_cycles:
+                    now = cpu.resume_at
+                    if now > self.now:
+                        self.now = now
+                    else:
+                        now = self.now
+                    if now > max_cycles:
                         raise SimulationError(
                             f"simulation exceeded {max_cycles} cycles")
-                    steps += 1
-                    if max_steps is not None and steps > max_steps:
+                    if max_steps is not None and steps >= max_steps:
                         raise SimulationError(
                             f"simulation exceeded {max_steps} steps")
-                    self._step(cpu)
-                    for fn in self._on_step:
-                        fn(cpu)
-                    journal = self._journal
-                    if journal is not None:
-                        journal.close_step(self, cpu)
+                    steps += 1
+                    if not (lean and cpu.throw_exc is None
+                            and not cpu.pending_abort and not cpu.parked
+                            and not (cpu.isa._vqueue
+                                     and cpu.isa.viol_reporting)
+                            and cpu.execute is cpu._table_execute):
+                        self._step(cpu)
+                        for fn in self._on_step:
+                            fn(cpu)
+                        journal = self._journal
+                        if journal is not None:
+                            journal.close_step(self, cpu)
+                    else:
+                        # The lean step: what ``_step`` does when there
+                        # is nothing to dispatch, re-issue or throw, and
+                        # nobody shadows ``cpu.execute``.  An Alu runs
+                        # here, as ``Cpu._exec_alu`` would run it.
+                        stack = cpu.calls[-1]
+                        value = cpu.send_value
+                        cpu.send_value = None
+                        try:
+                            op = stack[-1].send(value)
+                        except BaseException as error:
+                            op = self._fetch_rest(cpu, None, error)
+                        else:
+                            if op.__class__ is Call:
+                                op = self._fetch_rest(cpu, op, None)
+                        kind = op.__class__
+                        if kind is Alu:
+                            cycles = op.cycles
+                            cpu.icount += cycles
+                            if cpu.dispatch_depth:
+                                cpu.handler_icount += cycles
+                            if retries[cpu.cpu_id]:
+                                retries[cpu.cpu_id] = 0
+                            cpu.resume_at = now + (
+                                cycles if cycles > 1 else 1)
+                        elif (handler := cpu._dispatch.get(kind)) is not None:
+                            try:
+                                outcome = handler(op, now)
+                            except CapacityAbort as overflow:
+                                self._handle_capacity_abort(cpu, overflow)
+                            else:
+                                if outcome.stall:
+                                    cpu.parked[len(cpu.frames) - 1] = op
+                                    cpu.resume_at = now + 2
+                                else:
+                                    cpu.icount += 1
+                                    if cpu.dispatch_depth:
+                                        cpu.handler_icount += 1
+                                    if retries[cpu.cpu_id]:
+                                        retries[cpu.cpu_id] = 0
+                                    cpu.send_value = outcome.value
+                                    latency = outcome.latency
+                                    cpu.resume_at = now + (
+                                        latency if latency > 1 else 1)
+                                    if outcome.deschedule:
+                                        self._park(cpu)
+                        elif op is not _ENDED:
+                            if not isinstance(op, Op):
+                                self._reject(cpu, op)
+                            else:
+                                # Not in the table: raises as in _step.
+                                cpu.execute(op, now)
                     if not (use_heap and cpu.state == RUNNABLE
                             and cpu.frames):
                         break
@@ -418,14 +512,20 @@ class Machine:
                     # decision — step it again without the push/pop
                     # round-trip.  An equal head entry is this CPU's own
                     # stale entry (same key = same cpu_id); anything
-                    # smaller wins the pop, so park our entry and yield.
+                    # smaller wins the pop, so swap our entry for it and
+                    # go on with its CPU if the entry is live (a stale
+                    # one sends us to the pop above).
+                    if self._live_programs <= 0:
+                        break
                     ready = self._ready
                     entry = cpu.resume_at * n_cpus + cpu.cpu_id
                     if ready and ready[0] < entry:
-                        heappush(ready, entry)
-                        break
-                    if self._live_programs <= 0:
-                        break
+                        key = heapreplace(ready, entry)
+                        cpu = cpus[key % n_cpus]
+                        if not (cpu.state == RUNNABLE and cpu.frames
+                                and cpu.resume_at * n_cpus + cpu.cpu_id
+                                == key):
+                            break
         finally:
             # Failed runs (DeadlockError, cycle overrun, workload
             # exceptions) keep their cycle and step counts — the stats
@@ -487,20 +587,11 @@ class Machine:
                     journal.stage_feed(("s", value))
             try:
                 op = _advance(cpu.calls[-1], exc, value)
-            except StopIteration as stop:
-                self._frame_finished(cpu, stop.value)
-                return
-            except TxRollback as rollback:
-                self._rollback_escaped(cpu, rollback)
-                return
-            except Exception as error:  # noqa: BLE001 - workload bugs
-                cpu.failure = error
-                self._kill(cpu)
+            except BaseException as error:
+                self._frame_raised(cpu, error)
                 return
         if not isinstance(op, Op):
-            cpu.failure = SimulationError(
-                f"cpu {cpu.cpu_id} yielded non-op {op!r}")
-            self._kill(cpu)
+            self._reject(cpu, op)
             return
 
         # Execute.  The frame stack cannot change during execute, so the
@@ -540,6 +631,41 @@ class Machine:
         cpu.resume_at = now + (latency if latency > 1 else 1)
         if outcome.deschedule:
             self._park(cpu)
+
+    def _fetch_rest(self, cpu, op, error):
+        """The lean step's send into ``cpu``'s top generator yielded the
+        :class:`~repro.sim.ops.Call` ``op``, or raised ``error``: go on
+        as ``_step``'s fetch would.  Returns the op to execute, or
+        ``_ENDED`` when the frame's own generator ended the step."""
+        stack = cpu.calls[-1]
+        if error is not None and len(stack) == 1:
+            self._frame_raised(cpu, error)
+            return _ENDED
+        try:
+            return _settle(stack, op, error)
+        except BaseException as raised:
+            self._frame_raised(cpu, raised)
+            return _ENDED
+
+    def _frame_raised(self, cpu, error):
+        """The frame's own generator raised ``error`` where a step
+        resumed it: it returned (``StopIteration``), a rollback escaped
+        it, or the workload failed.  Anything else propagates."""
+        if isinstance(error, StopIteration):
+            self._frame_finished(cpu, error.value)
+        elif isinstance(error, TxRollback):
+            self._rollback_escaped(cpu, error)
+        elif isinstance(error, Exception):
+            cpu.failure = error
+            self._kill(cpu)
+        else:
+            raise error
+
+    def _reject(self, cpu, op):
+        """Kill the program on ``cpu``: it yielded ``op``, not an op."""
+        cpu.failure = SimulationError(
+            f"cpu {cpu.cpu_id} yielded non-op {op!r}")
+        self._kill(cpu)
 
     def _park(self, cpu):
         """Deschedule ``cpu`` until a wake (the YieldCpu sleep side).

@@ -78,8 +78,9 @@ class DetectionStressKernel(Workload):
             base = self.depth + 1
             for j in range(self.burst):
                 yield t.store(addrs[base + j % window], j)
-            value = yield from self.accum.get(t, 0)
-            yield from self.accum.set(t, 0, value + 1)
+            accum = self.accum.addr(0)
+            value = yield t.load(accum)
+            yield t.store(accum, value + 1)
 
     def verify(self, machine):
         got = machine.memory.read(self.accum.addr(0))

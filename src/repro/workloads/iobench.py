@@ -44,16 +44,19 @@ class IoLogWorkload(Workload):
 
     def _program(self, t, tid):
         rt = self._runtime
+        scratch = self.scratch[tid]
+        addrs = [scratch.addr(j % scratch.length)
+                 for j in range(self.PRIVATE_WORK)]
         for i in range(self._records):
-            yield from rt.atomic(t, self._body, tid, i)
+            yield from rt.atomic(t, self._body, tid, i, addrs)
         return tid
 
-    def _body(self, t, tid, i):
-        scratch = self.scratch[tid]
-        for j in range(self.PRIVATE_WORK):
-            value = yield from scratch.get(t, j % scratch.length)
-            yield t.alu(self.WORK_ALU // self.PRIVATE_WORK)
-            yield from scratch.set(t, j % scratch.length, value + 1)
+    def _body(self, t, tid, i, addrs):
+        work = t.alu(self.WORK_ALU // self.PRIVATE_WORK)
+        for addr in addrs:
+            value = yield t.load(addr)
+            yield work
+            yield t.store(addr, value + 1)
         yield from self.io.write(t, self.log, [tid * 1_000_000 + i])
 
     def verify(self, machine):

@@ -109,23 +109,31 @@ class ReductionKernel(Workload):
 
     def _program(self, t, tid):
         rt = self._runtime
+        # The bodies yield their ops directly, not through a WordArray
+        # accessor generator per access; this thread's grid addresses
+        # and load ops are built once.
+        grid = self.grid[tid]
+        grid_ops = [(addr, t.load(addr))
+                    for addr in map(grid.addr, range(grid.length))]
         for step in self._plans[tid]:
-            yield from rt.atomic(t, self._outer_body, tid, step)
+            yield from rt.atomic(t, self._outer_body, grid_ops, step)
         return tid
 
-    def _outer_body(self, t, tid, step):
-        grid = self.grid[tid]
+    def _outer_body(self, t, grid_ops, step):
         # Variable-duration private compute (see ``jitter``).
         yield t.alu(1 + step["jitter"])
         # Private compute phase: long and conflict-free.
-        for j in range(self.outer_work):
-            value = yield from grid.get(t, j)
-            yield t.alu(self.work_alu)
-            yield from grid.set(t, j, value + 1)
+        work = t.alu(self.work_alu)
+        store = t.store
+        for addr, load in grid_ops:
+            value = yield load
+            yield work
+            yield store(addr, value + 1)
         # Shared read-only traversal (tree codes).
         acc = 0
+        tree = self.tree
         for index in step["tree"]:
-            acc += yield from self.tree.get(t, index)
+            acc += yield t.load(tree.addr(index))
             yield t.alu(1)
         # Collision updates: one closed-nested transaction touching the
         # shared cells this particle/molecule interacts with, near the end
@@ -140,15 +148,20 @@ class ReductionKernel(Workload):
             yield from rt.atomic(t, self._reduction_body)
 
     def _collisions_body(self, t, cells):
+        work = t.alu(self.collision_alu)
         for cell in cells:
-            value = yield from self.cells.get(t, cell)
-            yield t.alu(self.collision_alu)
-            yield from self.cells.set(t, cell, value + 1)
+            addr = self.cells.addr(cell)
+            value = yield t.load(addr)
+            yield work
+            yield t.store(addr, value + 1)
 
     def _reduction_body(self, t):
+        work = t.alu(self.reduction_alu)
         for r in range(self.n_reductions):
-            yield t.alu(self.reduction_alu)
-            yield from self.reductions.add(t, r, 1)
+            addr = self.reductions.addr(r)
+            yield work
+            value = yield t.load(addr)
+            yield t.store(addr, value + 1)
 
     # -- invariants ---------------------------------------------------------------
 

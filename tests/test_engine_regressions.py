@@ -4,7 +4,9 @@ Each test reconstructs the interleaving that exposed the bug; see
 DESIGN.md §6b for the narrative.
 """
 
+import pytest
 
+from repro.common.errors import SimulationError
 from repro.common.params import functional_config
 from repro.runtime.core import RESUME, Runtime
 from repro.sim.engine import Machine
@@ -295,3 +297,22 @@ class TestEagerProgress:
         runtime.spawn(younger, cpu_id=1)
         machine.run(max_cycles=5_000_000)
         assert observed[0] in (0, 777)   # never 666
+
+
+class TestStepLimitCountsExecutedSteps:
+    """Bug: ``run(max_steps=N)`` counted the step it refused, so after
+    the overrun ``engine.steps`` read N + 1 while only N instructions
+    ran."""
+
+    def test_overrun_counts_only_executed_steps(self):
+        machine = Machine(functional_config(n_cpus=1))
+
+        def program(t):
+            for _ in range(100):
+                yield t.alu(1)
+
+        machine.add_thread(program, cpu_id=0)
+        with pytest.raises(SimulationError, match="exceeded 10 steps"):
+            machine.run(max_steps=10)
+        assert machine.stats.get("engine.steps") == 10
+        assert machine.cpus[0].instructions == 10

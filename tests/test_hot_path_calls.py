@@ -90,9 +90,10 @@ def count_calls(build):
 
 
 #: The pins, each measured first in a fresh process and after the other
-#: cases (the same count either way).
-PINNED = {_detstress: (55598, 5294), _matrix: (190723, 15380),
-          _iolog: (124460, 9126)}
+#: cases (the same count either way).  Before the lean engine step and
+#: the direct-yield kernels they were 55,598, 190,723 and 124,460.
+PINNED = {_detstress: (45876, 5294), _matrix: (119414, 15380),
+          _iolog: (95224, 9126)}
 
 
 @pytest.mark.parametrize("build", PINNED,

@@ -15,6 +15,7 @@ import pytest
 from repro.check.history import HistoryRecorder
 from repro.check.programs import CounterProgram
 from repro.common.params import functional_config, paper_config
+from repro.harness.bench import matrix_cells
 from repro.mem.layout import SharedArena
 from repro.runtime.core import Runtime
 from repro.sim.engine import Machine
@@ -27,7 +28,13 @@ from repro.sim.schedule import (
     schedule_deviations,
     window_candidates,
 )
-from repro.workloads import Mp3dKernel
+from repro.workloads import (
+    CondSyncWorkload,
+    DetectionStressKernel,
+    IoLogWorkload,
+    JbbWorkload,
+    Mp3dKernel,
+)
 
 
 class FakeCpu:
@@ -74,21 +81,44 @@ def test_deterministic_choice_is_earliest_then_lowest_id():
     assert policy.choose(cpus).cpu_id == 1
 
 
+class ScanningDeterministicPolicy(DeterministicPolicy):
+    """The deterministic order, served by the scan path."""
+
+    uses_ready_heap = False
+
+
+def _loop_cases():
+    """The runs both loops must agree on: every bench matrix cell, the
+    reduced detstress flagship, and the paper workload's five cases."""
+    yield from ((workload(), config())
+                for _cell, workload, config in matrix_cells())
+    yield (DetectionStressKernel(n_threads=8, seed=1, scale=0.25),
+           functional_config(n_cpus=8,
+                             **DetectionStressKernel.config_overrides))
+    yield JbbWorkload(n_threads=8), paper_config(n_cpus=8)
+    yield JbbWorkload(n_threads=8), paper_config(n_cpus=8, flatten=True)
+    yield JbbWorkload(n_threads=8, variant="open"), paper_config(n_cpus=8)
+    yield IoLogWorkload(n_threads=8), paper_config(n_cpus=8)
+    yield CondSyncWorkload(n_pairs=3), paper_config(n_cpus=7)
+
+
+def _fingerprint(machine):
+    return (machine.stats.as_dict(), dict(machine.memory._words),
+            machine.results())
+
+
 def test_heap_and_scan_schedules_are_bit_for_bit_identical():
     """The engine serves DeterministicPolicy from its (resume_at, cpu_id)
-    ready heap; ``choose`` remains the executable specification.  Forcing
-    the scan path (``uses_ready_heap = False``) must reproduce the exact
-    same run — cycles and results both."""
-
-    class ScanningDeterministicPolicy(DeterministicPolicy):
-        uses_ready_heap = False
-
-    heap = Mp3dKernel(n_threads=4).run(paper_config(n_cpus=4))
-    scan = Mp3dKernel(n_threads=4).run(
-        paper_config(n_cpus=4), policy=ScanningDeterministicPolicy())
-    assert heap.stats.get("cycles") == scan.stats.get("cycles")
-    assert heap.stats.get("engine.steps") == scan.stats.get("engine.steps")
-    assert heap.results() == scan.results()
+    ready heap and steps the common instruction in its lean loop;
+    ``choose`` remains the executable specification.  Forcing the scan
+    path (``uses_ready_heap = False``), which runs every step through
+    ``Machine._step``, must reproduce the exact same run: every stat,
+    every memory word, every result."""
+    for (heap_run, config), (scan_run, _) in zip(_loop_cases(),
+                                                 _loop_cases()):
+        heap = heap_run.run(config)
+        scan = scan_run.run(config, policy=ScanningDeterministicPolicy())
+        assert _fingerprint(heap) == _fingerprint(scan), heap_run.name
 
 
 # ---------------------------------------------------------------------------
