@@ -2,15 +2,16 @@
 
 Observers (:mod:`repro.obs.observer`) only watch the machine; an
 injector must change what it does, so it is the one component that
-still wraps machine methods.  It shadows a handful of them with
-instance attributes (``Machine._step``, ``HtmSystem.validate``,
+still wraps machine methods.  Its per-step work goes through the
+machine's declared intercept point, the ``Machine._before_step`` tuple
+of pre-step hooks, which it extends on attach and splices on detach.
+The rest it shadows with instance attributes (``HtmSystem.validate``,
 ``Machine._deliver`` — the violation queueing step — ...) and
 ``detach()`` deletes the shadows, leaving the class methods in force.
 There are no ``if fault:`` branches in any hot path and zero overhead
 when no injector is attached — the only permanent cost is a
-``getattr(machine, "fault_hooks", None)`` probe on the two *cold*
-library paths (txio syscalls, the allocator) that have no engine method
-to wrap.
+``machine.fault_hooks`` read on the two *cold* library paths (txio
+syscalls, the allocator) that have no engine method to wrap.
 
 Which methods are wrapped depends on the plan's kind — see
 :mod:`repro.faults.plan` for the taxonomy.  Every injection calls
@@ -73,7 +74,7 @@ class FaultInjector:
     def _attach(self):
         kind = self.plan.kind
         if kind == "spurious-violation":
-            self._wrap_step(pre=self._maybe_spurious)
+            self._hook_step(self._maybe_spurious)
         elif kind == "delayed-violation":
             self._attach_delayed()
         elif kind == "token-loss":
@@ -83,7 +84,7 @@ class FaultInjector:
         elif kind == "handler-reentry":
             self._attach_reentry()
         elif kind == "watch-drop":
-            self._wrap_step(pre=self._maybe_watch_drop)
+            self._hook_step(self._maybe_watch_drop)
         elif kind in ("io-fault", "alloc-pressure"):
             self.machine.fault_hooks = self
             self._saved["hooks"] = True
@@ -96,8 +97,9 @@ class FaultInjector:
                 cpu.isa.requeue_enabled = False
 
     def detach(self):
-        """Remove every shadow; flush any still-delayed deliveries
-        (a buffered violation must not simply vanish)."""
+        """Remove every shadow and the pre-step hook; flush any
+        still-delayed deliveries (a buffered violation must not simply
+        vanish)."""
         if not self._saved:
             return
         machine = self.machine
@@ -108,6 +110,11 @@ class FaultInjector:
             else:
                 setattr(owner, attr, prior)
         self._shadows = []
+        pre = self._saved.get("before_step")
+        if pre is not None:
+            hooks = machine._before_step
+            i = hooks.index(pre)
+            machine._before_step = hooks[:i] + hooks[i + 1:]
         if "hooks" in self._saved:
             machine.fault_hooks = None
         if "requeue" in self._saved:
@@ -126,14 +133,12 @@ class FaultInjector:
         self._shadows.append((owner, attr, vars(owner).get(attr)))
         setattr(owner, attr, wrapper)
 
-    def _wrap_step(self, pre):
+    def _hook_step(self, pre):
+        """Run ``pre(cpu)`` at the top of every step until
+        :meth:`detach`."""
         machine = self.machine
-
-        def step(cpu, _orig=machine._step):
-            pre(cpu)
-            _orig(cpu)
-
-        self._shadow(machine, "_step", step)
+        machine._before_step = machine._before_step + (pre,)
+        self._saved["before_step"] = pre
 
     def _wrap_validate(self, impl):
         htm = self.machine.htm
@@ -218,7 +223,7 @@ class FaultInjector:
 
         self._shadow(machine, "_deliver", deliver)
 
-        self._wrap_step(pre=self._delayed_tick)
+        self._hook_step(self._delayed_tick)
 
         if not self.plan.broken:
             # The soundness barrier: a CPU entering xvalidate first

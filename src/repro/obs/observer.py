@@ -35,7 +35,10 @@ so an event nobody subscribes to costs one attribute load and an
 empty-tuple iteration, and detaching is exact in any order: nothing is
 wrapped or shadowed, only the tuples are rebuilt.  Observers must not
 change what the machine computes; the fault injector, which must, is
-the one component that still wraps machine methods.
+the one component that still wraps machine methods.  Its per-step hook
+goes the same way as an observer's: it joins the machine's
+``_before_step`` tuple, which every step runs before the instruction
+boundary's checks.
 
 Every event fires at the end of the method it is named after, with that
 method's arguments and result, except where its docstring says

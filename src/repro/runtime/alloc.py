@@ -58,7 +58,7 @@ class TxAlloc:
                 t, self._compensate_slot, slot)
 
         def do_alloc(t):
-            hooks = getattr(rt.machine, "fault_hooks", None)
+            hooks = rt.machine.fault_hooks
             if hooks is not None:
                 yield from hooks.on_alloc(t, n_words)
             addr = yield from self.heap.malloc(t, n_words)

@@ -148,7 +148,7 @@ class TxIo:
         # retry.  The device mutation is performed exactly once, after
         # the metadata transaction has committed.
         yield t.alu(self.machine.config.syscall_cycles)
-        hooks = getattr(self.machine, "fault_hooks", None)
+        hooks = self.machine.fault_hooks
         if hooks is not None:
             yield from hooks.on_io(t, f, "append", items)
         if t.depth() == 0:
@@ -181,7 +181,7 @@ class TxIo:
         """
         rt = self.runtime
         yield t.alu(self.machine.config.syscall_cycles)
-        hooks = getattr(self.machine, "fault_hooks", None)
+        hooks = self.machine.fault_hooks
         if hooks is not None:
             yield from hooks.on_io(t, f, "read", None)
 

@@ -35,6 +35,15 @@ frames down (``_kill``, a finished or escaped dispatcher, a capacity
 abort) keeps ``calls`` aligned with ``frames``, and closes innermost
 first.
 
+**One step.**  Every run steps its CPUs in :meth:`Machine._run_loop`.
+The common fetch is one ``send`` into the top generator; the cold
+:meth:`Machine._fetch` serves the instruction boundary's dispatches,
+re-issues and throws, and every step while a step journal is on, an
+``on_step`` subscriber is attached or a ``_before_step`` hook is set.
+The loop reads those three once per scheduling decision, after
+``choose``: only ``choose`` (the explorer's capture hook switches the
+journal there) or code between runs changes them.
+
 Instruments subscribe through :meth:`Machine.observe`: the machine and
 its HTM emit the architectural events of :mod:`repro.obs.observer`.
 """
@@ -77,8 +86,8 @@ CAPACITY_RETRY_LIMIT = 16
 #: Shared journal record for a parked-op re-issue (no generator call).
 _FEED_PARKED = ("p",)
 
-#: What the lean step fetches when the frame's own generator ended the
-#: step (returned, or raised); it executes nothing.
+#: What a fetch returns when the frame's own generator ended the step
+#: (returned, or raised); it executes nothing.
 _ENDED = object()
 
 
@@ -185,13 +194,16 @@ class Machine:
         #: Cold-path fault hooks (repro.faults.FaultInjector when one is
         #: attached, else None).  Library code that wants an injectable
         #: seam outside the engine's own methods — txio's syscalls, the
-        #: allocator — probes this attribute; with no injector attached
-        #: the probe is a single getattr on the cold path and the hot
+        #: allocator — reads this attribute; with no injector attached
+        #: the read is one attribute load on the cold path and the hot
         #: paths are untouched.
         self.fault_hooks = None
         #: Attached observers (repro.obs.observer), in attach order.
         self._observers = []
         clear_subscribers(self, MACHINE_EVENTS)
+        #: Pre-step hooks, ``fn(cpu)``, run before every step's boundary
+        #: checks: the fault injector's intercept point.
+        self._before_step = ()
         #: Step journal (repro.sim.snapshot.StepJournal) when snapshot
         #: checkpointing is enabled.  None keeps every hot path at a
         #: single attribute probe.
@@ -365,13 +377,8 @@ class Machine:
                 if cpu.frames and cpu.state == RUNNABLE
             ]
             heapq.heapify(self._ready)
-        # The lean step (see _run_loop) serves the heap's schedule with
-        # nothing per step to honour: no step limit, no journal, no step
-        # subscriber, no ``_step`` shadow (a fault injector's).
-        lean = (use_heap and max_steps is None and self._journal is None
-                and not self._on_step and "_step" not in vars(self))
         try:
-            return self._run_loop(use_heap, lean, max_cycles, max_steps)
+            return self._run_loop(use_heap, max_cycles, max_steps)
         finally:
             # Plain-attribute hot counters become visible stats even when
             # the run ends in DeadlockError/SimulationError.
@@ -380,12 +387,8 @@ class Machine:
             self.memmodel.flush_stats()
             self.htm.flush_stats()
 
-    def _run_loop(self, use_heap, lean, max_cycles, max_steps):
-        # Loop-invariant lookups hoisted out of the per-step path.  The
-        # per-step callables (self._step, which a fault injector may
-        # shadow, and the step subscribers) stay attribute probes, so
-        # outside a lean run anything attached mid-run takes effect; a
-        # lean run honours the ones attached when it started (none).
+    def _run_loop(self, use_heap, max_cycles, max_steps):
+        # Loop-invariant lookups hoisted out of the per-step path.
         cpus = self.cpus
         n_cpus = self._n_cpus
         heappop = heapq.heappop
@@ -427,6 +430,10 @@ class Machine:
                     ]
                     raise DeadlockError(
                         f"all threads waiting at cycle {self.now}: {waiting}")
+                # Watched or intercepted steps all take the cold fetch
+                # (once per decision suffices: see the module docstring).
+                cold = (self._journal is not None or self._on_step
+                        or self._before_step)
                 while True:
                     now = cpu.resume_at
                     if now > self.now:
@@ -440,22 +447,13 @@ class Machine:
                         raise SimulationError(
                             f"simulation exceeded {max_steps} steps")
                     steps += 1
-                    if not (lean and cpu.throw_exc is None
-                            and not cpu.pending_abort and not cpu.parked
-                            and not (cpu.isa._vqueue
-                                     and cpu.isa.viol_reporting)
-                            and cpu.execute is cpu._table_execute):
-                        self._step(cpu)
-                        for fn in self._on_step:
-                            fn(cpu)
-                        journal = self._journal
-                        if journal is not None:
-                            journal.close_step(self, cpu)
+                    # Fetch: one send, unless the instruction boundary
+                    # has work or the step is watched.
+                    if (cold or cpu.throw_exc is not None
+                            or cpu.pending_abort or cpu.parked
+                            or (cpu.isa._vqueue and cpu.isa.viol_reporting)):
+                        op = self._fetch(cpu)
                     else:
-                        # The lean step: what ``_step`` does when there
-                        # is nothing to dispatch, re-issue or throw, and
-                        # nobody shadows ``cpu.execute``.  An Alu runs
-                        # here, as ``Cpu._exec_alu`` would run it.
                         stack = cpu.calls[-1]
                         value = cpu.send_value
                         cpu.send_value = None
@@ -466,29 +464,47 @@ class Machine:
                         else:
                             if op.__class__ is Call:
                                 op = self._fetch_rest(cpu, op, None)
-                        kind = op.__class__
-                        if kind is Alu:
-                            cycles = op.cycles
-                            cpu.icount += cycles
-                            if cpu.dispatch_depth:
-                                cpu.handler_icount += cycles
-                            if retries[cpu.cpu_id]:
-                                retries[cpu.cpu_id] = 0
-                            cpu.resume_at = now + (
-                                cycles if cycles > 1 else 1)
-                        elif (handler := cpu._dispatch.get(kind)) is not None:
+                    # Execute.  Unless an instrument shadows
+                    # ``cpu.execute`` (then it runs and counts), the loop
+                    # dispatches and counts as ``Cpu._execute_step`` does,
+                    # and runs an Alu itself.
+                    kind = op.__class__
+                    execute = cpu.execute
+                    table = execute is cpu._table_execute
+                    if table and kind is Alu:
+                        cycles = op.cycles
+                        cpu.icount += cycles
+                        if cpu.dispatch_depth:
+                            cpu.handler_icount += cycles
+                        if retries[cpu.cpu_id]:
+                            retries[cpu.cpu_id] = 0
+                        cpu.resume_at = now + (cycles if cycles > 1 else 1)
+                    else:
+                        if table:
+                            handler = cpu._dispatch.get(kind)
+                        elif op is not _ENDED and isinstance(op, Op):
+                            handler = execute
+                        else:
+                            handler = None
+                        if handler is not None:
                             try:
                                 outcome = handler(op, now)
                             except CapacityAbort as overflow:
                                 self._handle_capacity_abort(cpu, overflow)
                             else:
                                 if outcome.stall:
+                                    # Retry quickly: an eager-mode winner
+                                    # must re-issue its access inside the
+                                    # victim's rollback window, before the
+                                    # restarted victim re-acquires the
+                                    # line (the LogTM retry-after-NACK).
                                     cpu.parked[len(cpu.frames) - 1] = op
                                     cpu.resume_at = now + 2
                                 else:
-                                    cpu.icount += 1
-                                    if cpu.dispatch_depth:
-                                        cpu.handler_icount += 1
+                                    if table:
+                                        cpu.icount += 1
+                                        if cpu.dispatch_depth:
+                                            cpu.handler_icount += 1
                                     if retries[cpu.cpu_id]:
                                         retries[cpu.cpu_id] = 0
                                     cpu.send_value = outcome.value
@@ -498,11 +514,17 @@ class Machine:
                                     if outcome.deschedule:
                                         self._park(cpu)
                         elif op is not _ENDED:
-                            if not isinstance(op, Op):
-                                self._reject(cpu, op)
+                            if isinstance(op, Op):
+                                # Not in the table: raises.
+                                execute(op, now)
                             else:
-                                # Not in the table: raises as in _step.
-                                cpu.execute(op, now)
+                                self._reject(cpu, op)
+                    if cold:
+                        for fn in self._on_step:
+                            fn(cpu)
+                        journal = self._journal
+                        if journal is not None:
+                            journal.close_step(self, cpu)
                     if not (use_heap and cpu.state == RUNNABLE
                             and cpu.frames):
                         break
@@ -540,16 +562,21 @@ class Machine:
 
     # ------------------------------------------------------------------
 
-    def _step(self, cpu):
-        # Instruction-boundary checks: abort dispatch takes priority, then
-        # violation delivery.  The reporting-enable flag is the hardware
-        # guard — it is cleared on dispatch and restored by xvret, so a
-        # handler is not recursively interrupted unless it deliberately
-        # re-enables reporting (xenviolrep before an open-nested
-        # transaction, paper footnote 1).
+    def _fetch(self, cpu):
+        """Run the pre-step hooks and the instruction-boundary checks,
+        then return ``cpu``'s next op (or its parked one), or ``_ENDED``
+        when the frame's own generator ended the step."""
+        for fn in self._before_step:
+            fn(cpu)
         journal = self._journal
         if journal is not None:
             journal.begin_step(cpu)
+        # Abort dispatch takes priority, then violation delivery.  The
+        # reporting-enable flag is the hardware guard — it is cleared on
+        # dispatch and restored by xvret, so a handler is not recursively
+        # interrupted unless it deliberately re-enables reporting
+        # (xenviolrep before an open-nested transaction, paper footnote
+        # 1).
         if cpu.throw_exc is None:
             if cpu.pending_abort:
                 cpu.pending_abort = False
@@ -564,78 +591,35 @@ class Machine:
                     # parked: it re-issues if the handler resumes, and is
                     # dropped by the rollback path.
                     self._push_dispatcher(cpu, kind="violation")
-
-        # Fetch the next operation (or retry this frame's stalled one)
-        # from the top generator of the top frame's call stack.
+        # Retry this frame's stalled op, or resume the top generator of
+        # the top frame's call stack.
         parked = cpu.parked
         frame_index = len(cpu.frames) - 1
         if parked and frame_index in parked and cpu.throw_exc is None:
             if journal is not None:
                 journal.stage_feed(_FEED_PARKED)
-            op = parked.pop(frame_index)
+            return parked.pop(frame_index)
+        exc = cpu.throw_exc
+        if exc is not None:
+            cpu.throw_exc = None
+            value = None
+            if journal is not None:
+                journal.stage_feed(("t", exc))
         else:
-            exc = cpu.throw_exc
-            if exc is not None:
-                cpu.throw_exc = None
-                value = None
-                if journal is not None:
-                    journal.stage_feed(("t", exc))
-            else:
-                value = cpu.send_value
-                cpu.send_value = None
-                if journal is not None:
-                    journal.stage_feed(("s", value))
-            try:
-                op = _advance(cpu.calls[-1], exc, value)
-            except BaseException as error:
-                self._frame_raised(cpu, error)
-                return
-        if not isinstance(op, Op):
-            self._reject(cpu, op)
-            return
-
-        # Execute.  The frame stack cannot change during execute, so the
-        # fetched frame_index stays valid for the stall-park below.
-        # While no instrument shadows ``cpu.execute``, the engine looks
-        # the handler up itself and counts the instruction the way
-        # ``Cpu._execute_step`` does, saving the executor's frame.
-        now = self.now
-        execute = cpu.execute
-        handler = (cpu._dispatch.get(op.__class__)
-                   if execute is cpu._table_execute else None)
+            value = cpu.send_value
+            cpu.send_value = None
+            if journal is not None:
+                journal.stage_feed(("s", value))
         try:
-            if handler is None:
-                outcome = execute(op, now)
-            else:
-                outcome = handler(op, now)
-        except CapacityAbort as overflow:
-            self._handle_capacity_abort(cpu, overflow)
-            return
-        if outcome.stall:
-            # Retry quickly: an eager-mode winner must re-issue its access
-            # inside the victim's rollback window, before the restarted
-            # victim re-acquires the line (the LogTM retry-after-NACK).
-            parked[frame_index] = op
-            cpu.resume_at = now + 2
-            return
-        if handler is not None:
-            count = op.cycles if op.__class__ is Alu else 1
-            cpu.icount += count
-            if cpu.dispatch_depth:
-                cpu.handler_icount += count
-        retries = self._capacity_retries
-        if retries[cpu.cpu_id]:
-            retries[cpu.cpu_id] = 0
-        cpu.send_value = outcome.value
-        latency = outcome.latency
-        cpu.resume_at = now + (latency if latency > 1 else 1)
-        if outcome.deschedule:
-            self._park(cpu)
+            return _advance(cpu.calls[-1], exc, value)
+        except BaseException as error:
+            self._frame_raised(cpu, error)
+            return _ENDED
 
     def _fetch_rest(self, cpu, op, error):
-        """The lean step's send into ``cpu``'s top generator yielded the
+        """The run loop's send into ``cpu``'s top generator yielded the
         :class:`~repro.sim.ops.Call` ``op``, or raised ``error``: go on
-        as ``_step``'s fetch would.  Returns the op to execute, or
+        as :func:`_advance` would.  Returns the op to execute, or
         ``_ENDED`` when the frame's own generator ended the step."""
         stack = cpu.calls[-1]
         if error is not None and len(stack) == 1:
@@ -682,7 +666,7 @@ class Machine:
             fn(kind, cpu_id, detail)
 
     def _rollback_escaped(self, cpu, rollback):
-        """A rollback escaped the frame ``_step`` just resumed.  From a
+        """A rollback escaped the frame a fetch just resumed.  From a
         dispatcher frame this is the normal hand-off to the program
         below; from the program frame it means no atomic wrapper caught
         it."""

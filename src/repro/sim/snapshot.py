@@ -372,7 +372,7 @@ class StepJournal:
     * ``now`` — the step's start time (the engine does not move the
       clock inside a step).
     * ``sync`` — ISA registers host code can observe, captured at the
-      top of ``_step``: ``(viol_reporting, xvcurrent, xvaddr,
+      top of ``Machine._fetch``: ``(viol_reporting, xvcurrent, xvaddr,
       xabort_code, xtcbptr_top)``.  They are re-applied before the feed
       so the resumed generator sees exactly what it saw originally.
     * ``push`` — ``None``, or ``(kind, code_id, xvcurrent, xvaddr,

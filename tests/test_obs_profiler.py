@@ -301,6 +301,7 @@ class TestStackedObservers:
             assert shadows == [], f"{type(obj).__name__}: {shadows}"
             assert all(getattr(obj, f"_on_{event}") == ()
                        for event in events)
+        assert machine._before_step == ()
 
 
 class TestFlagship:

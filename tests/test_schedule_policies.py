@@ -35,6 +35,7 @@ from repro.workloads import (
     JbbWorkload,
     Mp3dKernel,
 )
+from tests.test_step_instruments import Journal
 
 
 class FakeCpu:
@@ -109,16 +110,18 @@ def _fingerprint(machine):
 
 def test_heap_and_scan_schedules_are_bit_for_bit_identical():
     """The engine serves DeterministicPolicy from its (resume_at, cpu_id)
-    ready heap and steps the common instruction in its lean loop;
-    ``choose`` remains the executable specification.  Forcing the scan
-    path (``uses_ready_heap = False``), which runs every step through
-    ``Machine._step``, must reproduce the exact same run: every stat,
-    every memory word, every result."""
-    for (heap_run, config), (scan_run, _) in zip(_loop_cases(),
-                                                 _loop_cases()):
+    ready heap; ``choose`` remains the executable specification.  Forcing
+    the scan path (``uses_ready_heap = False``) must reproduce the exact
+    same run: every stat, every memory word, every result.  So must a
+    heap run with the step journal on, whose every step goes through the
+    cold ``Machine._fetch`` instead of the run loop's own send."""
+    for (heap_run, config), (scan_run, _), (cold_run, _) in zip(
+            _loop_cases(), _loop_cases(), _loop_cases()):
         heap = heap_run.run(config)
         scan = scan_run.run(config, policy=ScanningDeterministicPolicy())
+        cold = cold_run.run(config, instruments=[Journal])
         assert _fingerprint(heap) == _fingerprint(scan), heap_run.name
+        assert _fingerprint(heap) == _fingerprint(cold), heap_run.name
 
 
 # ---------------------------------------------------------------------------
